@@ -1,10 +1,27 @@
 """Baseline diversity under degree-preserving random mixing.
 
 The null model draws k nodes sequentially without replacement, each draw
-proportional to the node's remaining weight (its k-degree). Sampling uses the
-exponential-race equivalence: with independent keys Exp(1)/w_i, the k nodes
-with the smallest keys follow exactly that sequential distribution, which lets
-whole batches of samples be drawn with array operations.
+proportional to the node's weight (its k-degree) among the nodes not yet
+drawn. Whole batches of samples are drawn with array operations, by one of
+two exact routes:
+
+- Per-slot rejection (the default). Slot j of every sample is drawn from the
+  cumulative weights of all nodes (``searchsorted``), and only the samples
+  whose new node repeats one of their earlier slots draw that slot again. A
+  draw proportional to weight over all nodes, conditioned on missing the
+  nodes already taken, is a draw proportional to weight over the nodes that
+  remain, so this is the sequential law. Expected cost per sample: k draws of
+  O(log n) each plus k^2/2 collision compares.
+- The exponential race of Efraimidis & Spirakis (2006): with keys
+  Exp(1)/w_i, the k smallest keys, in key order, follow the same law. It
+  costs n keys per sample, and is used only where a cost model, reading the
+  weights alone, says rejection would lose: when the k-1 largest weights
+  hold more than half the mass (a slot could then need many redraws), or
+  when k^2 compares cost more than n keys.
+
+The draws are fixed by the seed, the weights, k and the sample count, so
+results are reproducible bit for bit. They differ from the draws of version
+0.1.0, which raced every size.
 
 Two routes to the expected diversity are provided: a Monte Carlo estimator for
 real data and an exact ordered-tuple enumeration for small instances, used as
@@ -15,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +42,14 @@ from .exceptions import InsufficientPopulationError, StateSpaceError
 from .hypergraph import Hypergraph, k_degrees, total_degrees
 
 ENUMERATION_GUARD = 10_000_000  # max n**k for exact_baseline
-_BATCH_CELLS = 1 << 22  # key-matrix cells per sampling batch (~32 MB)
+_BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots or rows x n keys (~32 MB)
+# Relative per-sample costs of the two sampler paths, in units of one
+# collision compare (NumPy 2.4, 2-core x86 host): a rejection slot costs one
+# cumulative-weight draw plus its compares, a race costs n exponential keys
+# plus a fixed set-up.
+_DRAW_COST = 100
+_KEY_COST = 20
+_RACE_SETUP_COST = 200
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -74,6 +100,79 @@ def _positive_subset(weights: np.ndarray) -> np.ndarray:
     return np.flatnonzero(weights > 0)
 
 
+def _prefer_race(w: np.ndarray, k: int) -> bool:
+    """Cost model: should the exponential race draw these k-sets?
+
+    Decided from the positive weights ``w`` and ``k`` alone, so the choice
+    (and with it the RNG stream) never depends on the sample count or on how
+    calls are scheduled. The race wins when
+
+    - the k-1 largest weights hold more than half the mass: below that bound
+      every rejection slot accepts with probability >= 1/2, so it needs at
+      most 2 draws on average; above it a slot may need arbitrarily many;
+    - or the k^2/2 collision compares and k cumulative-weight draws of a
+      rejection sample cost more than the race's n keys.
+    """
+    n = w.size
+    if k > 1 and np.partition(w, n - k + 1)[n - k + 1 :].sum() > 0.5 * w.sum():
+        return True
+    return k * (k + _DRAW_COST) > _KEY_COST * n + _RACE_SETUP_COST
+
+
+def _race_batch(w: np.ndarray, k: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Exponential race: the k smallest keys Exp(1)/w_i, in key order."""
+    keys = rng.exponential(size=(rows, w.size)) / w
+    picked = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    order = np.argsort(np.take_along_axis(keys, picked, axis=1), axis=1)
+    return np.take_along_axis(picked, order, axis=1)
+
+
+def _rejection_batch(
+    cdf: np.ndarray, k: int, rows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Slot-by-slot cumulative-weight draws; redraw rows that repeat a node."""
+    out = np.empty((k, rows), dtype=np.int64)  # slot-major: out[j] is slot j
+    for j in range(k):
+        out[j] = np.searchsorted(cdf, rng.random(rows), side="right")
+        redo = np.flatnonzero((out[:j] == out[j]).any(axis=0))
+        while redo.size:
+            col = np.searchsorted(cdf, rng.random(redo.size), side="right")
+            out[j, redo] = col
+            redo = redo[(out[:j, redo] == col).any(axis=0)]
+    return out.T
+
+
+def _draw_batches(
+    weights: np.ndarray, k: int, count: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Iterate over ``count`` sequentially weighted k-sets in batches of rows.
+
+    Each batch is an int array of shape (rows, k) holding indices into
+    ``weights``; column j is the j-th node drawn. The batch capacity depends
+    only on k and the number of positive weights, so memory stays within
+    ``_BATCH_CELLS`` however large ``count`` is, and the draws never depend
+    on how calls are scheduled.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pos = _positive_subset(weights)
+    if pos.size < k:
+        raise InsufficientPopulationError(
+            f"need {k} positive-weight nodes, found {pos.size}"
+        )
+    w = np.asarray(weights, dtype=np.float64)[pos]
+    if _prefer_race(w, k):
+        batch = max(1, _BATCH_CELLS // w.size)
+        draw = partial(_race_batch, w, k, rng=rng)
+    else:
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
+        batch = max(1, _BATCH_CELLS // k)
+        draw = partial(_rejection_batch, cdf, k, rng=rng)
+    # a generator expression, so the checks above run at the call
+    return (pos[draw(min(batch, count - done))] for done in range(0, count, batch))
+
+
 def sample_weighted_k_sets(
     weights: np.ndarray, k: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -84,24 +183,13 @@ def sample_weighted_k_sets(
     Returns an int array of shape (count, k); entries within a row are the
     selected node indices in ascending order.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pos = _positive_subset(weights)
-    if pos.size < k:
-        raise InsufficientPopulationError(
-            f"need {k} positive-weight nodes, found {pos.size}"
-        )
-    w = np.asarray(weights, dtype=np.float64)[pos]
-    n = pos.size
+    batches = _draw_batches(weights, k, count, rng)
     out = np.empty((count, k), dtype=np.int64)
-    batch = max(1, min(count, _BATCH_CELLS // n))
     done = 0
-    while done < count:
-        b = min(batch, count - done)
-        keys = rng.exponential(size=(b, n)) / w
-        out[done : done + b] = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        done += b
-    return np.sort(pos[out], axis=1)
+    for sets in batches:
+        out[done : done + len(sets)] = np.sort(sets, axis=1)
+        done += len(sets)
+    return out
 
 
 def sample_weighted_k_set(
@@ -119,27 +207,11 @@ def _sample_diversities(
     order: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Diversity of each of ``samples`` weighted k-sets (batched internally)."""
-    pos = _positive_subset(weights)
-    if pos.size < k:
-        raise InsufficientPopulationError(
-            f"need {k} positive-weight nodes, found {pos.size}"
-        )
-    w = np.asarray(weights, dtype=np.float64)[pos]
-    attrs = attributes[pos]
-    if attrs.size and attrs.min() < 0:
+    """Diversity of each of ``samples`` weighted k-sets."""
+    batches = _draw_batches(weights, k, samples, rng)
+    if np.any(attributes[np.asarray(weights) > 0] < 0):
         raise ValueError("positive-weight nodes must all carry an attribute")
-    n = pos.size
-    values = np.empty(samples, dtype=np.float64)
-    batch = max(1, min(samples, _BATCH_CELLS // n))
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
-        keys = rng.exponential(size=(b, n)) / w
-        picked = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        values[done : done + b] = bulk_diversity(attrs[picked], order)[0]
-        done += b
-    return values
+    return np.concatenate([bulk_diversity(attributes[sets], order)[0] for sets in batches])
 
 
 def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEstimate:
