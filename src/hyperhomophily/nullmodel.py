@@ -13,11 +13,9 @@ two exact routes:
   remain, so this is the sequential law. Expected cost per sample: k draws of
   O(log n) each plus k^2/2 collision compares.
 - The exponential race of Efraimidis & Spirakis (2006): with keys
-  Exp(1)/w_i, the k smallest keys, in key order, follow the same law. It
-  costs n keys per sample, and is used only where a cost model, reading the
-  weights alone, says rejection would lose: when the k-1 largest weights
-  hold more than half the mass (a slot could then need many redraws), or
-  when k^2 compares cost more than n keys.
+  Exp(1)/w_i, the set of the k smallest keys follows the same law. It costs
+  n keys per sample, and is used only where the k-1 largest weights hold
+  more than half the mass: a rejection slot could then need many redraws.
 
 The draws are fixed by the seed, the weights, k and the sample count, so
 results are reproducible bit for bit. They differ from the draws of version
@@ -43,13 +41,6 @@ from .hypergraph import Hypergraph, k_degrees, total_degrees
 
 ENUMERATION_GUARD = 10_000_000  # max n**k for exact_baseline
 _BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots or rows x n keys (~32 MB)
-# Relative per-sample costs of the two sampler paths, in units of one
-# collision compare (NumPy 2.4, 2-core x86 host): a rejection slot costs one
-# cumulative-weight draw plus its compares, a race costs n exponential keys
-# plus a fixed set-up.
-_DRAW_COST = 100
-_KEY_COST = 20
-_RACE_SETUP_COST = 200
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -101,30 +92,22 @@ def _positive_subset(weights: np.ndarray) -> np.ndarray:
 
 
 def _prefer_race(w: np.ndarray, k: int) -> bool:
-    """Cost model: should the exponential race draw these k-sets?
+    """Should the exponential race, not rejection, draw these k-sets?
 
-    Decided from the positive weights ``w`` and ``k`` alone, so the choice
-    (and with it the RNG stream) never depends on the sample count or on how
-    calls are scheduled. The race wins when
-
-    - the k-1 largest weights hold more than half the mass: below that bound
-      every rejection slot accepts with probability >= 1/2, so it needs at
-      most 2 draws on average; above it a slot may need arbitrarily many;
-    - or the k^2/2 collision compares and k cumulative-weight draws of a
-      rejection sample cost more than the race's n keys.
+    True when the k-1 largest of the positive weights ``w`` hold more than
+    half the mass. Below that bound every rejection slot accepts with
+    probability >= 1/2, so it needs at most 2 draws on average; above it a
+    slot may need arbitrarily many. The choice reads the weights alone, so
+    the RNG stream never depends on the sample count or the call schedule.
     """
     n = w.size
-    if k > 1 and np.partition(w, n - k + 1)[n - k + 1 :].sum() > 0.5 * w.sum():
-        return True
-    return k * (k + _DRAW_COST) > _KEY_COST * n + _RACE_SETUP_COST
+    return k > 1 and bool(np.partition(w, n - k + 1)[n - k + 1 :].sum() > 0.5 * w.sum())
 
 
 def _race_batch(w: np.ndarray, k: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Exponential race: the k smallest keys Exp(1)/w_i, in key order."""
+    """Exponential race: the k smallest keys Exp(1)/w_i, in no particular order."""
     keys = rng.exponential(size=(rows, w.size)) / w
-    picked = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    order = np.argsort(np.take_along_axis(keys, picked, axis=1), axis=1)
-    return np.take_along_axis(picked, order, axis=1)
+    return np.argpartition(keys, k - 1, axis=1)[:, :k]
 
 
 def _rejection_batch(
@@ -148,10 +131,11 @@ def _draw_batches(
     """Iterate over ``count`` sequentially weighted k-sets in batches of rows.
 
     Each batch is an int array of shape (rows, k) holding indices into
-    ``weights``; column j is the j-th node drawn. The batch capacity depends
-    only on k and the number of positive weights, so memory stays within
-    ``_BATCH_CELLS`` however large ``count`` is, and the draws never depend
-    on how calls are scheduled.
+    ``weights``. On the rejection path column j is the j-th node drawn; the
+    race returns each row's set in no particular order. The batch capacity
+    depends only on k and the number of positive weights, so memory stays
+    within ``_BATCH_CELLS`` however large ``count`` is, and the draws never
+    depend on how calls are scheduled.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
