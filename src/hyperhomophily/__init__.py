@@ -25,6 +25,7 @@ from .exceptions import (
 )
 from .homophily import (
     CurveRow,
+    EdgeScores,
     Exclusion,
     HomophilyRecord,
     HomophilyReport,
@@ -92,6 +93,7 @@ __all__ = [
     "estimate_baseline",
     "exact_baseline",
     "derive_seed",
+    "EdgeScores",
     "HomophilyRecord",
     "HomophilyReport",
     "PerKRow",

@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
 
     if args.per_edge_out is not None:
         with open(args.per_edge_out, "w", encoding="utf-8", newline="\n") as f:
-            rpt.write_per_edge_csv(report.per_edge or (), f)
+            rpt.write_per_edge_csv(report.per_edge, f)
     if args.perplexity_curve is not None:
         curve = _curve_from_buckets(h, cfg.diversity_order, buckets)
         with open(args.perplexity_curve, "w", encoding="utf-8", newline="\n") as f:

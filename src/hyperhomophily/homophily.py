@@ -10,7 +10,7 @@ The hypergraph-level index is the mean score over all scorable edges.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,41 @@ class HomophilyRecord:
     phi_min: float
     degenerate: bool
     edge_index: int = -1
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeScores:
+    """Per-hyperedge scores as read-only columns, one row per scored or
+    degenerate hyperedge, sorted by ``edge_index``."""
+
+    edge_index: np.ndarray
+    k: np.ndarray
+    observed: np.ndarray
+    baseline: np.ndarray
+    gap: np.ndarray
+    gap_max: np.ndarray
+    gap_min: np.ndarray
+    phi: np.ndarray
+    phi_min: np.ndarray
+    degenerate: np.ndarray
+
+    def __post_init__(self):
+        for name in EDGE_COLUMNS:
+            getattr(self, name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return int(self.edge_index.size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeScores):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in EDGE_COLUMNS
+        )
+
+
+EDGE_COLUMNS = tuple(f.name for f in fields(EdgeScores))
 
 
 @dataclass(frozen=True)
@@ -85,7 +120,37 @@ class HomophilyReport:
     edges_excluded: int
     per_k: tuple[PerKRow, ...]
     exclusions: tuple[Exclusion, ...]
-    per_edge: tuple[HomophilyRecord, ...] | None = None
+    per_edge: EdgeScores | None = None
+
+
+def _score(
+    observed: np.ndarray, baseline: float, m_e: np.ndarray, epsilon: float
+) -> dict[str, np.ndarray]:
+    """Score the edges of one size against its baseline mean, as columns.
+
+    When the baseline itself is within ``epsilon`` of 1 the null model is
+    pure and offers no contrast; the edges are flagged degenerate and
+    scored 0.
+    """
+    n = observed.shape
+    gap = baseline - observed
+    gap_max = baseline - 1.0
+    gap_min = baseline - m_e
+    degenerate = gap_max < epsilon
+    if degenerate:
+        phi, phi_min = np.zeros(n), np.zeros(n)
+    else:
+        phi, phi_min = gap / gap_max, gap_min / gap_max
+    return {
+        "observed": observed,
+        "baseline": np.full(n, baseline),
+        "gap": gap,
+        "gap_max": np.full(n, gap_max),
+        "gap_min": gap_min,
+        "phi": phi,
+        "phi_min": phi_min,
+        "degenerate": np.full(n, degenerate),
+    }
 
 
 def score_edge(
@@ -94,38 +159,16 @@ def score_edge(
     m_e: int,
     epsilon: float = DEFAULT_EPSILON,
 ) -> HomophilyRecord:
-    """Score one hyperedge against its size's baseline.
-
-    When the baseline itself is within ``epsilon`` of 1 the null model is
-    pure and offers no contrast; the edge is flagged degenerate and scored 0.
-    """
+    """Score one hyperedge against its size's baseline (see :func:`_score`)."""
     if m_e < 1:
         raise ValueError("m_e must be >= 1")
     if observed < 1.0 - 1e-12 or observed > m_e + 1e-12:
         raise ValueError(
             f"observed diversity {observed} outside valid range [1, {m_e}]"
         )
-    gap = baseline.mean - observed
-    gap_max = baseline.mean - 1.0
-    gap_min = baseline.mean - m_e
-    if gap_max < epsilon:
-        phi = 0.0
-        phi_min = 0.0
-        degenerate = True
-    else:
-        phi = gap / gap_max
-        phi_min = gap_min / gap_max
-        degenerate = False
+    row = _score(np.array([float(observed)]), baseline.mean, np.array([m_e]), epsilon)
     return HomophilyRecord(
-        k=baseline.k,
-        observed=float(observed),
-        baseline=baseline.mean,
-        gap=gap,
-        gap_max=gap_max,
-        gap_min=gap_min,
-        phi=phi,
-        phi_min=phi_min,
-        degenerate=degenerate,
+        k=baseline.k, **{name: col.item() for name, col in row.items()}
     )
 
 
@@ -221,54 +264,32 @@ def _report_from_buckets(
         exclusions.append(Exclusion(EXCLUDED_SIZE_ONE, 1, size_one))
     per_k: list[PerKRow] = []
     phi_blocks: list[np.ndarray] = []
-    records: list[HomophilyRecord] = []
+    edge_blocks: list[dict[str, np.ndarray]] = []
 
     for b in buckets:
         count = int(b.edge_indices.size)
         if b.baseline is None:
             exclusions.append(Exclusion(EXCLUDED_INSUFFICIENT, b.k, count))
             continue
+        scores = _score(b.observed, b.baseline.mean, b.m_e, epsilon)
+        if emit_per_edge:
+            edge_blocks.append(
+                {"edge_index": b.edge_indices, "k": np.full(count, b.k), **scores}
+            )
         if b.degenerate:
             exclusions.append(Exclusion(EXCLUDED_DEGENERATE, b.k, count))
-            if emit_per_edge:
-                for idx, obs, m in zip(b.edge_indices, b.observed, b.m_e):
-                    records.append(
-                        replace(
-                            score_edge(float(obs), b.baseline, int(m), epsilon),
-                            edge_index=int(idx),
-                        )
-                    )
             continue
-        mean = b.baseline.mean
-        phis = (mean - b.observed) / (mean - 1.0)
-        phi_blocks.append(phis)
+        phi_blocks.append(scores["phi"])
         per_k.append(
             PerKRow(
                 k=b.k,
                 edge_count=count,
-                baseline_mean=mean,
+                baseline_mean=b.baseline.mean,
                 baseline_std_error=b.baseline.std_error,
-                phi_k=float(np.mean(phis)),
+                phi_k=float(np.mean(scores["phi"])),
                 mean_observed=float(np.mean(b.observed)),
             )
         )
-        if emit_per_edge:
-            gap_max = mean - 1.0
-            for idx, obs, m, phi in zip(b.edge_indices, b.observed, b.m_e, phis):
-                records.append(
-                    HomophilyRecord(
-                        k=b.k,
-                        observed=float(obs),
-                        baseline=mean,
-                        gap=mean - float(obs),
-                        gap_max=gap_max,
-                        gap_min=mean - int(m),
-                        phi=float(phi),
-                        phi_min=(mean - int(m)) / gap_max,
-                        degenerate=False,
-                        edge_index=int(idx),
-                    )
-                )
 
     if not phi_blocks:
         raise EmptyAnalysisError("no scorable hyperedges after exclusions")
@@ -282,8 +303,12 @@ def _report_from_buckets(
 
     per_edge = None
     if emit_per_edge:
-        records.sort(key=lambda r: r.edge_index)
-        per_edge = tuple(records)
+        columns = {
+            name: np.concatenate([block[name] for block in edge_blocks])
+            for name in EDGE_COLUMNS
+        }
+        order = np.argsort(columns["edge_index"], kind="stable")
+        per_edge = EdgeScores(**{name: col[order] for name, col in columns.items()})
 
     return HomophilyReport(
         global_phi=global_phi,

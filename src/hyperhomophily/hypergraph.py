@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -21,6 +22,7 @@ from .exceptions import DuplicateNodeError, NodeRangeError, ParseError
 log = logging.getLogger(__name__)
 
 UNLABELED = -1
+_TOKEN_BLOCK_CHARS = 1 << 16  # characters of hyperedges text tokenized at once
 
 
 @dataclass(frozen=True)
@@ -254,19 +256,22 @@ def edge_sizes(h: Hypergraph) -> dict[int, int]:
 # -- ingestion ----------------------------------------------------------------
 
 
-def _content_lines(stream: IO[str]) -> list[str]:
-    """All lines with CR/LF stripped, trailing blank lines removed."""
-    lines = [line.rstrip("\r\n") for line in stream]
+def _content_lines(text: str) -> list[str]:
+    """All lines with CR stripped, trailing blank lines removed."""
+    lines = [line.rstrip("\r") for line in text.split("\n")]
     while lines and lines[-1].strip() == "":
         lines.pop()
     return lines
 
 
-def _parse_labels(stream: IO[str], one_indexed: bool) -> np.ndarray:
+def _parse_labels(text: str, one_indexed: bool) -> np.ndarray:
     # blank lines are unlabeled nodes, so every line counts (no trailing strip)
     base = 1 if one_indexed else 0
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline ending the last line starts no new one
     out = []
-    for lineno, raw in enumerate((line.rstrip("\r\n") for line in stream), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         token = raw.strip()
         if token == "":
             out.append(UNLABELED)  # node exists but carries no label
@@ -282,21 +287,20 @@ def _parse_labels(stream: IO[str], one_indexed: bool) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def parse_hypergraph(
-    hyperedges_text: IO[str],
-    labels_text: IO[str],
-    label_names_text: IO[str] | None = None,
-    opts: IngestOptions = IngestOptions(),
-) -> Hypergraph:
-    """Parse the benchmark text format into a :class:`Hypergraph`.
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
 
-    ``hyperedges_text`` holds one hyperedge per line as comma-separated node
-    ids; ``labels_text`` holds one label id per line, line i labeling node i.
-    Trailing blank lines are ignored; a blank line elsewhere in the hyperedges
-    file is an error, and in the labels file denotes an unlabeled node.
-    Exclusion and dedup counts are retrievable via ``Hypergraph.ingest``.
+
+def _edges_by_line(
+    text: str, attributes: np.ndarray, opts: IngestOptions
+) -> tuple[np.ndarray, np.ndarray, IngestStats]:
+    """Line-by-line parse of the hyperedges text into CSR arrays and counters.
+
+    Raises the line-numbered input errors. :func:`_edges_whole` gives the
+    same result faster and hands malformed input to this parser.
     """
-    attributes = _parse_labels(labels_text, opts.one_indexed)
     node_count = attributes.size
     base = 1 if opts.one_indexed else 0
 
@@ -306,10 +310,10 @@ def parse_hypergraph(
     collapsed = 0
     size_one = 0
     seen: set[tuple[int, ...]] = set()
-    edge_arrays: list[np.ndarray] = []
+    edge_nodes: list[int] = []
     lengths: list[int] = []
 
-    for lineno, raw in enumerate(_content_lines(hyperedges_text), start=1):
+    for lineno, raw in enumerate(_content_lines(text), start=1):
         line = raw.strip()
         if line == "":
             raise ParseError("empty hyperedge line", lineno)
@@ -349,12 +353,8 @@ def parse_hypergraph(
             seen.add(key)
         if size == 1:
             size_one += 1
-        edge_arrays.append(np.asarray(unique, dtype=np.int64))
+        edge_nodes.extend(unique)
         lengths.append(size)
-
-    names = None
-    if label_names_text is not None:
-        names = tuple(_content_lines(label_names_text))
 
     stats = IngestStats(
         dedup_events=dedup_events,
@@ -363,20 +363,168 @@ def parse_hypergraph(
         duplicate_edges_collapsed=collapsed,
         size_one_edges=size_one,
     )
-    if excluded_by_size or excluded_unlabeled or collapsed or dedup_events:
+    offsets = _offsets(np.asarray(lengths, dtype=np.int64))
+    return np.asarray(edge_nodes, dtype=np.int64), offsets, stats
+
+
+def _repeated_edges(
+    nodes: np.ndarray, line: np.ndarray, sizes: np.ndarray, keep: np.ndarray
+) -> np.ndarray:
+    """Mask of the kept lines whose node set equals that of an earlier kept line."""
+    repeated = np.zeros(sizes.size, dtype=bool)
+    token_size = np.where(keep, sizes, 0)[line]
+    for k in np.unique(token_size[token_size > 0]):
+        rows = nodes[token_size == k].reshape(-1, k)
+        lines = np.flatnonzero(keep & (sizes == k))
+        order = np.lexsort(rows.T[::-1])  # stable: the first occurrence leads its run
+        same = np.all(rows[order[1:]] == rows[order[:-1]], axis=1)
+        repeated[lines[order[1:][same]]] = True
+    return repeated
+
+
+def _token_blocks(body: str) -> Iterator[list[str]]:
+    """The comma- and newline-separated tokens of ``body``, split a block of
+    whole lines at a time, so only one block's strings are alive at once."""
+    start = 0
+    while start <= len(body):
+        end = body.find("\n", start + _TOKEN_BLOCK_CHARS)
+        end = len(body) if end < 0 else end
+        yield body[start:end].replace("\n", ",").split(",")
+        start = end + 1
+
+
+def _separator_is_newline(body: str) -> np.ndarray:
+    """For each comma or newline of ``body`` in order, whether it is a
+    newline: token i ends its line exactly when separator i is one."""
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    return raw[(raw == ord("\n")) | (raw == ord(","))] == ord("\n")
+
+
+def _edges_whole(
+    text: str, attributes: np.ndarray, opts: IngestOptions
+) -> tuple[np.ndarray, np.ndarray, IngestStats] | None:
+    """Parse the hyperedges text as one array: the result of
+    :func:`_edges_by_line`, or None when a line is malformed (a token
+    ``int()`` rejects, an id out of range, a blank interior line, or a
+    repeated id without dedup), which that parser then reports.
+    """
+    body = text.rstrip()  # trailing blank lines, as _content_lines drops them
+    if not body:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, _offsets(empty), IngestStats()
+    ends_line = _separator_is_newline(body)
+    tokens = chain.from_iterable(_token_blocks(body))
+    try:
+        nodes = np.fromiter(map(int, tokens), dtype=np.int64, count=ends_line.size + 1)
+    except (ValueError, OverflowError):
+        return None
+    nodes -= 1 if opts.one_indexed else 0
+    if nodes.min() < 0 or nodes.max() >= attributes.size:
+        return None
+    line = np.zeros(nodes.size, dtype=np.int64)
+    np.cumsum(ends_line, out=line[1:])
+    line_count = int(line[-1]) + 1
+
+    nodes = nodes[np.lexsort((nodes, line))]  # sort each line; lines stay in order
+    repeat = np.zeros(nodes.size, dtype=bool)
+    repeat[1:] = (nodes[1:] == nodes[:-1]) & (line[1:] == line[:-1])
+    dedup_events = 0
+    if repeat.any():
+        if not opts.dedupe_edges:
+            return None
+        dedup_events = int(np.unique(line[repeat]).size)
+        nodes, line = nodes[~repeat], line[~repeat]
+    sizes = np.bincount(line, minlength=line_count)
+
+    # the line-by-line order of precedence: size, then unlabeled, then repeats
+    keep = np.ones(line_count, dtype=bool)
+    if opts.min_size is not None:
+        keep &= sizes >= opts.min_size
+    if opts.max_size is not None:
+        keep &= sizes <= opts.max_size
+    excluded_by_size = line_count - int(keep.sum())
+    excluded_unlabeled = 0
+    if opts.drop_unlabeled:
+        unlabeled = np.zeros(line_count, dtype=bool)
+        unlabeled[line[attributes[nodes] == UNLABELED]] = True
+        excluded_unlabeled = int(np.count_nonzero(keep & unlabeled))
+        keep &= ~unlabeled
+    collapsed = 0
+    if opts.collapse_duplicate_edges:
+        repeated = _repeated_edges(nodes, line, sizes, keep)
+        collapsed = int(repeated.sum())
+        keep &= ~repeated
+
+    stats = IngestStats(
+        dedup_events=dedup_events,
+        excluded_by_size=excluded_by_size,
+        excluded_unlabeled=excluded_unlabeled,
+        duplicate_edges_collapsed=collapsed,
+        size_one_edges=int(np.count_nonzero(keep & (sizes == 1))),
+    )
+    return nodes[keep[line]], _offsets(sizes[keep]), stats
+
+
+def _parse_texts(
+    edges_text: str, labels_text: str, names_text: str | None, opts: IngestOptions
+) -> Hypergraph:
+    attributes = _parse_labels(labels_text, opts.one_indexed)
+    parsed = _edges_whole(edges_text, attributes, opts)
+    if parsed is None:  # malformed: the line-by-line parser raises the error
+        parsed = _edges_by_line(edges_text, attributes, opts)
+    flat, offsets, stats = parsed
+
+    names = None if names_text is None else tuple(_content_lines(names_text))
+    if (
+        stats.excluded_by_size
+        or stats.excluded_unlabeled
+        or stats.duplicate_edges_collapsed
+        or stats.dedup_events
+    ):
         log.info(
             "ingest: %d deduped lines, %d size-filtered, %d unlabeled-dropped, "
             "%d duplicate edges collapsed",
-            dedup_events,
-            excluded_by_size,
-            excluded_unlabeled,
-            collapsed,
+            stats.dedup_events,
+            stats.excluded_by_size,
+            stats.excluded_unlabeled,
+            stats.duplicate_edges_collapsed,
         )
-
-    flat = np.concatenate(edge_arrays) if edge_arrays else np.empty(0, dtype=np.int64)
-    offsets = np.zeros(len(edge_arrays) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
     return Hypergraph._from_csr(attributes, flat, offsets, names, ingest=stats)
+
+
+def parse_hypergraph(
+    hyperedges_text: IO[str],
+    labels_text: IO[str],
+    label_names_text: IO[str] | None = None,
+    opts: IngestOptions = IngestOptions(),
+) -> Hypergraph:
+    """Parse the benchmark text format into a :class:`Hypergraph`.
+
+    ``hyperedges_text`` holds one hyperedge per line as comma-separated node
+    ids; ``labels_text`` holds one label id per line, line i labeling node i.
+    Trailing blank lines are ignored; a blank line elsewhere in the hyperedges
+    file is an error, and in the labels file denotes an unlabeled node.
+    Exclusion and dedup counts are retrievable via ``Hypergraph.ingest``.
+    Each stream is read whole; its lines end at ``\n`` after the stream's own
+    newline translation.
+    """
+    names = None if label_names_text is None else label_names_text.read()
+    return _parse_texts(hyperedges_text.read(), labels_text.read(), names, opts)
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    """The file as ``open(path, encoding="utf-8")`` reads it (universal
+    newlines); a byte that is not UTF-8 is a ParseError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(
+            f"{what} file: byte 0x{data[exc.start]:02x} is not valid UTF-8", line
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_hypergraph(
@@ -386,13 +534,12 @@ def load_hypergraph(
     opts: IngestOptions = IngestOptions(),
 ) -> Hypergraph:
     """File-path convenience wrapper around :func:`parse_hypergraph`."""
-    with open(hyperedges_path, encoding="utf-8") as edges_f, open(
-        labels_path, encoding="utf-8"
-    ) as labels_f:
-        if label_names_path is None:
-            return parse_hypergraph(edges_f, labels_f, None, opts)
-        with open(label_names_path, encoding="utf-8") as names_f:
-            return parse_hypergraph(edges_f, labels_f, names_f, opts)
+    edges_text = _read_text(hyperedges_path, "hyperedges")
+    labels_text = _read_text(labels_path, "labels")
+    names_text = (
+        None if label_names_path is None else _read_text(label_names_path, "label names")
+    )
+    return _parse_texts(edges_text, labels_text, names_text, opts)
 
 
 def write_hypergraph(

@@ -12,8 +12,10 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
+import numpy as np
+
 from . import __version__
-from .homophily import CurveRow, HomophilyRecord, HomophilyReport
+from .homophily import EDGE_COLUMNS, CurveRow, EdgeScores, HomophilyReport
 from .hsbm import GridPoint, SweepPoint
 from .hypergraph import IngestStats
 
@@ -88,26 +90,19 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_per_edge_csv(records: Sequence[HomophilyRecord], out: IO[str]) -> None:
+# one per-edge CSV row: renders the same text as format_number on each cell
+_PER_EDGE_ROW = "%d,%d" + ",%.17g" * 7 + ",%s\n"
+_PER_EDGE_CHUNK_ROWS = 16_384
+
+
+def write_per_edge_csv(scores: EdgeScores, out: IO[str]) -> None:
     out.write("# one row per scored or degenerate hyperedge\n")
-    out.write(
-        "edge_index,k,observed,baseline,gap,gap_max,gap_min,phi,phi_min,degenerate\n"
-    )
-    for r in records:
-        cells = [
-            r.edge_index,
-            r.k,
-            r.observed,
-            r.baseline,
-            r.gap,
-            r.gap_max,
-            r.gap_min,
-            r.phi,
-            r.phi_min,
-            r.degenerate,
-        ]
-        out.write(",".join(format_number(c) for c in cells))
-        out.write("\n")
+    out.write(",".join(EDGE_COLUMNS) + "\n")
+    for start in range(0, len(scores), _PER_EDGE_CHUNK_ROWS):
+        rows = slice(start, start + _PER_EDGE_CHUNK_ROWS)
+        cells = [getattr(scores, name)[rows].tolist() for name in EDGE_COLUMNS[:-1]]
+        cells.append(np.where(scores.degenerate[rows], "true", "false").tolist())
+        out.write("".join(map(_PER_EDGE_ROW.__mod__, zip(*cells))))
 
 
 def write_curve_csv(rows: Sequence[CurveRow], out: IO[str]) -> None:

@@ -94,6 +94,19 @@ class TestAnalyze:
         assert main(["analyze", *args]) == 2
         assert "line 1" in caplog.text
 
+    def test_undecodable_hyperedges_byte_reports_line(self, tmp_path, caplog):
+        args = write_dataset(tmp_path, "", "1\n1\n2\n")
+        (tmp_path / "hyperedges.txt").write_bytes(b"1,2\n\xff,3\n")
+        assert main(["analyze", *args]) == 2
+        assert "invalid input: line 2: hyperedges file" in caplog.text
+
+    def test_undecodable_labels_byte_reports_line(self, tmp_path, caplog):
+        # CRLF and a lone CR both end a line, as when the file is read as text
+        args = write_dataset(tmp_path, "1,2\n", "")
+        (tmp_path / "node-labels.txt").write_bytes(b"1\r\n1\r2\r\n\xfe\n")
+        assert main(["analyze", *args]) == 2
+        assert "invalid input: line 4: labels file" in caplog.text
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(
             ["analyze", "--hyperedges", str(tmp_path / "nope.txt"),

@@ -99,8 +99,9 @@ class TestAnalyze:
         reasons = {e.reason: (e.k, e.count) for e in report.exclusions}
         assert reasons == {"degenerate_baseline": (2, 1)}
         assert report.edges_scored == 2
-        flagged = [r for r in report.per_edge if r.degenerate]
-        assert len(flagged) == 1 and flagged[0].k == 2 and flagged[0].phi == 0.0
+        pe = report.per_edge
+        flagged = np.flatnonzero(pe.degenerate)
+        assert len(flagged) == 1 and pe.k[flagged[0]] == 2 and pe.phi[flagged[0]] == 0.0
 
     def test_counts_add_up(self):
         h = mixed_graph()
@@ -110,7 +111,7 @@ class TestAnalyze:
     def test_global_is_mean_of_per_edge(self):
         h = mixed_graph(seed=5)
         report = analyze(h, SamplerConfig(samples=1000, seed=3), emit_per_edge=True)
-        phis = [r.phi for r in report.per_edge if not r.degenerate]
+        phis = report.per_edge.phi[~report.per_edge.degenerate]
         assert report.global_phi == pytest.approx(np.mean(phis), abs=1e-12)
         assert len(phis) == report.edges_scored
 
@@ -118,7 +119,7 @@ class TestAnalyze:
         h = mixed_graph(seed=6)
         report = analyze(h, SamplerConfig(samples=1000, seed=4), emit_per_edge=True)
         for row in report.per_k:
-            bucket = [r.phi for r in report.per_edge if r.k == row.k]
+            bucket = report.per_edge.phi[report.per_edge.k == row.k]
             assert row.phi_k == pytest.approx(np.mean(bucket), abs=1e-12)
             assert row.edge_count == len(bucket)
 
@@ -137,11 +138,12 @@ class TestAnalyze:
         baselines = {row.k: estimate_baseline(h, row.k, cfg) for row in report.per_k}
         from hyperhomophily import composition, perplexity
 
-        for r in report.per_edge:
-            c = composition(h, r.edge_index)
-            redo = score_edge(perplexity(c), baselines[r.k], c.num_attributes)
-            assert r.phi == pytest.approx(redo.phi, abs=1e-9)
-            assert r.phi_min == pytest.approx(redo.phi_min, abs=1e-9)
+        pe = report.per_edge
+        for idx, k, phi, phi_min in zip(pe.edge_index, pe.k, pe.phi, pe.phi_min):
+            c = composition(h, int(idx))
+            redo = score_edge(perplexity(c), baselines[int(k)], c.num_attributes)
+            assert phi == pytest.approx(redo.phi, abs=1e-9)
+            assert phi_min == pytest.approx(redo.phi_min, abs=1e-9)
 
     def test_attribute_relabeling_invariance(self):
         h = mixed_graph(seed=9)
@@ -158,17 +160,20 @@ class TestAnalyze:
     def test_worker_count_does_not_change_results(self):
         h = mixed_graph(seed=10)
         cfg = SamplerConfig(samples=1000, seed=8)
-        serial = analyze(h, cfg, workers=1)
-        threaded = analyze(h, cfg, workers=4)
+        serial = analyze(h, cfg, workers=1, emit_per_edge=True)
+        threaded = analyze(h, cfg, workers=4, emit_per_edge=True)
         assert serial == threaded
 
     def test_range_invariant(self):
         h = mixed_graph(seed=11)
         report = analyze(h, SamplerConfig(samples=1000, seed=9), emit_per_edge=True)
-        for r in report.per_edge:
-            if not r.degenerate:
-                assert r.phi_min - 1e-12 <= r.phi <= 1.0 + 1e-12
-                assert (r.phi == 1.0) == (r.observed == 1.0)
+        pe = report.per_edge
+        for phi, phi_min, observed, degenerate in zip(
+            pe.phi, pe.phi_min, pe.observed, pe.degenerate
+        ):
+            if not degenerate:
+                assert phi_min - 1e-12 <= phi <= 1.0 + 1e-12
+                assert (phi == 1.0) == (observed == 1.0)
 
     def test_empty_hypergraph(self):
         with pytest.raises(EmptyAnalysisError):

@@ -1,6 +1,8 @@
 """Container, ingestion, and structural-query tests."""
 
 import io
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ from hyperhomophily import (
     k_uniform_sub,
     parse_hypergraph,
     write_hypergraph,
+    load_hypergraph,
 )
+from hyperhomophily import hypergraph
+from hyperhomophily.hypergraph import _edges_by_line, _edges_whole, _parse_labels
 
 
 def parse(edges_text, labels_text, names_text=None, **kwargs):
@@ -97,6 +102,13 @@ class TestParse:
         h = parse("1,2\n2,1\n1,3\n", "1\n1\n1\n", collapse_duplicate_edges=True)
         assert h.edge_list() == [(0, 1), (0, 2)]
         assert h.ingest.duplicate_edges_collapsed == 1
+
+    def test_collapse_interleaved_duplicates(self):
+        h = parse(
+            "1,2\n1,3\n2,1\n1,3,4\n3,1\n", "1\n1\n1\n1\n", collapse_duplicate_edges=True
+        )
+        assert h.edge_list() == [(0, 1), (0, 2), (0, 2, 3)]
+        assert h.ingest.duplicate_edges_collapsed == 2
 
     def test_duplicate_edges_kept_by_default(self):
         h = parse("1,2\n2,1\n", "1\n1\n")
@@ -222,3 +234,138 @@ class TestInvariants:
         assert back.node_count == h.node_count
         assert np.array_equal(back.attributes, h.attributes)
         assert sorted(back.edge_list()) == sorted(h.edge_list())
+
+
+# -- whole-file parser against the line-by-line parser --------------------------
+
+PADS = ["", " ", "\t", "  ", "\u00a0", "\x0b"]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+JUNK = ["x", "", " ", "1.5", "1__2", "_1", "1_", "--1", "+-1", "0x1", "1 2", "\ud800"]
+HUGE = [2**63 - 1, 2**63, 2**64 + 1, -(2**63), -(2**63) - 1, 10**30]
+
+
+@st.composite
+def id_token(draw, node_count: int, base: int, clean: bool) -> str:
+    kind = draw(st.integers(0, 9)) if not clean else 0
+    if kind == 7:
+        return draw(st.sampled_from(JUNK))
+    if kind == 8:
+        value = draw(st.sampled_from(HUGE))
+    elif kind == 9:
+        top = node_count + base
+        value = draw(st.sampled_from([0, -1, -12, top, top + 3]))
+    else:
+        value = draw(st.integers(base, node_count - 1 + base))
+    digits = str(abs(value))
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    if draw(st.integers(0, 5)) == 0:
+        digits = digits.translate(ARABIC_INDIC)
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+    return draw(st.sampled_from(PADS)) + sign + digits + draw(st.sampled_from(PADS))
+
+
+@st.composite
+def ingest_inputs(draw):
+    """(hyperedges text, labels text, one_indexed, min_size, max_size)."""
+    one_indexed = draw(st.booleans())
+    base = 1 if one_indexed else 0
+    node_count = draw(st.integers(1, 6))
+    # mostly labeled: an edge touching an unlabeled node is usually dropped
+    label = st.sampled_from([None, 0, 1, 2, 0, 1, 2, 0])
+    labels = draw(st.lists(label, min_size=node_count, max_size=node_count))
+    labels_text = "".join("\n" if v is None else f"{v + base}\n" for v in labels)
+
+    clean = draw(st.booleans())
+    lines: list[str] = []
+    for _ in range(draw(st.integers(0, 8))):
+        if lines and draw(st.integers(0, 3)) == 0:  # a repeated edge, ids reordered
+            earlier = draw(st.sampled_from(lines)).split(",")
+            lines.append(",".join(draw(st.permutations(earlier))))
+            continue
+        if not clean and draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))  # blank interior line
+            continue
+        size = draw(st.integers(1, 4))
+        token = id_token(node_count, base, clean)
+        lines.append(",".join(draw(token) for _ in range(size)))
+    endings = ["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"]
+    text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline after the last line
+    text += draw(st.sampled_from(["", "\n", "\n\n", " \n", "\r\n\r\n", "\r", "\t\n \n"]))
+
+    min_size = draw(st.sampled_from([None, 1, 2, 3]))
+    max_size = draw(st.sampled_from([None, 2, 3, 4]))
+    if min_size is not None and max_size is not None and max_size < min_size:
+        min_size, max_size = max_size, min_size
+    return text, labels_text, one_indexed, min_size, max_size
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ParseError as exc:
+        return exc
+
+
+FLAG_COMBINATIONS = list(itertools.product([False, True], repeat=3))
+
+
+class TestWholeFileParser:
+    @pytest.mark.parametrize("dedupe,drop_unlabeled,collapse", FLAG_COMBINATIONS)
+    @given(inputs=ingest_inputs(), block_chars=st.sampled_from([1, 5, 1 << 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_line_by_line(
+        self, inputs, block_chars, dedupe, drop_unlabeled, collapse
+    ):
+        text, labels_text, one_indexed, min_size, max_size = inputs
+        opts = IngestOptions(
+            one_indexed=one_indexed,
+            dedupe_edges=dedupe,
+            drop_unlabeled=drop_unlabeled,
+            min_size=min_size,
+            max_size=max_size,
+            collapse_duplicate_edges=collapse,
+        )
+        attributes = _parse_labels(labels_text, one_indexed)
+        expected = _outcome(lambda: _edges_by_line(text, attributes, opts))
+        # small token blocks put block edges inside these short texts
+        with mock.patch.object(hypergraph, "_TOKEN_BLOCK_CHARS", block_chars):
+            fast = _edges_whole(text, attributes, opts)
+            got = _outcome(
+                lambda: parse_hypergraph(
+                    io.StringIO(text), io.StringIO(labels_text), None, opts
+                )
+            )
+        if isinstance(expected, ParseError):
+            assert fast is None  # malformed input goes to the line-by-line parser
+            assert type(got) is type(expected)
+            assert (got.line, str(got)) == (expected.line, str(expected))
+            return
+        assert fast is not None
+        flat, offsets, stats = expected
+        for nodes, offs, ingest in (fast, (got.edge_nodes, got.offsets, got.ingest)):
+            assert nodes.dtype == offs.dtype == np.int64
+            assert np.array_equal(nodes, flat)
+            assert np.array_equal(offs, offsets)
+            assert ingest == stats
+
+
+class TestLoad:
+    def test_universal_newlines(self, tmp_path):
+        edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
+        edges.write_bytes(b"1,2\r2,3\r\n1,3\n\r\n")
+        labels.write_bytes(b"1\r2\r\n1\r")
+        h = load_hypergraph(edges, labels)
+        assert h.edge_list() == [(0, 1), (1, 2), (0, 2)]
+        assert list(h.attributes) == [0, 1, 0]
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
+        edges.write_bytes(b"1,2\r\n2,3\r1,\xc3\x28\n")
+        labels.write_text("1\n1\n2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3: hyperedges file") as info:
+            load_hypergraph(edges, labels)
+        assert info.value.line == 3
