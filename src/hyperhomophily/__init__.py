@@ -63,7 +63,6 @@ from .nullmodel import (
     derive_seed,
     estimate_baseline,
     exact_baseline,
-    sample_weighted_k_set,
     sample_weighted_k_sets,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "bulk_diversity",
     "SamplerConfig",
     "BaselineEstimate",
-    "sample_weighted_k_set",
     "sample_weighted_k_sets",
     "estimate_baseline",
     "exact_baseline",

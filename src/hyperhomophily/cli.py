@@ -184,10 +184,15 @@ def cmd_sweep(args) -> int:
     sampler = SamplerConfig(
         samples=args.samples, seed=args.seed, diversity_order=args.order
     )
+    if args.mode == "kp":
+        if args.k_grid is None:
+            raise ValueError("--k-grid is required for mode kp")
+        k_grid = _parse_grid(args.k_grid, integer=True)
+    # --k sizes only mode p; in mode kp the base config takes a size of the grid
     base = HsbmConfig(
         num_nodes=args.nodes,
         num_attributes=args.attrs,
-        k=args.k,
+        k=args.k if args.mode == "p" else k_grid[0],
         num_edges=args.edges,
         p=0.0,
         seed=args.seed,
@@ -201,9 +206,6 @@ def cmd_sweep(args) -> int:
         points = sweep_phi_vs_p(base, p_grid, sampler)
         rpt.write_sweep_csv(points, buf)
     else:
-        if args.k_grid is None:
-            raise ValueError("--k-grid is required for mode kp")
-        k_grid = _parse_grid(args.k_grid, integer=True)
         points = sweep_phi_vs_k(base, k_grid, p_grid, sampler)
         rpt.write_grid_csv(points, buf)
     _write_text(args.out, buf.getvalue())

@@ -7,6 +7,10 @@ balanced, spreading its k slots across the attributes as evenly as possible;
 otherwise it is a uniform random k-subset of all nodes. The mixing parameter
 p therefore sweeps the generated hypergraph from strongly heterophilic (-1)
 through random (0) to fully homophilic (+1).
+
+A fixed seed gives a fixed hypergraph, but not the one version 0.1.0 gave:
+the edges are now drawn all at once, with the null model's sampler, instead
+of one edge at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .homophily import HomophilyReport, analyze
 from .hypergraph import Hypergraph
-from .nullmodel import SamplerConfig, derive_seed
+from .nullmodel import SamplerConfig, derive_seed, sample_weighted_k_sets
 
 _GEN_STREAM = 0  # seed-derivation tags, so generation and analysis
 _ANALYZE_STREAM = 1  # streams of one sweep never collide
@@ -58,37 +62,51 @@ class HsbmConfig:
 
 
 def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
-    """Generate a hypergraph from the block model (deterministic per seed)."""
+    """Generate a hypergraph from the block model (deterministic per seed).
+
+    All edges are drawn with array operations: one uniform per edge picks its
+    mode, and each batch of draws without replacement is one call of the null
+    model's sampler with equal weights, whose rows come out sorted.
+    """
     rng = np.random.default_rng(derive_seed(cfg.seed))
-    per_part = cfg.num_nodes // cfg.num_attributes
-    attributes = np.repeat(np.arange(cfg.num_attributes), per_part)
+    num_attrs, k = cfg.num_attributes, cfg.k
+    per_part = cfg.num_nodes // num_attrs
+    attributes = np.repeat(np.arange(num_attrs), per_part)
 
-    base, extra = divmod(cfg.k, cfg.num_attributes)
-    edges = np.empty((cfg.num_edges, cfg.k), dtype=np.int64)
-    for i in range(cfg.num_edges):
-        u = rng.random()
-        if cfg.p > 0 and u < cfg.p:
-            part = int(rng.integers(cfg.num_attributes))
-            edge = part * per_part + rng.choice(per_part, size=cfg.k, replace=False)
-        elif cfg.p < 0 and u < -cfg.p:
-            # as even as possible: each attribute gets base or base+1 slots
-            take = np.full(cfg.num_attributes, base, dtype=np.int64)
-            if extra:
-                take[rng.choice(cfg.num_attributes, size=extra, replace=False)] += 1
-            parts = []
-            for attr in range(cfg.num_attributes):
-                if take[attr]:
-                    parts.append(
-                        attr * per_part
-                        + rng.choice(per_part, size=int(take[attr]), replace=False)
+    def k_subsets(n: int, size: int, count: int) -> np.ndarray:
+        return sample_weighted_k_sets(np.ones(n), size, count, rng)
+
+    u = rng.random(cfg.num_edges)
+    pure = np.flatnonzero(u < cfg.p)  # empty unless p > 0
+    balanced = np.flatnonzero(u < -cfg.p)  # empty unless p < 0
+    uniform = np.flatnonzero(u >= abs(cfg.p))
+    edges = np.empty((cfg.num_edges, k), dtype=np.int64)
+    if uniform.size:
+        edges[uniform] = k_subsets(cfg.num_nodes, k, uniform.size)
+    if pure.size:
+        part = rng.integers(num_attrs, size=pure.size)
+        edges[pure] = k_subsets(per_part, k, pure.size) + (part * per_part)[:, None]
+    if balanced.size:
+        # as even as possible: each attribute gets base or base+1 slots; the
+        # partitions are contiguous, so attribute a's nodes go right after
+        # those of attributes 0..a-1 and every row stays sorted
+        base, extra = divmod(k, num_attrs)
+        take = np.full((balanced.size, num_attrs), base, dtype=np.int64)
+        if extra:
+            chosen = k_subsets(num_attrs, extra, balanced.size)
+            take[np.arange(balanced.size)[:, None], chosen] += 1
+        start = np.cumsum(take, axis=1) - take
+        for attr in range(num_attrs):
+            for count in (base, base + 1):
+                rows = np.flatnonzero(take[:, attr] == count)
+                if count and rows.size:
+                    cols = start[rows, attr][:, None] + np.arange(count)
+                    edges[balanced[rows][:, None], cols] = (
+                        k_subsets(per_part, count, rows.size) + attr * per_part
                     )
-            edge = np.concatenate(parts)
-        else:
-            edge = rng.choice(cfg.num_nodes, size=cfg.k, replace=False)
-        edges[i] = np.sort(edge)
 
-    offsets = np.arange(cfg.num_edges + 1, dtype=np.int64) * cfg.k
-    names = tuple(f"group-{i}" for i in range(cfg.num_attributes))
+    offsets = np.arange(cfg.num_edges + 1, dtype=np.int64) * k
+    names = tuple(f"group-{i}" for i in range(num_attrs))
     return Hypergraph._from_csr(attributes, edges.ravel(), offsets, names)
 
 

@@ -176,13 +176,6 @@ def sample_weighted_k_sets(
     return out
 
 
-def sample_weighted_k_set(
-    weights: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Single draw variant of :func:`sample_weighted_k_sets`."""
-    return sample_weighted_k_sets(weights, k, 1, rng)[0]
-
-
 def _sample_diversities(
     attributes: np.ndarray,
     weights: np.ndarray,

@@ -188,6 +188,30 @@ class TestSweep:
             if float(p) == 1.0:
                 assert float(phi) == 1.0
 
+    def test_kp_mode_ignores_default_k(self, tmp_path):
+        # the default --k (10) exceeds --nodes 8 but sizes no grid point
+        out = tmp_path / "grid.csv"
+        code = main(
+            ["sweep", "--mode", "kp", "--k-grid", "2,3", "--p-grid", "0,1",
+             "--nodes", "8", "--attrs", "2", "--edges", "20",
+             "--samples", "200", "--out", str(out)]
+        )
+        assert code == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(lines) == 5  # header + 4 grid points
+        assert [l.split(",")[:2] for l in lines[1:]] == [
+            ["2", "0"], ["2", "1"], ["3", "0"], ["3", "1"]
+        ]
+
+    def test_kp_mode_rejects_grid_size_too_large(self, tmp_path, caplog):
+        code = main(
+            ["sweep", "--mode", "kp", "--k-grid", "50", "--p-grid", "1",
+             "--nodes", "100", "--attrs", "10", "--edges", "20",
+             "--samples", "200", "--out", str(tmp_path / "grid.csv")]
+        )
+        assert code == 2
+        assert "partition" in caplog.text
+
     def test_range_grid_inclusive(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(

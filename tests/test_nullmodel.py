@@ -15,7 +15,6 @@ from hyperhomophily import (
     exact_baseline,
     hill_number,
     HyperedgeComposition,
-    sample_weighted_k_set,
     sample_weighted_k_sets,
 )
 from hyperhomophily.nullmodel import _exact_expected_diversity
@@ -56,12 +55,12 @@ class TestSampler:
     def test_full_population_forced(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert list(sample_weighted_k_set(np.ones(4), 4, rng)) == [0, 1, 2, 3]
+            assert list(sample_weighted_k_sets(np.ones(4), 4, 1, rng)[0]) == [0, 1, 2, 3]
 
     def test_single_positive_weight(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert list(sample_weighted_k_set(np.array([1.0, 0, 0]), 1, rng)) == [0]
+            assert list(sample_weighted_k_sets(np.array([1.0, 0, 0]), 1, 1, rng)[0]) == [0]
 
     def test_zero_weight_never_drawn(self):
         rng = np.random.default_rng(1)
@@ -83,12 +82,12 @@ class TestSampler:
     def test_insufficient_population(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InsufficientPopulationError):
-            sample_weighted_k_set(np.array([1.0, 0.0]), 2, rng)
+            sample_weighted_k_sets(np.array([1.0, 0.0]), 2, 1, rng)[0]
 
     def test_negative_weights_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_weighted_k_set(np.array([1.0, -1.0]), 1, rng)
+            sample_weighted_k_sets(np.array([1.0, -1.0]), 1, 1, rng)[0]
 
     def test_weight_scaling_leaves_draws_unchanged(self):
         weights = np.array([3.0, 1.0, 2.0, 5.0])
