@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 parse/validation error, 3 empty
 analysis (nothing scorable). Log verbosity comes from the HYPERHOMOPHILY_LOG
-environment variable (DEBUG/INFO/WARNING/ERROR; default INFO).
+environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL; default INFO).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import logging
+import math
 import os
 import sys
 import time
@@ -29,6 +30,15 @@ EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_EMPTY = 3
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+def _grid_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"grid values must be finite, got {token.strip()!r}")
+    return value
+
 
 def _parse_grid(spec: str, integer: bool = False) -> list:
     """Grid syntax: 'start:stop:step' (inclusive) or a comma list."""
@@ -39,7 +49,7 @@ def _parse_grid(spec: str, integer: bool = False) -> list:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid range must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_grid_number(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
         values = []
@@ -53,7 +63,7 @@ def _parse_grid(spec: str, integer: bool = False) -> list:
         if not values:
             raise ValueError(f"grid {spec!r} contains no points")
     else:
-        values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+        values = [_grid_number(tok) for tok in spec.split(",") if tok.strip() != ""]
         if not values:
             raise ValueError(f"grid {spec!r} contains no points")
     if integer:
@@ -286,8 +296,16 @@ def _join_grid_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    level = os.environ.get("HYPERHOMOPHILY_LOG", "INFO").upper()
+    if level not in LOG_LEVELS:
+        print(
+            f"invalid configuration: HYPERHOMOPHILY_LOG={level!r}, "
+            f"expected one of {', '.join(LOG_LEVELS)}",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID
     logging.basicConfig(
-        level=os.environ.get("HYPERHOMOPHILY_LOG", "INFO").upper(),
+        level=level,
         format="%(asctime)s | %(levelname)s | %(name)s | %(message)s",
         stream=sys.stderr,
     )

@@ -234,6 +234,9 @@ def _buckets(
     each bucket draws from its own seed-derived stream, so the worker count
     never affects any numeric result.
     """
+    # a baseline of exactly 1 must count as degenerate, or its scores are 0/0
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
     sizes = h.sizes
@@ -335,7 +338,7 @@ def analyze(
     whose eligible population is smaller than the size, and edges whose
     baseline is itself pure (degenerate) are excluded from the averages and
     reported with reasons. The global index averages the per-edge scores over
-    the scored edges.
+    the scored edges. ``epsilon`` must be positive.
     """
     cfg = cfg or SamplerConfig()
     buckets, size_one = _buckets(h, cfg, epsilon, workers)
@@ -376,6 +379,7 @@ def perplexity_curve(
 
     Rows cover every size >= 2 present. Sizes whose population cannot support
     a baseline keep their observed mean and get NaN baseline columns.
+    ``epsilon`` must be positive, as in :func:`analyze`.
     """
     cfg = cfg or SamplerConfig()
     buckets, _ = _buckets(h, cfg, epsilon, workers)

@@ -90,19 +90,45 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# one per-edge CSV row: renders the same text as format_number on each cell
-_PER_EDGE_ROW = "%d,%d" + ",%.17g" * 7 + ",%s\n"
+# the cells of a per-edge row after edge_index (its "tail"): renders the
+# same text as format_number on each cell
+_PER_EDGE_TAIL = "%d" + ",%.17g" * 7 + ",%s"
 _PER_EDGE_CHUNK_ROWS = 16_384
 
 
 def write_per_edge_csv(scores: EdgeScores, out: IO[str]) -> None:
+    """Write one CSV row per hyperedge, formatting each distinct tail once.
+
+    A row's tail depends only on its edge's size and label-count partition
+    (each size has one baseline), so few distinct tails cover many rows.
+    Tails are grouped by the bits of their cells, which keeps ``0.0`` and
+    ``-0.0`` apart: they print differently.
+    """
     out.write("# one row per scored or degenerate hyperedge\n")
     out.write(",".join(EDGE_COLUMNS) + "\n")
+    keys = [
+        scores.k,
+        *(getattr(scores, name).view(np.uint64) for name in EDGE_COLUMNS[2:-1]),
+        scores.degenerate,
+    ]
+    order = np.lexsort(keys)
+    starts = np.zeros(len(scores), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    group = np.empty(len(scores), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+
+    firsts = order[starts]
+    cells = [getattr(scores, name)[firsts].tolist() for name in EDGE_COLUMNS[1:-1]]
+    cells.append(np.where(scores.degenerate[firsts], "true", "false").tolist())
+    tails = np.array(list(map(_PER_EDGE_TAIL.__mod__, zip(*cells))), dtype=object)
+
     for start in range(0, len(scores), _PER_EDGE_CHUNK_ROWS):
         rows = slice(start, start + _PER_EDGE_CHUNK_ROWS)
-        cells = [getattr(scores, name)[rows].tolist() for name in EDGE_COLUMNS[:-1]]
-        cells.append(np.where(scores.degenerate[rows], "true", "false").tolist())
-        out.write("".join(map(_PER_EDGE_ROW.__mod__, zip(*cells))))
+        pairs = zip(scores.edge_index[rows].tolist(), tails[group[rows]].tolist())
+        out.write("".join(map("%d,%s\n".__mod__, pairs)))
 
 
 def write_curve_csv(rows: Sequence[CurveRow], out: IO[str]) -> None:

@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from hyperhomophily.cli import main
 
@@ -106,6 +107,30 @@ class TestAnalyze:
         (tmp_path / "node-labels.txt").write_bytes(b"1\r\n1\r2\r\n\xfe\n")
         assert main(["analyze", *args]) == 2
         assert "invalid input: line 4: labels file" in caplog.text
+
+    def test_bad_log_level_exit_2(self, tmp_path, monkeypatch, capsys):
+        args = write_dataset(tmp_path, "1,2\n3,4\n", "1\n1\n2\n2\n")
+        monkeypatch.setenv("HYPERHOMOPHILY_LOG", "LOUD")
+        assert main(["analyze", *args, "--samples", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert "HYPERHOMOPHILY_LOG" in err[0] and "'LOUD'" in err[0]
+        assert all(level in err[0] for level in ("DEBUG", "INFO", "WARNING", "ERROR"))
+
+    @pytest.mark.parametrize("epsilon", ["0", "-1"])
+    def test_non_positive_epsilon_exit_2(self, tmp_path, caplog, epsilon):
+        # one label: the baseline is exactly 1, which epsilon 0 would score 0/0
+        args = write_dataset(tmp_path, "1,2\n2,3\n1,3\n", "1\n1\n1\n")
+        out = tmp_path / "report.json"
+        code = main(
+            ["analyze", *args, "--samples", "100", f"--epsilon={epsilon}",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "epsilon must be positive" in caplog.text
+        assert not out.exists()
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(
@@ -236,6 +261,15 @@ class TestSweep:
 
     def test_kp_requires_k_grid(self):
         assert main(["sweep", "--mode", "kp", "--p-grid", "0,1"]) == 2
+
+    @pytest.mark.parametrize("k_grid", ["inf", "1e400"])
+    def test_non_finite_k_grid_exit_2(self, caplog, k_grid):
+        code = main(
+            ["sweep", "--mode", "kp", "--k-grid", k_grid, "--p-grid", "0",
+             "--nodes", "8", "--attrs", "2", "--edges", "5", "--samples", "10"]
+        )
+        assert code == 2
+        assert "finite" in caplog.text
 
     def test_float_k_grid_exit_2(self):
         assert main(["sweep", "--mode", "kp", "--p-grid", "0", "--k-grid", "2.5"]) == 2

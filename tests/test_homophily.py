@@ -188,6 +188,14 @@ class TestAnalyze:
         with pytest.raises(EmptyAnalysisError):
             analyze(h, SamplerConfig(samples=100, seed=1))
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0])
+    @pytest.mark.parametrize("entry", [analyze, perplexity_curve])
+    def test_non_positive_epsilon_rejected(self, entry, epsilon):
+        # one label: the baseline is exactly 1, so only epsilon > 0 flags it
+        h = Hypergraph([0, 0, 0], [[0, 1], [1, 2], [0, 2]])
+        with pytest.raises(ValueError, match="epsilon"):
+            entry(h, SamplerConfig(samples=100, seed=1), epsilon=epsilon)
+
     def test_unlabeled_scorable_edge_rejected(self):
         h = Hypergraph([0, -1, 1], [[0, 1], [0, 2]])
         with pytest.raises(ValueError, match="unlabeled"):

@@ -1,14 +1,17 @@
 """Per-edge CSV serialization tests."""
 
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperhomophily import Hypergraph, InsufficientPopulationError, SamplerConfig, analyze
 from hyperhomophily import homophily
 from hyperhomophily import report as rpt
-from hyperhomophily.homophily import EDGE_COLUMNS
+from hyperhomophily.homophily import EDGE_COLUMNS, EdgeScores
 
 
 def reference_per_edge_csv(scores) -> str:
@@ -86,3 +89,72 @@ def test_per_edge_columns_are_read_only():
     for name in EDGE_COLUMNS:
         with pytest.raises(ValueError):
             getattr(scores, name)[0] = 0
+
+
+def scores_from_tails(edge_index, tails) -> EdgeScores:
+    """EdgeScores whose row i has edge index ``edge_index[i]`` and the cells
+    ``tails[i]`` (k, the seven float columns, degenerate)."""
+    columns = list(zip(*tails))
+    return EdgeScores(
+        edge_index=np.array(edge_index, dtype=np.int64),
+        k=np.array(columns[0], dtype=np.int64),
+        **{
+            name: np.array(col, dtype=np.float64)
+            for name, col in zip(EDGE_COLUMNS[2:-1], columns[1:-1])
+        },
+        degenerate=np.array(columns[-1], dtype=bool),
+    )
+
+
+# a small value set makes cells such as 0.0 and -0.0 meet in one column;
+# they print differently
+_cell = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+_tail_cells = (st.integers(2, 40), *[_cell] * 7, st.booleans())
+
+
+@st.composite
+def edge_scores(draw):
+    # tails that differ from the first one in one to three cells
+    pool = [draw(st.tuples(*_tail_cells))]
+    for _ in range(draw(st.integers(0, 39))):
+        tail = list(pool[0])
+        for j in draw(st.sets(st.integers(0, 8), min_size=1, max_size=3)):
+            tail[j] = draw(_tail_cells[j])
+        pool.append(tuple(tail))
+    picks = draw(
+        st.one_of(
+            st.permutations(range(len(pool))),  # each tail once: rows distinct
+            st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60),
+        )
+    )
+    edge_index = draw(
+        st.lists(st.integers(0, 10**9), min_size=len(picks), max_size=len(picks))
+    )
+    return scores_from_tails(edge_index, [pool[i] for i in picks])
+
+
+_SIGNED_ZEROS = scores_from_tails(
+    [0, 1, 2, 3, 4],
+    [
+        (2, 0.0, 1.5, 1.5, 0.5, 0.5, 1.0, 1.0, False),
+        (2, -0.0, 1.5, 1.5, 0.5, 0.5, 1.0, 1.0, False),
+        (3, math.nan, math.inf, -math.inf, 0.0, -0.0, 0.0, 0.0, True),
+        (2, 0.0, 1.5, 1.5, 0.5, 0.5, 1.0, 1.0, False),
+        (3, math.nan, math.inf, -math.inf, 0.0, -0.0, 0.0, 0.0, True),
+    ],
+)
+
+
+@given(edge_scores(), st.sampled_from([1, 3, rpt._PER_EDGE_CHUNK_ROWS]))
+@example(_SIGNED_ZEROS, 1)
+@example(scores_from_tails([7], [(5, *[0.25] * 7, False)]), 3)
+@settings(max_examples=150, deadline=None)
+def test_per_edge_csv_bytes_match_reference(scores, chunk_rows):
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
+        rpt.write_per_edge_csv(scores, out)
+    assert out.getvalue() == reference_per_edge_csv(scores)
