@@ -31,6 +31,7 @@ EXIT_INVALID = 2
 EXIT_EMPTY = 3
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+MAX_GRID_POINTS = 10_000  # each point of a sweep generates and analyzes a graph
 
 
 def _grid_number(token: str) -> float:
@@ -52,14 +53,12 @@ def _parse_grid(spec: str, integer: bool = False) -> list:
         start, stop, step = (_grid_number(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        values = []
-        i = 0
-        while True:
-            v = round(start + i * step, 12)
-            if v > stop + step * 1e-9:
-                break
-            values.append(v)
-            i += 1
+        span = (stop - start) / step  # inf when the difference overflows
+        if not span < MAX_GRID_POINTS:
+            raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+        # one candidate past floor(span): the tolerance below may admit it
+        candidates = (round(start + i * step, 12) for i in range(math.floor(span) + 2))
+        values = [v for v in candidates if v <= stop + step * 1e-9]
         if not values:
             raise ValueError(f"grid {spec!r} contains no points")
     else:

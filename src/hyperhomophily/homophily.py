@@ -20,7 +20,7 @@ from .exceptions import (
     EmptyAnalysisError,
     InsufficientPopulationError,
 )
-from .hypergraph import UNLABELED, Hypergraph
+from .hypergraph import UNLABELED, Hypergraph, edge_sizes
 from .nullmodel import BaselineEstimate, SamplerConfig, estimate_baseline
 
 DEFAULT_EPSILON = 1e-9
@@ -153,13 +153,21 @@ def _score(
     }
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # a baseline of exactly 1 must count as degenerate, or its scores are 0/0
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+
 def score_edge(
     observed: float,
     baseline: BaselineEstimate,
     m_e: int,
     epsilon: float = DEFAULT_EPSILON,
 ) -> HomophilyRecord:
-    """Score one hyperedge against its size's baseline (see :func:`_score`)."""
+    """Score one hyperedge against its size's baseline (see :func:`_score`).
+    ``epsilon`` must be positive, as in :func:`analyze`."""
+    _check_epsilon(epsilon)
     if m_e < 1:
         raise ValueError("m_e must be >= 1")
     if observed < 1.0 - 1e-12 or observed > m_e + 1e-12:
@@ -184,8 +192,9 @@ class _Bucket:
     degenerate: bool
 
 
-def _check_labeled(h: Hypergraph, sizes: np.ndarray, min_size: int = 2) -> None:
-    incident = h.edge_nodes[np.repeat(sizes >= min_size, sizes)]
+def _check_labeled(h: Hypergraph) -> None:
+    sizes = h.sizes
+    incident = h.edge_nodes[np.repeat(sizes >= 2, sizes)]
     if incident.size and h.attributes[incident].min() == UNLABELED:
         raise ValueError(
             "hyperedges of size >= 2 touch unlabeled nodes; "
@@ -193,16 +202,14 @@ def _check_labeled(h: Hypergraph, sizes: np.ndarray, min_size: int = 2) -> None:
         )
 
 
-def _edge_labels(h: Hypergraph, sizes: np.ndarray, k: int) -> np.ndarray:
-    keep = sizes == k
-    flat = h.edge_nodes[np.repeat(keep, sizes)]
-    return h.attributes[flat].reshape(-1, k)
+def _edge_labels(h: Hypergraph, k: int) -> np.ndarray:
+    return h.attributes[h.edges_of_size(k)[1]]
 
 
 def _compute_bucket(
-    h: Hypergraph, sizes: np.ndarray, k: int, cfg: SamplerConfig, epsilon: float
+    h: Hypergraph, k: int, cfg: SamplerConfig, epsilon: float
 ) -> _Bucket:
-    edge_indices = np.flatnonzero(sizes == k)
+    edge_indices = h.edges_of_size(k)[0]
     try:
         baseline = estimate_baseline(h, k, cfg)
     except InsufficientPopulationError:
@@ -214,7 +221,7 @@ def _compute_bucket(
             baseline=None,
             degenerate=False,
         )
-    observed, m_e = bulk_diversity(_edge_labels(h, sizes, k), cfg.diversity_order)
+    observed, m_e = bulk_diversity(_edge_labels(h, k), cfg.diversity_order)
     return _Bucket(
         k=k,
         edge_indices=edge_indices,
@@ -234,24 +241,20 @@ def _buckets(
     each bucket draws from its own seed-derived stream, so the worker count
     never affects any numeric result.
     """
-    # a baseline of exactly 1 must count as degenerate, or its scores are 0/0
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
-    sizes = h.sizes
-    _check_labeled(h, sizes)
-    size_one = int(np.count_nonzero(sizes == 1))
-    ks = sorted(int(k) for k in np.unique(sizes) if k >= 2)
+    _check_labeled(h)
+    counts = edge_sizes(h)  # builds the size index before any worker reads it
+    size_one = counts.get(1, 0)
+    ks = sorted(k for k in counts if k >= 2)
     if not ks:
         raise EmptyAnalysisError("no hyperedges of size >= 2")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            buckets = list(
-                pool.map(lambda k: _compute_bucket(h, sizes, k, cfg, epsilon), ks)
-            )
+            buckets = list(pool.map(lambda k: _compute_bucket(h, k, cfg, epsilon), ks))
     else:
-        buckets = [_compute_bucket(h, sizes, k, cfg, epsilon) for k in ks]
+        buckets = [_compute_bucket(h, k, cfg, epsilon) for k in ks]
     return buckets, size_one
 
 
@@ -348,15 +351,12 @@ def analyze(
 def _curve_from_buckets(
     h: Hypergraph, order: float, buckets: list[_Bucket]
 ) -> tuple[CurveRow, ...]:
-    sizes = h.sizes
     rows = []
     for b in buckets:
         if b.observed.size:
             mean_obs = float(np.mean(b.observed))
         else:  # population was insufficient; observed still well-defined
-            mean_obs = float(
-                np.mean(bulk_diversity(_edge_labels(h, sizes, b.k), order)[0])
-            )
+            mean_obs = float(np.mean(bulk_diversity(_edge_labels(h, b.k), order)[0]))
         rows.append(
             CurveRow(
                 k=b.k,
@@ -392,12 +392,9 @@ def newman_assortativity(h: Hypergraph) -> float:
     Builds the attribute mixing matrix with each pair counted once per
     orientation and returns (trace - sum a_i b_i) / (1 - sum a_i b_i).
     """
-    sizes = h.sizes
-    keep = sizes == 2
-    if not keep.any():
+    labels = _edge_labels(h, 2)
+    if not labels.size:
         raise EmptyAnalysisError("no size-2 hyperedges")
-    flat = h.edge_nodes[np.repeat(keep, sizes)].reshape(-1, 2)
-    labels = h.attributes[flat]
     if labels.min() == UNLABELED:
         raise ValueError("size-2 hyperedges touch unlabeled nodes")
     m = h.num_attributes

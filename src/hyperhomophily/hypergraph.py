@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 
 UNLABELED = -1
 _TOKEN_BLOCK_CHARS = 1 << 16  # characters of hyperedges text tokenized at once
+_MAX_DIGITS = 18  # every id of up to 18 digits fits in int64
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class Hypergraph:
     repeat.
     """
 
-    __slots__ = ("_attributes", "_edge_nodes", "_offsets", "_names", "_ingest")
+    __slots__ = ("_attributes", "_edge_nodes", "_offsets", "_names", "_ingest", "_by_size")
 
     def __init__(
         self,
@@ -146,6 +147,7 @@ class Hypergraph:
         self._offsets = offsets
         self._names = names
         self._ingest = ingest
+        self._by_size = None  # built on first use by _size_groups
 
     # -- basic accessors -----------------------------------------------------
 
@@ -191,6 +193,40 @@ class Hypergraph:
         labeled = self._attributes[self._attributes != UNLABELED]
         return int(labeled.max()) + 1 if labeled.size else 0
 
+    def edges_of_size(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The size-``k`` edges: their indices in ascending order, and their
+        nodes as a read-only (count, k) block whose row i is edge indices[i].
+        """
+        groups = self._size_groups()
+        if k in groups:
+            return groups[k]
+        return np.empty(0, dtype=np.int64), np.empty((0, k), dtype=np.int64)
+
+    def _size_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """{k: edges_of_size(k)} for every size present, in ascending order.
+        The first call groups every edge by size at once (one stable sort of
+        the sizes and one gather of the nodes); later calls return the same.
+        """
+        if self._by_size is not None:
+            return self._by_size
+        sizes = self.sizes
+        order = np.argsort(sizes, kind="stable")
+        grouped_sizes = sizes[order]
+        grouped = _offsets(grouped_sizes)
+        # token t of the grouped layout is token t + shift of the CSR layout
+        shift = np.repeat(self._offsets[:-1][order] - grouped[:-1], grouped_sizes)
+        nodes = self._edge_nodes[np.arange(shift.size) + shift]
+        order.setflags(write=False)
+        nodes.setflags(write=False)  # the slices below are read-only views
+        ks, first, counts = np.unique(grouped_sizes, return_index=True, return_counts=True)
+        groups = {}
+        for k, i, count in zip(ks.tolist(), first.tolist(), counts.tolist()):
+            start = int(grouped[i])
+            block = nodes[start : start + count * k].reshape(count, k)
+            groups[k] = (order[i : i + count], block)
+        self._by_size = groups
+        return groups
+
     def edge(self, index: int) -> np.ndarray:
         if not 0 <= index < self.num_edges:
             raise IndexError(f"edge index {index} out of range (0..{self.num_edges - 1})")
@@ -225,9 +261,8 @@ def k_degrees(h: Hypergraph, k: int) -> KDegreeIndex:
     """Count, for each node, the hyperedges of size exactly ``k`` it belongs to."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    mask = np.repeat(h.sizes == k, h.sizes)
-    degrees = np.bincount(h.edge_nodes[mask], minlength=h.node_count)
-    return KDegreeIndex(k=k, degrees=degrees.astype(np.int64))
+    degrees = np.bincount(h.edges_of_size(k)[1].ravel(), minlength=h.node_count)
+    return KDegreeIndex(k=k, degrees=degrees.astype(np.int64, copy=False))
 
 
 def total_degrees(h: Hypergraph) -> np.ndarray:
@@ -239,18 +274,14 @@ def k_uniform_sub(h: Hypergraph, k: int) -> Hypergraph:
     """Sub-hypergraph over the same node set keeping only size-k edges."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    sizes = h.sizes
-    keep = sizes == k
-    flat = h.edge_nodes[np.repeat(keep, sizes)]
-    offsets = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
-    np.cumsum(sizes[keep], out=offsets[1:])
-    return Hypergraph._from_csr(h.attributes, flat, offsets, h.attribute_names)
+    block = h.edges_of_size(k)[1]
+    offsets = np.arange(block.shape[0] + 1, dtype=np.int64) * k
+    return Hypergraph._from_csr(h.attributes, block.ravel(), offsets, h.attribute_names)
 
 
 def edge_sizes(h: Hypergraph) -> dict[int, int]:
-    """Histogram of hyperedge sizes: {size: count}."""
-    sizes, counts = np.unique(h.sizes, return_counts=True)
-    return {int(s): int(c) for s, c in zip(sizes, counts)}
+    """Histogram of hyperedge sizes: {size: count}, in ascending size."""
+    return {k: indices.size for k, (indices, _) in h._size_groups().items()}
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -264,15 +295,55 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
+def _ascii_ids(raw: np.ndarray, is_sep: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Values and lengths of the tokens of the bytes ``raw`` between the
+    separators ``is_sep`` marks, computed by place value; an empty token has
+    value 0. None unless every other byte is an ASCII digit and no token has
+    more than 18 digits, so that each value fits in int64.
+    """
+    ends = np.flatnonzero(np.append(is_sep, True))  # the last token ends at raw.size
+    lengths = np.diff(ends, prepend=-1) - 1
+    width = int(lengths.max())
+    if width > _MAX_DIGITS:
+        return None
+    lengths = lengths.astype(np.uint8)
+    values = np.zeros(ends.size, dtype=np.int64)
+    # Horner's rule over right-aligned columns, most significant first; a
+    # column left of a token's start (an index that may wrap to the end of
+    # raw) counts as a leading zero, and every byte of a token is read once
+    at = ends - width  # each token's byte in the current column
+    for place in range(width - 1, -1, -1):
+        digit = raw[at] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+        digit[lengths <= place] = 0
+        if digit.max() > 9:
+            return None
+        values *= 10
+        values += digit
+        at += 1
+    return values, lengths
+
+
 def _parse_labels(text: str, one_indexed: bool) -> np.ndarray:
     # blank lines are unlabeled nodes, so every line counts (no trailing strip)
     base = 1 if one_indexed else 0
+    if not text:
+        return np.empty(0, dtype=np.int64)
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if raw[-1] == ord("\n"):
+        raw = raw[:-1]  # the newline ending the last line starts no new one
+    parsed = _ascii_ids(raw, raw == ord("\n"))
+    if parsed is not None:
+        values, lengths = parsed
+        labeled = lengths > 0
+        if np.all(values[labeled] >= base):
+            return np.where(labeled, values - base, UNLABELED)
+    # padded or signed ids, or an error to report with its line number
     lines = text.split("\n")
     if lines[-1] == "":
-        lines.pop()  # the newline ending the last line starts no new one
+        lines.pop()  # as above
     out = []
-    for lineno, raw in enumerate(lines, start=1):
-        token = raw.strip()
+    for lineno, raw_line in enumerate(lines, start=1):
+        token = raw_line.strip()
         if token == "":
             out.append(UNLABELED)  # node exists but carries no label
             continue
@@ -393,11 +464,23 @@ def _token_blocks(body: str) -> Iterator[list[str]]:
         start = end + 1
 
 
-def _separator_is_newline(body: str) -> np.ndarray:
-    """For each comma or newline of ``body`` in order, whether it is a
-    newline: token i ends its line exactly when separator i is one."""
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    return raw[(raw == ord("\n")) | (raw == ord(","))] == ord("\n")
+def _edge_tokens(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ids of the hyperedges text in order, and for each whether it ends
+    its line; None when ``int()`` rejects a token."""
+    # without trailing blank lines, as _content_lines drops them
+    raw = np.frombuffer(text.rstrip().encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    is_sep = (raw == ord(",")) | (raw == ord("\n"))
+    ends_line = raw[is_sep] == ord("\n")  # token i ends its line iff separator i does
+    parsed = _ascii_ids(raw, is_sep)
+    if parsed is not None and parsed[1].min() > 0:
+        return parsed[0], ends_line
+    # padded, signed or non-ASCII ids: what int() accepts
+    tokens = chain.from_iterable(_token_blocks(text.rstrip()))
+    try:
+        nodes = np.fromiter(map(int, tokens), dtype=np.int64, count=ends_line.size + 1)
+    except (ValueError, OverflowError):
+        return None
+    return nodes, ends_line
 
 
 def _edges_whole(
@@ -406,28 +489,33 @@ def _edges_whole(
     """Parse the hyperedges text as one array: the result of
     :func:`_edges_by_line`, or None when a line is malformed (a token
     ``int()`` rejects, an id out of range, a blank interior line, or a
-    repeated id without dedup), which that parser then reports.
+    repeated id without dedup), which that parser then reports. Ids that are
+    ASCII digits only are read from the bytes by place value.
     """
-    body = text.rstrip()  # trailing blank lines, as _content_lines drops them
-    if not body:
+    if not text or text.isspace():
         empty = np.empty(0, dtype=np.int64)
         return empty, _offsets(empty), IngestStats()
-    ends_line = _separator_is_newline(body)
-    tokens = chain.from_iterable(_token_blocks(body))
-    try:
-        nodes = np.fromiter(map(int, tokens), dtype=np.int64, count=ends_line.size + 1)
-    except (ValueError, OverflowError):
+    parsed = _edge_tokens(text)
+    if parsed is None:
         return None
+    nodes, ends_line = parsed
+    node_count = attributes.size
     nodes -= 1 if opts.one_indexed else 0
-    if nodes.min() < 0 or nodes.max() >= attributes.size:
+    if nodes.min() < 0 or nodes.max() >= node_count:
         return None
     line = np.zeros(nodes.size, dtype=np.int64)
     np.cumsum(ends_line, out=line[1:])
     line_count = int(line[-1]) + 1
+    if line_count * node_count > np.iinfo(np.int64).max:
+        return None  # the sort key below would overflow
 
-    nodes = nodes[np.lexsort((nodes, line))]  # sort each line; lines stay in order
-    repeat = np.zeros(nodes.size, dtype=bool)
-    repeat[1:] = (nodes[1:] == nodes[:-1]) & (line[1:] == line[:-1])
+    # sort each line; lines stay in order, and a repeated id repeats its key
+    key = line * node_count
+    key += nodes
+    key.sort()
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[1:] = key[1:] == key[:-1]
+    nodes = np.remainder(key, node_count, out=key)  # in place: the keys are done
     dedup_events = 0
     if repeat.any():
         if not opts.dedupe_edges:

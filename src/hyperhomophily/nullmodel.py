@@ -6,12 +6,16 @@ drawn. Whole batches of samples are drawn with array operations, by one of
 two exact routes:
 
 - Per-slot rejection (the default). Slot j of every sample is drawn from the
-  cumulative weights of all nodes (``searchsorted``), and only the samples
-  whose new node repeats one of their earlier slots draw that slot again. A
-  draw proportional to weight over all nodes, conditioned on missing the
-  nodes already taken, is a draw proportional to weight over the nodes that
-  remain, so this is the sequential law. Expected cost per sample: k draws of
-  O(log n) each plus k^2/2 collision compares.
+  cumulative weights of all nodes, and only the samples whose new node
+  repeats one of their earlier slots draw that slot again. A draw
+  proportional to weight over all nodes, conditioned on missing the nodes
+  already taken, is a draw proportional to weight over the nodes that
+  remain, so this is the sequential law. A guide table (Chen & Asau's
+  indexed search) finds most slots' nodes with one lookup and hands the rest
+  to ``searchsorted``; either way a uniform u gets the index that
+  ``searchsorted`` gives it. Expected cost per sample: k draws, each O(1)
+  once a batch holds about 4n draws and O(log n) at worst, plus k^2/2
+  collision compares.
 - The exponential race of Efraimidis & Spirakis (2006): with keys
   Exp(1)/w_i, the set of the k smallest keys follows the same law. It costs
   n keys per sample, and is used only where the k-1 largest weights hold
@@ -110,16 +114,44 @@ def _race_batch(w: np.ndarray, k: int, rows: int, rng: np.random.Generator) -> n
     return np.argpartition(keys, k - 1, axis=1)[:, :k]
 
 
+def _guide_table(cdf: np.ndarray, draws: int) -> np.ndarray:
+    """Guide table (Chen & Asau's indexed search) for ``cdf`` over m cells.
+
+    Cell c covers [c/m, (c+1)/m). Its entry is the number of values of
+    ``cdf`` at or below c/m when at most one value lies inside the cell, and
+    -1 otherwise. m is the power of two at or above min(4n, draws): a power
+    of two keeps u*m and c/m exact, and at most about one cell per draw
+    keeps the O(n + m) build below the cost of the searches it replaces.
+    """
+    m = 1 << (min(4 * cdf.size, draws) - 1).bit_length()
+    # the values x at or below c/m are those with ceil(x*m) <= c
+    below = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1))
+    return np.where(below[1:] - below[:-1] <= 1, below[:-1], -1)
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, "right")`` for u in [0, 1), via the guide table."""
+    found = guide[(u * guide.size).astype(np.intp)]
+    # the first value past the cell's start is the only one that can be <= u;
+    # a -1 entry compares u with cdf[-1] == 1 and stays -1
+    found += cdf[found] <= u
+    crowded = np.flatnonzero(found < 0)
+    found[crowded] = np.searchsorted(cdf, u[crowded], side="right")
+    return found
+
+
 def _rejection_batch(
-    cdf: np.ndarray, k: int, rows: int, rng: np.random.Generator
+    cdf: np.ndarray, guide: np.ndarray, k: int, rows: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Slot-by-slot cumulative-weight draws; redraw rows that repeat a node."""
     out = np.empty((k, rows), dtype=np.int64)  # slot-major: out[j] is slot j
     for j in range(k):
-        out[j] = np.searchsorted(cdf, rng.random(rows), side="right")
-        redo = np.flatnonzero((out[:j] == out[j]).any(axis=0))
+        out[j] = _guided_search(cdf, guide, rng.random(rows))
+        # the few rows that repeat an earlier node draw again by plain binary
+        # search: on such small sets the per-call cost is what counts
+        redo = (out[:j] == out[j]).any(axis=0).nonzero()[0]
         while redo.size:
-            col = np.searchsorted(cdf, rng.random(redo.size), side="right")
+            col = cdf.searchsorted(rng.random(redo.size), "right")
             out[j, redo] = col
             redo = redo[(out[:j, redo] == col).any(axis=0)]
     return out.T
@@ -152,7 +184,8 @@ def _draw_batches(
         cdf = np.cumsum(w)
         cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
         batch = max(1, _BATCH_CELLS // k)
-        draw = partial(_rejection_batch, cdf, k, rng=rng)
+        guide = _guide_table(cdf, min(batch, count) * k)
+        draw = partial(_rejection_batch, cdf, guide, k, rng=rng)
     # a generator expression, so the checks above run at the call
     return (pos[draw(min(batch, count - done))] for done in range(0, count, batch))
 

@@ -3,10 +3,12 @@
 import json
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 
+from hyperhomophily import cli
 from hyperhomophily.cli import main
 
 
@@ -270,6 +272,22 @@ class TestSweep:
         )
         assert code == 2
         assert "finite" in caplog.text
+
+    @pytest.mark.parametrize("flag", ["--p-grid", "--k-grid"])
+    def test_huge_range_grid_refused_before_any_point(self, caplog, flag):
+        # round() computes each point: a refusal that never calls it built no list
+        with mock.patch.object(cli, "round", side_effect=AssertionError, create=True):
+            code = main(["sweep", "--mode", "kp", "--k-grid", "2", "--p-grid", "0",
+                         flag, "0:1e12:1"])
+        assert code == 2
+        assert "more than" in caplog.text
+
+    def test_range_grid_point_count_at_ceiling(self):
+        assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="more than"):
+            cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
+        with pytest.raises(ValueError, match="more than"):
+            cli._parse_grid("-1e308:1e308:1e-300")  # the span overflows to inf
 
     def test_float_k_grid_exit_2(self):
         assert main(["sweep", "--mode", "kp", "--p-grid", "0", "--k-grid", "2.5"]) == 2

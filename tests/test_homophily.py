@@ -57,6 +57,12 @@ class TestScoreEdge:
         assert r.degenerate
         assert r.phi == 0.0
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_non_positive_epsilon_rejected(self, epsilon):
+        # a baseline of exactly 1 would give 0/0 scores unless flagged degenerate
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            score_edge(1.0, baseline(1.0), m_e=1, epsilon=epsilon)
+
     def test_identities(self):
         r = score_edge(1.4, baseline(2.2, k=3), m_e=3)
         assert r.gap == pytest.approx(r.baseline - r.observed, abs=1e-12)
@@ -188,12 +194,12 @@ class TestAnalyze:
         with pytest.raises(EmptyAnalysisError):
             analyze(h, SamplerConfig(samples=100, seed=1))
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0])
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("entry", [analyze, perplexity_curve])
     def test_non_positive_epsilon_rejected(self, entry, epsilon):
         # one label: the baseline is exactly 1, so only epsilon > 0 flags it
         h = Hypergraph([0, 0, 0], [[0, 1], [1, 2], [0, 2]])
-        with pytest.raises(ValueError, match="epsilon"):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
             entry(h, SamplerConfig(samples=100, seed=1), epsilon=epsilon)
 
     def test_unlabeled_scorable_edge_rejected(self):

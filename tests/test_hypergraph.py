@@ -24,7 +24,13 @@ from hyperhomophily import (
     load_hypergraph,
 )
 from hyperhomophily import hypergraph
-from hyperhomophily.hypergraph import _edges_by_line, _edges_whole, _parse_labels
+from hyperhomophily.homophily import _edge_labels
+from hyperhomophily.hypergraph import (
+    _ascii_ids,
+    _edges_by_line,
+    _edges_whole,
+    _parse_labels,
+)
 
 
 def parse(edges_text, labels_text, names_text=None, **kwargs):
@@ -236,6 +242,48 @@ class TestInvariants:
         assert sorted(back.edge_list()) == sorted(h.edge_list())
 
 
+class TestSizeIndex:
+    """The size-grouped edge index against the per-size mask formulas."""
+
+    @given(
+        st.one_of(small_hypergraphs(), st.just(Hypergraph([0, 1, 2], []))),
+        st.integers(1, 6),
+    )
+    def test_matches_mask_formulas(self, h, k):
+        sizes = h.sizes
+        mask = np.repeat(sizes == k, sizes)
+        degrees = np.bincount(h.edge_nodes[mask], minlength=h.node_count)
+        assert np.array_equal(k_degrees(h, k).degrees, degrees)
+        labels = h.attributes[h.edge_nodes[mask]].reshape(-1, k)
+        assert np.array_equal(_edge_labels(h, k), labels)
+        indices, block = h.edges_of_size(k)
+        assert np.array_equal(indices, np.flatnonzero(sizes == k))
+        assert block.shape == (indices.size, k)
+        assert [tuple(row) for row in block.tolist()] == [
+            tuple(h.edge(i).tolist()) for i in indices
+        ]
+
+    def test_size_one_edges_and_absent_sizes(self):
+        h = Hypergraph([0, 1, 0, 1], [[2], [0, 1], [3], [1, 2, 3], [0, 3]])
+        indices, block = h.edges_of_size(1)
+        assert indices.tolist() == [0, 2]
+        assert block.tolist() == [[2], [3]]
+        assert h.edges_of_size(2)[0].tolist() == [1, 4]
+        assert h.edges_of_size(7)[1].shape == (0, 7)
+        assert list(k_degrees(h, 7).degrees) == [0, 0, 0, 0]
+
+    def test_cached_blocks_are_read_only(self):
+        h = Hypergraph([0, 1, 0, 1], [[0, 1], [1, 2, 3], [2, 3]])
+        for k in (2, 3):
+            indices, block = h.edges_of_size(k)
+            assert h.edges_of_size(k)[1] is block  # built once, then looked up
+            for arr in (indices, block):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+        assert list(k_degrees(h, 2).degrees) == [1, 1, 1, 1]
+
+
 # -- whole-file parser against the line-by-line parser --------------------------
 
 PADS = ["", " ", "\t", "  ", "\u00a0", "\x0b"]
@@ -245,10 +293,12 @@ HUGE = [2**63 - 1, 2**63, 2**64 + 1, -(2**63), -(2**63) - 1, 10**30]
 
 
 @st.composite
-def id_token(draw, node_count: int, base: int, clean: bool) -> str:
+def id_token(
+    draw, node_count: int, base: int, clean: bool, ascii_only: bool = False
+) -> str:
     kind = draw(st.integers(0, 9)) if not clean else 0
     if kind == 7:
-        return draw(st.sampled_from(JUNK))
+        return draw(st.sampled_from(["", "x"] if ascii_only else JUNK))
     if kind == 8:
         value = draw(st.sampled_from(HUGE))
     elif kind == 9:
@@ -257,6 +307,8 @@ def id_token(draw, node_count: int, base: int, clean: bool) -> str:
     else:
         value = draw(st.integers(base, node_count - 1 + base))
     digits = str(abs(value))
+    if ascii_only:  # plain digits, some with leading zeros (to 18 or 19 digits)
+        return digits.zfill(draw(st.sampled_from([0, 0, 0, 2, 3, 18, 19])))
     if len(digits) > 1 and draw(st.booleans()):
         cut = draw(st.integers(1, len(digits) - 1))
         digits = digits[:cut] + "_" + digits[cut:]
@@ -267,8 +319,12 @@ def id_token(draw, node_count: int, base: int, clean: bool) -> str:
 
 
 @st.composite
-def ingest_inputs(draw):
-    """(hyperedges text, labels text, one_indexed, min_size, max_size)."""
+def ingest_inputs(draw, ascii_only: bool = False):
+    """(hyperedges text, labels text, one_indexed, min_size, max_size).
+
+    With ``ascii_only`` every id is plain ASCII digits and every line ends
+    in LF, so the byte-level parser handles most texts.
+    """
     one_indexed = draw(st.booleans())
     base = 1 if one_indexed else 0
     node_count = draw(st.integers(1, 6))
@@ -285,16 +341,21 @@ def ingest_inputs(draw):
             lines.append(",".join(draw(st.permutations(earlier))))
             continue
         if not clean and draw(st.integers(0, 9)) == 0:
-            lines.append(draw(st.sampled_from(["", "  ", "\t"])))  # blank interior line
+            blank = [""] if ascii_only else ["", "  ", "\t"]
+            lines.append(draw(st.sampled_from(blank)))  # blank interior line
             continue
         size = draw(st.integers(1, 4))
-        token = id_token(node_count, base, clean)
+        token = id_token(node_count, base, clean, ascii_only)
         lines.append(",".join(draw(token) for _ in range(size)))
-    endings = ["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"]
+    if ascii_only:
+        endings, tails = ["\n"], ["", "\n", "\n\n"]
+    else:
+        endings = ["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"]
+        tails = ["", "\n", "\n\n", " \n", "\r\n\r\n", "\r", "\t\n \n"]
     text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
     if lines and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no newline after the last line
-    text += draw(st.sampled_from(["", "\n", "\n\n", " \n", "\r\n\r\n", "\r", "\t\n \n"]))
+    text += draw(st.sampled_from(tails))
 
     min_size = draw(st.sampled_from([None, 1, 2, 3]))
     max_size = draw(st.sampled_from([None, 2, 3, 4]))
@@ -313,6 +374,46 @@ def _outcome(parse):
 FLAG_COMBINATIONS = list(itertools.product([False, True], repeat=3))
 
 
+def check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, block_chars):
+    text, labels_text, one_indexed, min_size, max_size = inputs
+    opts = IngestOptions(
+        one_indexed=one_indexed,
+        dedupe_edges=dedupe,
+        drop_unlabeled=drop_unlabeled,
+        min_size=min_size,
+        max_size=max_size,
+        collapse_duplicate_edges=collapse,
+    )
+    attributes = _parse_labels(labels_text, one_indexed)
+    expected = _outcome(lambda: _edges_by_line(text, attributes, opts))
+    # small token blocks put block edges inside these short texts
+    with mock.patch.object(hypergraph, "_TOKEN_BLOCK_CHARS", block_chars):
+        fast = _edges_whole(text, attributes, opts)
+        got = _outcome(
+            lambda: parse_hypergraph(
+                io.StringIO(text), io.StringIO(labels_text), None, opts
+            )
+        )
+    if isinstance(expected, ParseError):
+        assert fast is None  # malformed input goes to the line-by-line parser
+        assert type(got) is type(expected)
+        assert (got.line, str(got)) == (expected.line, str(expected))
+        return
+    assert fast is not None
+    flat, offsets, stats = expected
+    for nodes, offs, ingest in (fast, (got.edge_nodes, got.offsets, got.ingest)):
+        assert nodes.dtype == offs.dtype == np.int64
+        assert np.array_equal(nodes, flat)
+        assert np.array_equal(offs, offsets)
+        assert ingest == stats
+
+
+def byte_route_parses(text: str) -> bool:
+    raw = np.frombuffer(text.rstrip().encode(), dtype=np.uint8)
+    parsed = _ascii_ids(raw, (raw == ord(",")) | (raw == ord("\n")))
+    return parsed is not None and parsed[1].min() > 0
+
+
 class TestWholeFileParser:
     @pytest.mark.parametrize("dedupe,drop_unlabeled,collapse", FLAG_COMBINATIONS)
     @given(inputs=ingest_inputs(), block_chars=st.sampled_from([1, 5, 1 << 16]))
@@ -320,37 +421,75 @@ class TestWholeFileParser:
     def test_matches_line_by_line(
         self, inputs, block_chars, dedupe, drop_unlabeled, collapse
     ):
-        text, labels_text, one_indexed, min_size, max_size = inputs
-        opts = IngestOptions(
-            one_indexed=one_indexed,
-            dedupe_edges=dedupe,
-            drop_unlabeled=drop_unlabeled,
-            min_size=min_size,
-            max_size=max_size,
-            collapse_duplicate_edges=collapse,
-        )
-        attributes = _parse_labels(labels_text, one_indexed)
-        expected = _outcome(lambda: _edges_by_line(text, attributes, opts))
-        # small token blocks put block edges inside these short texts
-        with mock.patch.object(hypergraph, "_TOKEN_BLOCK_CHARS", block_chars):
-            fast = _edges_whole(text, attributes, opts)
-            got = _outcome(
-                lambda: parse_hypergraph(
-                    io.StringIO(text), io.StringIO(labels_text), None, opts
-                )
-            )
-        if isinstance(expected, ParseError):
-            assert fast is None  # malformed input goes to the line-by-line parser
-            assert type(got) is type(expected)
-            assert (got.line, str(got)) == (expected.line, str(expected))
-            return
-        assert fast is not None
-        flat, offsets, stats = expected
-        for nodes, offs, ingest in (fast, (got.edge_nodes, got.offsets, got.ingest)):
-            assert nodes.dtype == offs.dtype == np.int64
-            assert np.array_equal(nodes, flat)
-            assert np.array_equal(offs, offsets)
-            assert ingest == stats
+        check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, block_chars)
+
+    @pytest.mark.parametrize("dedupe,drop_unlabeled,collapse", FLAG_COMBINATIONS)
+    @given(inputs=ingest_inputs(ascii_only=True))
+    @settings(max_examples=60, deadline=None)
+    def test_ascii_ids_match_line_by_line(self, inputs, dedupe, drop_unlabeled, collapse):
+        text = inputs[0]
+        tokens = text.rstrip().replace("\n", ",").split(",")
+        if text.strip() and all(t.isdigit() and len(t) <= 18 for t in tokens):
+            assert byte_route_parses(text)
+        check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, 1 << 16)
+
+
+LABELS_10 = "1\n" * 10
+
+
+class TestByteRoute:
+    """Explicit inputs on both sides of the byte-level id parser."""
+
+    @pytest.mark.parametrize(
+        "text,edges,byte_route",
+        [
+            ("007,010\n", [(6, 9)], True),  # leading zeros
+            ("000000000000000003,1\n", [(0, 2)], True),  # 18 digits
+            ("0000000000000000003,1\n", [(0, 2)], False),  # 19 digits: int()
+            ("1,2\r\n2,3\r\n", [(0, 1), (1, 2)], False),  # CRLF: int() strips CR
+            ("1, 2\n", [(0, 1)], False),
+        ],
+    )
+    def test_ids(self, text, edges, byte_route):
+        assert byte_route_parses(text) == byte_route
+        assert parse(text, LABELS_10).edge_list() == edges
+
+    @pytest.mark.parametrize(
+        "text,line,error",
+        [
+            ("1,,2\n", 1, ParseError),
+            ("1,2\n2,3,\n", 2, ParseError),  # trailing comma
+            ("2,3\n100000000000000000,1\n", 2, NodeRangeError),  # 18 digits
+            ("1000000000000000000,1\n", 1, NodeRangeError),  # 19 digits
+        ],
+    )
+    def test_malformed_ids(self, text, line, error):
+        with pytest.raises(error) as info:
+            parse(text, LABELS_10)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "text,labels",
+        [
+            ("", []),
+            ("\n", [UNLABELED]),
+            ("1\n\n2\n", [0, UNLABELED, 1]),
+            ("1\n\n2", [0, UNLABELED, 1]),
+            ("1\n \n\t\n2\n", [0, UNLABELED, UNLABELED, 1]),
+            ("01\r\n\r\n2\r\n", [0, UNLABELED, 1]),
+            ("000000000000000001\n0000000000000000002\n", [0, 1]),
+        ],
+    )
+    def test_labels(self, text, labels):
+        assert _parse_labels(text, one_indexed=True).tolist() == labels
+        zero_based = [UNLABELED if v == UNLABELED else v + 1 for v in labels]
+        assert _parse_labels(text, one_indexed=False).tolist() == zero_based
+
+    @pytest.mark.parametrize("text,line", [("1\n0\n", 2), ("1\n\nx\n", 3)])
+    def test_bad_label_reports_line(self, text, line):
+        with pytest.raises(ParseError) as info:
+            _parse_labels(text, one_indexed=True)
+        assert info.value.line == line
 
 
 class TestLoad:

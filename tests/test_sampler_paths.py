@@ -6,11 +6,14 @@ checks of the current drawer. The oracle checks pin instances to each path
 and compare them with the exact enumeration behind ``exact_baseline``.
 """
 
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperhomophily import (
     Hypergraph,
@@ -25,6 +28,8 @@ from hyperhomophily import nullmodel
 from hyperhomophily.nullmodel import (
     _draw_batches,
     _exact_expected_diversity,
+    _guide_table,
+    _guided_search,
     _prefer_race,
     _sample_diversities,
 )
@@ -230,3 +235,110 @@ class TestBoundedMemory:
         assert out.shape == (count, k)
         # the output plus a few batch-sized temporaries, never count x k of them
         assert peak <= out.nbytes + 32 * 8 * (1 << 16)
+
+
+def digest(sets):
+    return hashlib.sha256(np.ascontiguousarray(sets, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+GOLDEN_WEIGHTS = {
+    "skewed": (np.random.default_rng(2024).pareto(1.1, 3000) + 1e-3, 12),
+    "uniform": (np.ones(400), 25),
+    "race": (np.concatenate([[500.0, 400.0, 300.0], np.ones(60)]), 4),
+    "tiny": (np.array([1e-300, 1.0, 1.0, 1.0, 1e-300, 1.0, 1.0]), 3),
+}
+
+# sha256 prefixes of sample_weighted_k_sets(weights, k, count, default_rng(count))
+GOLDEN_SETS = {
+    ("skewed", 1): "f105063962c7517d",
+    ("skewed", 7): "b260f904b74559ec",
+    ("skewed", 2500): "461ccbd98458691e",
+    ("uniform", 1): "7421fe58fd4baf26",
+    ("uniform", 7): "6025690e513b298a",
+    ("uniform", 2500): "42148838deb71daa",
+    ("race", 1): "5e366ef4d4fd591f",
+    ("race", 7): "780fa1faed6163fc",
+    ("race", 2500): "a98e2b29f778251c",
+    ("tiny", 1): "ae3ea7e89aa8a861",
+    ("tiny", 7): "903ef7e2e86c53b1",
+    ("tiny", 2500): "3244734ef3294c12",
+}
+
+# (k, order): (mean, std_error) of estimate_baseline on golden_hypergraph()
+GOLDEN_BASELINES = {
+    (2, 0.0): ("0x1.c1cac083126e9p+0", "0x1.00a2170bf46dep-7"),
+    (2, 1.0): ("0x1.c1cac083126e9p+0", "0x1.00a2170bf46dep-7"),
+    (2, 2.0): ("0x1.c1cac083126e9p+0", "0x1.00a2170bf46dep-7"),
+    (5, 0.0): ("0x1.87a32846ff514p+1", "0x1.81ab81af056b6p-7"),
+    (5, 1.0): ("0x1.6b8fca5b40d0dp+1", "0x1.7d31b8fe946fdp-7"),
+    (5, 2.0): ("0x1.552734e15f0fap+1", "0x1.73955d57c7ceap-7"),
+    (8, 0.0): ("0x1.cbfd44f307826p+1", "0x1.4289785c53befp-7"),
+    (8, 1.0): ("0x1.9e924735c3c77p+1", "0x1.3936bb9917cb5p-7"),
+    (8, 2.0): ("0x1.7ffe0a7c44fa6p+1", "0x1.46e3f079dd16dp-7"),
+}
+
+
+def golden_hypergraph():
+    rng = np.random.default_rng(5)
+    attrs = rng.integers(0, 4, 300)
+    edges = [rng.choice(300, size=s, replace=False) for s in rng.integers(2, 9, 2000)]
+    return Hypergraph(attrs, edges)
+
+
+class TestGoldenStream:
+    """The sampler's draws, pinned bit for bit: a change to how slots are
+    searched must leave the RNG stream and every drawn set as they were."""
+
+    @pytest.mark.parametrize("name,count", sorted(GOLDEN_SETS))
+    def test_sets(self, name, count):
+        weights, k = GOLDEN_WEIGHTS[name]
+        assert _prefer_race(weights, k) == (name == "race")
+        sets = sample_weighted_k_sets(weights, k, count, np.random.default_rng(count))
+        assert digest(sets) == GOLDEN_SETS[name, count]
+
+    def test_sets_across_batches(self, monkeypatch):
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 1 << 10)  # 85 rows a batch
+        weights, k = GOLDEN_WEIGHTS["skewed"]
+        sets = sample_weighted_k_sets(weights, k, 2500, np.random.default_rng(2500))
+        assert digest(sets) == "905a54a3e83956ba"
+
+    def test_baselines(self):
+        h = golden_hypergraph()
+        for (k, order), (mean, std_error) in GOLDEN_BASELINES.items():
+            cfg = SamplerConfig(samples=3000, seed=9, diversity_order=order)
+            est = estimate_baseline(h, k, cfg)
+            assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), (k, order)
+
+
+WEIGHTS = st.one_of(
+    st.sampled_from([1e-300, 1e-12, 0.5, 1.0, 3.0, 1e6]),
+    st.floats(1e-300, 1e100),
+)
+
+
+class TestGuideTable:
+    @given(
+        weights=st.lists(WEIGHTS, min_size=1, max_size=60),
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+        draws=st.integers(1, 5_000),
+    )
+    @example(weights=[1.0], u=[], draws=1)
+    @example(weights=[1.0], u=[], draws=5_000)
+    @example(weights=[1e-300, 1.0, 1e-300, 1e-300, 1.0], u=[1e-300], draws=64)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted(self, weights, u, draws):
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        guide = _guide_table(cdf, draws)
+        m = guide.size
+        assert m & (m - 1) == 0 and m <= max(1, 2 * min(4 * cdf.size, draws))
+        below = cdf[cdf < 1.0]
+        u = np.concatenate([
+            u,
+            [0.0, 1.0 - 2.0**-53],
+            below,  # every breakpoint, and the double just before it
+            np.nextafter(below, 0.0),
+            np.arange(m) / m,  # every cell boundary
+        ])
+        expected = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(_guided_search(cdf, guide, u), expected)
