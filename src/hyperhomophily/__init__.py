@@ -27,21 +27,17 @@ from .homophily import (
     CurveRow,
     EdgeScores,
     Exclusion,
-    HomophilyRecord,
     HomophilyReport,
     PerKRow,
     analyze,
     newman_assortativity,
     perplexity_curve,
-    score_edge,
 )
 from .hsbm import (
     GridPoint,
     HsbmConfig,
-    SweepPoint,
     generate_hsbm,
     sweep_phi_vs_k,
-    sweep_phi_vs_p,
 )
 from .hypergraph import (
     UNLABELED,
@@ -49,9 +45,7 @@ from .hypergraph import (
     IngestOptions,
     IngestStats,
     KDegreeIndex,
-    edge_sizes,
     k_degrees,
-    k_uniform_sub,
     load_hypergraph,
     parse_hypergraph,
     total_degrees,
@@ -76,10 +70,8 @@ __all__ = [
     "parse_hypergraph",
     "load_hypergraph",
     "write_hypergraph",
-    "k_uniform_sub",
     "k_degrees",
     "total_degrees",
-    "edge_sizes",
     "HyperedgeComposition",
     "composition",
     "perplexity",
@@ -92,20 +84,16 @@ __all__ = [
     "exact_baseline",
     "derive_seed",
     "EdgeScores",
-    "HomophilyRecord",
     "HomophilyReport",
     "PerKRow",
     "CurveRow",
     "Exclusion",
-    "score_edge",
     "analyze",
     "perplexity_curve",
     "newman_assortativity",
     "HsbmConfig",
     "generate_hsbm",
-    "sweep_phi_vs_p",
     "sweep_phi_vs_k",
-    "SweepPoint",
     "GridPoint",
     "ParseError",
     "NodeRangeError",

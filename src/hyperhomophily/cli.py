@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .exceptions import EmptyAnalysisError, ParseError
 from .homophily import _buckets, _curve_from_buckets, _report_from_buckets
-from .hsbm import HsbmConfig, generate_hsbm, sweep_phi_vs_k, sweep_phi_vs_p
+from .hsbm import HsbmConfig, generate_hsbm, sweep_phi_vs_k
 from .hypergraph import IngestOptions, load_hypergraph, write_hypergraph
 from .nullmodel import SamplerConfig
 from . import report as rpt
@@ -197,11 +197,12 @@ def cmd_sweep(args) -> int:
         if args.k_grid is None:
             raise ValueError("--k-grid is required for mode kp")
         k_grid = _parse_grid(args.k_grid, integer=True)
-    # --k sizes only mode p; in mode kp the base config takes a size of the grid
+    else:  # --k sizes only mode p, as a one-size grid
+        k_grid = [args.k]
     base = HsbmConfig(
         num_nodes=args.nodes,
         num_attributes=args.attrs,
-        k=args.k if args.mode == "p" else k_grid[0],
+        k=k_grid[0],
         num_edges=args.edges,
         p=0.0,
         seed=args.seed,
@@ -210,13 +211,9 @@ def cmd_sweep(args) -> int:
     if any(not -1.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("every p in the grid must lie in [-1, 1]")
 
+    points = sweep_phi_vs_k(base, k_grid, p_grid, sampler)
     buf = io.StringIO()
-    if args.mode == "p":
-        points = sweep_phi_vs_p(base, p_grid, sampler)
-        rpt.write_sweep_csv(points, buf)
-    else:
-        points = sweep_phi_vs_k(base, k_grid, p_grid, sampler)
-        rpt.write_grid_csv(points, buf)
+    rpt.write_grid_csv(points, buf, with_k=args.mode == "kp")
     _write_text(args.out, buf.getvalue())
     log.info("sweep: %d points (%.1fs)", len(points), time.perf_counter() - started)
     return EXIT_OK

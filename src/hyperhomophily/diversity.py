@@ -9,6 +9,7 @@ distinct attributes, and order 2 the inverse Simpson index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -17,6 +18,7 @@ import numpy as np
 from .hypergraph import UNLABELED, Hypergraph
 
 Q_ONE_TOLERANCE = 1e-9  # orders within this of 1 use the entropy limit form
+_NEAR_ONE = 0.25  # other orders within this of 1 use the log1p form
 
 
 @dataclass(frozen=True)
@@ -65,30 +67,48 @@ def composition(h: Hypergraph, edge_index: int) -> HyperedgeComposition:
     return HyperedgeComposition({int(a): int(c) for a, c in zip(values, counts)})
 
 
-def _hill_from_counts(counts: np.ndarray, order: float) -> float:
-    """Hill number of a positive integer count vector.
+def _hill(
+    counts: np.ndarray, row: np.ndarray, rows: int, total: int, order: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diversity of order ``order`` of ``rows`` count vectors, each summing
+    to ``total``: the one implementation of the Hill number.
 
-    Balanced inputs return the attribute count exactly (the mathematical
-    value) rather than going through exp/log, and the result is clamped to
+    ``counts`` holds the positive counts of every vector back to back, each
+    vector's in ascending attribute order, and ``row`` the vector of each
+    count (non-decreasing, every vector present). Returns (diversity per
+    vector, distinct-attribute count m per vector). Balanced vectors give m
+    exactly rather than going through exp/log, and every value is clamped to
     the true range [1, m] to keep the bounds exact under rounding.
     """
-    m = counts.size
-    if m == 1:
-        return 1.0
-    if np.all(counts == counts[0]):
-        return float(m)
+    order = float(order)
+    if not (math.isfinite(order) and order >= 0):
+        raise ValueError(f"diversity order must be finite and >= 0, got {order}")
+    m = np.bincount(row, minlength=rows)
     if order == 0.0:
-        return float(m)
-    p = counts / counts.sum()
+        return m.astype(np.float64), m
+    if rows == 0:
+        return np.empty(0), m
+    row_start = np.cumsum(m) - m  # first count of each vector
+    p = counts / total
     if abs(order - 1.0) < Q_ONE_TOLERANCE:
-        value = float(np.exp2(-np.sum(p * np.log2(p))))
+        values = np.exp2(np.bincount(row, weights=-p * np.log2(p), minlength=rows))
+    elif abs(order - 1.0) < _NEAR_ONE:
+        # sum p^q = 1 + sum p (p^(q-1) - 1) as the p sum to 1; summing the
+        # small terms keeps the sum's rounding from growing by 1/(1-q)
+        excess = np.bincount(row, weights=p * np.expm1((order - 1.0) * np.log(p)))
+        values = np.exp(np.log1p(excess) / (1.0 - order))
     else:
-        # log-space with the largest proportion factored out, so both
-        # orders near 1 and very large orders stay finite
-        pmax = p.max()
-        log_sum = order * np.log(pmax) + np.log(np.sum((p / pmax) ** order))
-        value = float(np.exp(log_sum / (1.0 - order)))
-    return float(min(max(value, 1.0), float(m)))
+        # log-space with the largest proportion factored out, so very large
+        # orders stay finite
+        pmax = np.maximum.reduceat(p, row_start)
+        s_q = np.add.reduceat((p / pmax[row]) ** order, row_start)
+        values = np.exp((order * np.log(pmax) + np.log(s_q)) / (1.0 - order))
+    balanced = np.maximum.reduceat(counts, row_start) == np.minimum.reduceat(
+        counts, row_start
+    )
+    values = np.where(balanced, m, values)
+    np.clip(values, 1.0, m, out=values)
+    return values, m
 
 
 def perplexity(c: HyperedgeComposition) -> float:
@@ -97,15 +117,7 @@ def perplexity(c: HyperedgeComposition) -> float:
     Equals 1 for a pure edge and the number of distinct attributes for a
     balanced one; absent attributes contribute nothing (0 log 0 = 0).
     """
-    counts = np.fromiter(c.counts.values(), dtype=np.float64, count=len(c.counts))
-    m = counts.size
-    if m == 1:
-        return 1.0
-    if np.all(counts == counts[0]):
-        return float(m)
-    p = counts / counts.sum()
-    value = float(np.exp2(-np.sum(p * np.log2(p))))
-    return float(min(max(value, 1.0), float(m)))
+    return hill_number(c, 1.0)
 
 
 def hill_number(c: HyperedgeComposition, q: float) -> float:
@@ -113,11 +125,11 @@ def hill_number(c: HyperedgeComposition, q: float) -> float:
 
     Order 0 is the number of distinct attributes, order 1 (taken as the
     limit) is :func:`perplexity`, and the value is non-increasing in ``q``.
+    Equals, bit for bit, the :func:`bulk_diversity` row of the same edge.
     """
-    if q < 0:
-        raise ValueError("diversity order must be >= 0")
-    counts = np.fromiter(c.counts.values(), dtype=np.float64, count=len(c.counts))
-    return _hill_from_counts(counts, float(q))
+    counts = np.array([c.counts[a] for a in sorted(c.counts)], dtype=np.int64)
+    row = np.zeros(counts.size, dtype=np.intp)
+    return float(_hill(counts, row, 1, c.size, q)[0][0])
 
 
 def bulk_diversity(labels: np.ndarray, order: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,39 +137,13 @@ def bulk_diversity(labels: np.ndarray, order: float) -> tuple[np.ndarray, np.nda
 
     ``labels`` has shape (rows, k): each row is the attribute ids of one
     k-node group. Returns (diversity per row, distinct-attribute count per
-    row). Matches :func:`_hill_from_counts` on every row, vectorized.
+    row): each row's runs of equal sorted labels are its attribute counts.
     """
-    if order < 0:
-        raise ValueError("diversity order must be >= 0")
     rows, k = labels.shape
-    if rows == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
     s = np.sort(labels, axis=1)
     boundary = np.ones((rows, k), dtype=bool)
     boundary[:, 1:] = s[:, 1:] != s[:, :-1]
     flat = boundary.ravel()
     starts = np.flatnonzero(flat)
     lengths = np.diff(starts, append=flat.size)  # runs never cross row edges
-    run_row = starts // k
-    m = np.bincount(run_row, minlength=rows)
-    # first run of each row, for per-row reductions over the run list
-    row_start = np.flatnonzero(np.r_[True, run_row[1:] != run_row[:-1]])
-
-    if order == 0.0:
-        values = m.astype(np.float64)
-    else:
-        p = lengths / k
-        if abs(order - 1.0) < Q_ONE_TOLERANCE:
-            entropy = np.bincount(run_row, weights=-p * np.log2(p), minlength=rows)
-            values = np.exp2(entropy)
-        else:
-            pmax = np.maximum.reduceat(p, row_start)
-            scaled = (p / pmax[run_row]) ** order
-            s_q = np.add.reduceat(scaled, row_start)
-            values = np.exp((order * np.log(pmax) + np.log(s_q)) / (1.0 - order))
-        balanced = np.maximum.reduceat(lengths, row_start) == np.minimum.reduceat(
-            lengths, row_start
-        )
-        values = np.where(balanced, m, values)
-        np.clip(values, 1.0, m, out=values)
-    return values, m
+    return _hill(lengths, starts // k, rows, k, order)

@@ -20,7 +20,7 @@ from .exceptions import (
     EmptyAnalysisError,
     InsufficientPopulationError,
 )
-from .hypergraph import UNLABELED, Hypergraph, edge_sizes
+from .hypergraph import UNLABELED, Hypergraph
 from .nullmodel import BaselineEstimate, SamplerConfig, estimate_baseline
 
 DEFAULT_EPSILON = 1e-9
@@ -28,22 +28,6 @@ DEFAULT_EPSILON = 1e-9
 EXCLUDED_SIZE_ONE = "size_1"
 EXCLUDED_INSUFFICIENT = "insufficient_population"
 EXCLUDED_DEGENERATE = "degenerate_baseline"
-
-
-@dataclass(frozen=True)
-class HomophilyRecord:
-    """Score bundle for one hyperedge."""
-
-    k: int
-    observed: float
-    baseline: float
-    gap: float
-    gap_max: float
-    gap_min: float
-    phi: float
-    phi_min: float
-    degenerate: bool
-    edge_index: int = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,27 +143,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
-def score_edge(
-    observed: float,
-    baseline: BaselineEstimate,
-    m_e: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> HomophilyRecord:
-    """Score one hyperedge against its size's baseline (see :func:`_score`).
-    ``epsilon`` must be positive, as in :func:`analyze`."""
-    _check_epsilon(epsilon)
-    if m_e < 1:
-        raise ValueError("m_e must be >= 1")
-    if observed < 1.0 - 1e-12 or observed > m_e + 1e-12:
-        raise ValueError(
-            f"observed diversity {observed} outside valid range [1, {m_e}]"
-        )
-    row = _score(np.array([float(observed)]), baseline.mean, np.array([m_e]), epsilon)
-    return HomophilyRecord(
-        k=baseline.k, **{name: col.item() for name, col in row.items()}
-    )
-
-
 @dataclass(frozen=True)
 class _Bucket:
     """Everything computed for the edges of one size."""
@@ -245,9 +208,9 @@ def _buckets(
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
     _check_labeled(h)
-    counts = edge_sizes(h)  # builds the size index before any worker reads it
-    size_one = counts.get(1, 0)
-    ks = sorted(k for k in counts if k >= 2)
+    groups = h._size_groups()  # builds the size index before any worker reads it
+    size_one = groups[1][0].size if 1 in groups else 0
+    ks = [k for k in groups if k >= 2]  # ascending, as the index is
     if not ks:
         raise EmptyAnalysisError("no hyperedges of size >= 2")
     if workers > 1:

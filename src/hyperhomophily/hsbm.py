@@ -16,11 +16,12 @@ of one edge at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .homophily import HomophilyReport, analyze
+from .homophily import analyze
 from .hypergraph import Hypergraph
 from .nullmodel import SamplerConfig, derive_seed, sample_weighted_k_sets
 
@@ -111,14 +112,6 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    p: float
-    phi: float
-    phi_std_error: float
-    edges_scored: int
-
-
-@dataclass(frozen=True)
 class GridPoint:
     k: int
     p: float
@@ -127,58 +120,32 @@ class GridPoint:
     edges_scored: int
 
 
-def _analyze_point(
-    cfg: HsbmConfig, sampler: SamplerConfig, index: int
-) -> HomophilyReport:
-    h = generate_hsbm(replace(cfg, seed=derive_seed(cfg.seed, _GEN_STREAM, index)))
-    point_sampler = replace(sampler, seed=derive_seed(sampler.seed, _ANALYZE_STREAM, index))
-    return analyze(h, point_sampler)
-
-
-def sweep_phi_vs_p(
-    base_cfg: HsbmConfig,
-    p_grid: Sequence[float],
-    sampler: SamplerConfig | None = None,
-) -> tuple[SweepPoint, ...]:
-    """Generate and analyze one hypergraph per mixing level."""
-    sampler = sampler or SamplerConfig()
-    points = []
-    for i, p in enumerate(p_grid):
-        report = _analyze_point(replace(base_cfg, p=float(p)), sampler, i)
-        points.append(
-            SweepPoint(
-                p=float(p),
-                phi=report.global_phi,
-                phi_std_error=report.global_phi_std_error,
-                edges_scored=report.edges_scored,
-            )
-        )
-    return tuple(points)
-
-
 def sweep_phi_vs_k(
     base_cfg: HsbmConfig,
     k_grid: Sequence[int],
     p_grid: Sequence[float],
     sampler: SamplerConfig | None = None,
 ) -> tuple[GridPoint, ...]:
-    """Full (size, mixing level) grid of generated-and-analyzed hypergraphs."""
+    """Generate and analyze one hypergraph per (size, mixing level) point.
+
+    Points run over the grid size by size. Point i generates and analyzes
+    with seeds derived from index i, so the sweep over mixing levels alone
+    is the one-size grid ``[base_cfg.k]``.
+    """
     sampler = sampler or SamplerConfig()
     points = []
-    index = 0
-    for k in k_grid:
-        for p in p_grid:
-            report = _analyze_point(
-                replace(base_cfg, k=int(k), p=float(p)), sampler, index
+    for index, (k, p) in enumerate(product(k_grid, p_grid)):
+        cfg = replace(base_cfg, k=int(k), p=float(p))
+        h = generate_hsbm(replace(cfg, seed=derive_seed(cfg.seed, _GEN_STREAM, index)))
+        seed = derive_seed(sampler.seed, _ANALYZE_STREAM, index)
+        report = analyze(h, replace(sampler, seed=seed))
+        points.append(
+            GridPoint(
+                k=cfg.k,
+                p=cfg.p,
+                phi=report.global_phi,
+                phi_std_error=report.global_phi_std_error,
+                edges_scored=report.edges_scored,
             )
-            points.append(
-                GridPoint(
-                    k=int(k),
-                    p=float(p),
-                    phi=report.global_phi,
-                    phi_std_error=report.global_phi_std_error,
-                    edges_scored=report.edges_scored,
-                )
-            )
-            index += 1
+        )
     return tuple(points)

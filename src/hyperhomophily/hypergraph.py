@@ -270,20 +270,6 @@ def total_degrees(h: Hypergraph) -> np.ndarray:
     return np.bincount(h.edge_nodes, minlength=h.node_count).astype(np.int64)
 
 
-def k_uniform_sub(h: Hypergraph, k: int) -> Hypergraph:
-    """Sub-hypergraph over the same node set keeping only size-k edges."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    block = h.edges_of_size(k)[1]
-    offsets = np.arange(block.shape[0] + 1, dtype=np.int64) * k
-    return Hypergraph._from_csr(h.attributes, block.ravel(), offsets, h.attribute_names)
-
-
-def edge_sizes(h: Hypergraph) -> dict[int, int]:
-    """Histogram of hyperedge sizes: {size: count}, in ascending size."""
-    return {k: indices.size for k, (indices, _) in h._size_groups().items()}
-
-
 # -- ingestion ----------------------------------------------------------------
 
 
@@ -444,7 +430,7 @@ def _repeated_edges(
     """Mask of the kept lines whose node set equals that of an earlier kept line."""
     repeated = np.zeros(sizes.size, dtype=bool)
     token_size = np.where(keep, sizes, 0)[line]
-    for k in np.unique(token_size[token_size > 0]):
+    for k in np.flatnonzero(np.bincount(sizes[keep])):  # the kept sizes
         rows = nodes[token_size == k].reshape(-1, k)
         lines = np.flatnonzero(keep & (sizes == k))
         order = np.lexsort(rows.T[::-1])  # stable: the first occurrence leads its run
@@ -520,7 +506,8 @@ def _edges_whole(
     if repeat.any():
         if not opts.dedupe_edges:
             return None
-        dedup_events = int(np.unique(line[repeat]).size)
+        repeat_line = line[repeat]  # sorted, as the lines are
+        dedup_events = 1 + int(np.count_nonzero(repeat_line[1:] != repeat_line[:-1]))
         nodes, line = nodes[~repeat], line[~repeat]
     sizes = np.bincount(line, minlength=line_count)
 

@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diversity import _hill_from_counts, bulk_diversity
+from .diversity import _hill, bulk_diversity
 from .exceptions import InsufficientPopulationError, StateSpaceError
 from .hypergraph import Hypergraph, k_degrees, total_degrees
 
@@ -70,8 +70,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.diversity_order < 0:
-            raise ValueError("diversity order must be >= 0")
+        if not (math.isfinite(self.diversity_order) and self.diversity_order >= 0):
+            raise ValueError(
+                f"diversity order must be finite and >= 0, got {self.diversity_order}"
+            )
 
 
 @dataclass(frozen=True)
@@ -260,8 +262,9 @@ def _exact_expected_diversity(
     """Exact expectation by enumerating every ordered k-tuple of distinct nodes.
 
     Each tuple (v_1..v_k) carries probability prod_j w_{v_j} / (W - sum of
-    weights drawn before j). Intentionally simple; the n**k guard keeps it
-    tractable.
+    weights drawn before j). The probabilities are added up per distinct
+    attribute-count vector, and the vectors' diversities come from one
+    kernel call. Intentionally simple; the n**k guard keeps it tractable.
     """
     pos = _positive_subset(weights)
     n = pos.size
@@ -273,20 +276,19 @@ def _exact_expected_diversity(
         raise StateSpaceError(
             f"{n} nodes at k={k} exceeds the enumeration guard ({ENUMERATION_GUARD})"
         )
-    w = np.asarray(weights, dtype=np.float64)[pos]
     attrs = attributes[pos]
     if attrs.min() < 0:
         raise ValueError("positive-weight nodes must all carry an attribute")
-    num_attrs = int(attrs.max()) + 1
-    counts = np.zeros(num_attrs, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    total_weight = float(w.sum())
-    expectation = 0.0
+    w = np.asarray(weights, dtype=np.float64)[pos].tolist()
+    attrs = attrs.tolist()
+    counts = [0] * (max(attrs) + 1)
+    used = [False] * n
+    probability: dict[tuple[int, ...], float] = {}
 
     def descend(depth: int, prob: float, remaining: float) -> None:
-        nonlocal expectation
         if depth == k:
-            expectation += prob * _hill_from_counts(counts[counts > 0], order)
+            key = tuple(counts)
+            probability[key] = probability.get(key, 0.0) + prob
             return
         for j in range(n):
             if used[j]:
@@ -297,8 +299,11 @@ def _exact_expected_diversity(
             counts[attrs[j]] -= 1
             used[j] = False
 
-    descend(0, 1.0, total_weight)
-    return expectation
+    descend(0, 1.0, sum(w))
+    vectors = np.array(list(probability), dtype=np.int64)
+    present = vectors > 0  # row-major: each vector's counts by ascending attribute
+    values, _ = _hill(vectors[present], present.nonzero()[0], len(vectors), k, order)
+    return float(np.dot(list(probability.values()), values))
 
 
 def exact_baseline(h: Hypergraph, k: int, diversity_order: float = 1.0) -> float:

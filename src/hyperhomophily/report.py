@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .homophily import EDGE_COLUMNS, CurveRow, EdgeScores, HomophilyReport
-from .hsbm import GridPoint, SweepPoint
+from .hsbm import GridPoint
 from .hypergraph import IngestStats
 
 TOOL_NAME = "hyperhomophily"
@@ -131,37 +131,35 @@ def write_per_edge_csv(scores: EdgeScores, out: IO[str]) -> None:
         out.write("".join(map("%d,%s\n".__mod__, pairs)))
 
 
-def write_curve_csv(rows: Sequence[CurveRow], out: IO[str]) -> None:
-    out.write("# per hyperedge size: mean observed diversity vs. null baseline\n")
-    out.write("# baseline columns are nan when the eligible population is < k\n")
-    out.write("k,mean_observed,baseline_mean,baseline_std_error,edge_count\n")
+def write_table(
+    rows: Sequence, columns: Sequence[str], comments: Sequence[str], out: IO[str]
+) -> None:
+    """Write ``#`` comment lines, a header, and the named fields of each row."""
+    for line in comments:
+        out.write(f"# {line}\n")
+    out.write(",".join(columns) + "\n")
     for row in rows:
-        cells = [
-            row.k,
-            row.mean_observed,
-            row.baseline_mean,
-            row.baseline_std_error,
-            row.edge_count,
-        ]
-        out.write(",".join(format_number(c) for c in cells))
+        out.write(",".join(format_number(getattr(row, c)) for c in columns))
         out.write("\n")
 
 
-def write_sweep_csv(points: Sequence[SweepPoint], out: IO[str]) -> None:
-    out.write("# homophily index of one generated hypergraph per mixing level p\n")
-    out.write("# phi_std_error is the standard error of the per-edge score mean\n")
-    out.write("p,phi,phi_std_error,edges_scored\n")
-    for pt in points:
-        cells = [pt.p, pt.phi, pt.phi_std_error, pt.edges_scored]
-        out.write(",".join(format_number(c) for c in cells))
-        out.write("\n")
+def write_curve_csv(rows: Sequence[CurveRow], out: IO[str]) -> None:
+    comments = (
+        "per hyperedge size: mean observed diversity vs. null baseline",
+        "baseline columns are nan when the eligible population is < k",
+    )
+    columns = ("k", "mean_observed", "baseline_mean", "baseline_std_error", "edge_count")
+    write_table(rows, columns, comments, out)
 
 
-def write_grid_csv(points: Sequence[GridPoint], out: IO[str]) -> None:
-    out.write("# homophily index over the (edge size k, mixing level p) grid\n")
-    out.write("# phi_std_error is the standard error of the per-edge score mean\n")
-    out.write("k,p,phi,phi_std_error,edges_scored\n")
-    for pt in points:
-        cells = [pt.k, pt.p, pt.phi, pt.phi_std_error, pt.edges_scored]
-        out.write(",".join(format_number(c) for c in cells))
-        out.write("\n")
+def write_grid_csv(points: Sequence[GridPoint], out: IO[str], with_k: bool = True) -> None:
+    """The sweep table; without ``with_k`` it is the table of a sweep over
+    mixing levels alone, whose points share one size."""
+    title = (
+        "homophily index over the (edge size k, mixing level p) grid"
+        if with_k
+        else "homophily index of one generated hypergraph per mixing level p"
+    )
+    comments = (title, "phi_std_error is the standard error of the per-edge score mean")
+    columns = ("k",) * with_k + ("p", "phi", "phi_std_error", "edges_scored")
+    write_table(points, columns, comments, out)

@@ -96,7 +96,7 @@ def test_criterion_4_synthetic_sweep_vs_p():
             num_nodes=1000, num_attributes=10, k=10, num_edges=5000, p=0.0, seed=42
         )
         grid = [round(-1 + 0.25 * i, 10) for i in range(9)]
-        points = hh.sweep_phi_vs_p(cfg, grid, hh.SamplerConfig(samples=10_000, seed=42))
+        points = hh.sweep_phi_vs_k(cfg, [cfg.k], grid, hh.SamplerConfig(samples=10_000, seed=42))
         phis = [pt.phi for pt in points]
         assert phis[-1] == 1.0  # p = 1 scores exactly 1
         assert -0.05 <= phis[4] <= 0.05  # p = 0

@@ -1,0 +1,55 @@
+"""The package's public names."""
+
+import hyperhomophily
+
+
+def test_all_is_pinned():
+    # adding or removing a public name is an API change: make it here too
+    assert hyperhomophily.__all__ == [
+        "__version__",
+        "UNLABELED",
+        "Hypergraph",
+        "IngestOptions",
+        "IngestStats",
+        "KDegreeIndex",
+        "parse_hypergraph",
+        "load_hypergraph",
+        "write_hypergraph",
+        "k_degrees",
+        "total_degrees",
+        "HyperedgeComposition",
+        "composition",
+        "perplexity",
+        "hill_number",
+        "bulk_diversity",
+        "SamplerConfig",
+        "BaselineEstimate",
+        "sample_weighted_k_sets",
+        "estimate_baseline",
+        "exact_baseline",
+        "derive_seed",
+        "EdgeScores",
+        "HomophilyReport",
+        "PerKRow",
+        "CurveRow",
+        "Exclusion",
+        "analyze",
+        "perplexity_curve",
+        "newman_assortativity",
+        "HsbmConfig",
+        "generate_hsbm",
+        "sweep_phi_vs_k",
+        "GridPoint",
+        "ParseError",
+        "NodeRangeError",
+        "DuplicateNodeError",
+        "InsufficientPopulationError",
+        "StateSpaceError",
+        "EmptyAnalysisError",
+        "DegenerateMixingError",
+    ]
+
+
+def test_every_public_name_resolves():
+    for name in hyperhomophily.__all__:
+        assert getattr(hyperhomophily, name) is not None

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, file outputs, schema, determinism."""
 
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -134,6 +135,18 @@ class TestAnalyze:
         assert "epsilon must be positive" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("order", ["nan", "inf"])
+    def test_non_finite_order_exit_2(self, tmp_path, caplog, order):
+        # a NaN or infinite order would write NaN and Infinity, which JSON lacks
+        args = write_dataset(tmp_path, "1,2\n3,4\n1,3\n", "1\n1\n2\n2\n")
+        out = tmp_path / "report.json"
+        code = main(
+            ["analyze", *args, "--samples", "100", "--order", order, "--out", str(out)]
+        )
+        assert code == 2
+        assert "invalid configuration" in caplog.text
+        assert not out.exists()
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(
             ["analyze", "--hyperedges", str(tmp_path / "nope.txt"),
@@ -251,6 +264,26 @@ class TestSweep:
         assert len(lines) == 10  # header + 9 points
         assert lines[1].split(",")[0] == "-1"
         assert lines[-1].split(",")[0] == "1"
+
+    # sha256 of the CSV bytes, recorded before p mode became a one-size grid
+    # of the (k, p) sweep; the merge must keep both tables byte for byte
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--mode", "p", "--p-grid", "-1:1:0.5", "--k", "4"],
+             "cb48e427b01d7360f210b3dfdb53062c9b7b0e68334ca9befff7a9897ee545ea"),
+            (["--mode", "kp", "--k-grid", "2,3", "--p-grid", "-1,0,1"],
+             "aaf9f926003d8c8399b27977032183b81bc3a68ba200abc1ea4b0f66b4a6d6d1"),
+        ],
+    )
+    def test_sweep_csv_bytes_are_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", *argv, "--nodes", "40", "--attrs", "4", "--edges", "60",
+             "--samples", "150", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_empty_grid_exit_2(self):
         assert main(["sweep", "--mode", "p", "--p-grid", " "]) == 2

@@ -1,5 +1,7 @@
 """Perplexity and Hill-number tests, including the published worked examples."""
 
+import decimal
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from hyperhomophily import (
     Hypergraph,
     HyperedgeComposition,
+    SamplerConfig,
     bulk_diversity,
     composition,
     hill_number,
@@ -25,6 +28,25 @@ def entropy_oracle(counts):
     """Independent route: product form prod p_i^(-p_i)."""
     total = sum(counts)
     return math.prod((c / total) ** -(c / total) for c in counts)
+
+
+def decimal_hill(counts, q):
+    """The Hill number in 40-digit decimal arithmetic, for orders near 1."""
+    with decimal.localcontext() as context:
+        context.prec = 40
+        q = decimal.Decimal(q)
+        total = sum(counts)
+        s_q = sum(((decimal.Decimal(c) / total).ln() * q).exp() for c in counts)
+        return float((s_q.ln() / (1 - q)).exp())
+
+
+def reference_hill(counts, q):
+    """Plain-Python Hill number straight from the definition."""
+    total = sum(counts)
+    p = [c / total for c in counts]
+    if q == 1.0:
+        return 2.0 ** -sum(x * math.log2(x) for x in p)
+    return sum(x**q for x in p) ** (1.0 / (1.0 - q))
 
 
 class TestComposition:
@@ -109,6 +131,29 @@ class TestHillNumber:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             hill_number(comp(1, 1), -0.5)
+
+    @pytest.mark.parametrize("q", [float("nan"), float("inf")])
+    def test_non_finite_order_rejected(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            hill_number(comp(2, 1), q)
+        with pytest.raises(ValueError, match="finite"):
+            bulk_diversity(np.array([[0, 0, 1]]), q)
+        with pytest.raises(ValueError, match="finite"):
+            SamplerConfig(diversity_order=q)
+
+    def test_orders_near_one_keep_full_precision(self):
+        # the log-sum form's rounding grows by 1/|1-q|: 2e-8 relative at 1+1e-8
+        for q in (1.0 + 1e-8, 1.0 - 1e-5, 1.2):
+            exact = decimal_hill([1, 2, 1, 1], q)
+            for counts in itertools.permutations([1, 2, 1, 1]):
+                assert hill_number(comp(*counts), q) == pytest.approx(exact, rel=1e-14)
+
+    def test_huge_counts(self):
+        # the scalar route works on the counts, never on one label per member
+        assert hill_number(comp(10**9, 10**9), 2.0) == 2.0
+        assert hill_number(comp(3 * 10**9, 10**9), 1.0) == pytest.approx(
+            entropy_oracle([3, 1]), rel=1e-12
+        )
 
     def test_large_order_approaches_inverse_max_proportion(self):
         c = comp(8, 1, 1)
@@ -201,3 +246,35 @@ class TestBulkDiversity:
     def test_empty_input(self):
         values, distinct = bulk_diversity(np.empty((0, 3), dtype=int), 1.0)
         assert values.size == 0 and distinct.size == 0
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        st.sampled_from([0.0, 0.5, 2.0, 3.0, 7.5, 1.0]),
+    )
+    def test_matches_reference_formula(self, counts, q):
+        labels = np.repeat(np.arange(len(counts)), counts)[None, :]
+        value = bulk_diversity(labels, q)[0][0]
+        assert value == pytest.approx(reference_hill(counts, q), rel=1e-12)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=4, max_size=4)
+            | st.integers(0, 4).map(lambda a: [a] * 4)  # pure
+            | st.permutations([0, 0, 3, 3]),  # balanced
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5]),
+        st.randoms(),
+    )
+    def test_scalar_route_is_bulk_row_bit_for_bit(self, rows, q, rnd):
+        h = Hypergraph(
+            np.array(rows).ravel(), [range(4 * i, 4 * i + 4) for i in range(len(rows))]
+        )
+        values, _ = bulk_diversity(np.array(rows), q)
+        for e, value in enumerate(values):
+            c = composition(h, e)
+            items = list(c.counts.items())
+            rnd.shuffle(items)  # the dict's order must not matter
+            assert hill_number(c, q) == value
+            assert hill_number(HyperedgeComposition(dict(items)), q) == value

@@ -1,10 +1,11 @@
 """Edge scoring, report aggregation, curve, and assortativity tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hyperhomophily import (
-    BaselineEstimate,
     DegenerateMixingError,
     EmptyAnalysisError,
     Hypergraph,
@@ -13,47 +14,43 @@ from hyperhomophily import (
     estimate_baseline,
     newman_assortativity,
     perplexity_curve,
-    score_edge,
 )
+from hyperhomophily.homophily import DEFAULT_EPSILON, _check_epsilon, _score
 
 
-def baseline(mean, k=2):
-    return BaselineEstimate(
-        k=k, mean=mean, std_error=0.0, samples=1, seed=0, diversity_order=1.0
-    )
+def score_edge(observed, baseline, m_e, epsilon=DEFAULT_EPSILON):
+    """One edge through the columnar scorer, as analyze scores it: epsilon
+    is checked once, then the edge is scored against its baseline mean."""
+    _check_epsilon(epsilon)
+    row = _score(np.array([float(observed)]), baseline, np.array([m_e]), epsilon)
+    return SimpleNamespace(**{name: col.item() for name, col in row.items()})
 
 
 class TestScoreEdge:
     def test_pure_edge_scores_one(self):
-        r = score_edge(1.0, baseline(5 / 3), m_e=2)
+        r = score_edge(1.0, 5 / 3, m_e=2)
         assert r.phi == 1.0
         assert r.gap == r.gap_max
 
     def test_score_zero_at_baseline(self):
-        r = score_edge(5 / 3, baseline(5 / 3), m_e=2)
+        r = score_edge(5 / 3, 5 / 3, m_e=2)
         assert r.phi == 0.0
         assert not r.degenerate
 
     def test_balanced_pair_against_uniform_baseline(self):
         # gap (5/3 - 2) over gap_max (5/3 - 1) = -0.5
-        r = score_edge(2.0, baseline(5 / 3), m_e=2)
+        r = score_edge(2.0, 5 / 3, m_e=2)
         assert r.phi == pytest.approx(-0.5, abs=1e-12)
         assert r.phi_min == pytest.approx(-0.5, abs=1e-12)
 
     def test_eighty_percent_reduction(self):
         b = 3.7
         observed = b - 0.8 * (b - 1.0)
-        r = score_edge(observed, baseline(b, k=5), m_e=4)
+        r = score_edge(observed, b, m_e=4)
         assert r.phi == pytest.approx(0.8, abs=1e-12)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            score_edge(0.5, baseline(1.5), m_e=2)
-        with pytest.raises(ValueError):
-            score_edge(2.5, baseline(1.5), m_e=2)
-
     def test_degenerate_baseline(self):
-        r = score_edge(1.0, baseline(1.0), m_e=1)
+        r = score_edge(1.0, 1.0, m_e=1)
         assert r.degenerate
         assert r.phi == 0.0
 
@@ -61,10 +58,10 @@ class TestScoreEdge:
     def test_non_positive_epsilon_rejected(self, epsilon):
         # a baseline of exactly 1 would give 0/0 scores unless flagged degenerate
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            score_edge(1.0, baseline(1.0), m_e=1, epsilon=epsilon)
+            score_edge(1.0, 1.0, m_e=1, epsilon=epsilon)
 
     def test_identities(self):
-        r = score_edge(1.4, baseline(2.2, k=3), m_e=3)
+        r = score_edge(1.4, 2.2, m_e=3)
         assert r.gap == pytest.approx(r.baseline - r.observed, abs=1e-12)
         assert r.gap_max == pytest.approx(r.baseline - 1.0, abs=1e-12)
         assert r.gap_min == pytest.approx(r.baseline - 3, abs=1e-12)
@@ -147,7 +144,7 @@ class TestAnalyze:
         pe = report.per_edge
         for idx, k, phi, phi_min in zip(pe.edge_index, pe.k, pe.phi, pe.phi_min):
             c = composition(h, int(idx))
-            redo = score_edge(perplexity(c), baselines[int(k)], c.num_attributes)
+            redo = score_edge(perplexity(c), baselines[int(k)].mean, c.num_attributes)
             assert phi == pytest.approx(redo.phi, abs=1e-9)
             assert phi_min == pytest.approx(redo.phi_min, abs=1e-9)
 

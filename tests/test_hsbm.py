@@ -14,7 +14,6 @@ from hyperhomophily import (
     generate_hsbm,
     parse_hypergraph,
     sweep_phi_vs_k,
-    sweep_phi_vs_p,
     write_hypergraph,
 )
 
@@ -131,11 +130,11 @@ FAST_SAMPLER = SamplerConfig(samples=1500, seed=11)
 class TestSweeps:
     def test_empty_grid(self):
         cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=5, num_edges=100, p=0.0)
-        assert sweep_phi_vs_p(cfg, [], FAST_SAMPLER) == ()
+        assert sweep_phi_vs_k(cfg, [cfg.k], [], FAST_SAMPLER) == ()
 
     def test_endpoints(self):
         cfg = HsbmConfig(num_nodes=200, num_attributes=10, k=5, num_edges=800, p=0.0, seed=1)
-        points = sweep_phi_vs_p(cfg, [-1.0, 0.0, 1.0], FAST_SAMPLER)
+        points = sweep_phi_vs_k(cfg, [cfg.k], [-1.0, 0.0, 1.0], FAST_SAMPLER)
         assert [pt.p for pt in points] == [-1.0, 0.0, 1.0]
         assert points[0].phi < points[1].phi < points[2].phi
         assert points[2].phi == 1.0
@@ -144,8 +143,8 @@ class TestSweeps:
     def test_repetition_stability_across_seeds(self):
         cfg_a = HsbmConfig(num_nodes=500, num_attributes=10, k=5, num_edges=4000, p=0.0, seed=21)
         cfg_b = HsbmConfig(num_nodes=500, num_attributes=10, k=5, num_edges=4000, p=0.0, seed=22)
-        a = sweep_phi_vs_p(cfg_a, [0.5], SamplerConfig(samples=4000, seed=31))
-        b = sweep_phi_vs_p(cfg_b, [0.5], SamplerConfig(samples=4000, seed=32))
+        a = sweep_phi_vs_k(cfg_a, [cfg_a.k], [0.5], SamplerConfig(samples=4000, seed=31))
+        b = sweep_phi_vs_k(cfg_b, [cfg_b.k], [0.5], SamplerConfig(samples=4000, seed=32))
         assert abs(a[0].phi - b[0].phi) <= 0.05
 
     def test_grid_shape_and_pure_column(self):
@@ -167,7 +166,7 @@ class TestSweeps:
         from dataclasses import replace
 
         cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=5, num_edges=200, p=0.7, seed=5)
-        points = sweep_phi_vs_p(cfg, [0.7], FAST_SAMPLER)
+        points = sweep_phi_vs_k(cfg, [cfg.k], [0.7], FAST_SAMPLER)
         h = generate_hsbm(replace(cfg, seed=derive_seed(cfg.seed, 0, 0)))
         report = analyze(h, replace(FAST_SAMPLER, seed=derive_seed(FAST_SAMPLER.seed, 1, 0)))
         assert points[0].phi == report.global_phi

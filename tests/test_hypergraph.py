@@ -1,7 +1,12 @@
 """Container, ingestion, and structural-query tests."""
 
+import ast
 import io
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,9 +21,7 @@ from hyperhomophily import (
     NodeRangeError,
     ParseError,
     UNLABELED,
-    edge_sizes,
     k_degrees,
-    k_uniform_sub,
     parse_hypergraph,
     write_hypergraph,
     load_hypergraph,
@@ -177,23 +180,26 @@ class TestQueries:
 
     def test_k_uniform_sub(self):
         h = Hypergraph([0, 1, 2, 0], [[0, 1], [0, 1, 2], [1, 2, 3]])
-        sub = k_uniform_sub(h, 3)
-        assert sub.edge_list() == [(0, 1, 2), (1, 2, 3)]
-        assert np.array_equal(sub.attributes, h.attributes)
-        assert k_uniform_sub(h, 7).num_edges == 0
+        sub = h.edges_of_size(3)[1]
+        assert [tuple(row) for row in sub.tolist()] == [(0, 1, 2), (1, 2, 3)]
+        assert h.edges_of_size(7)[0].size == 0
 
     def test_k_uniform_sub_pairs(self):
         h = Hypergraph([0, 0, 1], [[0, 1], [1, 2]])
-        sub = k_uniform_sub(h, 2)
-        assert sub.edge_list() == h.edge_list()
-        assert np.array_equal(sub.attributes, h.attributes)
+        sub = h.edges_of_size(2)[1]
+        assert [tuple(row) for row in sub.tolist()] == h.edge_list()
 
     def test_edge_sizes(self):
         h = Hypergraph([0, 1, 2, 0], [[0, 1], [0, 1, 2], [1, 2, 3]])
-        assert edge_sizes(h) == {2: 1, 3: 2}
+        assert size_counts(h) == {2: 1, 3: 2}
 
     def test_edge_sizes_empty(self):
-        assert edge_sizes(Hypergraph([0, 1], [])) == {}
+        assert size_counts(Hypergraph([0, 1], [])) == {}
+
+
+def size_counts(h):
+    """{size: edge count} over the sizes present, read from the size index."""
+    return {k: h.edges_of_size(k)[0].size for k in np.unique(h.sizes)}
 
 
 @st.composite
@@ -221,13 +227,14 @@ class TestInvariants:
     @given(small_hypergraphs(), st.integers(1, 5))
     def test_degree_sum_identity(self, h, k):
         total = int(k_degrees(h, k).degrees.sum())
-        assert total == k * edge_sizes(h).get(k, 0)
+        assert total == k * size_counts(h).get(k, 0)
 
     @given(small_hypergraphs(), st.integers(1, 5))
     def test_sub_then_sizes(self, h, k):
-        sizes = edge_sizes(k_uniform_sub(h, k))
-        count = edge_sizes(h).get(k, 0)
-        assert sizes == ({k: count} if count else {})
+        indices, block = h.edges_of_size(k)
+        count = size_counts(h).get(k, 0)
+        assert block.shape == (count, k)
+        assert np.array_equal(h.sizes[indices], np.full(count, k))
 
     @given(small_hypergraphs())
     @settings(max_examples=50)
@@ -508,3 +515,32 @@ class TestLoad:
         with pytest.raises(ParseError, match="line 3: hyperedges file") as info:
             load_hypergraph(edges, labels)
         assert info.value.line == 3
+
+    @pytest.mark.parametrize(
+        "edges_text, collapse, stats",
+        [
+            ("1,2,2\n3,4,1,3\n2,3\n", False, {"dedup_events": 2}),
+            ("1,2\n2,1\n3,4\n1,2\n", True, {"duplicate_edges_collapsed": 2}),
+        ],
+    )
+    def test_repeats_leave_numpy_ma_unimported(self, tmp_path, edges_text, collapse, stats):
+        # a flag-less np.unique imports numpy.ma, about 15 ms of a cold start
+        edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
+        edges.write_text(edges_text, encoding="utf-8")
+        labels.write_text("1\n1\n2\n2\n", encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from hyperhomophily import IngestOptions, load_hypergraph\n"
+            f"opts = IngestOptions(collapse_duplicate_edges={collapse})\n"
+            f"h = load_hypergraph({str(edges)!r}, {str(labels)!r}, opts=opts)\n"
+            "print(h.ingest.to_dict(), 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(hypergraph.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        counts, ma_imported = run.stdout.rsplit(" ", 1)
+        assert ast.literal_eval(counts).items() >= stats.items()
+        assert ma_imported.strip() == "False"
