@@ -8,6 +8,7 @@ environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL; default INFO).
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import logging
 import math
@@ -323,5 +324,17 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """Process entry: :func:`main`, then exit without the collector's walk.
+
+    Freezing every live object before the exit keeps interpreter shutdown
+    from traversing them all (numpy's among them); the outputs are already
+    written and are flushed as usual.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

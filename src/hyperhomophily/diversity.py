@@ -67,6 +67,14 @@ def composition(h: Hypergraph, edge_index: int) -> HyperedgeComposition:
     return HyperedgeComposition({int(a): int(c) for a, c in zip(values, counts)})
 
 
+def _check_order(order: float) -> float:
+    """The diversity order as a float; it must be finite and >= 0."""
+    order = float(order)
+    if not (math.isfinite(order) and order >= 0):
+        raise ValueError(f"diversity order must be finite and >= 0, got {order}")
+    return order
+
+
 def _hill(
     counts: np.ndarray, row: np.ndarray, rows: int, total: int, order: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,9 +88,7 @@ def _hill(
     exactly rather than going through exp/log, and every value is clamped to
     the true range [1, m] to keep the bounds exact under rounding.
     """
-    order = float(order)
-    if not (math.isfinite(order) and order >= 0):
-        raise ValueError(f"diversity order must be finite and >= 0, got {order}")
+    order = _check_order(order)
     m = np.bincount(row, minlength=rows)
     if order == 0.0:
         return m.astype(np.float64), m

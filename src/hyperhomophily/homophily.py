@@ -9,7 +9,6 @@ The hypergraph-level index is the mean score over all scorable edges.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -214,6 +213,8 @@ def _buckets(
     if not ks:
         raise EmptyAnalysisError("no hyperedges of size >= 2")
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a default run never loads it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             buckets = list(pool.map(lambda k: _compute_bucket(h, k, cfg, epsilon), ks))
     else:

@@ -15,7 +15,10 @@ two exact routes:
   to ``searchsorted``; either way a uniform u gets the index that
   ``searchsorted`` gives it. Expected cost per sample: k draws, each O(1)
   once a batch holds about 4n draws and O(log n) at worst, plus k^2/2
-  collision compares.
+  collision compares. A batch draws and searches the k*rows uniforms it
+  needs at least in one call, and the slot loop reads them in the order
+  drawing slot by slot would, so the stream is the same as that of
+  per-slot draws.
 - The exponential race of Efraimidis & Spirakis (2006): with keys
   Exp(1)/w_i, the set of the k smallest keys follows the same law. It costs
   n keys per sample, and is used only where the k-1 largest weights hold
@@ -39,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diversity import _hill, bulk_diversity
+from .diversity import _check_order, _hill, bulk_diversity
 from .exceptions import InsufficientPopulationError, StateSpaceError
 from .hypergraph import Hypergraph, k_degrees, total_degrees
 
@@ -70,10 +73,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not (math.isfinite(self.diversity_order) and self.diversity_order >= 0):
-            raise ValueError(
-                f"diversity order must be finite and >= 0, got {self.diversity_order}"
-            )
+        _check_order(self.diversity_order)
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,33 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
 def _rejection_batch(
     cdf: np.ndarray, guide: np.ndarray, k: int, rows: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Slot-by-slot cumulative-weight draws; redraw rows that repeat a node."""
+    """Slot-by-slot cumulative-weight draws; redraw rows that repeat a node.
+
+    The k*rows uniforms that every batch consumes at least are drawn and
+    searched in one call. Slot j takes the next ``rows`` of them and its
+    redraws the ones after that, as drawing slot by slot would. Draws that
+    run past the end draw exactly what they need, so the RNG ends where the
+    slot-by-slot order leaves it.
+    """
+    ahead = _guided_search(cdf, guide, rng.random(k * rows))
+    used = 0
+
+    def take(count: int) -> np.ndarray:
+        nonlocal used
+        got = ahead[used : used + count]
+        used += count
+        if got.size < count:
+            # past the end: plain binary search, on the few redraws it leaves
+            fresh = cdf.searchsorted(rng.random(count - got.size), "right")
+            got = np.concatenate((got, fresh))
+        return got
+
     out = np.empty((k, rows), dtype=np.int64)  # slot-major: out[j] is slot j
     for j in range(k):
-        out[j] = _guided_search(cdf, guide, rng.random(rows))
-        # the few rows that repeat an earlier node draw again by plain binary
-        # search: on such small sets the per-call cost is what counts
+        out[j] = take(rows)
         redo = (out[:j] == out[j]).any(axis=0).nonzero()[0]
         while redo.size:
-            col = cdf.searchsorted(rng.random(redo.size), "right")
+            col = take(redo.size)
             out[j, redo] = col
             redo = redo[(out[:j, redo] == col).any(axis=0)]
     return out.T
@@ -266,6 +284,7 @@ def _exact_expected_diversity(
     attribute-count vector, and the vectors' diversities come from one
     kernel call. Intentionally simple; the n**k guard keeps it tractable.
     """
+    _check_order(order)  # before the enumeration, not after it
     pos = _positive_subset(weights)
     n = pos.size
     if n < k:

@@ -1,7 +1,11 @@
 """End-to-end CLI tests: exit codes, file outputs, schema, determinism."""
 
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -324,3 +328,90 @@ class TestSweep:
 
     def test_float_k_grid_exit_2(self):
         assert main(["sweep", "--mode", "kp", "--p-grid", "0", "--k-grid", "2.5"]) == 2
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def script_target():
+    """The ``hyperhomophily`` entry of ``[project.scripts]``, as module:function."""
+    section = None
+    for line in (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and line.split("=")[0].strip() == "hyperhomophily":
+            return line.split("=", 1)[1].strip().strip('"')
+    raise AssertionError("pyproject.toml names no hyperhomophily script")
+
+
+def run_process(launcher, argv):
+    """Run the CLI in a fresh interpreter, through its real process exit."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *launcher, *argv], env=env, capture_output=True, timeout=120
+    )
+
+
+def reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+class TestProcessExit:
+    """``python -m hyperhomophily.cli`` and the console script exit through
+    one entry that skips the collector's shutdown walk; every output must
+    still be complete and every exit code as documented."""
+
+    def test_both_entries_name_one_function(self):
+        module, function = script_target().split(":")
+        assert module == "hyperhomophily.cli"
+        assert callable(getattr(cli, function))
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        blocks = [
+            node.body for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [[f"{function}()"]]
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_report_on_stdout_is_complete(self, tmp_path, entry):
+        edges = "".join(f"{i},{i + 1},{i + 2}\n{i},{i + 3}\n" for i in range(1, 200))
+        labels = "".join(f"{i % 3 + 1}\n" for i in range(205))
+        args = ["analyze", *write_dataset(tmp_path, edges, labels), "--samples", "300"]
+        if entry == "module":
+            launcher = ["-m", "hyperhomophily.cli"]
+        else:  # what the installed console script does with its target
+            module, function = script_target().split(":")
+            launcher = ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"]
+        run = run_process(launcher, args)
+        assert run.returncode == 0, run.stderr
+        json.loads(run.stdout, parse_constant=reject_constant)
+        out = tmp_path / "report.json"
+        assert main([*args, "--out", str(out)]) == 0
+        assert run.stdout == out.read_bytes()
+
+    def test_malformed_hyperedges_exit_2(self, tmp_path):
+        args = write_dataset(tmp_path, "1,2\n2,x\n", "1\n1\n2\n")
+        run = run_process(["-m", "hyperhomophily.cli"], ["analyze", *args])
+        assert run.returncode == 2
+        assert b"invalid input: line 2" in run.stderr
+        assert run.stdout == b""
+
+    def test_only_size_one_edges_exit_3(self, tmp_path):
+        args = write_dataset(tmp_path, "1\n2\n", "1\n2\n")
+        run = run_process(["-m", "hyperhomophily.cli"], ["analyze", *args])
+        assert run.returncode == 3
+        assert b"nothing to analyze" in run.stderr
+
+    @pytest.mark.parametrize("workers, loaded", [("1", "[]"), ("2", "['concurrent.futures', 'queue']")])
+    def test_thread_pool_loaded_only_for_workers(self, tmp_path, workers, loaded):
+        args = write_dataset(tmp_path, "1,2\n2,3\n1,2,3\n", "1\n2\n1\n")
+        script = (
+            "import sys\n"
+            "from hyperhomophily.cli import main\n"
+            f"code = main({['analyze', *args, '--samples', '50', '--workers', workers]!r})\n"
+            "print(code, sorted({'concurrent.futures', 'queue'} & set(sys.modules)))\n"
+        )
+        run = run_process(["-c", script], [])
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.decode().splitlines()[-1] == f"0 {loaded}"

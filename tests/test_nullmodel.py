@@ -193,6 +193,14 @@ class TestExact:
         with pytest.raises(StateSpaceError):
             exact_baseline(h, n)
 
+    @pytest.mark.parametrize("order", [float("nan"), float("inf"), -1.0])
+    def test_order_checked_before_enumeration(self, order):
+        # over the guard: only an order check at entry can come first
+        n = 60
+        h = Hypergraph([0, 1] * (n // 2), [list(range(n))])
+        with pytest.raises(ValueError, match="diversity order"):
+            exact_baseline(h, n, order)
+
     def test_weight_scaling_invariance(self):
         attrs = np.array([0, 1, 0, 2])
         weights = np.array([1.0, 2.0, 3.0, 4.0])

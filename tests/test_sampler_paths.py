@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperhomophily import (
@@ -31,6 +31,7 @@ from hyperhomophily.nullmodel import (
     _guide_table,
     _guided_search,
     _prefer_race,
+    _rejection_batch,
     _sample_diversities,
 )
 
@@ -42,6 +43,20 @@ def reference_key_race(weights, k, count, rng):
     pos = np.flatnonzero(weights > 0)
     keys = rng.exponential(size=(count, pos.size)) / weights[pos]
     return pos[np.argsort(keys, axis=1)[:, :k]]
+
+
+def reference_rejection_batch(cdf, k, rows, rng):
+    """Per-slot rejection with one RNG call per slot and per redraw round:
+    the stream the batched draw must reproduce, value for value."""
+    out = np.empty((k, rows), dtype=np.int64)
+    for j in range(k):
+        out[j] = cdf.searchsorted(rng.random(rows), "right")
+        redo = (out[:j] == out[j]).any(axis=0).nonzero()[0]
+        while redo.size:
+            col = cdf.searchsorted(rng.random(redo.size), "right")
+            out[j, redo] = col
+            redo = redo[(out[:j, redo] == col).any(axis=0)]
+    return out.T
 
 
 def drawn(weights, k, count, rng):
@@ -302,6 +317,24 @@ class TestGoldenStream:
         sets = sample_weighted_k_sets(weights, k, 2500, np.random.default_rng(2500))
         assert digest(sets) == "905a54a3e83956ba"
 
+    @pytest.mark.parametrize(
+        "name,cells,after",
+        [
+            ("skewed", None, "0x1.e391725d0ce94p-3"),  # rejection, one batch
+            ("skewed", 1 << 10, "0x1.cbff441912731p-1"),  # rejection, 30 batches
+            ("race", None, "0x1.77280b245662ep-2"),
+        ],
+    )
+    def test_rng_position_after_draw(self, monkeypatch, name, cells, after):
+        # callers such as generate_hsbm share one generator across draws, so
+        # each draw must leave it exactly where slot-by-slot drawing does
+        if cells is not None:
+            monkeypatch.setattr(nullmodel, "_BATCH_CELLS", cells)
+        weights, k = GOLDEN_WEIGHTS[name]
+        rng = np.random.default_rng(2500)
+        sample_weighted_k_sets(weights, k, 2500, rng)
+        assert rng.random().hex() == after
+
     def test_baselines(self):
         h = golden_hypergraph()
         for (k, order), (mean, std_error) in GOLDEN_BASELINES.items():
@@ -342,3 +375,24 @@ class TestGuideTable:
         ])
         expected = np.searchsorted(cdf, u, side="right")
         assert np.array_equal(_guided_search(cdf, guide, u), expected)
+
+
+class TestBatchedUniforms:
+    @given(
+        weights=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=50),
+        k=st.integers(1, 50),
+        rows=st.integers(1, 400),
+        draws=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(weights=[1.0] * 4, k=4, rows=300, draws=1200, seed=0)  # redraws run far past
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_slot_draws(self, weights, k, rows, draws, seed):
+        w = np.array(weights)
+        assume(k <= w.size and not _prefer_race(w, k))
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        sets = _rejection_batch(cdf, _guide_table(cdf, draws), k, rows, ours)
+        assert np.array_equal(sets, reference_rejection_batch(cdf, k, rows, ref))
+        assert ours.random() == ref.random()  # the generator stands where it would
