@@ -32,7 +32,8 @@ EXCLUDED_DEGENERATE = "degenerate_baseline"
 @dataclass(frozen=True, eq=False)
 class EdgeScores:
     """Per-hyperedge scores as read-only columns, one row per scored or
-    degenerate hyperedge, sorted by ``edge_index``."""
+    degenerate hyperedge, sorted by ``edge_index``. An edge index is a
+    position in the hypergraph's edge list, so a negative one is rejected."""
 
     edge_index: np.ndarray
     k: np.ndarray
@@ -46,6 +47,8 @@ class EdgeScores:
     degenerate: np.ndarray
 
     def __post_init__(self):
+        if self.edge_index.size and self.edge_index.min() < 0:
+            raise ValueError("edge_index must be >= 0")
         for name in EDGE_COLUMNS:
             getattr(self, name).setflags(write=False)
 

@@ -130,12 +130,16 @@ def sweep_phi_vs_k(
 
     Points run over the grid size by size. Point i generates and analyzes
     with seeds derived from index i, so the sweep over mixing levels alone
-    is the one-size grid ``[base_cfg.k]``.
+    is the one-size grid ``[base_cfg.k]``. Every point's configuration is
+    checked before the first one is generated, and a size below 2 (whose
+    edges have nothing to score) is rejected.
     """
     sampler = sampler or SamplerConfig()
+    if any(int(k) < 2 for k in k_grid):
+        raise ValueError("every k in the grid must be >= 2")
+    configs = [replace(base_cfg, k=int(k), p=float(p)) for k, p in product(k_grid, p_grid)]
     points = []
-    for index, (k, p) in enumerate(product(k_grid, p_grid)):
-        cfg = replace(base_cfg, k=int(k), p=float(p))
+    for index, cfg in enumerate(configs):
         h = generate_hsbm(replace(cfg, seed=derive_seed(cfg.seed, _GEN_STREAM, index)))
         seed = derive_seed(sampler.seed, _ANALYZE_STREAM, index)
         report = analyze(h, replace(sampler, seed=seed))

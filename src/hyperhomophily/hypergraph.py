@@ -630,13 +630,11 @@ def write_hypergraph(
     the node count, attributes, and edge multiset.
     """
     base = 1 if one_indexed else 0
-    for e in h.edges():
-        hyperedges_out.write(",".join(str(int(v) + base) for v in e))
-        hyperedges_out.write("\n")
-    for a in h.attributes:
-        labels_out.write("" if a == UNLABELED else str(int(a) + base))
-        labels_out.write("\n")
+    ids = list(map(str, (h.edge_nodes + base).tolist()))
+    bounds = h.offsets.tolist()
+    lines = [",".join(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+    hyperedges_out.write("\n".join([*lines, ""]))
+    labels = ["" if a == UNLABELED else str(a + base) for a in h.attributes.tolist()]
+    labels_out.write("\n".join([*labels, ""]))
     if label_names_out is not None and h.attribute_names is not None:
-        for name in h.attribute_names:
-            label_names_out.write(name)
-            label_names_out.write("\n")
+        label_names_out.write("\n".join([*h.attribute_names, ""]))

@@ -90,10 +90,15 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# the cells of a per-edge row after edge_index (its "tail"): renders the
-# same text as format_number on each cell
-_PER_EDGE_TAIL = "%d" + ",%.17g" * 7 + ",%s"
+# the cells of a per-edge row after edge_index (its "tail") with their
+# leading comma and the line end: renders the same text as format_number
+_PER_EDGE_TAIL = ",%d" + ",%.17g" * 7 + ",%s\n"
 _PER_EDGE_CHUNK_ROWS = 16_384
+# the last two digits of an edge index: str(i) for an index below 100, which
+# has no leading digits, and "%02d" after the digits of index // 100
+_LAST_TWO = np.array(
+    [str(i) for i in range(100)] + ["%02d" % i for i in range(100)], dtype=object
+)
 
 
 def write_per_edge_csv(scores: EdgeScores, out: IO[str]) -> None:
@@ -102,7 +107,10 @@ def write_per_edge_csv(scores: EdgeScores, out: IO[str]) -> None:
     A row's tail depends only on its edge's size and label-count partition
     (each size has one baseline), so few distinct tails cover many rows.
     Tails are grouped by the bits of their cells, which keeps ``0.0`` and
-    ``-0.0`` apart: they print differently.
+    ``-0.0`` apart: they print differently. The ``edge_index`` text is the
+    digits of ``index // 100``, formatted once per distinct value, followed
+    by an entry of ``_LAST_TWO``; so a row is three shared strings and no
+    cell is formatted per row.
     """
     out.write("# one row per scored or degenerate hyperedge\n")
     out.write(",".join(EDGE_COLUMNS) + "\n")
@@ -125,10 +133,15 @@ def write_per_edge_csv(scores: EdgeScores, out: IO[str]) -> None:
     cells.append(np.where(scores.degenerate[firsts], "true", "false").tolist())
     tails = np.array(list(map(_PER_EDGE_TAIL.__mod__, zip(*cells))), dtype=object)
 
+    index = scores.edge_index
+    high, high_of = np.unique(index // 100, return_inverse=True)
+    heads = np.array([str(v) if v else "" for v in high.tolist()], dtype=object)
+    rows = np.empty((len(scores), 3), dtype=object)
+    rows[:, 0] = heads[high_of]
+    rows[:, 1] = _LAST_TWO[index % 100 + 100 * (index >= 100)]
+    rows[:, 2] = tails[group]
     for start in range(0, len(scores), _PER_EDGE_CHUNK_ROWS):
-        rows = slice(start, start + _PER_EDGE_CHUNK_ROWS)
-        pairs = zip(scores.edge_index[rows].tolist(), tails[group[rows]].tolist())
-        out.write("".join(map("%d,%s\n".__mod__, pairs)))
+        out.write("".join(rows[start : start + _PER_EDGE_CHUNK_ROWS].ravel().tolist()))
 
 
 def write_table(

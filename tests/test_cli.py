@@ -13,7 +13,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from hyperhomophily import cli
+from hyperhomophily import cli, hsbm
 from hyperhomophily.cli import main
 
 
@@ -288,6 +288,39 @@ class TestSweep:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "k_grid, p_grid, message",
+        [
+            ("2,1", "0,1", ">= 2"),  # a size-1 graph has nothing to score
+            ("2,50", "0,1", "partition"),  # only the last point is invalid
+        ],
+    )
+    def test_invalid_point_exits_2_before_any_work(
+        self, tmp_path, caplog, k_grid, p_grid, message
+    ):
+        out = tmp_path / "grid.csv"
+        with mock.patch.object(hsbm, "generate_hsbm", side_effect=AssertionError):
+            code = main(
+                ["sweep", "--mode", "kp", "--k-grid", k_grid, "--p-grid", p_grid,
+                 "--nodes", "100", "--attrs", "10", "--edges", "50",
+                 "--samples", "100", "--out", str(out)]
+            )
+        assert code == 2
+        assert message in caplog.text
+        assert not out.exists()
+
+    def test_p_mode_size_one_exits_2(self):
+        assert main(["sweep", "--mode", "p", "--k", "1", "--p-grid", "0",
+                     "--nodes", "20", "--attrs", "2", "--edges", "10"]) == 2
+
+    def test_grid_product_over_ceiling_exit_2(self, caplog):
+        # 100 sizes times 101 mixing levels; each grid alone is under the ceiling
+        with mock.patch.object(hsbm, "generate_hsbm", side_effect=AssertionError):
+            code = main(["sweep", "--mode", "kp", "--k-grid", "2:101:1",
+                         "--p-grid", "0:1:0.01", "--samples", "10"])
+        assert code == 2
+        assert "more than" in caplog.text
 
     def test_empty_grid_exit_2(self):
         assert main(["sweep", "--mode", "p", "--p-grid", " "]) == 2

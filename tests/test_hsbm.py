@@ -16,6 +16,7 @@ from hyperhomophily import (
     sweep_phi_vs_k,
     write_hypergraph,
 )
+from hyperhomophily import hsbm
 
 
 class TestConfig:
@@ -159,6 +160,22 @@ class TestSweeps:
         cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=5, num_edges=100, p=0.0, seed=3)
         with pytest.raises(ValueError, match="partition"):
             sweep_phi_vs_k(cfg, [50], [1.0], FAST_SAMPLER)
+
+    @pytest.mark.parametrize(
+        "k_grid, p_grid, match",
+        [
+            ([2, 1], [0.0], ">= 2"),  # a size-1 graph has nothing to score
+            ([2, 50], [0.0, 1.0], "partition"),  # only the last point is invalid
+        ],
+    )
+    def test_grid_checked_before_any_point(self, monkeypatch, k_grid, p_grid, match):
+        def no_generation(cfg):
+            raise AssertionError("a point was generated before the grid was checked")
+
+        monkeypatch.setattr(hsbm, "generate_hsbm", no_generation)
+        cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=2, num_edges=50, p=0.0)
+        with pytest.raises(ValueError, match=match):
+            sweep_phi_vs_k(cfg, k_grid, p_grid, FAST_SAMPLER)
 
     def test_sweep_matches_direct_analysis(self):
         # a sweep point is just generate + analyze with derived seeds

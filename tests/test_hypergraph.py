@@ -249,6 +249,50 @@ class TestInvariants:
         assert sorted(back.edge_list()) == sorted(h.edge_list())
 
 
+def reference_written_files(h, one_indexed, with_names):
+    """The text format written one node and one label at a time."""
+    base = 1 if one_indexed else 0
+    edges = "".join(",".join(str(int(v) + base) for v in e) + "\n" for e in h.edges())
+    labels = "".join(
+        ("" if a == UNLABELED else str(int(a) + base)) + "\n" for a in h.attributes
+    )
+    names = h.attribute_names if with_names and h.attribute_names is not None else ()
+    return edges, labels, "".join(name + "\n" for name in names)
+
+
+@st.composite
+def written_hypergraphs(draw):
+    # ids past 100 give multi-digit tokens; UNLABELED nodes write empty lines
+    n = draw(st.integers(1, 150))
+    num_attrs = draw(st.integers(1, 12))
+    attrs = draw(
+        st.lists(st.integers(UNLABELED, num_attrs - 1), min_size=n, max_size=n)
+    )
+    edges = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=min(6, n), unique=True),
+            max_size=12,
+        )
+    )
+    names = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.text(max_size=4), min_size=num_attrs, max_size=num_attrs),
+        )
+    )
+    return Hypergraph(attrs, edges, names)
+
+
+class TestWriteHypergraph:
+    @given(written_hypergraphs(), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_per_node_reference(self, h, one_indexed, with_names):
+        files = io.StringIO(), io.StringIO(), io.StringIO()
+        write_hypergraph(h, files[0], files[1], files[2] if with_names else None, one_indexed)
+        expected = reference_written_files(h, one_indexed, with_names)
+        assert tuple(f.getvalue() for f in files) == expected
+
+
 class TestSizeIndex:
     """The size-grouped edge index against the per-size mask formulas."""
 

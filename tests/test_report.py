@@ -2,6 +2,7 @@
 
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -158,3 +159,53 @@ def test_per_edge_csv_bytes_match_reference(scores, chunk_rows):
         mp.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
         rpt.write_per_edge_csv(scores, out)
     assert out.getvalue() == reference_per_edge_csv(scores)
+
+
+# an edge index's text is the digits of index // 100 (none below 100) and
+# its last two digits, zero-padded only after leading digits
+_INDEX_BOUNDARIES = [0, 9, 10, 99, 100, 101, 999, 1000, 2**63 - 1]
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, rpt._PER_EDGE_CHUNK_ROWS])
+def test_per_edge_csv_index_digit_boundaries(monkeypatch, chunk_rows):
+    monkeypatch.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
+    tails = [(2 + i % 3, *[0.25 * i] * 7, i % 2 == 0) for i in range(len(_INDEX_BOUNDARIES))]
+    scores = scores_from_tails(_INDEX_BOUNDARIES, tails)
+    out = io.StringIO()
+    rpt.write_per_edge_csv(scores, out)
+    assert out.getvalue() == reference_per_edge_csv(scores)
+
+
+@given(
+    st.lists(
+        st.one_of(_INT64, st.sampled_from(_INDEX_BOUNDARIES), st.integers(-1, 1)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([1, 3, rpt._PER_EDGE_CHUNK_ROWS]),
+)
+@settings(max_examples=150, deadline=None)
+def test_per_edge_csv_whole_int64_index_range(edge_index, chunk_rows):
+    tails = [(3, *[1.5] * 7, False)] * len(edge_index)
+    if min(edge_index) < 0:
+        # an edge index is a position in the edge list
+        with pytest.raises(ValueError, match="edge_index"):
+            scores_from_tails(edge_index, tails)
+        return
+    scores = scores_from_tails(edge_index, tails)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
+        rpt.write_per_edge_csv(scores, out)
+    assert out.getvalue() == reference_per_edge_csv(scores)
+
+
+def test_per_edge_csv_time_does_not_grow_with_the_largest_index():
+    # tables sized by the largest index would hold 2**62 / 100 entries
+    scores = scores_from_tails([2**62], [(2, *[0.5] * 7, False)])
+    out = io.StringIO()
+    started = time.perf_counter()
+    rpt.write_per_edge_csv(scores, out)
+    assert time.perf_counter() - started < 0.5
+    assert out.getvalue().splitlines()[2].startswith(f"{2**62},2,")
