@@ -48,7 +48,6 @@ from .hypergraph import (
     k_degrees,
     load_hypergraph,
     parse_hypergraph,
-    total_degrees,
     write_hypergraph,
 )
 from .nullmodel import (
@@ -71,7 +70,6 @@ __all__ = [
     "load_hypergraph",
     "write_hypergraph",
     "k_degrees",
-    "total_degrees",
     "HyperedgeComposition",
     "composition",
     "perplexity",

@@ -89,7 +89,6 @@ def _sampler_options(args) -> dict:
         "seed": args.seed,
         "diversity_order": args.order,
         "epsilon": args.epsilon,
-        "total_degree": args.total_degree,
     }
 
 
@@ -101,12 +100,7 @@ def cmd_analyze(args) -> int:
         collapse_duplicate_edges=args.collapse_duplicates,
     )
     h = load_hypergraph(args.hyperedges, args.labels, args.label_names, opts)
-    cfg = SamplerConfig(
-        samples=args.samples,
-        seed=args.seed,
-        diversity_order=args.order,
-        use_total_degree=args.total_degree,
-    )
+    cfg = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.order)
     buckets, size_one = _buckets(h, cfg, args.epsilon, args.workers)
     report = _report_from_buckets(
         h, buckets, size_one, args.epsilon, emit_per_edge=args.per_edge_out is not None
@@ -243,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--min-k", type=int, default=2, help="drop edges smaller than this at ingest")
     pa.add_argument("--max-k", type=int, default=None, help="drop edges larger than this at ingest")
     pa.add_argument("--collapse-duplicates", action="store_true", help="collapse repeated identical edges")
-    pa.add_argument("--total-degree", action="store_true", help="weight the null model by total degree instead of per-size degree")
     pa.add_argument("--workers", type=int, default=1, help="parallel per-size workers (results are identical for any value)")
     pa.add_argument("--per-edge-out", default=None, help="write per-edge scores CSV here")
     pa.add_argument("--perplexity-curve", default=None, help="write observed-vs-baseline CSV here")

@@ -14,7 +14,8 @@ class ParseError(ValueError):
 
 
 class NodeRangeError(ParseError):
-    """A node or label id falls outside the range defined by the labels file."""
+    """A node or label id falls outside the range the labels file, or the
+    label names file, defines."""
 
 
 class DuplicateNodeError(ParseError):

@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 UNLABELED = -1
 _TOKEN_BLOCK_CHARS = 1 << 16  # characters of hyperedges text tokenized at once
 _MAX_DIGITS = 18  # every id of up to 18 digits fits in int64
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -265,11 +266,6 @@ def k_degrees(h: Hypergraph, k: int) -> KDegreeIndex:
     return KDegreeIndex(k=k, degrees=degrees.astype(np.int64, copy=False))
 
 
-def total_degrees(h: Hypergraph) -> np.ndarray:
-    """Per-node count of hyperedges of any size containing the node."""
-    return np.bincount(h.edge_nodes, minlength=h.node_count).astype(np.int64)
-
-
 # -- ingestion ----------------------------------------------------------------
 
 
@@ -338,7 +334,7 @@ def _parse_labels(text: str, one_indexed: bool) -> np.ndarray:
         except ValueError:
             raise ParseError(f"labels file: invalid label {token!r}", lineno) from None
         value -= base
-        if value < 0:
+        if not 0 <= value <= _INT64_MAX:
             raise NodeRangeError(f"labels file: label id {token} out of range", lineno)
         out.append(value)
     return np.asarray(out, dtype=np.int64)
@@ -348,80 +344,6 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
     offsets = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     return offsets
-
-
-def _edges_by_line(
-    text: str, attributes: np.ndarray, opts: IngestOptions
-) -> tuple[np.ndarray, np.ndarray, IngestStats]:
-    """Line-by-line parse of the hyperedges text into CSR arrays and counters.
-
-    Raises the line-numbered input errors. :func:`_edges_whole` gives the
-    same result faster and hands malformed input to this parser.
-    """
-    node_count = attributes.size
-    base = 1 if opts.one_indexed else 0
-
-    dedup_events = 0
-    excluded_by_size = 0
-    excluded_unlabeled = 0
-    collapsed = 0
-    size_one = 0
-    seen: set[tuple[int, ...]] = set()
-    edge_nodes: list[int] = []
-    lengths: list[int] = []
-
-    for lineno, raw in enumerate(_content_lines(text), start=1):
-        line = raw.strip()
-        if line == "":
-            raise ParseError("empty hyperedge line", lineno)
-        nodes = []
-        for token in line.split(","):
-            token = token.strip()
-            try:
-                value = int(token)
-            except ValueError:
-                raise ParseError(f"invalid node id {token!r}", lineno) from None
-            value -= base
-            if not 0 <= value < node_count:
-                raise NodeRangeError(
-                    f"node id {token} out of range of labels file ({node_count} nodes)",
-                    lineno,
-                )
-            nodes.append(value)
-        unique = sorted(set(nodes))
-        if len(unique) != len(nodes):
-            if not opts.dedupe_edges:
-                raise DuplicateNodeError("duplicate node id in hyperedge", lineno)
-            dedup_events += 1
-        size = len(unique)
-        if (opts.min_size is not None and size < opts.min_size) or (
-            opts.max_size is not None and size > opts.max_size
-        ):
-            excluded_by_size += 1
-            continue
-        if opts.drop_unlabeled and np.any(attributes[unique] == UNLABELED):
-            excluded_unlabeled += 1
-            continue
-        if opts.collapse_duplicate_edges:
-            key = tuple(unique)
-            if key in seen:
-                collapsed += 1
-                continue
-            seen.add(key)
-        if size == 1:
-            size_one += 1
-        edge_nodes.extend(unique)
-        lengths.append(size)
-
-    stats = IngestStats(
-        dedup_events=dedup_events,
-        excluded_by_size=excluded_by_size,
-        excluded_unlabeled=excluded_unlabeled,
-        duplicate_edges_collapsed=collapsed,
-        size_one_edges=size_one,
-    )
-    offsets = _offsets(np.asarray(lengths, dtype=np.int64))
-    return np.asarray(edge_nodes, dtype=np.int64), offsets, stats
 
 
 def _repeated_edges(
@@ -472,11 +394,15 @@ def _edge_tokens(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 def _edges_whole(
     text: str, attributes: np.ndarray, opts: IngestOptions
 ) -> tuple[np.ndarray, np.ndarray, IngestStats] | None:
-    """Parse the hyperedges text as one array: the result of
-    :func:`_edges_by_line`, or None when a line is malformed (a token
-    ``int()`` rejects, an id out of range, a blank interior line, or a
-    repeated id without dedup), which that parser then reports. Ids that are
-    ASCII digits only are read from the bytes by place value.
+    """Parse the whole hyperedges text at once into CSR arrays and counters.
+
+    Each line's ids are sorted, and with dedup made distinct (one event per
+    line). Lines are then dropped by size, by an unlabeled node, and as a
+    repeat of an earlier kept line, in that order, each counted where it is
+    dropped. None when a line is malformed (a token ``int()`` rejects, an id
+    out of range, a blank interior line, or a repeated id without dedup),
+    which :func:`_raise_line_error` then reports. Ids that are ASCII digits
+    only are read from the bytes by place value.
     """
     if not text or text.isspace():
         empty = np.empty(0, dtype=np.int64)
@@ -492,8 +418,11 @@ def _edges_whole(
     line = np.zeros(nodes.size, dtype=np.int64)
     np.cumsum(ends_line, out=line[1:])
     line_count = int(line[-1]) + 1
-    if line_count * node_count > np.iinfo(np.int64).max:
-        return None  # the sort key below would overflow
+    if line_count * node_count > _INT64_MAX:  # the sort key below would overflow
+        raise ParseError(
+            f"hyperedges file too large: {line_count} lines on {node_count} nodes "
+            "overflow the int64 sort key"
+        )
 
     # sort each line; lines stay in order, and a repeated id repeats its key
     key = line * node_count
@@ -511,7 +440,6 @@ def _edges_whole(
         nodes, line = nodes[~repeat], line[~repeat]
     sizes = np.bincount(line, minlength=line_count)
 
-    # the line-by-line order of precedence: size, then unlabeled, then repeats
     keep = np.ones(line_count, dtype=bool)
     if opts.min_size is not None:
         keep &= sizes >= opts.min_size
@@ -540,16 +468,52 @@ def _edges_whole(
     return nodes[keep[line]], _offsets(sizes[keep]), stats
 
 
+def _raise_line_error(text: str, node_count: int, opts: IngestOptions) -> None:
+    """Raise the error of the first malformed line of a hyperedges text that
+    :func:`_edges_whole` declined. Within a line, every token is checked
+    before the line's ids are checked for a repeat."""
+    base = 1 if opts.one_indexed else 0
+    for lineno, raw in enumerate(_content_lines(text), start=1):
+        line = raw.strip()
+        if line == "":
+            raise ParseError("empty hyperedge line", lineno)
+        nodes = []
+        for token in line.split(","):
+            token = token.strip()
+            try:
+                value = int(token) - base
+            except ValueError:
+                raise ParseError(f"invalid node id {token!r}", lineno) from None
+            if not 0 <= value < node_count:
+                raise NodeRangeError(
+                    f"node id {token} out of range of labels file ({node_count} nodes)",
+                    lineno,
+                )
+            nodes.append(value)
+        if not opts.dedupe_edges and len(set(nodes)) != len(nodes):
+            raise DuplicateNodeError("duplicate node id in hyperedge", lineno)
+
+
 def _parse_texts(
     edges_text: str, labels_text: str, names_text: str | None, opts: IngestOptions
 ) -> Hypergraph:
     attributes = _parse_labels(labels_text, opts.one_indexed)
+    names = None if names_text is None else tuple(_content_lines(names_text))
+    if names is not None:
+        unnamed = np.flatnonzero(attributes >= len(names))
+        if unnamed.size:
+            node = int(unnamed[0])  # line i + 1 of the labels file labels node i
+            label = attributes[node] + (1 if opts.one_indexed else 0)
+            raise NodeRangeError(
+                f"labels file: label id {label} has no entry in the label names "
+                f"file ({len(names)} names)",
+                node + 1,
+            )
     parsed = _edges_whole(edges_text, attributes, opts)
-    if parsed is None:  # malformed: the line-by-line parser raises the error
-        parsed = _edges_by_line(edges_text, attributes, opts)
+    if parsed is None:
+        _raise_line_error(edges_text, attributes.size, opts)
     flat, offsets, stats = parsed
 
-    names = None if names_text is None else tuple(_content_lines(names_text))
     if (
         stats.excluded_by_size
         or stats.excluded_unlabeled

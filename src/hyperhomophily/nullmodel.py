@@ -44,7 +44,7 @@ import numpy as np
 
 from .diversity import _check_order, _hill, bulk_diversity
 from .exceptions import InsufficientPopulationError, StateSpaceError
-from .hypergraph import Hypergraph, k_degrees, total_degrees
+from .hypergraph import Hypergraph, k_degrees
 
 ENUMERATION_GUARD = 10_000_000  # max n**k for exact_baseline
 _BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots or rows x n keys (~32 MB)
@@ -59,16 +59,11 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Monte Carlo settings for baseline estimation.
-
-    ``use_total_degree`` switches the sampling weights from per-size degrees
-    to whole-hypergraph degrees (diagnostic variant).
-    """
+    """Monte Carlo settings for baseline estimation."""
 
     samples: int = 10_000
     seed: int = 42
     diversity_order: float = 1.0
-    use_total_degree: bool = False
 
     def __post_init__(self):
         if self.samples < 1:
@@ -247,14 +242,14 @@ def _sample_diversities(
 def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEstimate:
     """Monte Carlo estimate of the expected diversity of a random size-k group.
 
-    Weights are the k-degrees of ``h`` (or total degrees when configured).
+    Weights are the k-degrees of ``h``.
     The RNG stream is derived from (cfg.seed, k), so estimates for different
     sizes are independent and a fixed seed reproduces the estimate bitwise no
     matter how calls are scheduled.
     """
     if k < 2:
         raise ValueError("k must be >= 2 (a size-1 baseline is identically 1)")
-    weights = total_degrees(h) if cfg.use_total_degree else k_degrees(h, k).degrees
+    weights = k_degrees(h, k).degrees
     rng = np.random.default_rng(derive_seed(cfg.seed, k))
     values = _sample_diversities(
         h.attributes, weights.astype(np.float64), k, cfg.samples, cfg.diversity_order, rng

@@ -1,0 +1,88 @@
+"""Test-only reference for hyperedges ingestion: a line-by-line parser that
+the whole-file parser in ``hyperhomophily.hypergraph`` is compared against."""
+
+import numpy as np
+
+from hyperhomophily import DuplicateNodeError, NodeRangeError, ParseError
+from hyperhomophily.hypergraph import (
+    UNLABELED,
+    IngestOptions,
+    IngestStats,
+    _content_lines,
+    _offsets,
+)
+
+
+def edges_by_line(
+    text: str, attributes: np.ndarray, opts: IngestOptions
+) -> tuple[np.ndarray, np.ndarray, IngestStats]:
+    """Line-by-line parse of the hyperedges text into CSR arrays and counters.
+
+    Raises the line-numbered input errors. The library's whole-file parser
+    must give the same arrays and counters for every text, and raise the same
+    error class, message and line.
+    """
+    node_count = attributes.size
+    base = 1 if opts.one_indexed else 0
+
+    dedup_events = 0
+    excluded_by_size = 0
+    excluded_unlabeled = 0
+    collapsed = 0
+    size_one = 0
+    seen: set[tuple[int, ...]] = set()
+    edge_nodes: list[int] = []
+    lengths: list[int] = []
+
+    for lineno, raw in enumerate(_content_lines(text), start=1):
+        line = raw.strip()
+        if line == "":
+            raise ParseError("empty hyperedge line", lineno)
+        nodes = []
+        for token in line.split(","):
+            token = token.strip()
+            try:
+                value = int(token)
+            except ValueError:
+                raise ParseError(f"invalid node id {token!r}", lineno) from None
+            value -= base
+            if not 0 <= value < node_count:
+                raise NodeRangeError(
+                    f"node id {token} out of range of labels file ({node_count} nodes)",
+                    lineno,
+                )
+            nodes.append(value)
+        unique = sorted(set(nodes))
+        if len(unique) != len(nodes):
+            if not opts.dedupe_edges:
+                raise DuplicateNodeError("duplicate node id in hyperedge", lineno)
+            dedup_events += 1
+        size = len(unique)
+        if (opts.min_size is not None and size < opts.min_size) or (
+            opts.max_size is not None and size > opts.max_size
+        ):
+            excluded_by_size += 1
+            continue
+        if opts.drop_unlabeled and np.any(attributes[unique] == UNLABELED):
+            excluded_unlabeled += 1
+            continue
+        if opts.collapse_duplicate_edges:
+            key = tuple(unique)
+            if key in seen:
+                collapsed += 1
+                continue
+            seen.add(key)
+        if size == 1:
+            size_one += 1
+        edge_nodes.extend(unique)
+        lengths.append(size)
+
+    stats = IngestStats(
+        dedup_events=dedup_events,
+        excluded_by_size=excluded_by_size,
+        excluded_unlabeled=excluded_unlabeled,
+        duplicate_edges_collapsed=collapsed,
+        size_one_edges=size_one,
+    )
+    offsets = _offsets(np.asarray(lengths, dtype=np.int64))
+    return np.asarray(edge_nodes, dtype=np.int64), offsets, stats

@@ -115,6 +115,19 @@ class TestAnalyze:
         assert main(["analyze", *args]) == 2
         assert "invalid input: line 4: labels file" in caplog.text
 
+    @pytest.mark.parametrize(
+        "labels_text,names_text,message",
+        [
+            ("1\n99999999999999999999\n2\n", None, "label id 99999999999999999999 out of range"),
+            ("1\n3\n2\n", "red\nblue\n", "label id 3 has no entry in the label names file"),
+        ],
+        ids=["beyond-int64", "no-name"],
+    )
+    def test_bad_label_id_reports_line(self, tmp_path, caplog, labels_text, names_text, message):
+        args = write_dataset(tmp_path, "1,2\n2,3\n", labels_text, names_text)
+        assert main(["analyze", *args]) == 2
+        assert f"invalid input: line 2: labels file: {message}" in caplog.text
+
     def test_bad_log_level_exit_2(self, tmp_path, monkeypatch, capsys):
         args = write_dataset(tmp_path, "1,2\n3,4\n", "1\n1\n2\n2\n")
         monkeypatch.setenv("HYPERHOMOPHILY_LOG", "LOUD")

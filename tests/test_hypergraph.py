@@ -28,12 +28,8 @@ from hyperhomophily import (
 )
 from hyperhomophily import hypergraph
 from hyperhomophily.homophily import _edge_labels
-from hyperhomophily.hypergraph import (
-    _ascii_ids,
-    _edges_by_line,
-    _edges_whole,
-    _parse_labels,
-)
+from hyperhomophily.hypergraph import _ascii_ids, _edges_whole, _parse_labels
+from line_parser import edges_by_line
 
 
 def parse(edges_text, labels_text, names_text=None, **kwargs):
@@ -436,7 +432,7 @@ def check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, block_ch
         collapse_duplicate_edges=collapse,
     )
     attributes = _parse_labels(labels_text, one_indexed)
-    expected = _outcome(lambda: _edges_by_line(text, attributes, opts))
+    expected = _outcome(lambda: edges_by_line(text, attributes, opts))
     # small token blocks put block edges inside these short texts
     with mock.patch.object(hypergraph, "_TOKEN_BLOCK_CHARS", block_chars):
         fast = _edges_whole(text, attributes, opts)
@@ -446,7 +442,7 @@ def check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, block_ch
             )
         )
     if isinstance(expected, ParseError):
-        assert fast is None  # malformed input goes to the line-by-line parser
+        assert fast is None  # malformed input goes to the error locator
         assert type(got) is type(expected)
         assert (got.line, str(got)) == (expected.line, str(expected))
         return
@@ -483,6 +479,15 @@ class TestWholeFileParser:
         if text.strip() and all(t.isdigit() and len(t) <= 18 for t in tokens):
             assert byte_route_parses(text)
         check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, 1 << 16)
+
+    def test_sort_key_overflow_is_an_error(self):
+        # lines x nodes past int64: the per-line sort key would overflow
+        attributes = np.broadcast_to(np.int64(0), ((1 << 60) - 1,))
+        flat, offsets, _ = _edges_whole("1,2\n" * 8, attributes, IngestOptions())
+        assert flat.tolist() == [0, 1] * 8 and offsets.tolist() == list(range(0, 17, 2))
+        with pytest.raises(ParseError, match="hyperedges file too large") as info:
+            _edges_whole("1,2\n" * 9, attributes, IngestOptions())
+        assert info.value.line is None
 
 
 LABELS_10 = "1\n" * 10

@@ -147,15 +147,6 @@ class TestEstimate:
             ratio = a / b  # expect ~sqrt(10) ~ 3.16
             assert math.sqrt(10) / 2 <= ratio <= 2 * math.sqrt(10)
 
-    def test_total_degree_option(self):
-        # node 4 gains weight from its size-3 edge only under total degree
-        h = Hypergraph([0, 0, 1, 1, 1], [[0, 2], [1, 3], [2, 3, 4]])
-        base = estimate_baseline(h, 2, SamplerConfig(samples=4000, seed=1))
-        total = estimate_baseline(
-            h, 2, SamplerConfig(samples=4000, seed=1, use_total_degree=True)
-        )
-        assert base.mean != total.mean
-
 
 class TestExact:
     def test_pure_population(self):
