@@ -16,7 +16,6 @@ from .diversity import (
 )
 from .exceptions import (
     DegenerateMixingError,
-    DuplicateNodeError,
     EmptyAnalysisError,
     InsufficientPopulationError,
     NodeRangeError,
@@ -95,7 +94,6 @@ __all__ = [
     "GridPoint",
     "ParseError",
     "NodeRangeError",
-    "DuplicateNodeError",
     "InsufficientPopulationError",
     "StateSpaceError",
     "EmptyAnalysisError",

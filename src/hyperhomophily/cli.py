@@ -127,7 +127,7 @@ def cmd_analyze(args) -> int:
         with open(args.per_edge_out, "w", encoding="utf-8", newline="\n") as f:
             rpt.write_per_edge_csv(report.per_edge, f)
     if args.perplexity_curve is not None:
-        curve = _curve_from_buckets(h, cfg.diversity_order, buckets)
+        curve = _curve_from_buckets(buckets)
         with open(args.perplexity_curve, "w", encoding="utf-8", newline="\n") as f:
             rpt.write_curve_csv(curve, f)
 

@@ -105,7 +105,9 @@ def _hill(
         values = np.exp(np.log1p(excess) / (1.0 - order))
     else:
         # log-space with the largest proportion factored out, so very large
-        # orders stay finite
+        # orders stay finite; past 1e300 the value no longer changes in double
+        # precision, and the cap keeps order * log(pmax) from overflowing
+        order = min(order, 1e300)
         pmax = np.maximum.reduceat(p, row_start)
         s_q = np.add.reduceat((p / pmax[row]) ** order, row_start)
         values = np.exp((order * np.log(pmax) + np.log(s_q)) / (1.0 - order))

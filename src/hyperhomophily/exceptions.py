@@ -18,10 +18,6 @@ class NodeRangeError(ParseError):
     label names file, defines."""
 
 
-class DuplicateNodeError(ParseError):
-    """A hyperedge line repeats a node id and deduplication is disabled."""
-
-
 class InsufficientPopulationError(ValueError):
     """Fewer positive-weight nodes than the requested sample size."""
 

@@ -14,18 +14,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .diversity import bulk_diversity
-from .exceptions import (
-    DegenerateMixingError,
-    EmptyAnalysisError,
-    InsufficientPopulationError,
-)
+from .exceptions import DegenerateMixingError, EmptyAnalysisError
 from .hypergraph import UNLABELED, Hypergraph
 from .nullmodel import BaselineEstimate, SamplerConfig, estimate_baseline
 
 DEFAULT_EPSILON = 1e-9
 
 EXCLUDED_SIZE_ONE = "size_1"
-EXCLUDED_INSUFFICIENT = "insufficient_population"
 EXCLUDED_DEGENERATE = "degenerate_baseline"
 
 
@@ -151,10 +146,9 @@ class _Bucket:
 
     k: int
     edge_indices: np.ndarray
-    observed: np.ndarray  # empty when the population was insufficient
+    observed: np.ndarray
     m_e: np.ndarray
-    baseline: BaselineEstimate | None
-    degenerate: bool
+    baseline: BaselineEstimate
 
 
 def _check_labeled(h: Hypergraph) -> None:
@@ -163,7 +157,7 @@ def _check_labeled(h: Hypergraph) -> None:
     if incident.size and h.attributes[incident].min() == UNLABELED:
         raise ValueError(
             "hyperedges of size >= 2 touch unlabeled nodes; "
-            "re-ingest with drop_unlabeled=True or label every node"
+            "label every node or drop those edges (file ingest drops them)"
         )
 
 
@@ -171,30 +165,12 @@ def _edge_labels(h: Hypergraph, k: int) -> np.ndarray:
     return h.attributes[h.edges_of_size(k)[1]]
 
 
-def _compute_bucket(
-    h: Hypergraph, k: int, cfg: SamplerConfig, epsilon: float
-) -> _Bucket:
-    edge_indices = h.edges_of_size(k)[0]
-    try:
-        baseline = estimate_baseline(h, k, cfg)
-    except InsufficientPopulationError:
-        return _Bucket(
-            k=k,
-            edge_indices=edge_indices,
-            observed=np.empty(0),
-            m_e=np.empty(0, dtype=np.int64),
-            baseline=None,
-            degenerate=False,
-        )
+def _compute_bucket(h: Hypergraph, k: int, cfg: SamplerConfig) -> _Bucket:
+    # a size-k edge holds k distinct nodes of positive k-degree, so every size
+    # present has the population its baseline needs
+    baseline = estimate_baseline(h, k, cfg)
     observed, m_e = bulk_diversity(_edge_labels(h, k), cfg.diversity_order)
-    return _Bucket(
-        k=k,
-        edge_indices=edge_indices,
-        observed=observed,
-        m_e=m_e,
-        baseline=baseline,
-        degenerate=baseline.mean - 1.0 < epsilon,
-    )
+    return _Bucket(k, h.edges_of_size(k)[0], observed, m_e, baseline)
 
 
 def _buckets(
@@ -219,9 +195,9 @@ def _buckets(
         from concurrent.futures import ThreadPoolExecutor  # a default run never loads it
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            buckets = list(pool.map(lambda k: _compute_bucket(h, k, cfg, epsilon), ks))
+            buckets = list(pool.map(lambda k: _compute_bucket(h, k, cfg), ks))
     else:
-        buckets = [_compute_bucket(h, k, cfg, epsilon) for k in ks]
+        buckets = [_compute_bucket(h, k, cfg) for k in ks]
     return buckets, size_one
 
 
@@ -241,15 +217,12 @@ def _report_from_buckets(
 
     for b in buckets:
         count = int(b.edge_indices.size)
-        if b.baseline is None:
-            exclusions.append(Exclusion(EXCLUDED_INSUFFICIENT, b.k, count))
-            continue
         scores = _score(b.observed, b.baseline.mean, b.m_e, epsilon)
         if emit_per_edge:
             edge_blocks.append(
                 {"edge_index": b.edge_indices, "k": np.full(count, b.k), **scores}
             )
-        if b.degenerate:
+        if scores["degenerate"][0]:
             exclusions.append(Exclusion(EXCLUDED_DEGENERATE, b.k, count))
             continue
         phi_blocks.append(scores["phi"])
@@ -304,8 +277,7 @@ def analyze(
 ) -> HomophilyReport:
     """Score every hyperedge of size >= 2 and aggregate.
 
-    One baseline is estimated per size present. Size-1 edges, edges of sizes
-    whose eligible population is smaller than the size, and edges whose
+    One baseline is estimated per size present. Size-1 edges and edges whose
     baseline is itself pure (degenerate) are excluded from the averages and
     reported with reasons. The global index averages the per-edge scores over
     the scored edges. ``epsilon`` must be positive.
@@ -315,25 +287,17 @@ def analyze(
     return _report_from_buckets(h, buckets, size_one, epsilon, emit_per_edge)
 
 
-def _curve_from_buckets(
-    h: Hypergraph, order: float, buckets: list[_Bucket]
-) -> tuple[CurveRow, ...]:
-    rows = []
-    for b in buckets:
-        if b.observed.size:
-            mean_obs = float(np.mean(b.observed))
-        else:  # population was insufficient; observed still well-defined
-            mean_obs = float(np.mean(bulk_diversity(_edge_labels(h, b.k), order)[0]))
-        rows.append(
-            CurveRow(
-                k=b.k,
-                mean_observed=mean_obs,
-                baseline_mean=b.baseline.mean if b.baseline else float("nan"),
-                baseline_std_error=b.baseline.std_error if b.baseline else float("nan"),
-                edge_count=int(b.edge_indices.size),
-            )
+def _curve_from_buckets(buckets: list[_Bucket]) -> tuple[CurveRow, ...]:
+    return tuple(
+        CurveRow(
+            k=b.k,
+            mean_observed=float(np.mean(b.observed)),
+            baseline_mean=b.baseline.mean,
+            baseline_std_error=b.baseline.std_error,
+            edge_count=int(b.edge_indices.size),
         )
-    return tuple(rows)
+        for b in buckets
+    )
 
 
 def perplexity_curve(
@@ -344,13 +308,12 @@ def perplexity_curve(
 ) -> tuple[CurveRow, ...]:
     """Mean observed diversity next to the baseline, per hyperedge size.
 
-    Rows cover every size >= 2 present. Sizes whose population cannot support
-    a baseline keep their observed mean and get NaN baseline columns.
+    Rows cover every size >= 2 present, degenerate sizes included.
     ``epsilon`` must be positive, as in :func:`analyze`.
     """
     cfg = cfg or SamplerConfig()
     buckets, _ = _buckets(h, cfg, epsilon, workers)
-    return _curve_from_buckets(h, cfg.diversity_order, buckets)
+    return _curve_from_buckets(buckets)
 
 
 def newman_assortativity(h: Hypergraph) -> float:

@@ -4,7 +4,7 @@ structural queries (size filters, per-size degrees).
 The on-disk format is the common benchmark layout: a hyperedges file with one
 comma-separated list of node ids per line, a labels file with one label id per
 line (line i labels node i), and an optional label-names file with one name
-per line. Ids are 1-based by default.
+per line. Ids are 1-based.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DuplicateNodeError, NodeRangeError, ParseError
+from .exceptions import NodeRangeError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -51,10 +51,9 @@ class IngestStats:
 class IngestOptions:
     """Knobs for :func:`parse_hypergraph`.
 
-    one_indexed: node and label ids in the files start at 1.
-    dedupe_edges: drop repeated node ids within a line (counted); when False a
-        repeated id is an error.
-    drop_unlabeled: exclude hyperedges touching nodes without a label.
+    Ingest always reads 1-based ids, drops repeated node ids within a line
+    (counted), and drops hyperedges touching a node without a label (counted).
+
     min_size / max_size: keep only hyperedges whose size (after dedup) is in
         the closed interval.
     collapse_duplicate_edges: keep only the first occurrence of an identical
@@ -62,9 +61,6 @@ class IngestOptions:
         multiset).
     """
 
-    one_indexed: bool = True
-    dedupe_edges: bool = True
-    drop_unlabeled: bool = True
     min_size: int | None = None
     max_size: int | None = None
     collapse_duplicate_edges: bool = False
@@ -305,9 +301,8 @@ def _ascii_ids(raw: np.ndarray, is_sep: np.ndarray) -> tuple[np.ndarray, np.ndar
     return values, lengths
 
 
-def _parse_labels(text: str, one_indexed: bool) -> np.ndarray:
+def _parse_labels(text: str) -> np.ndarray:
     # blank lines are unlabeled nodes, so every line counts (no trailing strip)
-    base = 1 if one_indexed else 0
     if not text:
         return np.empty(0, dtype=np.int64)
     raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
@@ -317,8 +312,8 @@ def _parse_labels(text: str, one_indexed: bool) -> np.ndarray:
     if parsed is not None:
         values, lengths = parsed
         labeled = lengths > 0
-        if np.all(values[labeled] >= base):
-            return np.where(labeled, values - base, UNLABELED)
+        if np.all(values[labeled] >= 1):
+            return np.where(labeled, values - 1, UNLABELED)
     # padded or signed ids, or an error to report with its line number
     lines = text.split("\n")
     if lines[-1] == "":
@@ -333,7 +328,7 @@ def _parse_labels(text: str, one_indexed: bool) -> np.ndarray:
             value = int(token)
         except ValueError:
             raise ParseError(f"labels file: invalid label {token!r}", lineno) from None
-        value -= base
+        value -= 1
         if not 0 <= value <= _INT64_MAX:
             raise NodeRangeError(f"labels file: label id {token} out of range", lineno)
         out.append(value)
@@ -396,13 +391,13 @@ def _edges_whole(
 ) -> tuple[np.ndarray, np.ndarray, IngestStats] | None:
     """Parse the whole hyperedges text at once into CSR arrays and counters.
 
-    Each line's ids are sorted, and with dedup made distinct (one event per
-    line). Lines are then dropped by size, by an unlabeled node, and as a
-    repeat of an earlier kept line, in that order, each counted where it is
-    dropped. None when a line is malformed (a token ``int()`` rejects, an id
-    out of range, a blank interior line, or a repeated id without dedup),
-    which :func:`_raise_line_error` then reports. Ids that are ASCII digits
-    only are read from the bytes by place value.
+    Each line's ids are sorted and made distinct (one dedup event per line
+    that repeats an id). Lines are then dropped by size, by an unlabeled
+    node, and as a repeat of an earlier kept line, in that order, each counted
+    where it is dropped. None when a line is malformed (a token ``int()``
+    rejects, an id out of range, or a blank interior line), which
+    :func:`_raise_line_error` then reports. Ids that are ASCII digits only
+    are read from the bytes by place value.
     """
     if not text or text.isspace():
         empty = np.empty(0, dtype=np.int64)
@@ -412,7 +407,7 @@ def _edges_whole(
         return None
     nodes, ends_line = parsed
     node_count = attributes.size
-    nodes -= 1 if opts.one_indexed else 0
+    nodes -= 1
     if nodes.min() < 0 or nodes.max() >= node_count:
         return None
     line = np.zeros(nodes.size, dtype=np.int64)
@@ -433,8 +428,6 @@ def _edges_whole(
     nodes = np.remainder(key, node_count, out=key)  # in place: the keys are done
     dedup_events = 0
     if repeat.any():
-        if not opts.dedupe_edges:
-            return None
         repeat_line = line[repeat]  # sorted, as the lines are
         dedup_events = 1 + int(np.count_nonzero(repeat_line[1:] != repeat_line[:-1]))
         nodes, line = nodes[~repeat], line[~repeat]
@@ -446,12 +439,10 @@ def _edges_whole(
     if opts.max_size is not None:
         keep &= sizes <= opts.max_size
     excluded_by_size = line_count - int(keep.sum())
-    excluded_unlabeled = 0
-    if opts.drop_unlabeled:
-        unlabeled = np.zeros(line_count, dtype=bool)
-        unlabeled[line[attributes[nodes] == UNLABELED]] = True
-        excluded_unlabeled = int(np.count_nonzero(keep & unlabeled))
-        keep &= ~unlabeled
+    unlabeled = np.zeros(line_count, dtype=bool)
+    unlabeled[line[attributes[nodes] == UNLABELED]] = True
+    excluded_unlabeled = int(np.count_nonzero(keep & unlabeled))
+    keep &= ~unlabeled
     collapsed = 0
     if opts.collapse_duplicate_edges:
         repeated = _repeated_edges(nodes, line, sizes, keep)
@@ -468,20 +459,17 @@ def _edges_whole(
     return nodes[keep[line]], _offsets(sizes[keep]), stats
 
 
-def _raise_line_error(text: str, node_count: int, opts: IngestOptions) -> None:
+def _raise_line_error(text: str, node_count: int) -> None:
     """Raise the error of the first malformed line of a hyperedges text that
-    :func:`_edges_whole` declined. Within a line, every token is checked
-    before the line's ids are checked for a repeat."""
-    base = 1 if opts.one_indexed else 0
+    :func:`_edges_whole` declined."""
     for lineno, raw in enumerate(_content_lines(text), start=1):
         line = raw.strip()
         if line == "":
             raise ParseError("empty hyperedge line", lineno)
-        nodes = []
         for token in line.split(","):
             token = token.strip()
             try:
-                value = int(token) - base
+                value = int(token) - 1
             except ValueError:
                 raise ParseError(f"invalid node id {token!r}", lineno) from None
             if not 0 <= value < node_count:
@@ -489,29 +477,25 @@ def _raise_line_error(text: str, node_count: int, opts: IngestOptions) -> None:
                     f"node id {token} out of range of labels file ({node_count} nodes)",
                     lineno,
                 )
-            nodes.append(value)
-        if not opts.dedupe_edges and len(set(nodes)) != len(nodes):
-            raise DuplicateNodeError("duplicate node id in hyperedge", lineno)
 
 
 def _parse_texts(
     edges_text: str, labels_text: str, names_text: str | None, opts: IngestOptions
 ) -> Hypergraph:
-    attributes = _parse_labels(labels_text, opts.one_indexed)
+    attributes = _parse_labels(labels_text)
     names = None if names_text is None else tuple(_content_lines(names_text))
     if names is not None:
         unnamed = np.flatnonzero(attributes >= len(names))
         if unnamed.size:
             node = int(unnamed[0])  # line i + 1 of the labels file labels node i
-            label = attributes[node] + (1 if opts.one_indexed else 0)
             raise NodeRangeError(
-                f"labels file: label id {label} has no entry in the label names "
-                f"file ({len(names)} names)",
+                f"labels file: label id {attributes[node] + 1} has no entry in the "
+                f"label names file ({len(names)} names)",
                 node + 1,
             )
     parsed = _edges_whole(edges_text, attributes, opts)
     if parsed is None:
-        _raise_line_error(edges_text, attributes.size, opts)
+        _raise_line_error(edges_text, attributes.size)
     flat, offsets, stats = parsed
 
     if (
@@ -586,19 +570,18 @@ def write_hypergraph(
     hyperedges_out: IO[str],
     labels_out: IO[str],
     label_names_out: IO[str] | None = None,
-    one_indexed: bool = True,
 ) -> None:
-    """Serialize back to the ingestion text format (LF line endings).
+    """Serialize back to the ingestion text format (LF line endings, 1-based ids).
 
-    Round-trips: parsing the written files with matching options reproduces
-    the node count, attributes, and edge multiset.
+    Round-trips when every hyperedge touches only labeled nodes: parsing the
+    written files with default options reproduces the node count, attributes,
+    and edge multiset. Ingest drops an edge that touches an unlabeled node.
     """
-    base = 1 if one_indexed else 0
-    ids = list(map(str, (h.edge_nodes + base).tolist()))
+    ids = list(map(str, (h.edge_nodes + 1).tolist()))
     bounds = h.offsets.tolist()
     lines = [",".join(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
     hyperedges_out.write("\n".join([*lines, ""]))
-    labels = ["" if a == UNLABELED else str(a + base) for a in h.attributes.tolist()]
+    labels = ["" if a == UNLABELED else str(a + 1) for a in h.attributes.tolist()]
     labels_out.write("\n".join([*labels, ""]))
     if label_names_out is not None and h.attribute_names is not None:
         label_names_out.write("\n".join([*h.attribute_names, ""]))

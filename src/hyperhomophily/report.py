@@ -157,10 +157,7 @@ def write_table(
 
 
 def write_curve_csv(rows: Sequence[CurveRow], out: IO[str]) -> None:
-    comments = (
-        "per hyperedge size: mean observed diversity vs. null baseline",
-        "baseline columns are nan when the eligible population is < k",
-    )
+    comments = ("per hyperedge size: mean observed diversity vs. null baseline",)
     columns = ("k", "mean_observed", "baseline_mean", "baseline_std_error", "edge_count")
     write_table(rows, columns, comments, out)
 

@@ -3,7 +3,7 @@ the whole-file parser in ``hyperhomophily.hypergraph`` is compared against."""
 
 import numpy as np
 
-from hyperhomophily import DuplicateNodeError, NodeRangeError, ParseError
+from hyperhomophily import NodeRangeError, ParseError
 from hyperhomophily.hypergraph import (
     UNLABELED,
     IngestOptions,
@@ -23,7 +23,6 @@ def edges_by_line(
     error class, message and line.
     """
     node_count = attributes.size
-    base = 1 if opts.one_indexed else 0
 
     dedup_events = 0
     excluded_by_size = 0
@@ -45,7 +44,7 @@ def edges_by_line(
                 value = int(token)
             except ValueError:
                 raise ParseError(f"invalid node id {token!r}", lineno) from None
-            value -= base
+            value -= 1
             if not 0 <= value < node_count:
                 raise NodeRangeError(
                     f"node id {token} out of range of labels file ({node_count} nodes)",
@@ -54,8 +53,6 @@ def edges_by_line(
             nodes.append(value)
         unique = sorted(set(nodes))
         if len(unique) != len(nodes):
-            if not opts.dedupe_edges:
-                raise DuplicateNodeError("duplicate node id in hyperedge", lineno)
             dedup_events += 1
         size = len(unique)
         if (opts.min_size is not None and size < opts.min_size) or (
@@ -63,7 +60,7 @@ def edges_by_line(
         ):
             excluded_by_size += 1
             continue
-        if opts.drop_unlabeled and np.any(attributes[unique] == UNLABELED):
+        if np.any(attributes[unique] == UNLABELED):
             excluded_unlabeled += 1
             continue
         if opts.collapse_duplicate_edges:

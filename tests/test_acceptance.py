@@ -172,7 +172,7 @@ def dataset_analysis(key):
         cfg = hh.SamplerConfig(samples=10_000, seed=42)
         buckets, size_one = _buckets(h, cfg, 1e-9, workers=os.cpu_count() or 1)
         report = _report_from_buckets(h, buckets, size_one, 1e-9, emit_per_edge=False)
-        curve = _curve_from_buckets(h, cfg.diversity_order, buckets)
+        curve = _curve_from_buckets(buckets)
         _dataset_cache[key] = (report, curve)
     return _dataset_cache[key]
 

@@ -41,7 +41,6 @@ def test_all_is_pinned():
         "GridPoint",
         "ParseError",
         "NodeRangeError",
-        "DuplicateNodeError",
         "InsufficientPopulationError",
         "StateSpaceError",
         "EmptyAnalysisError",

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -28,6 +29,28 @@ def write_dataset(tmp_path, edges_text, labels_text, names_text=None):
         names.write_text(names_text, encoding="utf-8")
         args += ["--label-names", str(names)]
     return args
+
+
+def write_mixed_sizes(directory):
+    """A fixed 40-node, 3-label dataset of 160 lines of sizes 1 to 6: some
+    lines repeat an id, some repeat an earlier line, and node 8 has no label.
+    Drawn with ``random()`` alone, whose stream is the same in every Python."""
+    rng = random.Random(11)
+    labels = [str(1 + int(rng.random() * 3)) for _ in range(40)]
+    labels[7] = ""
+    lines = []
+    for _ in range(160):
+        if lines and int(rng.random() * 6) == 0:
+            lines.append(lines[int(rng.random() * len(lines))])
+            continue
+        size = 1 + int(rng.random() * 6)
+        lines.append(",".join(str(1 + int(rng.random() * 40)) for _ in range(size)))
+    (directory / "hyperedges.txt").write_text("\n".join(lines) + "\n")
+    (directory / "node-labels.txt").write_text("\n".join(labels) + "\n")
+    (directory / "label-names.txt").write_text("red\ngreen\nblue\n")
+
+
+COLLAPSE_3_TO_5 = ["--collapse-duplicates", "--min-k", "3", "--max-k", "5"]
 
 
 def load_schema():
@@ -96,6 +119,50 @@ class TestAnalyze:
         assert main(["analyze", *args, "--workers", "1", "--samples", "400", "--out", str(out_a)]) == 0
         assert main(["analyze", *args, "--workers", "4", "--samples", "400", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    # sha256 of the report JSON, per-edge CSV and curve CSV, recorded before
+    # the curve's comment on insufficient populations (never reachable) was
+    # dropped, with that one line taken out of the curve CSV
+    @pytest.mark.parametrize(
+        "flags, order, digests",
+        [
+            ([], "0", ("c2104d37a19fbe036cedfe7cfa13c2cb2a2709a05ea4d1b62e50b23dd3100092",
+                       "12f1fdef4acfb973cc6e66cf2bf69b949a21314484bbd26d00fdc307ebd74ec0",
+                       "6c253f55a87d2b22c8c7019ff38644e21bccad3ceafd0c26fd5a163ef4ced5be")),
+            ([], "1", ("589449fd92f76d3b534d8cb1995b8065d41c339518eeab903d50856a9e373483",
+                       "3e5a262c3798795dc2a282999111af70e6b27388ef6afd14e3fd24a4a1a8cdc6",
+                       "43b8ceb4a37864684abadfa18c294283565e32e0f6d83f486f4dce63b8f6da92")),
+            ([], "2", ("5f8211fb5a70e9e3ba7bc858b3ab80a020a6e9a0926da14818236e6a801bb63d",
+                       "9d2001be05c47419f3495e8185904b3a99a1a35f1597ac45aa80e2850f18eb34",
+                       "1fef92f4ecfb8b8c16ac3d1c415e3bab732594fe6a1d0c0dfeb385c2fed35834")),
+            (COLLAPSE_3_TO_5, "0",
+             ("574bc7e9d5068d2af886b7c7e02193eba5444242029c380cc8cee26cc5209512",
+              "eaf6b69ea78a06db5f3532a8777d2b5cbb419a41e2d7a24a25cbf92ddbe2aa18",
+              "f4bbdaebb5bbeb19417650c4eaddbaf8ede9705dc5e063c32559b3de4589683e")),
+            (COLLAPSE_3_TO_5, "1",
+             ("35cc62590897b526fb4efdf310a4929bd1e8ae97cd03984b25cd57778837c6cb",
+              "cfa15ef45d94c5b265849b6d1a642f3e1e95de34d771128ad182e4916255566e",
+              "a3a6ed264e1f994f63c379e2a293fc19487bae275fccb4158251857c87992316")),
+            (COLLAPSE_3_TO_5, "2",
+             ("22bd321f4bac44e09b3176d2806d33a42e14357316d76b4f2d415d3f039f059e",
+              "d1b2c9d8480e3762a30996b35aad5e0cb15ee514994119865dbbbdac33e8e15a",
+              "8e088df1964cc96255905c3ad4280ae26189d7b6778733ff28dd3fab70f94485")),
+        ],
+        ids=["q0", "q1", "q2", "collapse-3-5-q0", "collapse-3-5-q1", "collapse-3-5-q2"],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, monkeypatch, flags, order, digests):
+        monkeypatch.chdir(tmp_path)  # relative paths: the manifest records them
+        write_mixed_sizes(tmp_path)
+        code = main(
+            ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
+             "--label-names", "label-names.txt", "--samples", "300", "--seed", "5",
+             "--order", order, *flags, "--out", "report.json",
+             "--per-edge-out", "edges.csv", "--perplexity-curve", "curve.csv"]
+        )
+        assert code == 0
+        outputs = ("report.json", "edges.csv", "curve.csv")
+        got = tuple(hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in outputs)
+        assert got == digests
 
     def test_parse_error_exit_2(self, tmp_path, caplog):
         args = write_dataset(tmp_path, "1,x\n", "1\n1\n")

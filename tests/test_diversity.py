@@ -3,6 +3,7 @@
 import decimal
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +159,14 @@ class TestHillNumber:
     def test_large_order_approaches_inverse_max_proportion(self):
         c = comp(8, 1, 1)
         assert hill_number(c, 200.0) == pytest.approx(1 / 0.8, rel=1e-2)
+
+    @pytest.mark.parametrize("q", [1e300, 1e305, 1e308, sys.float_info.max])
+    def test_orders_near_the_float_limit_give_inverse_max_proportion(self, q):
+        # order * log(max p) overflowed past about 1e308, which read as richness
+        counts = [2, 2] + [1] * 16
+        assert hill_number(comp(*counts), q) == pytest.approx(10.0, rel=1e-14)
+        labels = np.repeat(np.arange(len(counts)), counts)[np.newaxis]
+        assert bulk_diversity(labels, q)[0][0] == pytest.approx(10.0, rel=1e-14)
 
 
 counts_lists = st.lists(st.integers(1, 20), min_size=1, max_size=8)

@@ -2,7 +2,6 @@
 
 import ast
 import io
-import itertools
 import os
 import subprocess
 import sys
@@ -15,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperhomophily import (
-    DuplicateNodeError,
     Hypergraph,
     IngestOptions,
     NodeRangeError,
@@ -51,10 +49,6 @@ class TestParse:
         assert h.edge_list() == [(0, 1)]
         assert h.ingest.dedup_events == 1
 
-    def test_duplicate_without_dedupe_is_error(self):
-        with pytest.raises(DuplicateNodeError, match="line 1"):
-            parse("1,1,2\n", "1\n2\n", dedupe_edges=False)
-
     def test_malformed_token_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse("1,2\n2,x\n", "1\n1\n")
@@ -79,11 +73,6 @@ class TestParse:
         h = parse("1,2\r\n2,3\r\n", "1\r\n1\r\n2\r\n")
         assert h.edge_list() == [(0, 1), (1, 2)]
 
-    def test_zero_indexed_option(self):
-        h = parse("0,1\n", "0\n1\n", one_indexed=False)
-        assert h.edge_list() == [(0, 1)]
-        assert list(h.attributes) == [0, 1]
-
     def test_size_filters_counted(self):
         h = parse("1\n1,2\n1,2,3\n", "1\n1\n1\n", min_size=2, max_size=2)
         assert h.edge_list() == [(0, 1)]
@@ -98,10 +87,6 @@ class TestParse:
         assert h.num_edges == 0
         assert h.ingest.excluded_unlabeled == 2
         assert h.attributes[1] == UNLABELED
-
-    def test_unlabeled_kept_when_disabled(self):
-        h = parse("1,2\n", "1\n\n", drop_unlabeled=False)
-        assert h.num_edges == 1
 
     def test_collapse_duplicate_edges(self):
         h = parse("1,2\n2,1\n1,3\n", "1\n1\n1\n", collapse_duplicate_edges=True)
@@ -245,12 +230,11 @@ class TestInvariants:
         assert sorted(back.edge_list()) == sorted(h.edge_list())
 
 
-def reference_written_files(h, one_indexed, with_names):
+def reference_written_files(h, with_names):
     """The text format written one node and one label at a time."""
-    base = 1 if one_indexed else 0
-    edges = "".join(",".join(str(int(v) + base) for v in e) + "\n" for e in h.edges())
+    edges = "".join(",".join(str(int(v) + 1) for v in e) + "\n" for e in h.edges())
     labels = "".join(
-        ("" if a == UNLABELED else str(int(a) + base)) + "\n" for a in h.attributes
+        ("" if a == UNLABELED else str(int(a) + 1)) + "\n" for a in h.attributes
     )
     names = h.attribute_names if with_names and h.attribute_names is not None else ()
     return edges, labels, "".join(name + "\n" for name in names)
@@ -280,12 +264,12 @@ def written_hypergraphs(draw):
 
 
 class TestWriteHypergraph:
-    @given(written_hypergraphs(), st.booleans(), st.booleans())
+    @given(written_hypergraphs(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_bytes_match_per_node_reference(self, h, one_indexed, with_names):
+    def test_bytes_match_per_node_reference(self, h, with_names):
         files = io.StringIO(), io.StringIO(), io.StringIO()
-        write_hypergraph(h, files[0], files[1], files[2] if with_names else None, one_indexed)
-        expected = reference_written_files(h, one_indexed, with_names)
+        write_hypergraph(h, files[0], files[1], files[2] if with_names else None)
+        expected = reference_written_files(h, with_names)
         assert tuple(f.getvalue() for f in files) == expected
 
 
@@ -340,19 +324,17 @@ HUGE = [2**63 - 1, 2**63, 2**64 + 1, -(2**63), -(2**63) - 1, 10**30]
 
 
 @st.composite
-def id_token(
-    draw, node_count: int, base: int, clean: bool, ascii_only: bool = False
-) -> str:
+def id_token(draw, node_count: int, clean: bool, ascii_only: bool = False) -> str:
     kind = draw(st.integers(0, 9)) if not clean else 0
     if kind == 7:
         return draw(st.sampled_from(["", "x"] if ascii_only else JUNK))
     if kind == 8:
         value = draw(st.sampled_from(HUGE))
     elif kind == 9:
-        top = node_count + base
+        top = node_count + 1
         value = draw(st.sampled_from([0, -1, -12, top, top + 3]))
     else:
-        value = draw(st.integers(base, node_count - 1 + base))
+        value = draw(st.integers(1, node_count))
     digits = str(abs(value))
     if ascii_only:  # plain digits, some with leading zeros (to 18 or 19 digits)
         return digits.zfill(draw(st.sampled_from([0, 0, 0, 2, 3, 18, 19])))
@@ -367,18 +349,16 @@ def id_token(
 
 @st.composite
 def ingest_inputs(draw, ascii_only: bool = False):
-    """(hyperedges text, labels text, one_indexed, min_size, max_size).
+    """(hyperedges text, labels text, min_size, max_size), with 1-based ids.
 
     With ``ascii_only`` every id is plain ASCII digits and every line ends
     in LF, so the byte-level parser handles most texts.
     """
-    one_indexed = draw(st.booleans())
-    base = 1 if one_indexed else 0
     node_count = draw(st.integers(1, 6))
     # mostly labeled: an edge touching an unlabeled node is usually dropped
     label = st.sampled_from([None, 0, 1, 2, 0, 1, 2, 0])
     labels = draw(st.lists(label, min_size=node_count, max_size=node_count))
-    labels_text = "".join("\n" if v is None else f"{v + base}\n" for v in labels)
+    labels_text = "".join("\n" if v is None else f"{v + 1}\n" for v in labels)
 
     clean = draw(st.booleans())
     lines: list[str] = []
@@ -392,7 +372,7 @@ def ingest_inputs(draw, ascii_only: bool = False):
             lines.append(draw(st.sampled_from(blank)))  # blank interior line
             continue
         size = draw(st.integers(1, 4))
-        token = id_token(node_count, base, clean, ascii_only)
+        token = id_token(node_count, clean, ascii_only)
         lines.append(",".join(draw(token) for _ in range(size)))
     if ascii_only:
         endings, tails = ["\n"], ["", "\n", "\n\n"]
@@ -408,7 +388,7 @@ def ingest_inputs(draw, ascii_only: bool = False):
     max_size = draw(st.sampled_from([None, 2, 3, 4]))
     if min_size is not None and max_size is not None and max_size < min_size:
         min_size, max_size = max_size, min_size
-    return text, labels_text, one_indexed, min_size, max_size
+    return text, labels_text, min_size, max_size
 
 
 def _outcome(parse):
@@ -418,20 +398,12 @@ def _outcome(parse):
         return exc
 
 
-FLAG_COMBINATIONS = list(itertools.product([False, True], repeat=3))
-
-
-def check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, block_chars):
-    text, labels_text, one_indexed, min_size, max_size = inputs
+def check_against_line_parser(inputs, collapse, block_chars):
+    text, labels_text, min_size, max_size = inputs
     opts = IngestOptions(
-        one_indexed=one_indexed,
-        dedupe_edges=dedupe,
-        drop_unlabeled=drop_unlabeled,
-        min_size=min_size,
-        max_size=max_size,
-        collapse_duplicate_edges=collapse,
+        min_size=min_size, max_size=max_size, collapse_duplicate_edges=collapse
     )
-    attributes = _parse_labels(labels_text, one_indexed)
+    attributes = _parse_labels(labels_text)
     expected = _outcome(lambda: edges_by_line(text, attributes, opts))
     # small token blocks put block edges inside these short texts
     with mock.patch.object(hypergraph, "_TOKEN_BLOCK_CHARS", block_chars):
@@ -462,23 +434,21 @@ def byte_route_parses(text: str) -> bool:
 
 
 class TestWholeFileParser:
-    @pytest.mark.parametrize("dedupe,drop_unlabeled,collapse", FLAG_COMBINATIONS)
+    @pytest.mark.parametrize("collapse", [False, True])
     @given(inputs=ingest_inputs(), block_chars=st.sampled_from([1, 5, 1 << 16]))
     @settings(max_examples=60, deadline=None)
-    def test_matches_line_by_line(
-        self, inputs, block_chars, dedupe, drop_unlabeled, collapse
-    ):
-        check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, block_chars)
+    def test_matches_line_by_line(self, inputs, block_chars, collapse):
+        check_against_line_parser(inputs, collapse, block_chars)
 
-    @pytest.mark.parametrize("dedupe,drop_unlabeled,collapse", FLAG_COMBINATIONS)
+    @pytest.mark.parametrize("collapse", [False, True])
     @given(inputs=ingest_inputs(ascii_only=True))
     @settings(max_examples=60, deadline=None)
-    def test_ascii_ids_match_line_by_line(self, inputs, dedupe, drop_unlabeled, collapse):
+    def test_ascii_ids_match_line_by_line(self, inputs, collapse):
         text = inputs[0]
         tokens = text.rstrip().replace("\n", ",").split(",")
         if text.strip() and all(t.isdigit() and len(t) <= 18 for t in tokens):
             assert byte_route_parses(text)
-        check_against_line_parser(inputs, dedupe, drop_unlabeled, collapse, 1 << 16)
+        check_against_line_parser(inputs, collapse, 1 << 16)
 
     def test_sort_key_overflow_is_an_error(self):
         # lines x nodes past int64: the per-line sort key would overflow
@@ -537,14 +507,12 @@ class TestByteRoute:
         ],
     )
     def test_labels(self, text, labels):
-        assert _parse_labels(text, one_indexed=True).tolist() == labels
-        zero_based = [UNLABELED if v == UNLABELED else v + 1 for v in labels]
-        assert _parse_labels(text, one_indexed=False).tolist() == zero_based
+        assert _parse_labels(text).tolist() == labels
 
     @pytest.mark.parametrize("text,line", [("1\n0\n", 2), ("1\n\nx\n", 3)])
     def test_bad_label_reports_line(self, text, line):
         with pytest.raises(ParseError) as info:
-            _parse_labels(text, one_indexed=True)
+            _parse_labels(text)
         assert info.value.line == line
 
 

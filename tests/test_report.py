@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperhomophily import Hypergraph, InsufficientPopulationError, SamplerConfig, analyze
-from hyperhomophily import homophily
+from hyperhomophily import Hypergraph, SamplerConfig, analyze
 from hyperhomophily import report as rpt
 from hyperhomophily.homophily import EDGE_COLUMNS, EdgeScores
 
@@ -28,8 +27,8 @@ def reference_per_edge_csv(scores) -> str:
 
 
 def interleaved_graph() -> Hypergraph:
-    # size 2 stays inside label 0 (a degenerate baseline), size 3 mixes
-    # labels 0-2, size 4 is made insufficient below; edge sizes interleave
+    # size 2 stays inside label 0 (a degenerate baseline), sizes 3 and 4 mix
+    # labels 0-2; edge sizes interleave
     attrs = [0, 0, 0, 0, 0, 1, 2, 0, 1, 2, 1, 2]
     pairs = [[0, 1], [1, 2], [2, 3], [0, 3]]
     triples = [[4, 5, 6], [4, 7, 8], [5, 9, 10], [6, 7, 11], [8, 9, 10], [4, 6, 11]]
@@ -44,36 +43,17 @@ def interleaved_graph() -> Hypergraph:
     return Hypergraph(attrs, edges)
 
 
-@pytest.fixture
-def size_four_insufficient(monkeypatch):
-    estimate = homophily.estimate_baseline
-
-    def without_size_four(h, k, cfg):
-        if k == 4:
-            raise InsufficientPopulationError("size 4 left without a population")
-        return estimate(h, k, cfg)
-
-    monkeypatch.setattr(homophily, "estimate_baseline", without_size_four)
-
-
 @pytest.mark.parametrize("chunk_rows", [3, rpt._PER_EDGE_CHUNK_ROWS])
-def test_per_edge_csv_bytes_match_format_number(
-    size_four_insufficient, monkeypatch, chunk_rows
-):
+def test_per_edge_csv_bytes_match_format_number(monkeypatch, chunk_rows):
     monkeypatch.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
     h = interleaved_graph()
     report = analyze(h, SamplerConfig(samples=300, seed=4), emit_per_edge=True)
     reasons = {e.reason: (e.k, e.count) for e in report.exclusions}
-    assert reasons == {
-        "degenerate_baseline": (2, 4),
-        "insufficient_population": (4, 3),
-    }
+    assert reasons == {"degenerate_baseline": (2, 4)}
 
     scores = report.per_edge
-    assert list(scores.edge_index) == sorted(
-        i for i in range(h.num_edges) if h.sizes[i] != 4
-    )
-    assert set(np.unique(scores.k)) == {2, 3}  # no rows for the insufficient size
+    assert list(scores.edge_index) == list(range(h.num_edges))
+    assert set(np.unique(scores.k)) == {2, 3, 4}
     assert list(scores.degenerate) == [bool(k == 2) for k in scores.k]
     assert not np.any(scores.phi[scores.degenerate])
 
@@ -81,7 +61,7 @@ def test_per_edge_csv_bytes_match_format_number(
     rpt.write_per_edge_csv(scores, out)
     text = out.getvalue()
     assert text == reference_per_edge_csv(scores)
-    assert text.count(",true\n") == 4 and text.count(",false\n") == 6
+    assert text.count(",true\n") == 4 and text.count(",false\n") == 9
 
 
 def test_per_edge_columns_are_read_only():
