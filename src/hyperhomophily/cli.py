@@ -106,8 +106,8 @@ def cmd_analyze(args) -> int:
         h, buckets, size_one, args.epsilon, emit_per_edge=args.per_edge_out is not None
     )
 
-    manifest = rpt.RunManifest(
-        command="analyze",
+    manifest = rpt.manifest(
+        "analyze",
         inputs={
             "hyperedges": args.hyperedges,
             "labels": args.labels,
@@ -120,7 +120,7 @@ def cmd_analyze(args) -> int:
             "collapse_duplicates": args.collapse_duplicates,
         },
     )
-    manifest.duration_seconds = time.perf_counter() - started
+    duration = time.perf_counter() - started  # logged, never in the report
     _write_text(args.out, rpt.dump_json(rpt.report_to_dict(report, manifest, h.ingest)))
 
     if args.per_edge_out is not None:
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
         report.edges_scored,
         report.edge_total,
         report.global_phi,
-        manifest.duration_seconds,
+        duration,
     )
     return EXIT_OK
 
@@ -162,8 +162,8 @@ def cmd_generate(args) -> int:
     ) as lf, open(paths["label_names"], "w", encoding="utf-8", newline="\n") as nf:
         write_hypergraph(h, ef, lf, nf)
 
-    manifest = rpt.RunManifest(
-        command="generate",
+    payload = rpt.manifest(
+        "generate",
         inputs={},
         options={
             "nodes": args.nodes,
@@ -174,7 +174,6 @@ def cmd_generate(args) -> int:
             "seed": args.seed,
         },
     )
-    payload = manifest.to_payload()
     payload["outputs"] = paths
     Path(f"{prefix}-manifest.json").write_text(
         rpt.dump_json(payload), encoding="utf-8", newline="\n"

@@ -4,16 +4,15 @@ structural queries (size filters, per-size degrees).
 The on-disk format is the common benchmark layout: a hyperedges file with one
 comma-separated list of node ids per line, a labels file with one label id per
 line (line i labels node i), and an optional label-names file with one name
-per line. Ids are 1-based.
+per line. Ids are 1-based and made of ASCII digits only.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .exceptions import NodeRangeError, ParseError
 log = logging.getLogger(__name__)
 
 UNLABELED = -1
-_TOKEN_BLOCK_CHARS = 1 << 16  # characters of hyperedges text tokenized at once
 _MAX_DIGITS = 18  # every id of up to 18 digits fits in int64
 _INT64_MAX = (1 << 63) - 1
 
@@ -38,21 +36,16 @@ class IngestStats:
     size_one_edges: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "dedup_events": self.dedup_events,
-            "excluded_by_size": self.excluded_by_size,
-            "excluded_unlabeled": self.excluded_unlabeled,
-            "duplicate_edges_collapsed": self.duplicate_edges_collapsed,
-            "size_one_edges": self.size_one_edges,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class IngestOptions:
     """Knobs for :func:`parse_hypergraph`.
 
-    Ingest always reads 1-based ids, drops repeated node ids within a line
-    (counted), and drops hyperedges touching a node without a label (counted).
+    Ingest always reads 1-based ids of ASCII digits, drops repeated node ids
+    within a line (counted), and drops hyperedges touching a node without a
+    label (counted).
 
     min_size / max_size: keep only hyperedges whose size (after dedup) is in
         the closed interval.
@@ -266,8 +259,8 @@ def k_degrees(h: Hypergraph, k: int) -> KDegreeIndex:
 
 
 def _content_lines(text: str) -> list[str]:
-    """All lines with CR stripped, trailing blank lines removed."""
-    lines = [line.rstrip("\r") for line in text.split("\n")]
+    """All lines of an LF-ended text, trailing blank lines removed."""
+    lines = text.split("\n")
     while lines and lines[-1].strip() == "":
         lines.pop()
     return lines
@@ -301,8 +294,13 @@ def _ascii_ids(raw: np.ndarray, is_sep: np.ndarray) -> tuple[np.ndarray, np.ndar
     return values, lengths
 
 
+def _is_id(token: str) -> bool:
+    """The id grammar: ASCII digits, the bytes :func:`_ascii_ids` reads."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_labels(text: str) -> np.ndarray:
-    # blank lines are unlabeled nodes, so every line counts (no trailing strip)
+    # an empty line is an unlabeled node, so every line counts (no trailing strip)
     if not text:
         return np.empty(0, dtype=np.int64)
     raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
@@ -314,25 +312,12 @@ def _parse_labels(text: str) -> np.ndarray:
         labeled = lengths > 0
         if np.all(values[labeled] >= 1):
             return np.where(labeled, values - 1, UNLABELED)
-    # padded or signed ids, or an error to report with its line number
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # as above
-    out = []
-    for lineno, raw_line in enumerate(lines, start=1):
-        token = raw_line.strip()
-        if token == "":
-            out.append(UNLABELED)  # node exists but carries no label
-            continue
-        try:
-            value = int(token)
-        except ValueError:
-            raise ParseError(f"labels file: invalid label {token!r}", lineno) from None
-        value -= 1
-        if not 0 <= value <= _INT64_MAX:
+    # report the first line the bytes above declined
+    for lineno, token in enumerate(text.split("\n"), start=1):
+        if token and not _is_id(token):
+            raise ParseError(f"labels file: invalid label {token!r}", lineno)
+        if token and (len(token) > _MAX_DIGITS or int(token) == 0):
             raise NodeRangeError(f"labels file: label id {token} out of range", lineno)
-        out.append(value)
-    return np.asarray(out, dtype=np.int64)
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -356,56 +341,32 @@ def _repeated_edges(
     return repeated
 
 
-def _token_blocks(body: str) -> Iterator[list[str]]:
-    """The comma- and newline-separated tokens of ``body``, split a block of
-    whole lines at a time, so only one block's strings are alive at once."""
-    start = 0
-    while start <= len(body):
-        end = body.find("\n", start + _TOKEN_BLOCK_CHARS)
-        end = len(body) if end < 0 else end
-        yield body[start:end].replace("\n", ",").split(",")
-        start = end + 1
-
-
-def _edge_tokens(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ids of the hyperedges text in order, and for each whether it ends
-    its line; None when ``int()`` rejects a token."""
-    # without trailing blank lines, as _content_lines drops them
-    raw = np.frombuffer(text.rstrip().encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    is_sep = (raw == ord(",")) | (raw == ord("\n"))
-    ends_line = raw[is_sep] == ord("\n")  # token i ends its line iff separator i does
-    parsed = _ascii_ids(raw, is_sep)
-    if parsed is not None and parsed[1].min() > 0:
-        return parsed[0], ends_line
-    # padded, signed or non-ASCII ids: what int() accepts
-    tokens = chain.from_iterable(_token_blocks(text.rstrip()))
-    try:
-        nodes = np.fromiter(map(int, tokens), dtype=np.int64, count=ends_line.size + 1)
-    except (ValueError, OverflowError):
-        return None
-    return nodes, ends_line
-
-
 def _edges_whole(
     text: str, attributes: np.ndarray, opts: IngestOptions
 ) -> tuple[np.ndarray, np.ndarray, IngestStats] | None:
-    """Parse the whole hyperedges text at once into CSR arrays and counters.
+    """Parse the whole LF-ended hyperedges text at once into CSR arrays and
+    counters.
 
-    Each line's ids are sorted and made distinct (one dedup event per line
-    that repeats an id). Lines are then dropped by size, by an unlabeled
+    The body, the text without its trailing whitespace, is read from its
+    bytes by place value: each line is ``id(,id)*``, an id being ASCII
+    digits. Each line's ids are sorted and made distinct (one dedup event per
+    line that repeats an id). Lines are then dropped by size, by an unlabeled
     node, and as a repeat of an earlier kept line, in that order, each counted
-    where it is dropped. None when a line is malformed (a token ``int()``
-    rejects, an id out of range, or a blank interior line), which
-    :func:`_raise_line_error` then reports. Ids that are ASCII digits only
-    are read from the bytes by place value.
+    where it is dropped. None when a line is malformed (a token that is not
+    an id, an id out of range, or a blank line), which
+    :func:`_raise_line_error` then reports.
     """
-    if not text or text.isspace():
+    body = text.rstrip()
+    if not body:
         empty = np.empty(0, dtype=np.int64)
         return empty, _offsets(empty), IngestStats()
-    parsed = _edge_tokens(text)
-    if parsed is None:
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    is_sep = (raw == ord(",")) | (raw == ord("\n"))
+    parsed = _ascii_ids(raw, is_sep)
+    if parsed is None or parsed[1].min() == 0:
         return None
-    nodes, ends_line = parsed
+    nodes = parsed[0]
+    ends_line = raw[is_sep] == ord("\n")  # token i ends its line iff separator i does
     node_count = attributes.size
     nodes -= 1
     if nodes.min() < 0 or nodes.max() >= node_count:
@@ -459,31 +420,33 @@ def _edges_whole(
     return nodes[keep[line]], _offsets(sizes[keep]), stats
 
 
-def _raise_line_error(text: str, node_count: int) -> None:
+def _raise_line_error(text: str, node_count: int) -> NoReturn:
     """Raise the error of the first malformed line of a hyperedges text that
-    :func:`_edges_whole` declined."""
-    for lineno, raw in enumerate(_content_lines(text), start=1):
-        line = raw.strip()
-        if line == "":
+    :func:`_edges_whole` declined, reading the same body."""
+    for lineno, line in enumerate(text.rstrip().split("\n"), start=1):
+        if line.strip() == "":
             raise ParseError("empty hyperedge line", lineno)
         for token in line.split(","):
-            token = token.strip()
-            try:
-                value = int(token) - 1
-            except ValueError:
-                raise ParseError(f"invalid node id {token!r}", lineno) from None
-            if not 0 <= value < node_count:
+            if not _is_id(token):
+                raise ParseError(f"invalid node id {token!r}", lineno)
+            if len(token) > _MAX_DIGITS or not 1 <= int(token) <= node_count:
                 raise NodeRangeError(
                     f"node id {token} out of range of labels file ({node_count} nodes)",
                     lineno,
                 )
 
 
+def _lf(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _parse_texts(
     edges_text: str, labels_text: str, names_text: str | None, opts: IngestOptions
 ) -> Hypergraph:
+    # CRLF and a lone CR end a line, as LF does
+    edges_text, labels_text = _lf(edges_text), _lf(labels_text)
     attributes = _parse_labels(labels_text)
-    names = None if names_text is None else tuple(_content_lines(names_text))
+    names = None if names_text is None else tuple(_content_lines(_lf(names_text)))
     if names is not None:
         unnamed = np.flatnonzero(attributes >= len(names))
         if unnamed.size:
@@ -525,29 +488,29 @@ def parse_hypergraph(
 
     ``hyperedges_text`` holds one hyperedge per line as comma-separated node
     ids; ``labels_text`` holds one label id per line, line i labeling node i.
-    Trailing blank lines are ignored; a blank line elsewhere in the hyperedges
-    file is an error, and in the labels file denotes an unlabeled node.
-    Exclusion and dedup counts are retrievable via ``Hypergraph.ingest``.
-    Each stream is read whole; its lines end at ``\n`` after the stream's own
-    newline translation.
+    An id is 1-based and made of ASCII digits, at most 18 of them; no spaces,
+    signs or other digits. Trailing whitespace of the hyperedges text is
+    ignored; a blank line before it is an error. In the labels text an empty
+    line denotes an unlabeled node. Each stream is read whole, and LF, CRLF
+    and a lone CR each end a line. Exclusion and dedup counts are retrievable
+    via ``Hypergraph.ingest``.
     """
     names = None if label_names_text is None else label_names_text.read()
     return _parse_texts(hyperedges_text.read(), labels_text.read(), names, opts)
 
 
 def _read_text(path: str | Path, what: str) -> str:
-    """The file as ``open(path, encoding="utf-8")`` reads it (universal
-    newlines); a byte that is not UTF-8 is a ParseError naming its line."""
+    """The file decoded as UTF-8; a byte that is not UTF-8 is a ParseError
+    naming its line."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(
             f"{what} file: byte 0x{data[exc.start]:02x} is not valid UTF-8", line
         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_hypergraph(

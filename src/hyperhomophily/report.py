@@ -9,7 +9,6 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -31,37 +30,23 @@ def format_number(value) -> str:
     return format(float(value), ".17g")
 
 
-@dataclass
-class RunManifest:
-    """What produced a report: command, inputs, and resolved options.
-
-    ``duration_seconds`` is filled in after the run but never serialized into
-    the payload, so identical flags always produce identical report bytes;
-    the CLI logs it instead.
-    """
-
-    command: str
-    inputs: dict
-    options: dict
-    tool: str = TOOL_NAME
-    version: str = __version__
-    duration_seconds: float | None = field(default=None, compare=False)
-
-    def to_payload(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "inputs": self.inputs,
-            "options": self.options,
-        }
+def manifest(command: str, inputs: dict, options: dict) -> dict:
+    """What produced a report: command, inputs, and resolved options. It
+    holds no timing, so identical flags always produce identical bytes."""
+    return {
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "command": command,
+        "inputs": inputs,
+        "options": options,
+    }
 
 
 def report_to_dict(
-    report: HomophilyReport, manifest: RunManifest, ingest: IngestStats | None = None
+    report: HomophilyReport, manifest: dict, ingest: IngestStats | None = None
 ) -> dict:
     return {
-        "manifest": manifest.to_payload(),
+        "manifest": manifest,
         "global_phi": report.global_phi,
         "global_phi_std_error": report.global_phi_std_error,
         "edge_total": report.edge_total,

@@ -1,16 +1,15 @@
 """Test-only reference for hyperedges ingestion: a line-by-line parser that
 the whole-file parser in ``hyperhomophily.hypergraph`` is compared against."""
 
+import re
+
 import numpy as np
 
 from hyperhomophily import NodeRangeError, ParseError
-from hyperhomophily.hypergraph import (
-    UNLABELED,
-    IngestOptions,
-    IngestStats,
-    _content_lines,
-    _offsets,
-)
+from hyperhomophily.hypergraph import UNLABELED, IngestOptions, IngestStats, _offsets
+
+NEWLINE = re.compile(r"\r\n|\r|\n")
+ID = re.compile(r"[0-9]+")  # an id is ASCII digits, 18 at most (in int64)
 
 
 def edges_by_line(
@@ -18,11 +17,17 @@ def edges_by_line(
 ) -> tuple[np.ndarray, np.ndarray, IngestStats]:
     """Line-by-line parse of the hyperedges text into CSR arrays and counters.
 
-    Raises the line-numbered input errors. The library's whole-file parser
-    must give the same arrays and counters for every text, and raise the same
-    error class, message and line.
+    LF, CRLF and a lone CR each end a line; trailing whitespace is not part
+    of the text. Raises the line-numbered input errors. The library's
+    whole-file parser must give the same arrays and counters for every text,
+    and raise the same error class, message and line.
     """
     node_count = attributes.size
+    lines = NEWLINE.split(text)
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    if lines:
+        lines[-1] = lines[-1].rstrip()
 
     dedup_events = 0
     excluded_by_size = 0
@@ -33,19 +38,15 @@ def edges_by_line(
     edge_nodes: list[int] = []
     lengths: list[int] = []
 
-    for lineno, raw in enumerate(_content_lines(text), start=1):
-        line = raw.strip()
-        if line == "":
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() == "":
             raise ParseError("empty hyperedge line", lineno)
         nodes = []
         for token in line.split(","):
-            token = token.strip()
-            try:
-                value = int(token)
-            except ValueError:
-                raise ParseError(f"invalid node id {token!r}", lineno) from None
-            value -= 1
-            if not 0 <= value < node_count:
+            if ID.fullmatch(token) is None:
+                raise ParseError(f"invalid node id {token!r}", lineno)
+            value = int(token) - 1
+            if len(token) > 18 or not 0 <= value < node_count:
                 raise NodeRangeError(
                     f"node id {token} out of range of labels file ({node_count} nodes)",
                     lineno,

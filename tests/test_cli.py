@@ -169,6 +169,12 @@ class TestAnalyze:
         assert main(["analyze", *args]) == 2
         assert "line 1" in caplog.text
 
+    def test_control_byte_in_id_exit_2(self, tmp_path, caplog):
+        # str.strip() removes the \x1f that int() rejects: one grammar rejects it
+        args = write_dataset(tmp_path, "1,\x1f2\n", "1\n1\n")
+        assert main(["analyze", *args]) == 2
+        assert "invalid input: line 1: invalid node id '\\x1f2'" in caplog.text
+
     def test_undecodable_hyperedges_byte_reports_line(self, tmp_path, caplog):
         args = write_dataset(tmp_path, "", "1\n1\n2\n")
         (tmp_path / "hyperedges.txt").write_bytes(b"1,2\n\xff,3\n")

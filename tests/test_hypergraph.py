@@ -6,11 +6,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperhomophily import (
@@ -26,7 +25,7 @@ from hyperhomophily import (
 )
 from hyperhomophily import hypergraph
 from hyperhomophily.homophily import _edge_labels
-from hyperhomophily.hypergraph import _ascii_ids, _edges_whole, _parse_labels
+from hyperhomophily.hypergraph import _ascii_ids, _edges_whole, _lf, _parse_labels
 from line_parser import edges_by_line
 
 
@@ -317,6 +316,8 @@ class TestSizeIndex:
 
 # -- whole-file parser against the line-by-line parser --------------------------
 
+# int() reads ids padded with these, signed with "+", split by "_" or written
+# in other digits; the id grammar rejects all of them
 PADS = ["", " ", "\t", "  ", "\u00a0", "\x0b"]
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 JUNK = ["x", "", " ", "1.5", "1__2", "_1", "1_", "--1", "+-1", "0x1", "1 2", "\ud800"]
@@ -338,12 +339,16 @@ def id_token(draw, node_count: int, clean: bool, ascii_only: bool = False) -> st
     digits = str(abs(value))
     if ascii_only:  # plain digits, some with leading zeros (to 18 or 19 digits)
         return digits.zfill(draw(st.sampled_from([0, 0, 0, 2, 3, 18, 19])))
+    sign = "-" if value < 0 else ""
+    if clean or draw(st.integers(0, 2)):
+        return sign + digits
+    # rejected forms
     if len(digits) > 1 and draw(st.booleans()):
         cut = draw(st.integers(1, len(digits) - 1))
         digits = digits[:cut] + "_" + digits[cut:]
     if draw(st.integers(0, 5)) == 0:
         digits = digits.translate(ARABIC_INDIC)
-    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+    sign = sign or draw(st.sampled_from(["", "", "+"]))
     return draw(st.sampled_from(PADS)) + sign + digits + draw(st.sampled_from(PADS))
 
 
@@ -352,7 +357,7 @@ def ingest_inputs(draw, ascii_only: bool = False):
     """(hyperedges text, labels text, min_size, max_size), with 1-based ids.
 
     With ``ascii_only`` every id is plain ASCII digits and every line ends
-    in LF, so the byte-level parser handles most texts.
+    in LF or CRLF, so most texts parse.
     """
     node_count = draw(st.integers(1, 6))
     # mostly labeled: an edge touching an unlabeled node is usually dropped
@@ -375,7 +380,7 @@ def ingest_inputs(draw, ascii_only: bool = False):
         token = id_token(node_count, clean, ascii_only)
         lines.append(",".join(draw(token) for _ in range(size)))
     if ascii_only:
-        endings, tails = ["\n"], ["", "\n", "\n\n"]
+        endings, tails = ["\n", "\r\n"], ["", "\n", "\n\n", "\r\n"]
     else:
         endings = ["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"]
         tails = ["", "\n", "\n\n", " \n", "\r\n\r\n", "\r", "\t\n \n"]
@@ -398,21 +403,17 @@ def _outcome(parse):
         return exc
 
 
-def check_against_line_parser(inputs, collapse, block_chars):
+def check_against_line_parser(inputs, collapse):
     text, labels_text, min_size, max_size = inputs
     opts = IngestOptions(
         min_size=min_size, max_size=max_size, collapse_duplicate_edges=collapse
     )
     attributes = _parse_labels(labels_text)
     expected = _outcome(lambda: edges_by_line(text, attributes, opts))
-    # small token blocks put block edges inside these short texts
-    with mock.patch.object(hypergraph, "_TOKEN_BLOCK_CHARS", block_chars):
-        fast = _edges_whole(text, attributes, opts)
-        got = _outcome(
-            lambda: parse_hypergraph(
-                io.StringIO(text), io.StringIO(labels_text), None, opts
-            )
-        )
+    fast = _edges_whole(_lf(text), attributes, opts)
+    got = _outcome(
+        lambda: parse_hypergraph(io.StringIO(text), io.StringIO(labels_text), None, opts)
+    )
     if isinstance(expected, ParseError):
         assert fast is None  # malformed input goes to the error locator
         assert type(got) is type(expected)
@@ -435,20 +436,20 @@ def byte_route_parses(text: str) -> bool:
 
 class TestWholeFileParser:
     @pytest.mark.parametrize("collapse", [False, True])
-    @given(inputs=ingest_inputs(), block_chars=st.sampled_from([1, 5, 1 << 16]))
+    @given(inputs=ingest_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_matches_line_by_line(self, inputs, block_chars, collapse):
-        check_against_line_parser(inputs, collapse, block_chars)
+    def test_matches_line_by_line(self, inputs, collapse):
+        check_against_line_parser(inputs, collapse)
 
     @pytest.mark.parametrize("collapse", [False, True])
     @given(inputs=ingest_inputs(ascii_only=True))
     @settings(max_examples=60, deadline=None)
     def test_ascii_ids_match_line_by_line(self, inputs, collapse):
-        text = inputs[0]
+        text = _lf(inputs[0])
         tokens = text.rstrip().replace("\n", ",").split(",")
         if text.strip() and all(t.isdigit() and len(t) <= 18 for t in tokens):
             assert byte_route_parses(text)
-        check_against_line_parser(inputs, collapse, 1 << 16)
+        check_against_line_parser(inputs, collapse)
 
     def test_sort_key_overflow_is_an_error(self):
         # lines x nodes past int64: the per-line sort key would overflow
@@ -471,9 +472,9 @@ class TestByteRoute:
         [
             ("007,010\n", [(6, 9)], True),  # leading zeros
             ("000000000000000003,1\n", [(0, 2)], True),  # 18 digits
-            ("0000000000000000003,1\n", [(0, 2)], False),  # 19 digits: int()
-            ("1,2\r\n2,3\r\n", [(0, 1), (1, 2)], False),  # CRLF: int() strips CR
-            ("1, 2\n", [(0, 1)], False),
+            # the bytes hold CR, which ingest turns into LF before reading them
+            ("1,2\r2,3\n", [(0, 1), (1, 2)], False),
+            ("1,2\r\n2,3\r\n", [(0, 1), (1, 2)], False),
         ],
     )
     def test_ids(self, text, edges, byte_route):
@@ -487,6 +488,12 @@ class TestByteRoute:
             ("1,2\n2,3,\n", 2, ParseError),  # trailing comma
             ("2,3\n100000000000000000,1\n", 2, NodeRangeError),  # 18 digits
             ("1000000000000000000,1\n", 1, NodeRangeError),  # 19 digits
+            ("0000000000000000003,1\n", 1, NodeRangeError),  # 19 digits, value 3
+            ("1, 2\n", 1, ParseError),
+            ("1,\x1f2\n", 1, ParseError),  # int() reads it once stripped
+            ("1\n+2\n", 2, ParseError),
+            ("1\n1_0\n", 2, ParseError),
+            ("1\n\u0663\n", 2, ParseError),  # ARABIC-INDIC DIGIT THREE
         ],
     )
     def test_malformed_ids(self, text, line, error):
@@ -501,19 +508,50 @@ class TestByteRoute:
             ("\n", [UNLABELED]),
             ("1\n\n2\n", [0, UNLABELED, 1]),
             ("1\n\n2", [0, UNLABELED, 1]),
-            ("1\n \n\t\n2\n", [0, UNLABELED, UNLABELED, 1]),
+            ("1\r\r2\r", [0, UNLABELED, 1]),
             ("01\r\n\r\n2\r\n", [0, UNLABELED, 1]),
-            ("000000000000000001\n0000000000000000002\n", [0, 1]),
+            ("000000000000000001\n", [0]),
         ],
     )
     def test_labels(self, text, labels):
-        assert _parse_labels(text).tolist() == labels
+        assert parse("", text).attributes.tolist() == labels
 
-    @pytest.mark.parametrize("text,line", [("1\n0\n", 2), ("1\n\nx\n", 3)])
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("1\n0\n", 2),
+            ("1\n\nx\n", 3),
+            ("1\n \n\t\n2\n", 2),  # whitespace is not an empty line
+            ("000000000000000001\n0000000000000000002\n", 2),  # 19 digits
+            ("1\n+2\n", 2),
+            ("1\n\x1f2\n", 2),
+        ],
+    )
     def test_bad_label_reports_line(self, text, line):
         with pytest.raises(ParseError) as info:
             _parse_labels(text)
         assert info.value.line == line
+
+
+# digits, separators, whitespace and control characters (some of which
+# str.strip() removes and int() does not), signs, other digits, a lone
+# surrogate and an id of 19 digits
+HOSTILE = [
+    *"0123456789", ",", "\n", "\r", " ", "\t", "\x0b", "\x1c", "\x1f", "\x85",
+    "\u2028", "\xa0", "\u0663", "_", "+", "-", "x", "\ud800", "1" * 19,
+]
+
+
+class TestHostileText:
+    @given(text=st.lists(st.sampled_from(HOSTILE), max_size=16).map("".join))
+    @example(text="1,\x1f2\n")
+    @settings(max_examples=300, deadline=None)
+    def test_parses_or_raises_parse_error_with_line(self, text):
+        for edges_text, labels_text in ((text, "1\n" * 12), ("", text)):
+            try:
+                parse(edges_text, labels_text)
+            except ParseError as exc:
+                assert exc.line is not None
 
 
 class TestLoad:
