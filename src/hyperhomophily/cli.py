@@ -81,17 +81,6 @@ def _write_text(path: str | None, content: str) -> None:
         Path(path).write_text(content, encoding="utf-8", newline="\n")
 
 
-def _sampler_options(args) -> dict:
-    # workers is an execution detail: results are identical for any value,
-    # so it stays out of the manifest (like wall-clock timing)
-    return {
-        "samples": args.samples,
-        "seed": args.seed,
-        "diversity_order": args.order,
-        "epsilon": args.epsilon,
-    }
-
-
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     opts = IngestOptions(
@@ -101,7 +90,7 @@ def cmd_analyze(args) -> int:
     )
     h = load_hypergraph(args.hyperedges, args.labels, args.label_names, opts)
     cfg = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.order)
-    buckets, size_one = _buckets(h, cfg, args.epsilon, args.workers)
+    buckets, size_one = _buckets(h, cfg, args.epsilon)
     report = _report_from_buckets(
         h, buckets, size_one, args.epsilon, emit_per_edge=args.per_edge_out is not None
     )
@@ -114,7 +103,10 @@ def cmd_analyze(args) -> int:
             "label_names": args.label_names,
         },
         options={
-            **_sampler_options(args),
+            "samples": args.samples,
+            "seed": args.seed,
+            "diversity_order": args.order,
+            "epsilon": args.epsilon,
             "min_k": args.min_k,
             "max_k": args.max_k,
             "collapse_duplicates": args.collapse_duplicates,
@@ -236,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--min-k", type=int, default=2, help="drop edges smaller than this at ingest")
     pa.add_argument("--max-k", type=int, default=None, help="drop edges larger than this at ingest")
     pa.add_argument("--collapse-duplicates", action="store_true", help="collapse repeated identical edges")
-    pa.add_argument("--workers", type=int, default=1, help="parallel per-size workers (results are identical for any value)")
     pa.add_argument("--per-edge-out", default=None, help="write per-edge scores CSV here")
     pa.add_argument("--perplexity-curve", default=None, help="write observed-vs-baseline CSV here")
     pa.add_argument("--out", default=None, help="JSON report path (default stdout)")

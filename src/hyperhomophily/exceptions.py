@@ -14,8 +14,8 @@ class ParseError(ValueError):
 
 
 class NodeRangeError(ParseError):
-    """A node or label id falls outside the range the labels file, or the
-    label names file, defines."""
+    """A node or label id has more than 18 digits, or falls outside the
+    range the labels file, or the label names file, defines."""
 
 
 class InsufficientPopulationError(ValueError):

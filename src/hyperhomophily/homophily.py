@@ -165,39 +165,30 @@ def _edge_labels(h: Hypergraph, k: int) -> np.ndarray:
     return h.attributes[h.edges_of_size(k)[1]]
 
 
-def _compute_bucket(h: Hypergraph, k: int, cfg: SamplerConfig) -> _Bucket:
-    # a size-k edge holds k distinct nodes of positive k-degree, so every size
-    # present has the population its baseline needs
-    baseline = estimate_baseline(h, k, cfg)
-    observed, m_e = bulk_diversity(_edge_labels(h, k), cfg.diversity_order)
-    return _Bucket(k, h.edges_of_size(k)[0], observed, m_e, baseline)
-
-
 def _buckets(
-    h: Hypergraph, cfg: SamplerConfig, epsilon: float, workers: int
+    h: Hypergraph, cfg: SamplerConfig, epsilon: float
 ) -> tuple[list[_Bucket], int]:
-    """Per-size computations for all sizes >= 2, plus the size-1 edge count.
-
-    Buckets are returned in ascending size order regardless of ``workers``;
-    each bucket draws from its own seed-derived stream, so the worker count
-    never affects any numeric result.
+    """Per-size computations for all sizes >= 2, in ascending size order,
+    plus the size-1 edge count. Each size draws from its own seed-derived
+    stream, so sizes are independent and run one after another.
     """
     _check_epsilon(epsilon)
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
     _check_labeled(h)
-    groups = h._size_groups()  # builds the size index before any worker reads it
+    groups = h._size_groups()
     size_one = groups[1][0].size if 1 in groups else 0
-    ks = [k for k in groups if k >= 2]  # ascending, as the index is
-    if not ks:
+    buckets = []
+    for k, (edge_indices, _) in groups.items():  # ascending, as the index is
+        if k < 2:
+            continue
+        # a size-k edge holds k distinct nodes of positive k-degree, so every
+        # size present has the population its baseline needs
+        baseline = estimate_baseline(h, k, cfg)
+        observed, m_e = bulk_diversity(_edge_labels(h, k), cfg.diversity_order)
+        buckets.append(_Bucket(k, edge_indices, observed, m_e, baseline))
+    if not buckets:
         raise EmptyAnalysisError("no hyperedges of size >= 2")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # a default run never loads it
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            buckets = list(pool.map(lambda k: _compute_bucket(h, k, cfg), ks))
-    else:
-        buckets = [_compute_bucket(h, k, cfg) for k in ks]
     return buckets, size_one
 
 
@@ -281,9 +272,13 @@ def analyze(
     baseline is itself pure (degenerate) are excluded from the averages and
     reported with reasons. The global index averages the per-edge scores over
     the scored edges. ``epsilon`` must be positive.
+
+    ``workers`` is ignored (sizes run one after another); it exists only for
+    ``perfbench/traced.py``'s ``analyze(..., workers=2)`` call, and ROADMAP
+    item 5's benchmark-only step deletes it.
     """
     cfg = cfg or SamplerConfig()
-    buckets, size_one = _buckets(h, cfg, epsilon, workers)
+    buckets, size_one = _buckets(h, cfg, epsilon)
     return _report_from_buckets(h, buckets, size_one, epsilon, emit_per_edge)
 
 
@@ -304,7 +299,6 @@ def perplexity_curve(
     h: Hypergraph,
     cfg: SamplerConfig | None = None,
     epsilon: float = DEFAULT_EPSILON,
-    workers: int = 1,
 ) -> tuple[CurveRow, ...]:
     """Mean observed diversity next to the baseline, per hyperedge size.
 
@@ -312,7 +306,7 @@ def perplexity_curve(
     ``epsilon`` must be positive, as in :func:`analyze`.
     """
     cfg = cfg or SamplerConfig()
-    buckets, _ = _buckets(h, cfg, epsilon, workers)
+    buckets, _ = _buckets(h, cfg, epsilon)
     return _curve_from_buckets(buckets)
 
 

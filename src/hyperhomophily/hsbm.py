@@ -23,7 +23,7 @@ import numpy as np
 
 from .homophily import analyze
 from .hypergraph import Hypergraph
-from .nullmodel import SamplerConfig, derive_seed, sample_weighted_k_sets
+from .nullmodel import SamplerConfig, _check_seed, derive_seed, sample_weighted_k_sets
 
 _GEN_STREAM = 0  # seed-derivation tags, so generation and analysis
 _ANALYZE_STREAM = 1  # streams of one sweep never collide
@@ -60,6 +60,7 @@ class HsbmConfig:
                 f"k ({self.k}) > nodes per partition "
                 f"({self.num_nodes // self.num_attributes})"
             )
+        _check_seed(self.seed)
 
 
 def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:

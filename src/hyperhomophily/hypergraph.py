@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 
 UNLABELED = -1
 _MAX_DIGITS = 18  # every id of up to 18 digits fits in int64
+_TOO_LONG = f"out of range: more than {_MAX_DIGITS} digits"
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -316,7 +317,9 @@ def _parse_labels(text: str) -> np.ndarray:
     for lineno, token in enumerate(text.split("\n"), start=1):
         if token and not _is_id(token):
             raise ParseError(f"labels file: invalid label {token!r}", lineno)
-        if token and (len(token) > _MAX_DIGITS or int(token) == 0):
+        if token and len(token) > _MAX_DIGITS:
+            raise NodeRangeError(f"labels file: label id {token} {_TOO_LONG}", lineno)
+        if token and int(token) == 0:
             raise NodeRangeError(f"labels file: label id {token} out of range", lineno)
 
 
@@ -429,7 +432,9 @@ def _raise_line_error(text: str, node_count: int) -> NoReturn:
         for token in line.split(","):
             if not _is_id(token):
                 raise ParseError(f"invalid node id {token!r}", lineno)
-            if len(token) > _MAX_DIGITS or not 1 <= int(token) <= node_count:
+            if len(token) > _MAX_DIGITS:
+                raise NodeRangeError(f"node id {token} {_TOO_LONG}", lineno)
+            if not 1 <= int(token) <= node_count:
                 raise NodeRangeError(
                     f"node id {token} out of range of labels file ({node_count} nodes)",
                     lineno,

@@ -57,6 +57,12 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _check_seed(seed: int) -> None:
+    # derive_seed masks each part to 64 bits: seeds 2**64 apart would collide
+    if not 0 <= seed <= _SEED_MASK:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Monte Carlo settings for baseline estimation."""
@@ -68,6 +74,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        _check_seed(self.seed)
         _check_order(self.diversity_order)
 
 

@@ -45,8 +45,12 @@ def edges_by_line(
         for token in line.split(","):
             if ID.fullmatch(token) is None:
                 raise ParseError(f"invalid node id {token!r}", lineno)
+            if len(token) > 18:
+                raise NodeRangeError(
+                    f"node id {token} out of range: more than 18 digits", lineno
+                )
             value = int(token) - 1
-            if len(token) > 18 or not 0 <= value < node_count:
+            if not 0 <= value < node_count:
                 raise NodeRangeError(
                     f"node id {token} out of range of labels file ({node_count} nodes)",
                     lineno,

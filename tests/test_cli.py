@@ -113,13 +113,6 @@ class TestAnalyze:
         assert main(["analyze", *args, "--samples", "500", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        args = write_dataset(tmp_path, "1,2\n1,3\n2,3\n1,2,4\n2,3,4\n", "1\n2\n1\n2\n")
-        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["analyze", *args, "--workers", "1", "--samples", "400", "--out", str(out_a)]) == 0
-        assert main(["analyze", *args, "--workers", "4", "--samples", "400", "--out", str(out_b)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
     # sha256 of the report JSON, per-edge CSV and curve CSV, recorded before
     # the curve's comment on insufficient populations (never reachable) was
     # dropped, with that one line taken out of the curve CSV
@@ -237,6 +230,14 @@ class TestAnalyze:
         assert "invalid configuration" in caplog.text
         assert not out.exists()
 
+    def test_workers_flag_exit_2(self, tmp_path, capsys):
+        # sizes run one after another; the flag is gone and argparse rejects it
+        args = write_dataset(tmp_path, "1,2\n3,4\n1,3\n", "1\n1\n2\n2\n")
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", *args, "--workers", "2"])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(
             ["analyze", "--hyperedges", str(tmp_path / "nope.txt"),
@@ -285,6 +286,33 @@ class TestGenerate:
         )
         assert code == 2
         assert "divisible" in caplog.text
+
+
+class TestSeedRange:
+    """Seeds 2**64 apart would draw the same streams, so a seed outside
+    [0, 2**64) is a configuration error."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        if command == "analyze":
+            args = write_dataset(tmp_path, "1,2\n3,4\n1,3\n", "1\n1\n2\n2\n")
+            return ["analyze", *args, "--samples", "50", "--out", str(tmp_path / "r.json")]
+        if command == "generate":
+            return ["generate", "--nodes", "20", "--attrs", "2", "--k", "3", "--edges", "10",
+                    "--p", "0.5", "--out-prefix", str(tmp_path / "g")]
+        return ["sweep", "--mode", "p", "--p-grid", "0,1", "--nodes", "20", "--attrs", "2",
+                "--k", "3", "--edges", "10", "--samples", "50", "--out", str(tmp_path / "s.csv")]
+
+    @pytest.mark.parametrize("command", ["analyze", "generate", "sweep"])
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_in_range(self, tmp_path, command, seed):
+        assert main([*self.argv(command, tmp_path), f"--seed={seed}"]) == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "generate", "sweep"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exit_2(self, tmp_path, caplog, command, seed):
+        assert main([*self.argv(command, tmp_path), f"--seed={seed}"]) == 2
+        assert "invalid configuration: seed must lie in [0, 2**64)" in caplog.text
 
 
 class TestSweep:
@@ -522,15 +550,14 @@ class TestProcessExit:
         assert run.returncode == 3
         assert b"nothing to analyze" in run.stderr
 
-    @pytest.mark.parametrize("workers, loaded", [("1", "[]"), ("2", "['concurrent.futures', 'queue']")])
-    def test_thread_pool_loaded_only_for_workers(self, tmp_path, workers, loaded):
+    def test_run_loads_no_thread_pool(self, tmp_path):
         args = write_dataset(tmp_path, "1,2\n2,3\n1,2,3\n", "1\n2\n1\n")
         script = (
             "import sys\n"
             "from hyperhomophily.cli import main\n"
-            f"code = main({['analyze', *args, '--samples', '50', '--workers', workers]!r})\n"
+            f"code = main({['analyze', *args, '--samples', '50']!r})\n"
             "print(code, sorted({'concurrent.futures', 'queue'} & set(sys.modules)))\n"
         )
         run = run_process(["-c", script], [])
         assert run.returncode == 0, run.stderr
-        assert run.stdout.decode().splitlines()[-1] == f"0 {loaded}"
+        assert run.stdout.decode().splitlines()[-1] == "0 []"

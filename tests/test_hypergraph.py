@@ -501,6 +501,22 @@ class TestByteRoute:
             parse(text, LABELS_10)
         assert info.value.line == line
 
+    def test_long_node_id_names_digit_limit(self):
+        # the value 3 is in range of the labels file; the digit count is not
+        with pytest.raises(NodeRangeError) as info:
+            parse("0000000000000000003,1\n", LABELS_10)
+        assert str(info.value) == (
+            "line 1: node id 0000000000000000003 out of range: more than 18 digits"
+        )
+
+    def test_long_label_id_names_digit_limit(self):
+        with pytest.raises(NodeRangeError) as info:
+            _parse_labels("1\n0000000000000000001\n")
+        assert str(info.value) == (
+            "line 2: labels file: label id 0000000000000000001 out of range: "
+            "more than 18 digits"
+        )
+
     @pytest.mark.parametrize(
         "text,labels",
         [
