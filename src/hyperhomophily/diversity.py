@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .hypergraph import UNLABELED, Hypergraph
+from .hypergraph import Hypergraph
 
 Q_ONE_TOLERANCE = 1e-9  # orders within this of 1 use the entropy limit form
 _NEAR_ONE = 0.25  # other orders within this of 1 use the log1p form
@@ -60,10 +60,7 @@ class HyperedgeComposition:
 
 def composition(h: Hypergraph, edge_index: int) -> HyperedgeComposition:
     """Tally the attributes of one hyperedge's nodes."""
-    attrs = h.attributes[h.edge(edge_index)]
-    if np.any(attrs == UNLABELED):
-        raise ValueError(f"hyperedge {edge_index} contains unlabeled nodes")
-    values, counts = np.unique(attrs, return_counts=True)
+    values, counts = np.unique(h.attributes[h.edge(edge_index)], return_counts=True)
     return HyperedgeComposition({int(a): int(c) for a, c in zip(values, counts)})
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .diversity import bulk_diversity
 from .exceptions import DegenerateMixingError, EmptyAnalysisError
-from .hypergraph import UNLABELED, Hypergraph
+from .hypergraph import Hypergraph
 from .nullmodel import BaselineEstimate, SamplerConfig, estimate_baseline
 
 DEFAULT_EPSILON = 1e-9
@@ -105,32 +105,28 @@ class HomophilyReport:
 
 
 def _score(
-    observed: np.ndarray, baseline: float, m_e: np.ndarray, epsilon: float
+    observed: np.ndarray, baseline: np.ndarray, m_e: np.ndarray, epsilon: float
 ) -> dict[str, np.ndarray]:
-    """Score the edges of one size against its baseline mean, as columns.
+    """Score edges of any sizes against their sizes' baseline means, as columns.
 
-    When the baseline itself is within ``epsilon`` of 1 the null model is
-    pure and offers no contrast; the edges are flagged degenerate and
-    scored 0.
+    An edge whose baseline is within ``epsilon`` of 1 has a pure null model,
+    which offers no contrast; it is flagged degenerate and scored 0, and its
+    scores are never divided.
     """
-    n = observed.shape
     gap = baseline - observed
     gap_max = baseline - 1.0
     gap_min = baseline - m_e
     degenerate = gap_max < epsilon
-    if degenerate:
-        phi, phi_min = np.zeros(n), np.zeros(n)
-    else:
-        phi, phi_min = gap / gap_max, gap_min / gap_max
+    scored = ~degenerate
     return {
         "observed": observed,
-        "baseline": np.full(n, baseline),
+        "baseline": baseline,
         "gap": gap,
-        "gap_max": np.full(n, gap_max),
+        "gap_max": gap_max,
         "gap_min": gap_min,
-        "phi": phi,
-        "phi_min": phi_min,
-        "degenerate": np.full(n, degenerate),
+        "phi": np.divide(gap, gap_max, out=np.zeros_like(gap), where=scored),
+        "phi_min": np.divide(gap_min, gap_max, out=np.zeros_like(gap), where=scored),
+        "degenerate": degenerate,
     }
 
 
@@ -151,16 +147,6 @@ class _Bucket:
     baseline: BaselineEstimate
 
 
-def _check_labeled(h: Hypergraph) -> None:
-    sizes = h.sizes
-    incident = h.edge_nodes[np.repeat(sizes >= 2, sizes)]
-    if incident.size and h.attributes[incident].min() == UNLABELED:
-        raise ValueError(
-            "hyperedges of size >= 2 touch unlabeled nodes; "
-            "label every node or drop those edges (file ingest drops them)"
-        )
-
-
 def _edge_labels(h: Hypergraph, k: int) -> np.ndarray:
     return h.attributes[h.edges_of_size(k)[1]]
 
@@ -175,7 +161,6 @@ def _buckets(
     _check_epsilon(epsilon)
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
-    _check_labeled(h)
     groups = h._size_groups()
     size_one = groups[1][0].size if 1 in groups else 0
     buckets = []
@@ -199,38 +184,34 @@ def _report_from_buckets(
     epsilon: float,
     emit_per_edge: bool,
 ) -> HomophilyReport:
-    exclusions: list[Exclusion] = []
-    if size_one:
-        exclusions.append(Exclusion(EXCLUDED_SIZE_ONE, 1, size_one))
+    counts = [int(b.edge_indices.size) for b in buckets]
+    scores = _score(
+        np.concatenate([b.observed for b in buckets]),
+        np.repeat([b.baseline.mean for b in buckets], counts),
+        np.concatenate([b.m_e for b in buckets]),
+        epsilon,
+    )
+    phi, degenerate = scores["phi"], scores["degenerate"]
+    exclusions = [Exclusion(EXCLUDED_SIZE_ONE, 1, size_one)] if size_one else []
     per_k: list[PerKRow] = []
-    phi_blocks: list[np.ndarray] = []
-    edge_blocks: list[dict[str, np.ndarray]] = []
-
-    for b in buckets:
-        count = int(b.edge_indices.size)
-        scores = _score(b.observed, b.baseline.mean, b.m_e, epsilon)
-        if emit_per_edge:
-            edge_blocks.append(
-                {"edge_index": b.edge_indices, "k": np.full(count, b.k), **scores}
-            )
-        if scores["degenerate"][0]:
+    for b, count, stop in zip(buckets, counts, np.cumsum(counts).tolist()):
+        if degenerate[stop - count]:  # a size's edges share its baseline
             exclusions.append(Exclusion(EXCLUDED_DEGENERATE, b.k, count))
             continue
-        phi_blocks.append(scores["phi"])
         per_k.append(
             PerKRow(
                 k=b.k,
                 edge_count=count,
                 baseline_mean=b.baseline.mean,
                 baseline_std_error=b.baseline.std_error,
-                phi_k=float(np.mean(scores["phi"])),
+                phi_k=float(np.mean(phi[stop - count : stop])),
                 mean_observed=float(np.mean(b.observed)),
             )
         )
 
-    if not phi_blocks:
+    all_phis = phi[~degenerate]
+    if not all_phis.size:
         raise EmptyAnalysisError("no scorable hyperedges after exclusions")
-    all_phis = np.concatenate(phi_blocks)
     scored = int(all_phis.size)
     global_phi = float(np.mean(all_phis))
     if scored > 1:
@@ -241,8 +222,9 @@ def _report_from_buckets(
     per_edge = None
     if emit_per_edge:
         columns = {
-            name: np.concatenate([block[name] for block in edge_blocks])
-            for name in EDGE_COLUMNS
+            "edge_index": np.concatenate([b.edge_indices for b in buckets]),
+            "k": np.repeat([b.k for b in buckets], counts),
+            **scores,
         }
         order = np.argsort(columns["edge_index"], kind="stable")
         per_edge = EdgeScores(**{name: col[order] for name, col in columns.items()})
@@ -319,8 +301,6 @@ def newman_assortativity(h: Hypergraph) -> float:
     labels = _edge_labels(h, 2)
     if not labels.size:
         raise EmptyAnalysisError("no size-2 hyperedges")
-    if labels.min() == UNLABELED:
-        raise ValueError("size-2 hyperedges touch unlabeled nodes")
     m = h.num_attributes
     mixing = np.zeros((m, m), dtype=np.float64)
     np.add.at(mixing, (labels[:, 0], labels[:, 1]), 1.0)

@@ -70,14 +70,23 @@ class IngestOptions:
             )
 
 
+def _int_ids(values, what: str) -> np.ndarray:
+    """A copy of ``values`` as int64; float, str and bool ids are rejected,
+    not truncated or cast."""
+    arr = np.array(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
 class Hypergraph:
     """Immutable node-attributed hypergraph.
 
-    Nodes are integers 0..node_count-1, each carrying an attribute id
-    (``UNLABELED`` for nodes without one). Hyperedges are stored in CSR-like
-    form (a flat index array plus offsets); each edge is a sorted set of
-    distinct node indices. The edge list is a multiset: identical edges may
-    repeat.
+    Nodes are integers 0..node_count-1, each carrying an integer attribute
+    id (``UNLABELED`` for nodes without one, which no hyperedge may touch).
+    Hyperedges are stored in CSR-like form (a flat index array plus offsets);
+    each edge is a sorted set of distinct node indices. The edge list is a
+    multiset: identical edges may repeat.
     """
 
     __slots__ = ("_attributes", "_edge_nodes", "_offsets", "_names", "_ingest", "_by_size")
@@ -89,12 +98,12 @@ class Hypergraph:
         attribute_names: Sequence[str] | None = None,
         ingest: IngestStats | None = None,
     ):
-        attrs = np.array(attributes, dtype=np.int64)  # copy: caller keeps theirs
+        attrs = _int_ids(attributes, "attribute ids")
         if attrs.ndim != 1:
             raise ValueError("attributes must be one id per node")
         edge_arrays = []
         for pos, edge in enumerate(edges):
-            arr = np.asarray(sorted(edge), dtype=np.int64)
+            arr = _int_ids(sorted(edge), f"hyperedge {pos} node ids")
             if arr.size == 0:
                 raise ValueError(f"hyperedge {pos} is empty")
             if np.any(arr[1:] == arr[:-1]):
@@ -122,15 +131,20 @@ class Hypergraph:
         return h
 
     def _init_arrays(self, attrs, flat, offsets, names, ingest):
+        if attrs.size and attrs.min() < UNLABELED:
+            raise ValueError("attribute ids must be >= 0 (or UNLABELED)")
         if flat.size and (flat.min() < 0 or flat.max() >= attrs.size):
             raise ValueError("hyperedge node index out of range")
+        if flat.size and attrs[flat].min() == UNLABELED:
+            raise ValueError(
+                "hyperedges touch unlabeled nodes; label every node or drop "
+                "those edges (file ingest drops them)"
+            )
         if names is not None:
             names = tuple(str(n) for n in names)
             labeled = attrs[attrs != UNLABELED]
             if labeled.size and labeled.max() >= len(names):
                 raise ValueError("attribute id exceeds the number of attribute names")
-        if attrs.size and attrs.min() < UNLABELED:
-            raise ValueError("attribute ids must be >= 0 (or UNLABELED)")
         for a in (attrs, flat, offsets):
             a.setflags(write=False)
         self._attributes = attrs
@@ -541,9 +555,8 @@ def write_hypergraph(
 ) -> None:
     """Serialize back to the ingestion text format (LF line endings, 1-based ids).
 
-    Round-trips when every hyperedge touches only labeled nodes: parsing the
-    written files with default options reproduces the node count, attributes,
-    and edge multiset. Ingest drops an edge that touches an unlabeled node.
+    Parsing the written files with default options reproduces the node count,
+    attributes, and edge multiset.
     """
     ids = list(map(str, (h.edge_nodes + 1).tolist()))
     bounds = h.offsets.tolist()

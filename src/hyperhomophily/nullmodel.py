@@ -13,9 +13,9 @@ two exact routes:
   remain, so this is the sequential law. A guide table (Chen & Asau's
   indexed search) finds most slots' nodes with one lookup and hands the rest
   to ``searchsorted``; either way a uniform u gets the index that
-  ``searchsorted`` gives it. Expected cost per sample: k draws, each O(1)
-  once a batch holds about 4n draws and O(log n) at worst, plus k^2/2
-  collision compares. A batch draws and searches the k*rows uniforms it
+  ``searchsorted`` gives it. Expected cost per sample: k draws, each one
+  lookup outside the table's crowded cells and O(log n) at worst, plus
+  k^2/2 collision compares. A batch draws and searches the k*rows uniforms it
   needs at least in one call, and the slot loop reads them in the order
   drawing slot by slot would, so the stream is the same as that of
   per-slot draws.
@@ -72,6 +72,8 @@ class SamplerConfig:
     diversity_order: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         _check_seed(self.seed)
@@ -118,16 +120,15 @@ def _race_batch(w: np.ndarray, k: int, rows: int, rng: np.random.Generator) -> n
     return np.argpartition(keys, k - 1, axis=1)[:, :k]
 
 
-def _guide_table(cdf: np.ndarray, draws: int) -> np.ndarray:
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
     """Guide table (Chen & Asau's indexed search) for ``cdf`` over m cells.
 
     Cell c covers [c/m, (c+1)/m). Its entry is the number of values of
     ``cdf`` at or below c/m when at most one value lies inside the cell, and
-    -1 otherwise. m is the power of two at or above min(4n, draws): a power
-    of two keeps u*m and c/m exact, and at most about one cell per draw
-    keeps the O(n + m) build below the cost of the searches it replaces.
+    -1 otherwise. m is the power of two at or above 4n: a power of two keeps
+    u*m and c/m exact, and about four cells per value leave few cells crowded.
     """
-    m = 1 << (min(4 * cdf.size, draws) - 1).bit_length()
+    m = 1 << (4 * cdf.size - 1).bit_length()
     # the values x at or below c/m are those with ceil(x*m) <= c
     below = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1))
     return np.where(below[1:] - below[:-1] <= 1, below[:-1], -1)
@@ -206,7 +207,7 @@ def _draw_batches(
         cdf = np.cumsum(w)
         cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
         batch = max(1, _BATCH_CELLS // k)
-        guide = _guide_table(cdf, min(batch, count) * k)
+        guide = _guide_table(cdf)
         draw = partial(_rejection_batch, cdf, guide, k, rng=rng)
     # a generator expression, so the checks above run at the call
     return (pos[draw(min(batch, count - done))] for done in range(0, count, batch))
@@ -241,8 +242,6 @@ def _sample_diversities(
 ) -> np.ndarray:
     """Diversity of each of ``samples`` weighted k-sets."""
     batches = _draw_batches(weights, k, samples, rng)
-    if np.any(attributes[np.asarray(weights) > 0] < 0):
-        raise ValueError("positive-weight nodes must all carry an attribute")
     return np.concatenate([bulk_diversity(attributes[sets], order)[0] for sets in batches])
 
 

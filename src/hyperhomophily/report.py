@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -45,30 +46,13 @@ def manifest(command: str, inputs: dict, options: dict) -> dict:
 def report_to_dict(
     report: HomophilyReport, manifest: dict, ingest: IngestStats | None = None
 ) -> dict:
-    return {
-        "manifest": manifest,
-        "global_phi": report.global_phi,
-        "global_phi_std_error": report.global_phi_std_error,
-        "edge_total": report.edge_total,
-        "edges_scored": report.edges_scored,
-        "edges_excluded": report.edges_excluded,
-        "per_k": [
-            {
-                "k": row.k,
-                "edge_count": row.edge_count,
-                "baseline_mean": row.baseline_mean,
-                "baseline_std_error": row.baseline_std_error,
-                "phi_k": row.phi_k,
-                "mean_observed": row.mean_observed,
-            }
-            for row in report.per_k
-        ],
-        "exclusions": [
-            {"reason": e.reason, "k": e.k, "count": e.count}
-            for e in report.exclusions
-        ],
-        "ingest": ingest.to_dict() if ingest is not None else None,
-    }
+    """The report's fields (its rows as objects, per-edge scores left out),
+    the manifest and the ingest counters."""
+    payload = asdict(replace(report, per_edge=None))
+    del payload["per_edge"]
+    payload["manifest"] = manifest
+    payload["ingest"] = ingest.to_dict() if ingest is not None else None
+    return payload
 
 
 def dump_json(payload: dict) -> str:

@@ -76,9 +76,8 @@ class TestComposition:
             composition(h, 1)
 
     def test_unlabeled_node_rejected(self):
-        h = Hypergraph([0, -1], [[0, 1]])
         with pytest.raises(ValueError, match="unlabeled"):
-            composition(h, 0)
+            Hypergraph([0, -1], [[0, 1]])
 
     def test_proportions_sum_to_one(self):
         c = comp(3, 2, 2)

@@ -22,7 +22,8 @@ def score_edge(observed, baseline, m_e, epsilon=DEFAULT_EPSILON):
     """One edge through the columnar scorer, as analyze scores it: epsilon
     is checked once, then the edge is scored against its baseline mean."""
     _check_epsilon(epsilon)
-    row = _score(np.array([float(observed)]), baseline, np.array([m_e]), epsilon)
+    columns = (np.array([float(observed)]), np.array([baseline]), np.array([m_e]))
+    row = _score(*columns, epsilon)
     return SimpleNamespace(**{name: col.item() for name, col in row.items()})
 
 
@@ -59,6 +60,20 @@ class TestScoreEdge:
         # a baseline of exactly 1 would give 0/0 scores unless flagged degenerate
         with pytest.raises(ValueError, match="epsilon must be positive"):
             score_edge(1.0, 1.0, m_e=1, epsilon=epsilon)
+
+    def test_degenerate_and_scored_sizes_in_one_call(self):
+        # rows of a pure-baseline size next to rows of a scored size: the
+        # degenerate rows read 0 and no 0/0 is computed (warnings are errors)
+        r = _score(
+            np.array([1.0, 1.0, 1.0, 2.0]),
+            np.array([1.0, 1.0, 5 / 3, 5 / 3]),
+            np.array([1, 1, 1, 2]),
+            DEFAULT_EPSILON,
+        )
+        assert r["degenerate"].tolist() == [True, True, False, False]
+        assert r["phi"].tolist() == [0.0, 0.0, 1.0, pytest.approx(-0.5, abs=1e-12)]
+        assert r["phi_min"][:2].tolist() == [0.0, 0.0]
+        assert r["phi_min"][2:] == pytest.approx([1.0, -0.5], abs=1e-12)
 
     def test_identities(self):
         r = score_edge(1.4, 2.2, m_e=3)
@@ -200,9 +215,8 @@ class TestAnalyze:
             entry(h, SamplerConfig(samples=100, seed=1), epsilon=epsilon)
 
     def test_unlabeled_scorable_edge_rejected(self):
-        h = Hypergraph([0, -1, 1], [[0, 1], [0, 2]])
         with pytest.raises(ValueError, match="unlabeled"):
-            analyze(h, SamplerConfig(samples=10))
+            Hypergraph([0, -1, 1], [[0, 1], [0, 2]])
 
 
 class TestCurve:

@@ -137,6 +137,32 @@ class TestConstructor:
         with pytest.raises(ValueError):
             Hypergraph([0, 1], [[0, 0]])
 
+    @pytest.mark.parametrize(
+        "attrs, edges",
+        [
+            ([0, 1, 0], [[0.9, 1.2]]),  # would truncate to edge (0, 1)
+            ([0.7, 1.9, 0], [[0, 1]]),  # would truncate to attributes 0, 1, 0
+            ([0, 1], [["0", "1"]]),
+            (["0", "1"], [[0, 1]]),
+            ([0, 1], [[False, True]]),
+            ([True, False], [[0, 1]]),
+        ],
+    )
+    def test_rejects_non_integer_ids(self, attrs, edges):
+        with pytest.raises(ValueError, match="must be integers"):
+            Hypergraph(attrs, edges)
+
+    def test_accepts_numpy_integer_ids(self):
+        h = Hypergraph(np.array([0, 1], dtype=np.int32), [np.array([1, 0], dtype=np.uint8)])
+        assert h.edge_list() == [(0, 1)]
+        assert h.attributes.dtype == np.int64
+
+    @pytest.mark.parametrize("edges", [[[1]], [[0], [0, 1]], [[0, 1, 2]]])
+    def test_rejects_edges_touching_unlabeled_nodes(self, edges):
+        # every size, size 1 included; ingest drops and counts such edges
+        with pytest.raises(ValueError, match="unlabeled"):
+            Hypergraph([0, UNLABELED, 1], edges)
+
     def test_edges_sorted(self):
         h = Hypergraph([0, 0, 0], [[2, 0, 1]])
         assert h.edge_list() == [(0, 1, 2)]
@@ -247,11 +273,17 @@ def written_hypergraphs(draw):
     attrs = draw(
         st.lists(st.integers(UNLABELED, num_attrs - 1), min_size=n, max_size=n)
     )
+    # a hyperedge may touch only labeled nodes
+    labeled = [v for v, a in enumerate(attrs) if a != UNLABELED]
     edges = draw(
         st.lists(
-            st.lists(st.integers(0, n - 1), min_size=1, max_size=min(6, n), unique=True),
+            st.lists(
+                st.sampled_from(labeled), min_size=1, max_size=min(6, len(labeled)), unique=True
+            ),
             max_size=12,
         )
+        if labeled
+        else st.just([])
     )
     names = draw(
         st.one_of(

@@ -124,6 +124,11 @@ class TestEstimate:
         b = estimate_baseline(two_bucket_graph(), 2, cfg)
         assert a == b
 
+    @pytest.mark.parametrize("samples", [2.5, 1000.0, "100", True])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            SamplerConfig(samples=samples)
+
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             estimate_baseline(two_bucket_graph(), 1, SamplerConfig(samples=10))

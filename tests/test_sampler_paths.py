@@ -353,18 +353,16 @@ class TestGuideTable:
     @given(
         weights=st.lists(WEIGHTS, min_size=1, max_size=60),
         u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
-        draws=st.integers(1, 5_000),
     )
-    @example(weights=[1.0], u=[], draws=1)
-    @example(weights=[1.0], u=[], draws=5_000)
-    @example(weights=[1e-300, 1.0, 1e-300, 1e-300, 1.0], u=[1e-300], draws=64)
+    @example(weights=[1.0], u=[])
+    @example(weights=[1e-300, 1.0, 1e-300, 1e-300, 1.0], u=[1e-300])
     @settings(max_examples=300, deadline=None)
-    def test_matches_searchsorted(self, weights, u, draws):
+    def test_matches_searchsorted(self, weights, u):
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
-        guide = _guide_table(cdf, draws)
+        guide = _guide_table(cdf)
         m = guide.size
-        assert m & (m - 1) == 0 and m <= max(1, 2 * min(4 * cdf.size, draws))
+        assert m & (m - 1) == 0 and 4 * cdf.size <= m < 8 * cdf.size
         below = cdf[cdf < 1.0]
         u = np.concatenate([
             u,
@@ -382,17 +380,16 @@ class TestBatchedUniforms:
         weights=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=50),
         k=st.integers(1, 50),
         rows=st.integers(1, 400),
-        draws=st.integers(1, 20_000),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(weights=[1.0] * 4, k=4, rows=300, draws=1200, seed=0)  # redraws run far past
+    @example(weights=[1.0] * 4, k=4, rows=300, seed=0)  # redraws run far past
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_slot_draws(self, weights, k, rows, draws, seed):
+    def test_matches_per_slot_draws(self, weights, k, rows, seed):
         w = np.array(weights)
         assume(k <= w.size and not _prefer_race(w, k))
         cdf = np.cumsum(w)
         cdf /= cdf[-1]
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        sets = _rejection_batch(cdf, _guide_table(cdf, draws), k, rows, ours)
+        sets = _rejection_batch(cdf, _guide_table(cdf), k, rows, ours)
         assert np.array_equal(sets, reference_rejection_batch(cdf, k, rows, ref))
         assert ours.random() == ref.random()  # the generator stands where it would
