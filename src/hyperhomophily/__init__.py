@@ -23,14 +23,12 @@ from .exceptions import (
     StateSpaceError,
 )
 from .homophily import (
-    CurveRow,
     EdgeScores,
     Exclusion,
     HomophilyReport,
     PerKRow,
     analyze,
     newman_assortativity,
-    perplexity_curve,
 )
 from .hsbm import (
     GridPoint,
@@ -83,10 +81,8 @@ __all__ = [
     "EdgeScores",
     "HomophilyReport",
     "PerKRow",
-    "CurveRow",
     "Exclusion",
     "analyze",
-    "perplexity_curve",
     "newman_assortativity",
     "HsbmConfig",
     "generate_hsbm",

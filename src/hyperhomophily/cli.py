@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .exceptions import EmptyAnalysisError, ParseError
-from .homophily import _buckets, _curve_from_buckets, _report_from_buckets
+from .homophily import _buckets, _report_from_buckets
 from .hsbm import HsbmConfig, generate_hsbm, sweep_phi_vs_k
 from .hypergraph import IngestOptions, load_hypergraph, write_hypergraph
 from .nullmodel import SamplerConfig
@@ -119,9 +119,8 @@ def cmd_analyze(args) -> int:
         with open(args.per_edge_out, "w", encoding="utf-8", newline="\n") as f:
             rpt.write_per_edge_csv(report.per_edge, f)
     if args.perplexity_curve is not None:
-        curve = _curve_from_buckets(buckets)
         with open(args.perplexity_curve, "w", encoding="utf-8", newline="\n") as f:
-            rpt.write_curve_csv(curve, f)
+            rpt.write_curve_csv(report.curve, f)
 
     log.info(
         "analyze: %d/%d edges scored, global phi %.6f (%.1fs)",

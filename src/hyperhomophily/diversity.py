@@ -10,6 +10,7 @@ distinct attributes, and order 2 the inverse Simpson index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -35,13 +36,16 @@ class HyperedgeComposition:
         if not self.counts:
             raise ValueError("composition must contain at least one attribute")
         for attr, count in self.counts.items():
+            # NumPy integers pass; a bool or a float is rejected, not cast
+            if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+                raise ValueError(f"count for attribute {attr} must be an integer")
             if count < 1:
                 raise ValueError(f"count for attribute {attr} must be >= 1")
 
     @classmethod
     def from_counts(cls, counts) -> "HyperedgeComposition":
         """Build from a bare count sequence, assigning attribute ids 0, 1, ..."""
-        return cls(dict(enumerate(int(c) for c in counts)))
+        return cls(dict(enumerate(counts)))
 
     @property
     def size(self) -> int:

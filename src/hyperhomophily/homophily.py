@@ -64,7 +64,7 @@ EDGE_COLUMNS = tuple(f.name for f in fields(EdgeScores))
 
 @dataclass(frozen=True)
 class PerKRow:
-    """Aggregates for the scored edges of one size."""
+    """Aggregates for the edges of one size (a degenerate size's phi_k is 0)."""
 
     k: int
     edge_count: int
@@ -72,17 +72,6 @@ class PerKRow:
     baseline_std_error: float
     phi_k: float
     mean_observed: float
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    """Observed vs. baseline diversity for one size (plot-ready)."""
-
-    k: int
-    mean_observed: float
-    baseline_mean: float
-    baseline_std_error: float
-    edge_count: int
 
 
 @dataclass(frozen=True)
@@ -99,8 +88,9 @@ class HomophilyReport:
     edge_total: int
     edges_scored: int
     edges_excluded: int
-    per_k: tuple[PerKRow, ...]
+    per_k: tuple[PerKRow, ...]  # the curve's rows of the scored sizes
     exclusions: tuple[Exclusion, ...]
+    curve: tuple[PerKRow, ...]  # every size >= 2, ascending, degenerate ones too
     per_edge: EdgeScores | None = None
 
 
@@ -192,32 +182,32 @@ def _report_from_buckets(
         epsilon,
     )
     phi, degenerate = scores["phi"], scores["degenerate"]
-    exclusions = [Exclusion(EXCLUDED_SIZE_ONE, 1, size_one)] if size_one else []
-    per_k: list[PerKRow] = []
-    for b, count, stop in zip(buckets, counts, np.cumsum(counts).tolist()):
-        if degenerate[stop - count]:  # a size's edges share its baseline
-            exclusions.append(Exclusion(EXCLUDED_DEGENERATE, b.k, count))
-            continue
-        per_k.append(
-            PerKRow(
-                k=b.k,
-                edge_count=count,
-                baseline_mean=b.baseline.mean,
-                baseline_std_error=b.baseline.std_error,
-                phi_k=float(np.mean(phi[stop - count : stop])),
-                mean_observed=float(np.mean(b.observed)),
-            )
+    starts = (np.cumsum(counts) - counts).tolist()
+    curve = tuple(
+        PerKRow(
+            k=b.k,
+            edge_count=count,
+            baseline_mean=b.baseline.mean,
+            baseline_std_error=b.baseline.std_error,
+            phi_k=float(np.mean(phi[start : start + count])),
+            mean_observed=float(np.mean(b.observed)),
         )
+        for b, count, start in zip(buckets, counts, starts)
+    )
+    # a size's edges share its baseline: its first edge's flag is the size's
+    flags = degenerate[starts].tolist()
+    exclusions = [Exclusion(EXCLUDED_SIZE_ONE, 1, size_one)] if size_one else []
+    exclusions += [
+        Exclusion(EXCLUDED_DEGENERATE, row.k, row.edge_count)
+        for row, flag in zip(curve, flags) if flag
+    ]
 
     all_phis = phi[~degenerate]
     if not all_phis.size:
         raise EmptyAnalysisError("no scorable hyperedges after exclusions")
     scored = int(all_phis.size)
     global_phi = float(np.mean(all_phis))
-    if scored > 1:
-        phi_se = float(np.std(all_phis, ddof=1) / np.sqrt(scored))
-    else:
-        phi_se = 0.0
+    phi_se = float(np.std(all_phis, ddof=1) / np.sqrt(scored)) if scored > 1 else 0.0
 
     per_edge = None
     if emit_per_edge:
@@ -235,8 +225,9 @@ def _report_from_buckets(
         edge_total=h.num_edges,
         edges_scored=scored,
         edges_excluded=h.num_edges - scored,
-        per_k=tuple(per_k),
+        per_k=tuple(row for row, flag in zip(curve, flags) if not flag),
         exclusions=tuple(exclusions),
+        curve=curve,
         per_edge=per_edge,
     )
 
@@ -253,43 +244,16 @@ def analyze(
     One baseline is estimated per size present. Size-1 edges and edges whose
     baseline is itself pure (degenerate) are excluded from the averages and
     reported with reasons. The global index averages the per-edge scores over
-    the scored edges. ``epsilon`` must be positive.
+    the scored edges. The report's ``curve`` has one row per size >= 2,
+    degenerate sizes included, and ``per_k`` holds the rows of the scored
+    sizes. ``epsilon`` must be positive.
 
-    ``workers`` is ignored (sizes run one after another); it exists only for
-    ``perfbench/traced.py``'s ``analyze(..., workers=2)`` call, and ROADMAP
-    item 5's benchmark-only step deletes it.
+    ``workers`` is ignored (sizes run one after another); it is kept only
+    because ``perfbench/traced.py`` calls ``analyze(..., workers=2)``.
     """
     cfg = cfg or SamplerConfig()
     buckets, size_one = _buckets(h, cfg, epsilon)
     return _report_from_buckets(h, buckets, size_one, epsilon, emit_per_edge)
-
-
-def _curve_from_buckets(buckets: list[_Bucket]) -> tuple[CurveRow, ...]:
-    return tuple(
-        CurveRow(
-            k=b.k,
-            mean_observed=float(np.mean(b.observed)),
-            baseline_mean=b.baseline.mean,
-            baseline_std_error=b.baseline.std_error,
-            edge_count=int(b.edge_indices.size),
-        )
-        for b in buckets
-    )
-
-
-def perplexity_curve(
-    h: Hypergraph,
-    cfg: SamplerConfig | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> tuple[CurveRow, ...]:
-    """Mean observed diversity next to the baseline, per hyperedge size.
-
-    Rows cover every size >= 2 present, degenerate sizes included.
-    ``epsilon`` must be positive, as in :func:`analyze`.
-    """
-    cfg = cfg or SamplerConfig()
-    buckets, _ = _buckets(h, cfg, epsilon)
-    return _curve_from_buckets(buckets)
 
 
 def newman_assortativity(h: Hypergraph) -> float:

@@ -15,6 +15,7 @@ of one edge at a time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
@@ -132,12 +133,13 @@ def sweep_phi_vs_k(
     Points run over the grid size by size. Point i generates and analyzes
     with seeds derived from index i, so the sweep over mixing levels alone
     is the one-size grid ``[base_cfg.k]``. Every point's configuration is
-    checked before the first one is generated, and a size below 2 (whose
-    edges have nothing to score) is rejected.
+    checked before the first one is generated, and a size that is not an
+    integer, or is below 2 (whose edges have nothing to score), is rejected.
     """
     sampler = sampler or SamplerConfig()
-    if any(int(k) < 2 for k in k_grid):
-        raise ValueError("every k in the grid must be >= 2")
+    integral = (isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in k_grid)
+    if not all(integral) or any(k < 2 for k in k_grid):
+        raise ValueError(f"every k in the grid must be an integer >= 2, got {list(k_grid)}")
     configs = [replace(base_cfg, k=int(k), p=float(p)) for k, p in product(k_grid, p_grid)]
     points = []
     for index, cfg in enumerate(configs):

@@ -72,8 +72,12 @@ class IngestOptions:
 
 def _int_ids(values, what: str) -> np.ndarray:
     """A copy of ``values`` as int64; float, str and bool ids are rejected,
-    not truncated or cast."""
+    not truncated or cast, a bool among ints too."""
     arr = np.array(values)
+    if arr.ndim == 1 and not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in values
+    ):
+        arr = arr.astype(bool)  # np.array reads a bool among ints as an int
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got {arr.dtype} values")
     return arr.astype(np.int64, copy=False)

@@ -96,6 +96,8 @@ def _positive_subset(weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1:
         raise ValueError("weights must be a 1-d array")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     return np.flatnonzero(weights > 0)

@@ -15,7 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import __version__
-from .homophily import EDGE_COLUMNS, CurveRow, EdgeScores, HomophilyReport
+from .homophily import EDGE_COLUMNS, EdgeScores, HomophilyReport, PerKRow
 from .hsbm import GridPoint
 from .hypergraph import IngestStats
 
@@ -46,10 +46,10 @@ def manifest(command: str, inputs: dict, options: dict) -> dict:
 def report_to_dict(
     report: HomophilyReport, manifest: dict, ingest: IngestStats | None = None
 ) -> dict:
-    """The report's fields (its rows as objects, per-edge scores left out),
-    the manifest and the ingest counters."""
-    payload = asdict(replace(report, per_edge=None))
-    del payload["per_edge"]
+    """The report's fields (its rows as objects; the curve and per-edge
+    scores left out), the manifest and the ingest counters."""
+    payload = asdict(replace(report, curve=(), per_edge=None))
+    del payload["curve"], payload["per_edge"]
     payload["manifest"] = manifest
     payload["ingest"] = ingest.to_dict() if ingest is not None else None
     return payload
@@ -125,7 +125,7 @@ def write_table(
         out.write("\n")
 
 
-def write_curve_csv(rows: Sequence[CurveRow], out: IO[str]) -> None:
+def write_curve_csv(rows: Sequence[PerKRow], out: IO[str]) -> None:
     comments = ("per hyperedge size: mean observed diversity vs. null baseline",)
     columns = ("k", "mean_observed", "baseline_mean", "baseline_std_error", "edge_count")
     write_table(rows, columns, comments, out)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import hyperhomophily as hh
-from hyperhomophily.homophily import _buckets, _curve_from_buckets, _report_from_buckets
 from hyperhomophily.nullmodel import derive_seed
 from hyperhomophily.cli import main
 
@@ -160,7 +159,7 @@ _dataset_cache = {}
 
 
 def dataset_analysis(key):
-    """Report and curve for one dataset, computed once per session."""
+    """The report of one dataset, computed once per session."""
     if key not in _dataset_cache:
         paths = find_dataset(key)
         if paths is None:
@@ -169,18 +168,14 @@ def dataset_analysis(key):
                 "(see README: Reproducing the published table)"
             )
         h = hh.load_hypergraph(*paths)
-        cfg = hh.SamplerConfig(samples=10_000, seed=42)
-        buckets, size_one = _buckets(h, cfg, 1e-9)
-        report = _report_from_buckets(h, buckets, size_one, 1e-9, emit_per_edge=False)
-        curve = _curve_from_buckets(buckets)
-        _dataset_cache[key] = (report, curve)
+        _dataset_cache[key] = hh.analyze(h, hh.SamplerConfig(samples=10_000, seed=42))
     return _dataset_cache[key]
 
 
 @pytest.mark.parametrize("key", sorted(TABLE_TARGETS))
 def test_criterion_6_published_table(key):
     with criterion(6, f"published table: {key}"):
-        report, _ = dataset_analysis(key)
+        report = dataset_analysis(key)
         target = TABLE_TARGETS[key]
         assert abs(report.global_phi - target) <= 0.03, (
             f"{key}: phi={report.global_phi:.4f} target={target} "
@@ -191,7 +186,7 @@ def test_criterion_6_published_table(key):
 def test_criterion_7_bill_cosponsorship_shape():
     with criterion(7, "per-size shape: bill co-sponsorship"):
         for key in ("house-bills", "senate-bills"):
-            report, _ = dataset_analysis(key)
+            report = dataset_analysis(key)
             rows = sorted(report.per_k, key=lambda r: r.k)
             small = [r.phi_k for r in rows if r.k <= 4]
             ks = [r.k for r in rows]
@@ -204,7 +199,7 @@ def test_criterion_7_bill_cosponsorship_shape():
 
 def test_criterion_7_browsing_sessions_shape():
     with criterion(7, "per-size shape: browsing sessions"):
-        _, curve = dataset_analysis("trivago-clicks")
+        curve = dataset_analysis("trivago-clicks").curve
         worst = max(row.mean_observed for row in curve)
         assert worst <= 1.05, f"observed diversity should stay at ~1, got {worst}"
 
@@ -212,7 +207,7 @@ def test_criterion_7_browsing_sessions_shape():
 def test_criterion_7_school_contact_shape():
     with criterion(7, "per-size shape: school contacts"):
         for key in ("contact-primary-school", "contact-high-school"):
-            report, _ = dataset_analysis(key)
+            report = dataset_analysis(key)
             rows = [r for r in report.per_k if r.edge_count >= 30]
             peak = max(rows, key=lambda r: r.phi_k)
             assert peak.k in (3, 4), f"{key}: peak at k={peak.k}"
@@ -252,8 +247,12 @@ def test_criterion_9_cli_determinism(tmp_path):
         for tag in ("a", "b"):
             report = tmp_path / f"{tag}.json"
             edges_csv = tmp_path / f"{tag}-edges.csv"
+            curve_csv = tmp_path / f"{tag}-curve.csv"
             assert main(
-                [*base, "--out", str(report), "--per-edge-out", str(edges_csv)]
+                [*base, "--out", str(report), "--per-edge-out", str(edges_csv),
+                 "--perplexity-curve", str(curve_csv)]
             ) == 0
-            outputs.append((report.read_bytes(), edges_csv.read_bytes()))
+            outputs.append(
+                (report.read_bytes(), edges_csv.read_bytes(), curve_csv.read_bytes())
+            )
         assert outputs[0] == outputs[1]

@@ -30,10 +30,8 @@ def test_all_is_pinned():
         "EdgeScores",
         "HomophilyReport",
         "PerKRow",
-        "CurveRow",
         "Exclusion",
         "analyze",
-        "perplexity_curve",
         "newman_assortativity",
         "HsbmConfig",
         "generate_hsbm",

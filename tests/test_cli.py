@@ -140,8 +140,14 @@ class TestAnalyze:
              ("22bd321f4bac44e09b3176d2806d33a42e14357316d76b4f2d415d3f039f059e",
               "d1b2c9d8480e3762a30996b35aad5e0cb15ee514994119865dbbbdac33e8e15a",
               "8e088df1964cc96255905c3ad4280ae26189d7b6778733ff28dd3fab70f94485")),
+            # size 2's baseline is within 1 of 1: a curve row with no per_k row
+            (["--epsilon", "1"], "1",
+             ("64b7e9aa31f6565e39de2fb8183c73be9496225f0ab16a1d20c0f88e7afae8b5",
+              "fcff145458c709eb24a73fbe8bd15f8e718bfe81ce38750a1710c9998cd27301",
+              "43b8ceb4a37864684abadfa18c294283565e32e0f6d83f486f4dce63b8f6da92")),
         ],
-        ids=["q0", "q1", "q2", "collapse-3-5-q0", "collapse-3-5-q1", "collapse-3-5-q2"],
+        ids=["q0", "q1", "q2", "collapse-3-5-q0", "collapse-3-5-q1", "collapse-3-5-q2",
+             "degenerate-k2-q1"],
     )
     def test_output_bytes_are_pinned(self, tmp_path, monkeypatch, flags, order, digests):
         monkeypatch.chdir(tmp_path)  # relative paths: the manifest records them

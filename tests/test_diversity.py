@@ -87,6 +87,23 @@ class TestComposition:
         with pytest.raises(ValueError):
             HyperedgeComposition({0: 0, 1: 2})
 
+    @pytest.mark.parametrize("counts", [{0: 2.5, 1: 1}, {0: True, 1: 1}, {0: 2.0}])
+    def test_counts_must_be_integers(self, counts):
+        # 2.5 was accepted, and hill_number cast it to 2 but divided by 3.5
+        with pytest.raises(ValueError, match="must be an integer"):
+            HyperedgeComposition(counts)
+
+    @pytest.mark.parametrize("counts", [[2.7, 1], [True, 1]])
+    def test_from_counts_rejects_non_integers(self, counts):
+        # [2.7, 1] was truncated to {0: 2, 1: 1}
+        with pytest.raises(ValueError, match="must be an integer"):
+            HyperedgeComposition.from_counts(counts)
+
+    def test_from_counts_accepts_numpy_integers(self):
+        c = HyperedgeComposition.from_counts(np.array([3, 1], dtype=np.uint8))
+        assert c.counts == {0: 3, 1: 1}
+        assert c.size == 4
+
 
 class TestPerplexity:
     def test_two_one_one(self):

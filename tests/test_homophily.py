@@ -13,7 +13,6 @@ from hyperhomophily import (
     analyze,
     estimate_baseline,
     newman_assortativity,
-    perplexity_curve,
 )
 from hyperhomophily.homophily import DEFAULT_EPSILON, _check_epsilon, _score
 
@@ -207,7 +206,7 @@ class TestAnalyze:
             analyze(h, SamplerConfig(samples=100, seed=1))
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("entry", [analyze, perplexity_curve])
+    @pytest.mark.parametrize("entry", [analyze])
     def test_non_positive_epsilon_rejected(self, entry, epsilon):
         # one label: the baseline is exactly 1, so only epsilon > 0 flags it
         h = Hypergraph([0, 0, 0], [[0, 1], [1, 2], [0, 2]])
@@ -222,29 +221,28 @@ class TestAnalyze:
 class TestCurve:
     def test_pure_single_size(self):
         h = Hypergraph([0, 0, 1, 1], [[0, 1], [2, 3]])
-        rows = perplexity_curve(h, SamplerConfig(samples=500, seed=1))
+        rows = analyze(h, SamplerConfig(samples=500, seed=1)).curve
         assert len(rows) == 1
         assert rows[0].k == 2
         assert rows[0].mean_observed == 1.0
         assert rows[0].edge_count == 2
 
     def test_matches_analyze_buckets(self):
-        h = mixed_graph(seed=12)
-        cfg = SamplerConfig(samples=1000, seed=10)
-        rows = {r.k: r for r in perplexity_curve(h, cfg)}
-        report = analyze(h, cfg)
-        for row in report.per_k:
-            assert rows[row.k].baseline_mean == row.baseline_mean
-            assert rows[row.k].baseline_std_error == row.baseline_std_error
-            assert rows[row.k].mean_observed == pytest.approx(
-                row.mean_observed, abs=1e-12
-            )
+        # no size is degenerate here, so per_k is the whole curve
+        report = analyze(mixed_graph(seed=12), SamplerConfig(samples=1000, seed=10))
+        assert [row.k for row in report.curve] == [2, 3, 4]
+        assert report.per_k == report.curve
 
     def test_degenerate_bucket_still_has_row(self):
         h = Hypergraph([0, 0, 1, 1], [[0, 1], [0, 2, 3], [1, 2, 3]])
-        rows = {r.k: r for r in perplexity_curve(h, SamplerConfig(samples=200, seed=2))}
-        assert rows[2].baseline_mean == 1.0
-        assert rows[2].mean_observed == 1.0
+        report = analyze(h, SamplerConfig(samples=200, seed=2))
+        degenerate, scored = report.curve
+        assert (degenerate.k, degenerate.baseline_mean, degenerate.phi_k) == (2, 1.0, 0.0)
+        assert degenerate.mean_observed == 1.0
+        assert report.per_k == (scored,)
+        assert [(e.reason, e.k, e.count) for e in report.exclusions] == [
+            ("degenerate_baseline", 2, 1)
+        ]
 
 
 class TestNewman:

@@ -166,6 +166,8 @@ class TestSweeps:
         [
             ([2, 1], [0.0], ">= 2"),  # a size-1 graph has nothing to score
             ([2, 50], [0.0, 1.0], "partition"),  # only the last point is invalid
+            ([2.5], [0.0], "must be an integer"),  # would run and report k = 2
+            ([2, True], [0.0], "must be an integer"),
         ],
     )
     def test_grid_checked_before_any_point(self, monkeypatch, k_grid, p_grid, match):

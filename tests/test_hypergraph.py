@@ -146,6 +146,8 @@ class TestConstructor:
             (["0", "1"], [[0, 1]]),
             ([0, 1], [[False, True]]),
             ([True, False], [[0, 1]]),
+            ([0, 1], [[0, True]]),  # a bool among ints: would read as edge (0, 1)
+            ([0, True], [[0, 1]]),  # would read as attributes 0, 1
         ],
     )
     def test_rejects_non_integer_ids(self, attrs, edges):

@@ -88,6 +88,13 @@ class TestSampler:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_weighted_k_sets(np.array([1.0, -1.0]), 1, 1, rng)[0]
+        # an infinite weight crashed the draw and a NaN one was read as 0
+        for bad in (np.inf, -np.inf, np.nan):
+            weights = np.array([1.0, bad, 1.0])
+            with pytest.raises(ValueError, match="weights must be finite"):
+                sample_weighted_k_sets(weights, 2, 3, rng)
+            with pytest.raises(ValueError, match="weights must be finite"):
+                _exact_expected_diversity(np.zeros(3, dtype=np.int64), weights, 2, 1.0)
 
     def test_weight_scaling_leaves_draws_unchanged(self):
         weights = np.array([3.0, 1.0, 2.0, 5.0])
