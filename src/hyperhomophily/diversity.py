@@ -10,13 +10,12 @@ distinct attributes, and order 2 the inverse Simpson index.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_int
 
 Q_ONE_TOLERANCE = 1e-9  # orders within this of 1 use the entropy limit form
 _NEAR_ONE = 0.25  # other orders within this of 1 use the log1p form
@@ -36,9 +35,7 @@ class HyperedgeComposition:
         if not self.counts:
             raise ValueError("composition must contain at least one attribute")
         for attr, count in self.counts.items():
-            # NumPy integers pass; a bool or a float is rejected, not cast
-            if not isinstance(count, numbers.Integral) or isinstance(count, bool):
-                raise ValueError(f"count for attribute {attr} must be an integer")
+            _check_int(count, f"count for attribute {attr}")  # a float is not cast
             if count < 1:
                 raise ValueError(f"count for attribute {attr} must be >= 1")
 

@@ -15,7 +15,6 @@ of one edge at a time.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .homophily import analyze
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_int
 from .nullmodel import SamplerConfig, _check_seed, derive_seed, sample_weighted_k_sets
 
 _GEN_STREAM = 0  # seed-derivation tags, so generation and analysis
@@ -40,6 +39,8 @@ class HsbmConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("num_nodes", "num_attributes", "k", "num_edges"):  # stored as ints
+            object.__setattr__(self, name, _check_int(getattr(self, name), name))
         if self.num_attributes < 1 or self.num_nodes < 1:
             raise ValueError("num_nodes and num_attributes must be >= 1")
         if self.num_nodes % self.num_attributes != 0:
@@ -61,7 +62,7 @@ class HsbmConfig:
                 f"k ({self.k}) > nodes per partition "
                 f"({self.num_nodes // self.num_attributes})"
             )
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
@@ -137,10 +138,10 @@ def sweep_phi_vs_k(
     integer, or is below 2 (whose edges have nothing to score), is rejected.
     """
     sampler = sampler or SamplerConfig()
-    integral = (isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in k_grid)
-    if not all(integral) or any(k < 2 for k in k_grid):
-        raise ValueError(f"every k in the grid must be an integer >= 2, got {list(k_grid)}")
-    configs = [replace(base_cfg, k=int(k), p=float(p)) for k, p in product(k_grid, p_grid)]
+    k_grid = [_check_int(k, "every k in the grid") for k in k_grid]
+    if any(k < 2 for k in k_grid):
+        raise ValueError(f"every k in the grid must be an integer >= 2, got {k_grid}")
+    configs = [replace(base_cfg, k=k, p=float(p)) for k, p in product(k_grid, p_grid)]
     points = []
     for index, cfg in enumerate(configs):
         h = generate_hsbm(replace(cfg, seed=derive_seed(cfg.seed, _GEN_STREAM, index)))

@@ -10,9 +10,10 @@ per line. Ids are 1-based and made of ASCII digits only.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +25,8 @@ UNLABELED = -1
 _MAX_DIGITS = 18  # every id of up to 18 digits fits in int64
 _TOO_LONG = f"out of range: more than {_MAX_DIGITS} digits"
 _INT64_MAX = (1 << 63) - 1
+_NOT_ID, _LONG = 1, 2  # the fault codes of _ascii_ids; 0 is an id
+_OUT_OF_RANGE, _UNNAMED = 3, 4  # the faults its callers add
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,13 @@ def _int_ids(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _check_int(value, what: str) -> int:
+    """``value``, a Python or NumPy integer but not a bool, as an int."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Hypergraph:
     """Immutable node-attributed hypergraph.
 
@@ -107,17 +117,14 @@ class Hypergraph:
             raise ValueError("attributes must be one id per node")
         edge_arrays = []
         for pos, edge in enumerate(edges):
-            arr = _int_ids(sorted(edge), f"hyperedge {pos} node ids")
+            arr = np.sort(_int_ids(list(edge), f"hyperedge {pos} node ids"))
             if arr.size == 0:
                 raise ValueError(f"hyperedge {pos} is empty")
             if np.any(arr[1:] == arr[:-1]):
                 raise ValueError(f"hyperedge {pos} contains duplicate node ids")
             edge_arrays.append(arr)
-        flat = (
-            np.concatenate(edge_arrays) if edge_arrays else np.empty(0, dtype=np.int64)
-        )
-        offsets = np.zeros(len(edge_arrays) + 1, dtype=np.int64)
-        np.cumsum([a.size for a in edge_arrays], out=offsets[1:])
+        flat = np.concatenate([np.empty(0, dtype=np.int64), *edge_arrays])
+        offsets = _offsets(np.array([a.size for a in edge_arrays], dtype=np.int64))
         self._init_arrays(attrs, flat, offsets, attribute_names, ingest)
 
     @classmethod
@@ -285,60 +292,89 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
-def _ascii_ids(raw: np.ndarray, is_sep: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Values and lengths of the tokens of the bytes ``raw`` between the
-    separators ``is_sep`` marks, computed by place value; an empty token has
-    value 0. None unless every other byte is an ASCII digit and no token has
-    more than 18 digits, so that each value fits in int64.
-    """
+def _ascii_ids(raw: np.ndarray, is_sep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Values, lengths (19 for any longer) and fault codes of the tokens of
+    the bytes ``raw`` between the separators ``is_sep`` marks. Fault 0 is an
+    id: 18 ASCII digits at most, so its place value fits in int64. _NOT_ID is
+    an empty token or one with any other byte, _LONG an id of more than 18
+    digits; a faulty token's value means nothing. Every byte is checked only
+    when a column or a length shows a fault."""
     ends = np.flatnonzero(np.append(is_sep, True))  # the last token ends at raw.size
     lengths = np.diff(ends, prepend=-1) - 1
+    lengths = np.minimum(lengths, _MAX_DIGITS + 1, out=lengths).astype(np.uint8)
+    faults = np.zeros(ends.size, dtype=np.uint8)
+    faults[lengths == 0] = _NOT_ID
     width = int(lengths.max())
-    if width > _MAX_DIGITS:
-        return None
-    lengths = lengths.astype(np.uint8)
+    scan = width > _MAX_DIGITS
+    width = min(width, _MAX_DIGITS)
     values = np.zeros(ends.size, dtype=np.int64)
     # Horner's rule over right-aligned columns, most significant first; a
     # column left of a token's start (an index that may wrap to the end of
-    # raw) counts as a leading zero, and every byte of a token is read once
+    # raw) counts as a leading zero, and a token's last 18 bytes are read once
     at = ends - width  # each token's byte in the current column
     for place in range(width - 1, -1, -1):
         digit = raw[at] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
         digit[lengths <= place] = 0
-        if digit.max() > 9:
-            return None
+        scan = scan or digit.max() > 9
         values *= 10
         values += digit
         at += 1
-    return values, lengths
+    if scan:
+        faults[lengths > _MAX_DIGITS] = _LONG
+        other = np.flatnonzero(~is_sep & ((raw < ord("0")) | (raw > ord("9"))))
+        faults[np.searchsorted(ends, other)] = _NOT_ID  # the token holding each byte
+    return values, lengths, faults
 
 
-def _is_id(token: str) -> bool:
-    """The id grammar: ASCII digits, the bytes :func:`_ascii_ids` reads."""
-    return token.isascii() and token.isdigit()
+def _raise_first_fault(data: bytes, is_sep, faults, values, errors: dict, count: int):
+    """Raise the error of the first faulty token of ``data``, if any, at its
+    line: ``errors[fault]`` with the token, its value and ``count`` filled in,
+    or ``errors["blank"]``, where there is one, for a token alone on a blank line."""
+    if not faults.any():
+        return
+    first = int(np.argmax(faults > 0))
+    bounds = np.concatenate(([-1], np.flatnonzero(is_sep), [len(data)]))
+    start, end = int(bounds[first]) + 1, int(bounds[first + 1])
+    token = data[start:end].decode("utf-8", "surrogatepass")
+    alone = b"," not in (data[start - 1 : start], data[end : end + 1])
+    blank = "blank" in errors and alone and not token.strip()
+    key = "blank" if blank else int(faults[first])
+    message = errors[key].format(token=token, value=values[first], count=count)
+    error = ParseError if key in ("blank", _NOT_ID) else NodeRangeError
+    raise error(message, data.count(b"\n", 0, start) + 1)
 
 
-def _parse_labels(text: str) -> np.ndarray:
+_EDGE_ERRORS = {
+    "blank": "empty hyperedge line",
+    _NOT_ID: "invalid node id {token!r}",
+    _LONG: "node id {token} " + _TOO_LONG,
+    _OUT_OF_RANGE: "node id {token} out of range of labels file ({count} nodes)",
+}
+_LABEL_ERRORS = {
+    _NOT_ID: "labels file: invalid label {token!r}",
+    _LONG: "labels file: label id {token} " + _TOO_LONG,
+    _OUT_OF_RANGE: "labels file: label id {token} out of range",
+    _UNNAMED: "labels file: label id {value} has no entry in the label names file "
+    "({count} names)",
+}
+
+
+def _parse_labels(text: str, names: tuple[str, ...] | None = None) -> np.ndarray:
     # an empty line is an unlabeled node, so every line counts (no trailing strip)
     if not text:
         return np.empty(0, dtype=np.int64)
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    if raw[-1] == ord("\n"):
-        raw = raw[:-1]  # the newline ending the last line starts no new one
-    parsed = _ascii_ids(raw, raw == ord("\n"))
-    if parsed is not None:
-        values, lengths = parsed
-        labeled = lengths > 0
-        if np.all(values[labeled] >= 1):
-            return np.where(labeled, values - 1, UNLABELED)
-    # report the first line the bytes above declined
-    for lineno, token in enumerate(text.split("\n"), start=1):
-        if token and not _is_id(token):
-            raise ParseError(f"labels file: invalid label {token!r}", lineno)
-        if token and len(token) > _MAX_DIGITS:
-            raise NodeRangeError(f"labels file: label id {token} {_TOO_LONG}", lineno)
-        if token and int(token) == 0:
-            raise NodeRangeError(f"labels file: label id {token} out of range", lineno)
+    data = text.encode("utf-8", "surrogatepass")
+    data = data[:-1] if data[-1] == ord("\n") else data  # it starts no new line
+    raw = np.frombuffer(data, dtype=np.uint8)
+    is_sep = raw == ord("\n")
+    values, lengths, faults = _ascii_ids(raw, is_sep)
+    labeled = lengths > 0
+    faults[~labeled] = 0  # an empty line is an unlabeled node, not a fault
+    named = _INT64_MAX if names is None else len(names)
+    faults[(faults == 0) & labeled & (values == 0)] = _OUT_OF_RANGE
+    faults[(faults == 0) & (values > named)] = _UNNAMED
+    _raise_first_fault(data, is_sep, faults, values, _LABEL_ERRORS, named)
+    return np.where(labeled, values - 1, UNLABELED)
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -364,34 +400,32 @@ def _repeated_edges(
 
 def _edges_whole(
     text: str, attributes: np.ndarray, opts: IngestOptions
-) -> tuple[np.ndarray, np.ndarray, IngestStats] | None:
+) -> tuple[np.ndarray, np.ndarray, IngestStats]:
     """Parse the whole LF-ended hyperedges text at once into CSR arrays and
     counters.
 
     The body, the text without its trailing whitespace, is read from its
     bytes by place value: each line is ``id(,id)*``, an id being ASCII
-    digits. Each line's ids are sorted and made distinct (one dedup event per
+    digits; the first token that is not an id in range raises its line's
+    error. Each line's ids are sorted and made distinct (one dedup event per
     line that repeats an id). Lines are then dropped by size, by an unlabeled
-    node, and as a repeat of an earlier kept line, in that order, each counted
-    where it is dropped. None when a line is malformed (a token that is not
-    an id, an id out of range, or a blank line), which
-    :func:`_raise_line_error` then reports.
+    node, and as a repeat of an earlier kept line, in that order, each
+    counted where it is dropped.
     """
     body = text.rstrip()
     if not body:
         empty = np.empty(0, dtype=np.int64)
         return empty, _offsets(empty), IngestStats()
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    data = body.encode("utf-8", "surrogatepass")
+    raw = np.frombuffer(data, dtype=np.uint8)
     is_sep = (raw == ord(",")) | (raw == ord("\n"))
-    parsed = _ascii_ids(raw, is_sep)
-    if parsed is None or parsed[1].min() == 0:
-        return None
-    nodes = parsed[0]
-    ends_line = raw[is_sep] == ord("\n")  # token i ends its line iff separator i does
+    nodes, _, faults = _ascii_ids(raw, is_sep)
     node_count = attributes.size
+    if nodes.min() < 1 or nodes.max() > node_count:
+        faults[(faults == 0) & ((nodes < 1) | (nodes > node_count))] = _OUT_OF_RANGE
+    _raise_first_fault(data, is_sep, faults, nodes, _EDGE_ERRORS, node_count)
     nodes -= 1
-    if nodes.min() < 0 or nodes.max() >= node_count:
-        return None
+    ends_line = raw[is_sep] == ord("\n")  # token i ends its line iff separator i does
     line = np.zeros(nodes.size, dtype=np.int64)
     np.cumsum(ends_line, out=line[1:])
     line_count = int(line[-1]) + 1
@@ -441,24 +475,6 @@ def _edges_whole(
     return nodes[keep[line]], _offsets(sizes[keep]), stats
 
 
-def _raise_line_error(text: str, node_count: int) -> NoReturn:
-    """Raise the error of the first malformed line of a hyperedges text that
-    :func:`_edges_whole` declined, reading the same body."""
-    for lineno, line in enumerate(text.rstrip().split("\n"), start=1):
-        if line.strip() == "":
-            raise ParseError("empty hyperedge line", lineno)
-        for token in line.split(","):
-            if not _is_id(token):
-                raise ParseError(f"invalid node id {token!r}", lineno)
-            if len(token) > _MAX_DIGITS:
-                raise NodeRangeError(f"node id {token} {_TOO_LONG}", lineno)
-            if not 1 <= int(token) <= node_count:
-                raise NodeRangeError(
-                    f"node id {token} out of range of labels file ({node_count} nodes)",
-                    lineno,
-                )
-
-
 def _lf(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -468,36 +484,15 @@ def _parse_texts(
 ) -> Hypergraph:
     # CRLF and a lone CR end a line, as LF does
     edges_text, labels_text = _lf(edges_text), _lf(labels_text)
-    attributes = _parse_labels(labels_text)
     names = None if names_text is None else tuple(_content_lines(_lf(names_text)))
-    if names is not None:
-        unnamed = np.flatnonzero(attributes >= len(names))
-        if unnamed.size:
-            node = int(unnamed[0])  # line i + 1 of the labels file labels node i
-            raise NodeRangeError(
-                f"labels file: label id {attributes[node] + 1} has no entry in the "
-                f"label names file ({len(names)} names)",
-                node + 1,
-            )
-    parsed = _edges_whole(edges_text, attributes, opts)
-    if parsed is None:
-        _raise_line_error(edges_text, attributes.size)
-    flat, offsets, stats = parsed
+    attributes = _parse_labels(labels_text, names)
+    flat, offsets, stats = _edges_whole(edges_text, attributes, opts)
 
-    if (
-        stats.excluded_by_size
-        or stats.excluded_unlabeled
-        or stats.duplicate_edges_collapsed
-        or stats.dedup_events
-    ):
-        log.info(
-            "ingest: %d deduped lines, %d size-filtered, %d unlabeled-dropped, "
-            "%d duplicate edges collapsed",
-            stats.dedup_events,
-            stats.excluded_by_size,
-            stats.excluded_unlabeled,
-            stats.duplicate_edges_collapsed,
-        )
+    counts = (stats.dedup_events, stats.excluded_by_size, stats.excluded_unlabeled,
+              stats.duplicate_edges_collapsed)
+    if any(counts):
+        log.info("ingest: %d deduped lines, %d size-filtered, %d unlabeled-dropped, "
+                 "%d duplicate edges collapsed", *counts)
     return Hypergraph._from_csr(attributes, flat, offsets, names, ingest=stats)
 
 

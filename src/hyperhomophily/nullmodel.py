@@ -44,7 +44,7 @@ import numpy as np
 
 from .diversity import _check_order, _hill, bulk_diversity
 from .exceptions import InsufficientPopulationError, StateSpaceError
-from .hypergraph import Hypergraph, k_degrees
+from .hypergraph import Hypergraph, _check_int, k_degrees
 
 ENUMERATION_GUARD = 10_000_000  # max n**k for exact_baseline
 _BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots or rows x n keys (~32 MB)
@@ -57,10 +57,12 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> int:
+    seed = _check_int(seed, "seed")
     # derive_seed masks each part to 64 bits: seeds 2**64 apart would collide
     if not 0 <= seed <= _SEED_MASK:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,11 @@ class SamplerConfig:
     diversity_order: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
+        # a NumPy integer is stored as an int
+        object.__setattr__(self, "samples", _check_int(self.samples, "samples"))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         _check_order(self.diversity_order)
 
 
@@ -225,6 +227,9 @@ def sample_weighted_k_sets(
     Returns an int array of shape (count, k); entries within a row are the
     selected node indices in ascending order.
     """
+    k, count = _check_int(k, "k"), _check_int(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     batches = _draw_batches(weights, k, count, rng)
     out = np.empty((count, k), dtype=np.int64)
     done = 0

@@ -1,5 +1,6 @@
-"""Test-only reference for hyperedges ingestion: a line-by-line parser that
-the whole-file parser in ``hyperhomophily.hypergraph`` is compared against."""
+"""Test-only references for ingestion: line-by-line parsers of the
+hyperedges and labels texts that the whole-file parsers in
+``hyperhomophily.hypergraph`` are compared against."""
 
 import re
 
@@ -88,3 +89,38 @@ def edges_by_line(
     )
     offsets = _offsets(np.asarray(lengths, dtype=np.int64))
     return np.asarray(edge_nodes, dtype=np.int64), offsets, stats
+
+
+def labels_by_line(text: str, names: int | None) -> np.ndarray:
+    """Line-by-line parse of the labels text into one attribute per node
+    (``UNLABELED`` for an empty line), given the number of label names.
+
+    LF, CRLF and a lone CR each end a line, and the line end after the last
+    line starts no new one. Raises the error of the first bad line: a line
+    that is not an id, an id of more than 18 digits, the id 0, or an id with
+    no line in the label-names file.
+    """
+    lines = NEWLINE.split(text)
+    if lines[-1] == "":
+        lines.pop()  # the text is empty or ends its last line
+    attributes = []
+    for lineno, token in enumerate(lines, start=1):
+        if token == "":
+            attributes.append(UNLABELED)
+            continue
+        if ID.fullmatch(token) is None:
+            raise ParseError(f"labels file: invalid label {token!r}", lineno)
+        if len(token) > 18:
+            raise NodeRangeError(
+                f"labels file: label id {token} out of range: more than 18 digits", lineno
+            )
+        if int(token) == 0:
+            raise NodeRangeError(f"labels file: label id {token} out of range", lineno)
+        if names is not None and int(token) > names:
+            raise NodeRangeError(
+                f"labels file: label id {int(token)} has no entry in the label names "
+                f"file ({names} names)",
+                lineno,
+            )
+        attributes.append(int(token) - 1)
+    return np.asarray(attributes, dtype=np.int64)

@@ -39,6 +39,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             HsbmConfig(num_nodes=100, num_attributes=10, k=5, num_edges=0, p=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", 2.5),  # was accepted, and generate_hsbm raised TypeError
+            ("num_edges", 5.7),
+            ("num_nodes", 10.0),
+            ("num_attributes", 2.0),
+            ("k", True),
+            ("seed", 2.5),
+            ("seed", True),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, field, value):
+        kwargs = dict(num_nodes=10, num_attributes=2, k=2, num_edges=5, p=0.0)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            HsbmConfig(**{**kwargs, field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        sizes = dict(num_nodes=np.int64(10), num_attributes=np.int32(2), k=np.uint8(2))
+        cfg = HsbmConfig(**sizes, num_edges=np.int64(5), p=0.0, seed=np.uint64(4))
+        plain = HsbmConfig(num_nodes=10, num_attributes=2, k=2, num_edges=5, p=0.0, seed=4)
+        assert generate_hsbm(cfg).edge_list() == generate_hsbm(plain).edge_list()
+
 
 def partition_of(cfg, node):
     return node // (cfg.num_nodes // cfg.num_attributes)

@@ -26,7 +26,7 @@ from hyperhomophily import (
 from hyperhomophily import hypergraph
 from hyperhomophily.homophily import _edge_labels
 from hyperhomophily.hypergraph import _ascii_ids, _edges_whole, _lf, _parse_labels
-from line_parser import edges_by_line
+from line_parser import edges_by_line, labels_by_line
 
 
 def parse(edges_text, labels_text, names_text=None, **kwargs):
@@ -148,6 +148,8 @@ class TestConstructor:
             ([True, False], [[0, 1]]),
             ([0, 1], [[0, True]]),  # a bool among ints: would read as edge (0, 1)
             ([0, True], [[0, 1]]),  # would read as attributes 0, 1
+            ([0, 0], [[0, "a"]]),  # sorted() raised TypeError
+            ([0, 0], [[0, None]]),
         ],
     )
     def test_rejects_non_integer_ids(self, attrs, edges):
@@ -444,16 +446,15 @@ def check_against_line_parser(inputs, collapse):
     )
     attributes = _parse_labels(labels_text)
     expected = _outcome(lambda: edges_by_line(text, attributes, opts))
-    fast = _edges_whole(_lf(text), attributes, opts)
+    fast = _outcome(lambda: _edges_whole(_lf(text), attributes, opts))
     got = _outcome(
         lambda: parse_hypergraph(io.StringIO(text), io.StringIO(labels_text), None, opts)
     )
     if isinstance(expected, ParseError):
-        assert fast is None  # malformed input goes to the error locator
-        assert type(got) is type(expected)
-        assert (got.line, str(got)) == (expected.line, str(expected))
+        for error in (fast, got):  # the whole-file parser raises the oracle's error
+            assert type(error) is type(expected)
+            assert (error.line, str(error)) == (expected.line, str(expected))
         return
-    assert fast is not None
     flat, offsets, stats = expected
     for nodes, offs, ingest in (fast, (got.edge_nodes, got.offsets, got.ingest)):
         assert nodes.dtype == offs.dtype == np.int64
@@ -464,8 +465,8 @@ def check_against_line_parser(inputs, collapse):
 
 def byte_route_parses(text: str) -> bool:
     raw = np.frombuffer(text.rstrip().encode(), dtype=np.uint8)
-    parsed = _ascii_ids(raw, (raw == ord(",")) | (raw == ord("\n")))
-    return parsed is not None and parsed[1].min() > 0
+    faults = _ascii_ids(raw, (raw == ord(",")) | (raw == ord("\n")))[2]
+    return not faults.any()
 
 
 class TestWholeFileParser:
@@ -543,6 +544,14 @@ class TestByteRoute:
             "line 1: node id 0000000000000000003 out of range: more than 18 digits"
         )
 
+    def test_long_token_with_a_letter_is_not_an_id(self):
+        # 20 bytes, the letter before the last 18: not an id, whatever its length
+        token = "x" + "1" * 19
+        with pytest.raises(ParseError) as info:
+            parse(f"1\n{token},1\n", LABELS_10)
+        assert type(info.value) is ParseError
+        assert str(info.value) == f"line 2: invalid node id {token!r}"
+
     def test_long_label_id_names_digit_limit(self):
         with pytest.raises(NodeRangeError) as info:
             _parse_labels("1\n0000000000000000001\n")
@@ -581,6 +590,56 @@ class TestByteRoute:
         with pytest.raises(ParseError) as info:
             _parse_labels(text)
         assert info.value.line == line
+
+
+# empty and whitespace-only lines, signs, other digits, a lone surrogate, the
+# id 0, leading zeros, ids of 19 and more digits and a 10,000-digit token
+# with a letter in front
+LABEL_TOKENS = [
+    "", "", " ", "\t", "\xa0", "\x1f", "+1", "\u0663", "\ud800", "x", "0", "00",
+    "007", "1", "2", "3", "12", "1" * 19, "0" * 18 + "1", "9" * 25, "x" + "1" * 10_000,
+]
+
+
+@st.composite
+def label_texts(draw):
+    """(labels text, number of label names or None for no names file)."""
+    tokens = draw(st.lists(st.sampled_from(LABEL_TOKENS), max_size=8))
+    text = "".join(token + draw(st.sampled_from(["\n", "\r\n", "\r"])) for token in tokens)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return text, draw(st.sampled_from([None, 0, 1, 2, 3]))
+
+
+class TestLabelsAgainstLineParser:
+    @given(case=label_texts())
+    @example(case=("1\n3\nx\n", 2))
+    @example(case=("\n\n" + "x" + "1" * 10_000 + "\n", None))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_line_by_line(self, case):
+        text, names = case
+        names_text = None if names is None else "".join(f"n{i}\n" for i in range(names))
+        expected = _outcome(lambda: labels_by_line(text, names))
+        got = _outcome(lambda: parse("", text, names_text))
+        if isinstance(expected, ParseError):
+            assert type(got) is type(expected)
+            assert (got.line, str(got)) == (expected.line, str(expected))
+        else:
+            assert got.attributes.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            # line 2's label has no name; line 3, not an id, was reported instead
+            ("1\n3\nx\n", 2, "label id 3 has no entry in the label names file (2 names)"),
+            ("1\n007\n", 2, "label id 7 has no entry in the label names file (2 names)"),
+            ("x\n3\n", 1, "invalid label 'x'"),
+        ],
+    )
+    def test_first_bad_line_across_label_checks(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse("", text, names_text="red\nblue\n")
+        assert (info.value.line, str(info.value)) == (line, f"line {line}: labels file: {message}")
 
 
 # digits, separators, whitespace and control characters (some of which

@@ -96,6 +96,19 @@ class TestSampler:
             with pytest.raises(ValueError, match="weights must be finite"):
                 _exact_expected_diversity(np.zeros(3, dtype=np.int64), weights, 2, 1.0)
 
+    @pytest.mark.parametrize(
+        "k, count, match",
+        [
+            (2, 2.5, "count must be an integer"),  # raised TypeError
+            (2, -1, "count must be >= 0"),  # raised "negative dimensions are not allowed"
+            (2.5, 2, "k must be an integer"),  # raised "Partition index must be integer"
+            (True, 2, "k must be an integer"),
+        ],
+    )
+    def test_non_integer_k_and_count_rejected(self, k, count, match):
+        with pytest.raises(ValueError, match=match):
+            sample_weighted_k_sets(np.ones(4), k, count, np.random.default_rng(0))
+
     def test_weight_scaling_leaves_draws_unchanged(self):
         weights = np.array([3.0, 1.0, 2.0, 5.0])
         a = sample_weighted_k_sets(weights, 2, 200, np.random.default_rng(7))
@@ -135,6 +148,17 @@ class TestEstimate:
     def test_non_integer_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples must be an integer"):
             SamplerConfig(samples=samples)
+
+    @pytest.mark.parametrize("seed", [3.5, True, "7"])  # 3.5 crashed analyze with TypeError
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SamplerConfig(seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        # samples=np.int64(100) was rejected; a NumPy seed draws the int seed's stream
+        cfg = SamplerConfig(samples=np.int64(100), seed=np.uint64(9))
+        est = estimate_baseline(two_bucket_graph(), 2, cfg)
+        assert est == estimate_baseline(two_bucket_graph(), 2, SamplerConfig(samples=100, seed=9))
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
