@@ -193,8 +193,6 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
     )
     p_grid = _parse_grid(args.p_grid)
-    if any(not -1.0 <= p <= 1.0 for p in p_grid):
-        raise ValueError("every p in the grid must lie in [-1, 1]")
     if len(k_grid) * len(p_grid) > MAX_GRID_POINTS:
         raise ValueError(f"the (k, p) grid has more than {MAX_GRID_POINTS} points")
 

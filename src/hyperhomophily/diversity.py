@@ -34,10 +34,12 @@ class HyperedgeComposition:
     def __post_init__(self):
         if not self.counts:
             raise ValueError("composition must contain at least one attribute")
+        counts = {}  # stored as ints: a narrow NumPy count would overflow a sum
         for attr, count in self.counts.items():
-            _check_int(count, f"count for attribute {attr}")  # a float is not cast
+            count = counts[attr] = _check_int(count, f"count for attribute {attr}")
             if count < 1:
                 raise ValueError(f"count for attribute {attr} must be >= 1")
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_counts(cls, counts) -> "HyperedgeComposition":

@@ -284,14 +284,6 @@ def k_degrees(h: Hypergraph, k: int) -> KDegreeIndex:
 # -- ingestion ----------------------------------------------------------------
 
 
-def _content_lines(text: str) -> list[str]:
-    """All lines of an LF-ended text, trailing blank lines removed."""
-    lines = text.split("\n")
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-    return lines
-
-
 def _ascii_ids(raw: np.ndarray, is_sep: np.ndarray) -> tuple[np.ndarray, ...]:
     """Values, lengths (19 for any longer) and fault codes of the tokens of
     the bytes ``raw`` between the separators ``is_sep`` marks. Fault 0 is an
@@ -328,14 +320,15 @@ def _ascii_ids(raw: np.ndarray, is_sep: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _raise_first_fault(data: bytes, is_sep, faults, values, errors: dict, count: int):
     """Raise the error of the first faulty token of ``data``, if any, at its
-    line: ``errors[fault]`` with the token, its value and ``count`` filled in,
-    or ``errors["blank"]``, where there is one, for a token alone on a blank line."""
+    line: ``errors[fault]`` with the token (its bytes that are not UTF-8
+    escaped), its value and ``count`` filled in, or ``errors["blank"]``,
+    where there is one, for a token alone on a blank line."""
     if not faults.any():
         return
     first = int(np.argmax(faults > 0))
     bounds = np.concatenate(([-1], np.flatnonzero(is_sep), [len(data)]))
     start, end = int(bounds[first]) + 1, int(bounds[first + 1])
-    token = data[start:end].decode("utf-8", "surrogatepass")
+    token = data[start:end].decode("utf-8", "backslashreplace")
     alone = b"," not in (data[start - 1 : start], data[end : end + 1])
     blank = "blank" in errors and alone and not token.strip()
     key = "blank" if blank else int(faults[first])
@@ -359,11 +352,10 @@ _LABEL_ERRORS = {
 }
 
 
-def _parse_labels(text: str, names: tuple[str, ...] | None = None) -> np.ndarray:
+def _parse_labels(data: bytes, names: tuple[str, ...] | None = None) -> np.ndarray:
     # an empty line is an unlabeled node, so every line counts (no trailing strip)
-    if not text:
+    if not data:
         return np.empty(0, dtype=np.int64)
-    data = text.encode("utf-8", "surrogatepass")
     data = data[:-1] if data[-1] == ord("\n") else data  # it starts no new line
     raw = np.frombuffer(data, dtype=np.uint8)
     is_sep = raw == ord("\n")
@@ -399,24 +391,23 @@ def _repeated_edges(
 
 
 def _edges_whole(
-    text: str, attributes: np.ndarray, opts: IngestOptions
+    data: bytes, attributes: np.ndarray, opts: IngestOptions
 ) -> tuple[np.ndarray, np.ndarray, IngestStats]:
-    """Parse the whole LF-ended hyperedges text at once into CSR arrays and
+    """Parse the whole LF-ended hyperedges bytes at once into CSR arrays and
     counters.
 
-    The body, the text without its trailing whitespace, is read from its
-    bytes by place value: each line is ``id(,id)*``, an id being ASCII
-    digits; the first token that is not an id in range raises its line's
-    error. Each line's ids are sorted and made distinct (one dedup event per
-    line that repeats an id). Lines are then dropped by size, by an unlabeled
-    node, and as a repeat of an earlier kept line, in that order, each
-    counted where it is dropped.
+    The body, the bytes without their trailing ASCII whitespace, is read by
+    place value: each line is ``id(,id)*``, an id being ASCII digits; the
+    first token that is not an id in range (a byte that is not UTF-8 is one
+    more such token) raises its line's error. Each line's ids are sorted and
+    made distinct (one dedup event per line that repeats an id). Lines are
+    then dropped by size, by an unlabeled node, and as a repeat of an earlier
+    kept line, in that order, each counted where it is dropped.
     """
-    body = text.rstrip()
-    if not body:
+    data = data.rstrip()
+    if not data:
         empty = np.empty(0, dtype=np.int64)
         return empty, _offsets(empty), IngestStats()
-    data = body.encode("utf-8", "surrogatepass")
     raw = np.frombuffer(data, dtype=np.uint8)
     is_sep = (raw == ord(",")) | (raw == ord("\n"))
     nodes, _, faults = _ascii_ids(raw, is_sep)
@@ -475,18 +466,33 @@ def _edges_whole(
     return nodes[keep[line]], _offsets(sizes[keep]), stats
 
 
-def _lf(text: str) -> str:
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+def _lf(data: bytes) -> bytes:
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def _parse_texts(
-    edges_text: str, labels_text: str, names_text: str | None, opts: IngestOptions
+def _label_names(data: bytes) -> tuple[str, ...]:
+    """The lines of the LF-ended label-names bytes, trailing blank lines
+    removed, each decoded as UTF-8; a line that is not is a ParseError."""
+    lines = data.split(b"\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    for i, line in enumerate(lines):
+        try:
+            lines[i] = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"label names file: byte 0x{line[exc.start]:02x} is not valid UTF-8", i + 1
+            ) from None
+    return tuple(lines)
+
+
+def _parse_bytes(
+    edges: bytes, labels: bytes, label_names: bytes | None, opts: IngestOptions
 ) -> Hypergraph:
     # CRLF and a lone CR end a line, as LF does
-    edges_text, labels_text = _lf(edges_text), _lf(labels_text)
-    names = None if names_text is None else tuple(_content_lines(_lf(names_text)))
-    attributes = _parse_labels(labels_text, names)
-    flat, offsets, stats = _edges_whole(edges_text, attributes, opts)
+    names = None if label_names is None else _label_names(_lf(label_names))
+    attributes = _parse_labels(_lf(labels), names)
+    flat, offsets, stats = _edges_whole(_lf(edges), attributes, opts)
 
     counts = (stats.dedup_events, stats.excluded_by_size, stats.excluded_unlabeled,
               stats.duplicate_edges_collapsed)
@@ -507,28 +513,17 @@ def parse_hypergraph(
     ``hyperedges_text`` holds one hyperedge per line as comma-separated node
     ids; ``labels_text`` holds one label id per line, line i labeling node i.
     An id is 1-based and made of ASCII digits, at most 18 of them; no spaces,
-    signs or other digits. Trailing whitespace of the hyperedges text is
-    ignored; a blank line before it is an error. In the labels text an empty
-    line denotes an unlabeled node. Each stream is read whole, and LF, CRLF
-    and a lone CR each end a line. Exclusion and dedup counts are retrievable
-    via ``Hypergraph.ingest``.
+    signs or other digits. Trailing ASCII whitespace of the hyperedges text
+    is ignored; a blank line before it is an error. In the labels text an
+    empty line denotes an unlabeled node. Each stream is read whole and its
+    UTF-8 bytes parsed as a file's; LF, CRLF and a lone CR each end a line.
+    Exclusion and dedup counts are retrievable via ``Hypergraph.ingest``.
     """
-    names = None if label_names_text is None else label_names_text.read()
-    return _parse_texts(hyperedges_text.read(), labels_text.read(), names, opts)
-
-
-def _read_text(path: str | Path, what: str) -> str:
-    """The file decoded as UTF-8; a byte that is not UTF-8 is a ParseError
-    naming its line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(
-            f"{what} file: byte 0x{data[exc.start]:02x} is not valid UTF-8", line
-        ) from None
+    edges, labels, names = (
+        None if f is None else f.read().encode("utf-8", "surrogatepass")
+        for f in (hyperedges_text, labels_text, label_names_text)
+    )
+    return _parse_bytes(edges, labels, names, opts)
 
 
 def load_hypergraph(
@@ -537,13 +532,12 @@ def load_hypergraph(
     label_names_path: str | Path | None = None,
     opts: IngestOptions = IngestOptions(),
 ) -> Hypergraph:
-    """File-path convenience wrapper around :func:`parse_hypergraph`."""
-    edges_text = _read_text(hyperedges_path, "hyperedges")
-    labels_text = _read_text(labels_path, "labels")
-    names_text = (
-        None if label_names_path is None else _read_text(label_names_path, "label names")
+    """File-path form of :func:`parse_hypergraph`; each file is parsed from its bytes."""
+    edges, labels, names = (
+        None if path is None else Path(path).read_bytes()
+        for path in (hyperedges_path, labels_path, label_names_path)
     )
-    return _parse_texts(edges_text, labels_text, names_text, opts)
+    return _parse_bytes(edges, labels, names, opts)
 
 
 def write_hypergraph(

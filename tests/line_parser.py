@@ -11,6 +11,13 @@ from hyperhomophily.hypergraph import UNLABELED, IngestOptions, IngestStats, _of
 
 NEWLINE = re.compile(r"\r\n|\r|\n")
 ID = re.compile(r"[0-9]+")  # an id is ASCII digits, 18 at most (in int64)
+ASCII_SPACE = " \t\n\r\x0b\x0c"  # the end-of-file whitespace ingest ignores
+
+
+def quoted(token: str) -> str:
+    """The token as an error message quotes it: its UTF-8 bytes (a lone
+    surrogate as its three bytes) decoded with the undecodable ones escaped."""
+    return repr(token.encode("utf-8", "surrogatepass").decode("utf-8", "backslashreplace"))
 
 
 def edges_by_line(
@@ -18,17 +25,17 @@ def edges_by_line(
 ) -> tuple[np.ndarray, np.ndarray, IngestStats]:
     """Line-by-line parse of the hyperedges text into CSR arrays and counters.
 
-    LF, CRLF and a lone CR each end a line; trailing whitespace is not part
-    of the text. Raises the line-numbered input errors. The library's
+    LF, CRLF and a lone CR each end a line; trailing ASCII whitespace is not
+    part of the text. Raises the line-numbered input errors. The library's
     whole-file parser must give the same arrays and counters for every text,
     and raise the same error class, message and line.
     """
     node_count = attributes.size
     lines = NEWLINE.split(text)
-    while lines and lines[-1].strip() == "":
+    while lines and lines[-1].strip(ASCII_SPACE) == "":
         lines.pop()
     if lines:
-        lines[-1] = lines[-1].rstrip()
+        lines[-1] = lines[-1].rstrip(ASCII_SPACE)
 
     dedup_events = 0
     excluded_by_size = 0
@@ -45,7 +52,7 @@ def edges_by_line(
         nodes = []
         for token in line.split(","):
             if ID.fullmatch(token) is None:
-                raise ParseError(f"invalid node id {token!r}", lineno)
+                raise ParseError(f"invalid node id {quoted(token)}", lineno)
             if len(token) > 18:
                 raise NodeRangeError(
                     f"node id {token} out of range: more than 18 digits", lineno
@@ -109,7 +116,7 @@ def labels_by_line(text: str, names: int | None) -> np.ndarray:
             attributes.append(UNLABELED)
             continue
         if ID.fullmatch(token) is None:
-            raise ParseError(f"labels file: invalid label {token!r}", lineno)
+            raise ParseError(f"labels file: invalid label {quoted(token)}", lineno)
         if len(token) > 18:
             raise NodeRangeError(
                 f"labels file: label id {token} out of range: more than 18 digits", lineno

@@ -178,7 +178,7 @@ class TestAnalyze:
         args = write_dataset(tmp_path, "", "1\n1\n2\n")
         (tmp_path / "hyperedges.txt").write_bytes(b"1,2\n\xff,3\n")
         assert main(["analyze", *args]) == 2
-        assert "invalid input: line 2: hyperedges file" in caplog.text
+        assert "invalid input: line 2: invalid node id " + repr("\\xff") in caplog.text
 
     def test_undecodable_labels_byte_reports_line(self, tmp_path, caplog):
         # CRLF and a lone CR both end a line, as when the file is read as text
@@ -448,8 +448,9 @@ class TestSweep:
     def test_bad_grid_exit_2(self):
         assert main(["sweep", "--mode", "p", "--p-grid", "0:1"]) == 2
 
-    def test_out_of_range_grid_exit_2(self):
+    def test_out_of_range_grid_exit_2(self, caplog):
         assert main(["sweep", "--mode", "p", "--p-grid", "0,2"]) == 2
+        assert "p must lie in [-1, 1]" in caplog.text
 
     def test_kp_requires_k_grid(self):
         assert main(["sweep", "--mode", "kp", "--p-grid", "0,1"]) == 2

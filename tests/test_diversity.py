@@ -103,6 +103,8 @@ class TestComposition:
         c = HyperedgeComposition.from_counts(np.array([3, 1], dtype=np.uint8))
         assert c.counts == {0: 3, 1: 1}
         assert c.size == 4
+        # stored as ints, so a narrow dtype does not overflow the size
+        assert HyperedgeComposition.from_counts(np.array([200, 100], dtype=np.uint8)).size == 300
 
 
 class TestPerplexity:

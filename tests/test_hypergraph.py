@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -444,9 +445,11 @@ def check_against_line_parser(inputs, collapse):
     opts = IngestOptions(
         min_size=min_size, max_size=max_size, collapse_duplicate_edges=collapse
     )
-    attributes = _parse_labels(labels_text)
+    attributes = _parse_labels(labels_text.encode())
     expected = _outcome(lambda: edges_by_line(text, attributes, opts))
-    fast = _outcome(lambda: _edges_whole(_lf(text), attributes, opts))
+    fast = _outcome(
+        lambda: _edges_whole(_lf(text.encode("utf-8", "surrogatepass")), attributes, opts)
+    )
     got = _outcome(
         lambda: parse_hypergraph(io.StringIO(text), io.StringIO(labels_text), None, opts)
     )
@@ -480,7 +483,7 @@ class TestWholeFileParser:
     @given(inputs=ingest_inputs(ascii_only=True))
     @settings(max_examples=60, deadline=None)
     def test_ascii_ids_match_line_by_line(self, inputs, collapse):
-        text = _lf(inputs[0])
+        text = _lf(inputs[0].encode()).decode()
         tokens = text.rstrip().replace("\n", ",").split(",")
         if text.strip() and all(t.isdigit() and len(t) <= 18 for t in tokens):
             assert byte_route_parses(text)
@@ -489,10 +492,10 @@ class TestWholeFileParser:
     def test_sort_key_overflow_is_an_error(self):
         # lines x nodes past int64: the per-line sort key would overflow
         attributes = np.broadcast_to(np.int64(0), ((1 << 60) - 1,))
-        flat, offsets, _ = _edges_whole("1,2\n" * 8, attributes, IngestOptions())
+        flat, offsets, _ = _edges_whole(b"1,2\n" * 8, attributes, IngestOptions())
         assert flat.tolist() == [0, 1] * 8 and offsets.tolist() == list(range(0, 17, 2))
         with pytest.raises(ParseError, match="hyperedges file too large") as info:
-            _edges_whole("1,2\n" * 9, attributes, IngestOptions())
+            _edges_whole(b"1,2\n" * 9, attributes, IngestOptions())
         assert info.value.line is None
 
 
@@ -554,7 +557,7 @@ class TestByteRoute:
 
     def test_long_label_id_names_digit_limit(self):
         with pytest.raises(NodeRangeError) as info:
-            _parse_labels("1\n0000000000000000001\n")
+            _parse_labels(b"1\n0000000000000000001\n")
         assert str(info.value) == (
             "line 2: labels file: label id 0000000000000000001 out of range: "
             "more than 18 digits"
@@ -588,7 +591,7 @@ class TestByteRoute:
     )
     def test_bad_label_reports_line(self, text, line):
         with pytest.raises(ParseError) as info:
-            _parse_labels(text)
+            _parse_labels(text.encode())
         assert info.value.line == line
 
 
@@ -663,6 +666,35 @@ class TestHostileText:
                 assert exc.line is not None
 
 
+def _graph_or_error(call):
+    try:
+        h = call()
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    arrays = (h.edge_nodes, h.offsets, h.attributes)
+    return *(a.tolist() for a in arrays), h.attribute_names, h.ingest
+
+
+class TestFileMatchesStream:
+    # a UTF-8 file cannot hold a lone surrogate
+    @given(
+        text=st.lists(st.sampled_from([t for t in HOSTILE if t != "\ud800"]), max_size=16)
+        .map("".join)
+    )
+    @example(text="1,2\nx,1\n1,\xa0\n")
+    @settings(max_examples=200, deadline=None)
+    def test_same_graph_or_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            for texts in ((text, "1\n" * 12, None), ("", text, None), ("1,2\n", "1\n1\n", text)):
+                paths = [None if t is None else Path(tmp, f"{i}.txt") for i, t in enumerate(texts)]
+                for path, t in zip(paths, texts):
+                    if t is not None:
+                        path.write_bytes(t.encode("utf-8"))
+                streams = [None if t is None else io.StringIO(t) for t in texts]
+                from_files = _graph_or_error(lambda: load_hypergraph(*paths))
+                assert from_files == _graph_or_error(lambda: parse_hypergraph(*streams))
+
+
 class TestLoad:
     def test_universal_newlines(self, tmp_path):
         edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
@@ -676,9 +708,52 @@ class TestLoad:
         edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
         edges.write_bytes(b"1,2\r\n2,3\r1,\xc3\x28\n")
         labels.write_text("1\n1\n2\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 3: hyperedges file") as info:
+        with pytest.raises(ParseError) as info:
             load_hypergraph(edges, labels)
+        assert type(info.value) is ParseError
         assert info.value.line == 3
+        # the token is quoted with the byte that is not UTF-8 escaped
+        assert str(info.value) == "line 3: invalid node id " + repr("\\xc3(")
+
+    @pytest.mark.parametrize(
+        "edges, labels, names, line, message",
+        [
+            # a byte that is not UTF-8 is one more fault, after the one on line 2
+            (b"1,2\nx,1\n1,\xff\n", b"1\n1\n", None, 2, "invalid node id 'x'"),
+            (b"1,2\n", b"1\nx\n\xff\n", None, 2, "labels file: invalid label 'x'"),
+            (b"1,2\n", b"1\n1\n", b"red\n\xffblue\n", 2,
+             "label names file: byte 0xff is not valid UTF-8"),
+            (b"1,\xff\n", b"1\n1\n", None, 1, "invalid node id " + repr("\\xff")),
+            (b"1,2\n", b"1\r\n\xfe\n", None, 2, "labels file: invalid label " + repr("\\xfe")),
+        ],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, edges, labels, names, line, message):
+        paths = [tmp_path / "e.txt", tmp_path / "l.txt", tmp_path / "n.txt"]
+        for path, data in zip(paths, (edges, labels, names)):
+            if data is not None:
+                path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            load_hypergraph(*paths[:2], paths[2] if names is not None else None)
+        assert type(info.value) is ParseError
+        assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize(
+        "edges, names, line, message",
+        [
+            # the whitespace ingest ignores at the end of the file is ASCII
+            ("1,2\xa0", None, 1, "invalid node id '2\\xa0'"),
+            ("1,2\n\x1c\n", None, 2, "empty hyperedge line"),
+            ("1,2\n\u2028", None, 2, "empty hyperedge line"),
+            # a lone surrogate is encoded as its three bytes, which are not UTF-8
+            ("1,\ud800\n", None, 1, "invalid node id " + repr("\\xed\\xa0\\x80")),
+            ("1,2\n", "red\n\ud800\n", 2, "label names file: byte 0xed is not valid UTF-8"),
+        ],
+    )
+    def test_streams_are_read_as_utf8_bytes(self, edges, names, line, message):
+        with pytest.raises(ParseError) as info:
+            parse(edges, "1\n1\n", names)
+        assert type(info.value) is ParseError
+        assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
 
     @pytest.mark.parametrize(
         "edges_text, collapse, stats",
