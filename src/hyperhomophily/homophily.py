@@ -151,20 +151,17 @@ def _buckets(
     _check_epsilon(epsilon)
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
-    groups = h._size_groups()
-    size_one = groups[1][0].size if 1 in groups else 0
+    counts = np.bincount(h.sizes)  # every edge holds a node, so counts[1] exists
     buckets = []
-    for k, (edge_indices, _) in groups.items():  # ascending, as the index is
-        if k < 2:
-            continue
+    for k in (np.flatnonzero(counts[2:]) + 2).tolist():  # the sizes >= 2, ascending
         # a size-k edge holds k distinct nodes of positive k-degree, so every
         # size present has the population its baseline needs
         baseline = estimate_baseline(h, k, cfg)
         observed, m_e = bulk_diversity(_edge_labels(h, k), cfg.diversity_order)
-        buckets.append(_Bucket(k, edge_indices, observed, m_e, baseline))
+        buckets.append(_Bucket(k, h.edges_of_size(k)[0], observed, m_e, baseline))
     if not buckets:
         raise EmptyAnalysisError("no hyperedges of size >= 2")
-    return buckets, size_one
+    return buckets, int(counts[1])
 
 
 def _report_from_buckets(

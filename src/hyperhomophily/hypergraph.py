@@ -163,7 +163,7 @@ class Hypergraph:
         self._offsets = offsets
         self._names = names
         self._ingest = ingest
-        self._by_size = None  # built on first use by _size_groups
+        self._by_size = None  # built on first use by edges_of_size
 
     # -- basic accessors -----------------------------------------------------
 
@@ -212,36 +212,24 @@ class Hypergraph:
     def edges_of_size(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The size-``k`` edges: their indices in ascending order, and their
         nodes as a read-only (count, k) block whose row i is edge indices[i].
+        The first call groups every edge by size (one stable sort of the
+        sizes, then one gather per size); later calls look their size up.
         """
-        groups = self._size_groups()
-        if k in groups:
-            return groups[k]
+        k = _check_int(k, "k")
+        if self._by_size is None:
+            sizes = self.sizes
+            order = np.argsort(sizes, kind="stable")
+            cuts = np.flatnonzero(np.diff(sizes[order])) + 1  # where the size changes
+            self._by_size = {}
+            for indices in np.split(order, cuts) if order.size else ():
+                size = int(sizes[indices[0]])
+                block = self._edge_nodes[self._offsets[indices][:, None] + np.arange(size)]
+                indices.setflags(write=False)
+                block.setflags(write=False)
+                self._by_size[size] = indices, block
+        if k in self._by_size:
+            return self._by_size[k]
         return np.empty(0, dtype=np.int64), np.empty((0, k), dtype=np.int64)
-
-    def _size_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """{k: edges_of_size(k)} for every size present, in ascending order.
-        The first call groups every edge by size at once (one stable sort of
-        the sizes and one gather of the nodes); later calls return the same.
-        """
-        if self._by_size is not None:
-            return self._by_size
-        sizes = self.sizes
-        order = np.argsort(sizes, kind="stable")
-        grouped_sizes = sizes[order]
-        grouped = _offsets(grouped_sizes)
-        # token t of the grouped layout is token t + shift of the CSR layout
-        shift = np.repeat(self._offsets[:-1][order] - grouped[:-1], grouped_sizes)
-        nodes = self._edge_nodes[np.arange(shift.size) + shift]
-        order.setflags(write=False)
-        nodes.setflags(write=False)  # the slices below are read-only views
-        ks, first, counts = np.unique(grouped_sizes, return_index=True, return_counts=True)
-        groups = {}
-        for k, i, count in zip(ks.tolist(), first.tolist(), counts.tolist()):
-            start = int(grouped[i])
-            block = nodes[start : start + count * k].reshape(count, k)
-            groups[k] = (order[i : i + count], block)
-        self._by_size = groups
-        return groups
 
     def edge(self, index: int) -> np.ndarray:
         if not 0 <= index < self.num_edges:
@@ -275,6 +263,7 @@ class KDegreeIndex:
 
 def k_degrees(h: Hypergraph, k: int) -> KDegreeIndex:
     """Count, for each node, the hyperedges of size exactly ``k`` it belongs to."""
+    k = _check_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     degrees = np.bincount(h.edges_of_size(k)[1].ravel(), minlength=h.node_count)
@@ -549,13 +538,22 @@ def write_hypergraph(
     """Serialize back to the ingestion text format (LF line endings, 1-based ids).
 
     Parsing the written files with default options reproduces the node count,
-    attributes, and edge multiset.
+    attributes, edge multiset and label names. A label name that holds a line
+    break, or a blank last name (which ingest drops as a trailing blank line),
+    raises ValueError before anything is written.
     """
+    names = h.attribute_names if label_names_out is not None else None
+    for name in names or ():
+        if "\n" in name or "\r" in name:
+            raise ValueError(f"label name {name!r} holds a line break")
+    # blank as ingest reads it: nothing but ASCII whitespace
+    if names and not names[-1].encode("utf-8", "surrogatepass").strip():
+        raise ValueError(f"the last label name {names[-1]!r} is blank")
     ids = list(map(str, (h.edge_nodes + 1).tolist()))
     bounds = h.offsets.tolist()
     lines = [",".join(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
     hyperedges_out.write("\n".join([*lines, ""]))
     labels = ["" if a == UNLABELED else str(a + 1) for a in h.attributes.tolist()]
     labels_out.write("\n".join([*labels, ""]))
-    if label_names_out is not None and h.attribute_names is not None:
-        label_names_out.write("\n".join([*h.attribute_names, ""]))
+    if names is not None:
+        label_names_out.write("\n".join([*names, ""]))

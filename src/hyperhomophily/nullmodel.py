@@ -53,7 +53,7 @@ _SEED_MASK = (1 << 64) - 1
 
 def derive_seed(*parts: int) -> int:
     """Mix integer parts into one 64-bit stream seed (stable across runs)."""
-    entropy = [p & _SEED_MASK for p in parts]
+    entropy = [_check_int(p, "seed part") & _SEED_MASK for p in parts]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -260,6 +260,7 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     sizes are independent and a fixed seed reproduces the estimate bitwise no
     matter how calls are scheduled.
     """
+    k = _check_int(k, "k")
     if k < 2:
         raise ValueError("k must be >= 2 (a size-1 baseline is identically 1)")
     weights = k_degrees(h, k).degrees
@@ -335,6 +336,7 @@ def _exact_expected_diversity(
 
 def exact_baseline(h: Hypergraph, k: int, diversity_order: float = 1.0) -> float:
     """Exact counterpart of :func:`estimate_baseline` for small instances."""
+    k = _check_int(k, "k")
     if k < 2:
         raise ValueError("k must be >= 2 (a size-1 baseline is identically 1)")
     weights = k_degrees(h, k).degrees.astype(np.float64)

@@ -11,13 +11,34 @@ from hyperhomophily import (
     InsufficientPopulationError,
     SamplerConfig,
     StateSpaceError,
+    derive_seed,
     estimate_baseline,
     exact_baseline,
     hill_number,
     HyperedgeComposition,
+    k_degrees,
     sample_weighted_k_sets,
 )
 from hyperhomophily.nullmodel import _exact_expected_diversity
+
+
+SIZE_CALLS = ("edges_of_size", "k_degrees", "estimate_baseline", "exact_baseline", "derive_seed")
+
+
+def call_with_size(name, h, k):
+    """The result of the named function at size ``k``, in a form that compares
+    equal for equal results; a size the result records comes with its type."""
+    if name == "edges_of_size":
+        return [a.tolist() for a in h.edges_of_size(k)]
+    if name == "k_degrees":
+        index = k_degrees(h, k)
+        return type(index.k), index.k, index.degrees.tolist()
+    if name == "estimate_baseline":
+        est = estimate_baseline(h, k, SamplerConfig(samples=50, seed=3))
+        return type(est.k), est
+    if name == "exact_baseline":
+        return exact_baseline(h, k)
+    return derive_seed(42, k)
 
 
 def sequential_set_probability(weights, target):
@@ -108,6 +129,18 @@ class TestSampler:
     def test_non_integer_k_and_count_rejected(self, k, count, match):
         with pytest.raises(ValueError, match=match):
             sample_weighted_k_sets(np.ones(4), k, count, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", SIZE_CALLS)
+    @pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), 2.0, True, "2"], ids=repr)
+    def test_size_arguments_are_integers(self, name, k):
+        # a NumPy size crashed estimate_baseline and derive_seed with an
+        # OverflowError, and a float size was answered by exact_baseline
+        h = Hypergraph([0, 0, 1, 1], [[0, 1], [2, 3], [1, 2]])
+        if isinstance(k, np.integer):
+            assert call_with_size(name, h, k) == call_with_size(name, h, int(k))
+        else:
+            with pytest.raises(ValueError, match="must be an integer"):
+                call_with_size(name, h, k)
 
     def test_weight_scaling_leaves_draws_unchanged(self):
         weights = np.array([3.0, 1.0, 2.0, 5.0])
