@@ -94,7 +94,8 @@ class BaselineEstimate:
     diversity_order: float
 
 
-def _positive_subset(weights: np.ndarray) -> np.ndarray:
+def _population(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the positive ``weights`` and those weights, at least k."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1:
         raise ValueError("weights must be a 1-d array")
@@ -102,7 +103,10 @@ def _positive_subset(weights: np.ndarray) -> np.ndarray:
         raise ValueError("weights must be finite")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    return np.flatnonzero(weights > 0)
+    pos = np.flatnonzero(weights > 0)
+    if pos.size < k:
+        raise InsufficientPopulationError(f"need {k} positive-weight nodes, found {pos.size}")
+    return pos, weights[pos]
 
 
 def _prefer_race(w: np.ndarray, k: int) -> bool:
@@ -198,12 +202,7 @@ def _draw_batches(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pos = _positive_subset(weights)
-    if pos.size < k:
-        raise InsufficientPopulationError(
-            f"need {k} positive-weight nodes, found {pos.size}"
-        )
-    w = np.asarray(weights, dtype=np.float64)[pos]
+    pos, w = _population(weights, k)
     if _prefer_race(w, k):
         batch = max(1, _BATCH_CELLS // w.size)
         draw = partial(_race_batch, w, k, rng=rng)
@@ -239,17 +238,12 @@ def sample_weighted_k_sets(
     return out
 
 
-def _sample_diversities(
-    attributes: np.ndarray,
-    weights: np.ndarray,
-    k: int,
-    samples: int,
-    order: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Diversity of each of ``samples`` weighted k-sets."""
-    batches = _draw_batches(weights, k, samples, rng)
-    return np.concatenate([bulk_diversity(attributes[sets], order)[0] for sets in batches])
+def _size_weights(h: Hypergraph, k: int) -> tuple[int, np.ndarray]:
+    """The checked size k and the k-degrees of ``h`` as float weights."""
+    k = _check_int(k, "k")
+    if k < 2:
+        raise ValueError("k must be >= 2 (a size-1 baseline is identically 1)")
+    return k, k_degrees(h, k).degrees.astype(np.float64)
 
 
 def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEstimate:
@@ -260,13 +254,11 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     sizes are independent and a fixed seed reproduces the estimate bitwise no
     matter how calls are scheduled.
     """
-    k = _check_int(k, "k")
-    if k < 2:
-        raise ValueError("k must be >= 2 (a size-1 baseline is identically 1)")
-    weights = k_degrees(h, k).degrees
+    k, weights = _size_weights(h, k)
     rng = np.random.default_rng(derive_seed(cfg.seed, k))
-    values = _sample_diversities(
-        h.attributes, weights.astype(np.float64), k, cfg.samples, cfg.diversity_order, rng
+    batches = _draw_batches(weights, k, cfg.samples, rng)
+    values = np.concatenate(
+        [bulk_diversity(h.attributes[sets], cfg.diversity_order)[0] for sets in batches]
     )
     mean = float(np.mean(values))
     if cfg.samples > 1:
@@ -294,12 +286,8 @@ def _exact_expected_diversity(
     kernel call. Intentionally simple; the n**k guard keeps it tractable.
     """
     _check_order(order)  # before the enumeration, not after it
-    pos = _positive_subset(weights)
+    pos, w = _population(weights, k)
     n = pos.size
-    if n < k:
-        raise InsufficientPopulationError(
-            f"need {k} positive-weight nodes, found {pos.size}"
-        )
     if n**k > ENUMERATION_GUARD:
         raise StateSpaceError(
             f"{n} nodes at k={k} exceeds the enumeration guard ({ENUMERATION_GUARD})"
@@ -307,8 +295,7 @@ def _exact_expected_diversity(
     attrs = attributes[pos]
     if attrs.min() < 0:
         raise ValueError("positive-weight nodes must all carry an attribute")
-    w = np.asarray(weights, dtype=np.float64)[pos].tolist()
-    attrs = attrs.tolist()
+    w, attrs = w.tolist(), attrs.tolist()
     counts = [0] * (max(attrs) + 1)
     used = [False] * n
     probability: dict[tuple[int, ...], float] = {}
@@ -336,8 +323,5 @@ def _exact_expected_diversity(
 
 def exact_baseline(h: Hypergraph, k: int, diversity_order: float = 1.0) -> float:
     """Exact counterpart of :func:`estimate_baseline` for small instances."""
-    k = _check_int(k, "k")
-    if k < 2:
-        raise ValueError("k must be >= 2 (a size-1 baseline is identically 1)")
-    weights = k_degrees(h, k).degrees.astype(np.float64)
+    k, weights = _size_weights(h, k)
     return _exact_expected_diversity(h.attributes, weights, k, diversity_order)

@@ -32,7 +32,6 @@ from hyperhomophily.nullmodel import (
     _guided_search,
     _prefer_race,
     _rejection_batch,
-    _sample_diversities,
 )
 
 CHI2_Z = 3.719  # upper 1e-4 point of the standard normal
@@ -197,7 +196,7 @@ class TestAdversarialWeights:
         # the race reads n keys per sample; rejection averages <= 2 draws per slot
         work = samples * n if race else 2 * samples * k
         rng = CountingRng(seed, limit=2 * work)
-        values = _sample_diversities(attrs, weights, k, samples, 1.0, rng)
+        values = bulk_diversity(attrs[sample_weighted_k_sets(weights, k, samples, rng)], 1.0)[0]
         if race:
             assert rng.variates == work
         exact = _exact_expected_diversity(attrs, weights, k, 1.0)
