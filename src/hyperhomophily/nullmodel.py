@@ -28,9 +28,9 @@ The draws are fixed by the seed, the weights, k and the sample count, so
 results are reproducible bit for bit. They differ from the draws of version
 0.1.0, which raced every size.
 
-Two routes to the expected diversity are provided: a Monte Carlo estimator for
-real data and an exact ordered-tuple enumeration for small instances, used as
-the estimator's oracle in tests.
+Two routes to the expected diversity are provided: an estimator for real data,
+exact at size 2 and Monte Carlo above it, and an exact ordered-tuple
+enumeration for small instances, used as the estimator's oracle in tests.
 """
 
 from __future__ import annotations
@@ -247,32 +247,33 @@ def _size_weights(h: Hypergraph, k: int) -> tuple[int, np.ndarray]:
 
 
 def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEstimate:
-    """Monte Carlo estimate of the expected diversity of a random size-k group.
+    """Estimate of the expected diversity of a random size-k group.
 
-    Weights are the k-degrees of ``h``.
-    The RNG stream is derived from (cfg.seed, k), so estimates for different
-    sizes are independent and a fixed seed reproduces the estimate bitwise no
-    matter how calls are scheduled.
+    Weights are the k-degrees of ``h``. At k = 2 the estimate is exact, with
+    standard error 0, and draws nothing: a pair's Hill number is 2 when its
+    labels differ and 1 otherwise, at every order, so with W_a the weight of
+    label a, B_2 = 1 + sum_i (w_i/W) (1 - (W_{a_i} - w_i) / (W - w_i)). Above
+    that it is a Monte Carlo mean over an RNG stream derived from
+    (cfg.seed, k), so estimates for different sizes are independent and a
+    fixed seed reproduces the estimate bitwise no matter how calls are
+    scheduled.
     """
     k, weights = _size_weights(h, k)
-    rng = np.random.default_rng(derive_seed(cfg.seed, k))
-    batches = _draw_batches(weights, k, cfg.samples, rng)
-    values = np.concatenate(
-        [bulk_diversity(h.attributes[sets], cfg.diversity_order)[0] for sets in batches]
-    )
-    mean = float(np.mean(values))
-    if cfg.samples > 1:
-        std_error = float(np.std(values, ddof=1) / math.sqrt(cfg.samples))
+    if k == 2:
+        pos, w = _population(weights, 2)
+        labels, total = h.attributes[pos], w.sum()
+        same = (np.bincount(labels, weights=w)[labels] - w) / (total - w)
+        mean, std_error = float(1.0 + np.sum(w / total * (1.0 - same))), 0.0
     else:
-        std_error = 0.0
-    return BaselineEstimate(
-        k=k,
-        mean=mean,
-        std_error=std_error,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        diversity_order=cfg.diversity_order,
-    )
+        rng = np.random.default_rng(derive_seed(cfg.seed, k))
+        batches = _draw_batches(weights, k, cfg.samples, rng)
+        values = np.concatenate(
+            [bulk_diversity(h.attributes[sets], cfg.diversity_order)[0] for sets in batches]
+        )
+        mean = float(np.mean(values))
+        spread = np.std(values, ddof=1) if cfg.samples > 1 else 0.0
+        std_error = float(spread / math.sqrt(cfg.samples))
+    return BaselineEstimate(k, mean, std_error, cfg.samples, cfg.seed, cfg.diversity_order)
 
 
 def _exact_expected_diversity(

@@ -113,21 +113,20 @@ class TestAnalyze:
         assert main(["analyze", *args, "--samples", "500", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    # sha256 of the report JSON, per-edge CSV and curve CSV, recorded before
-    # the curve's comment on insufficient populations (never reachable) was
-    # dropped, with that one line taken out of the curve CSV
+    # sha256 of the report JSON, per-edge CSV and curve CSV, recorded when
+    # the size-2 baseline became exact (every other size keeps its stream)
     @pytest.mark.parametrize(
         "flags, order, digests",
         [
-            ([], "0", ("c2104d37a19fbe036cedfe7cfa13c2cb2a2709a05ea4d1b62e50b23dd3100092",
-                       "12f1fdef4acfb973cc6e66cf2bf69b949a21314484bbd26d00fdc307ebd74ec0",
-                       "6c253f55a87d2b22c8c7019ff38644e21bccad3ceafd0c26fd5a163ef4ced5be")),
-            ([], "1", ("589449fd92f76d3b534d8cb1995b8065d41c339518eeab903d50856a9e373483",
-                       "3e5a262c3798795dc2a282999111af70e6b27388ef6afd14e3fd24a4a1a8cdc6",
-                       "43b8ceb4a37864684abadfa18c294283565e32e0f6d83f486f4dce63b8f6da92")),
-            ([], "2", ("5f8211fb5a70e9e3ba7bc858b3ab80a020a6e9a0926da14818236e6a801bb63d",
-                       "9d2001be05c47419f3495e8185904b3a99a1a35f1597ac45aa80e2850f18eb34",
-                       "1fef92f4ecfb8b8c16ac3d1c415e3bab732594fe6a1d0c0dfeb385c2fed35834")),
+            ([], "0", ("489526bdd33daa425baff7221885d6e63096333fbddedde25e19ca287b513177",
+                       "87e1be46937cfe221790732b9e9d6459025f98a9560135309726ee27680f4d09",
+                       "00f7436e9992bc7b6ae29368509e83bb781fc8032a303a53e94a50a3ae53989f")),
+            ([], "1", ("90d5992d36c3b44714843850f0964c546ed0b4a4178c048b1d89a2d9c42861a6",
+                       "cec154167865b7f1773a05770e0578f19a6f76c1613d3edcd13e77a2f5b35661",
+                       "9ee32c0fe3a2862e9c745b955a91d45e3c1b0973913cc64a7f57254dbc2daef1")),
+            ([], "2", ("da3b2b8b76e35d2aff485857eb51d81d5efeb786224c19b14fb5b9ddce3e2b58",
+                       "1a5b4f5b1f36390e543639262c5ac2af37f17b3936f5a15db8dc7c20ac069993",
+                       "3bf1efe926c448fdabc9260457b2c98ed447c2427da0e1ff50d2580072c71740")),
             (COLLAPSE_3_TO_5, "0",
              ("574bc7e9d5068d2af886b7c7e02193eba5444242029c380cc8cee26cc5209512",
               "eaf6b69ea78a06db5f3532a8777d2b5cbb419a41e2d7a24a25cbf92ddbe2aa18",
@@ -143,8 +142,8 @@ class TestAnalyze:
             # size 2's baseline is within 1 of 1: a curve row with no per_k row
             (["--epsilon", "1"], "1",
              ("64b7e9aa31f6565e39de2fb8183c73be9496225f0ab16a1d20c0f88e7afae8b5",
-              "fcff145458c709eb24a73fbe8bd15f8e718bfe81ce38750a1710c9998cd27301",
-              "43b8ceb4a37864684abadfa18c294283565e32e0f6d83f486f4dce63b8f6da92")),
+              "09c2622f3eb97ff4e9ade9e90025ef14984fb0bfbd33f124b7cce8491f0d590a",
+              "9ee32c0fe3a2862e9c745b955a91d45e3c1b0973913cc64a7f57254dbc2daef1")),
         ],
         ids=["q0", "q1", "q2", "collapse-3-5-q0", "collapse-3-5-q1", "collapse-3-5-q2",
              "degenerate-k2-q1"],
@@ -390,14 +389,15 @@ class TestSweep:
         assert lines[-1].split(",")[0] == "1"
 
     # sha256 of the CSV bytes, recorded before p mode became a one-size grid
-    # of the (k, p) sweep; the merge must keep both tables byte for byte
+    # of the (k, p) sweep; the merge must keep both tables byte for byte. The
+    # kp table was recorded again when the size-2 baseline became exact
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--mode", "p", "--p-grid", "-1:1:0.5", "--k", "4"],
              "cb48e427b01d7360f210b3dfdb53062c9b7b0e68334ca9befff7a9897ee545ea"),
             (["--mode", "kp", "--k-grid", "2,3", "--p-grid", "-1,0,1"],
-             "aaf9f926003d8c8399b27977032183b81bc3a68ba200abc1ea4b0f66b4a6d6d1"),
+             "d514162461205a8f26a16ea4380334db74b0757c0851b2977e9015836101a49e"),
         ],
     )
     def test_sweep_csv_bytes_are_pinned(self, tmp_path, argv, digest):

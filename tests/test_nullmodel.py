@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperhomophily import (
     Hypergraph,
     InsufficientPopulationError,
     SamplerConfig,
     StateSpaceError,
+    bulk_diversity,
     derive_seed,
     estimate_baseline,
     exact_baseline,
@@ -19,6 +22,7 @@ from hyperhomophily import (
     k_degrees,
     sample_weighted_k_sets,
 )
+from hyperhomophily import nullmodel
 from hyperhomophily.nullmodel import _exact_expected_diversity
 
 
@@ -240,12 +244,17 @@ class TestExact:
             assert ours == pytest.approx(oracle, abs=1e-12)
 
     def test_monte_carlo_agrees_with_oracle(self):
-        # weights (2,1,1) realized as 2-degrees via a multiset of pair edges
+        # weights (2,1,1) realized as 2-degrees via a multiset of pair edges;
+        # estimate_baseline is exact at size 2, so the sampler's pairs are
+        # drawn here, from the stream estimate_baseline drew them from before
         h = Hypergraph([0, 1, 1], [[0, 1], [0, 2]])
-        assert list(np.bincount(h.edge_nodes)) == [2, 1, 1]
+        weights = k_degrees(h, 2).degrees
+        assert list(weights) == [2, 1, 1]
+        rng = np.random.default_rng(derive_seed(13, 2))
+        sets = sample_weighted_k_sets(weights, 2, 20_000, rng)
+        values = bulk_diversity(h.attributes[sets], 1.0)[0]
         exact = exact_baseline(h, 2)
-        est = estimate_baseline(h, 2, SamplerConfig(samples=20_000, seed=13))
-        assert abs(est.mean - exact) <= 3 * est.std_error
+        assert abs(values.mean() - exact) <= 3 * values.std(ddof=1) / math.sqrt(values.size)
 
     def test_guard(self):
         n = 60
@@ -272,6 +281,42 @@ class TestExact:
         h = Hypergraph([0, 1], [[0, 1]])
         with pytest.raises(InsufficientPopulationError):
             exact_baseline(h, 3)
+
+
+@st.composite
+def pair_hypergraphs(draw):
+    """Up to 8 nodes in up to 4 labels, joined by pairs."""
+    n = draw(st.integers(2, 8))
+    attrs = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return Hypergraph(attrs, draw(st.lists(pair, min_size=1, max_size=12)))
+
+
+class TestExactPair:
+    @given(pair_hypergraphs())
+    @example(Hypergraph([0, 0, 0, 1], [[0, 1], [1, 2], [2, 3]]))  # a label with one node
+    @example(Hypergraph([0, 1, 1], [[0, 1], [0, 1, 2]]))  # n_2 = 2
+    @example(Hypergraph([0, 0, 0, 0, 1], [[0, 1], [1, 2], [2, 3], [3, 0]] * 25 + [[3, 4]]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_enumeration(self, h):
+        # the last example's label 0 holds 201 of the 202 units of mass
+        for order in (0.0, 1.0, 2.0):
+            est = estimate_baseline(h, 2, SamplerConfig(samples=7, seed=1, diversity_order=order))
+            assert est.std_error == 0.0
+            assert est.mean == pytest.approx(exact_baseline(h, 2, order), abs=1e-12)
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the baseline drew random numbers")
+
+        monkeypatch.setattr(nullmodel, "derive_seed", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        h = Hypergraph([0, 1, 0, 1], [[0, 1], [1, 2], [1, 2, 3]])
+        cfg = SamplerConfig(samples=500, seed=4, diversity_order=2.0)
+        est = estimate_baseline(h, 2, cfg)
+        assert (est.samples, est.seed, est.diversity_order, est.std_error) == (500, 4, 2.0, 0.0)
+        with pytest.raises(AssertionError, match="drew random numbers"):
+            estimate_baseline(h, 3, cfg)  # the larger size does reach the patched names
 
 
 def random_realizable_instance(rng, max_degree=5):
