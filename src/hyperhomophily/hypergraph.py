@@ -539,15 +539,17 @@ def write_hypergraph(
 
     Parsing the written files with default options reproduces the node count,
     attributes, edge multiset and label names. A label name that holds a line
-    break, or a blank last name (which ingest drops as a trailing blank line),
-    raises ValueError before anything is written.
+    break, a name that UTF-8 cannot encode (a lone surrogate), or a blank last
+    name (which ingest drops as a trailing blank line), raises ValueError
+    before anything is written.
     """
     names = h.attribute_names if label_names_out is not None else None
     for name in names or ():
         if "\n" in name or "\r" in name:
             raise ValueError(f"label name {name!r} holds a line break")
+        name.encode("utf-8")  # UnicodeEncodeError is a ValueError
     # blank as ingest reads it: nothing but ASCII whitespace
-    if names and not names[-1].encode("utf-8", "surrogatepass").strip():
+    if names and not names[-1].encode("utf-8").strip():
         raise ValueError(f"the last label name {names[-1]!r} is blank")
     ids = list(map(str, (h.edge_nodes + 1).tolist()))
     bounds = h.offsets.tolist()

@@ -300,9 +300,12 @@ def written_hypergraphs(draw):
 
 
 def names_read_back(names) -> bool:
-    """Can a label-names file hold ``names``? Not if a name breaks its line,
-    nor if the last name is blank: ingest drops trailing blank lines."""
+    """Can a label-names file hold ``names``? Not if a name breaks its line
+    or is not UTF-8 (a lone surrogate), nor if the last name is blank: ingest
+    drops trailing blank lines."""
     if any("\n" in name or "\r" in name for name in names):
+        return False
+    if any("\ud800" <= c <= "\udfff" for name in names for c in name):
         return False
     return not names or bool(names[-1].strip(" \t\x0b\x0c"))
 
@@ -312,6 +315,7 @@ class TestWriteHypergraph:
     @settings(max_examples=150, deadline=None)
     @example(Hypergraph([0, 1], [[0, 1]], ("a\nb", "c")), True)
     @example(Hypergraph([0, 1], [[0, 1]], ("a", " ")), True)
+    @example(Hypergraph([0, 1], [[0, 1]], ("a\ud800", "c")), True)
     def test_bytes_match_per_node_reference(self, h, with_names):
         files = io.StringIO(), io.StringIO(), io.StringIO()
         names = h.attribute_names if with_names else None
@@ -328,6 +332,7 @@ class TestWriteHypergraph:
     @settings(max_examples=150, deadline=None)
     @example(Hypergraph([0, 1], [[0, 1]], ("a\rb", "c")))
     @example(Hypergraph([0, 1], [[0, 1]], ("a", "")))
+    @example(Hypergraph([0, 1], [[0, 1]], ("a\ud800", "c")))
     def test_written_files_read_back(self, h):
         files = io.StringIO(), io.StringIO(), io.StringIO()
         try:
