@@ -109,17 +109,29 @@ class TestSampler:
         with pytest.raises(InsufficientPopulationError):
             sample_weighted_k_sets(np.array([1.0, 0.0]), 2, 1, rng)[0]
 
-    def test_negative_weights_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_weighted_k_sets(np.array([1.0, -1.0]), 1, 1, rng)[0]
-        # an infinite weight crashed the draw and a NaN one was read as 0
-        for bad in (np.inf, -np.inf, np.nan):
-            weights = np.array([1.0, bad, 1.0])
-            with pytest.raises(ValueError, match="weights must be finite"):
-                sample_weighted_k_sets(weights, 2, 3, rng)
-            with pytest.raises(ValueError, match="weights must be finite"):
+    # an infinite weight crashed the draw and a NaN one was read as 0
+    @pytest.mark.parametrize(
+        "weights, error, message",
+        [
+            (np.ones((3, 1)), ValueError, "weights must be a 1-d array"),
+            (np.array([1.0, np.inf, 1.0]), ValueError, "weights must be finite"),
+            (np.array([1.0, -np.inf, 1.0]), ValueError, "weights must be finite"),
+            (np.array([1.0, np.nan, 1.0]), ValueError, "weights must be finite"),
+            (np.array([1.0, -1.0, 1.0]), ValueError, "weights must be non-negative"),
+            (np.array([1.0, 0.0, 0.0]), InsufficientPopulationError,
+             "need 2 positive-weight nodes, found 1"),
+        ],
+        ids=["2-d", "inf", "-inf", "nan", "negative", "too-few"],
+    )
+    @pytest.mark.parametrize("entry", ["sample_weighted_k_sets", "_exact_expected_diversity"])
+    def test_negative_weights_rejected(self, entry, weights, error, message):
+        # the sampler and the exact oracle share one population rule
+        with pytest.raises(ValueError) as raised:
+            if entry == "sample_weighted_k_sets":
+                sample_weighted_k_sets(weights, 2, 3, np.random.default_rng(0))
+            else:
                 _exact_expected_diversity(np.zeros(3, dtype=np.int64), weights, 2, 1.0)
+        assert (type(raised.value), str(raised.value)) == (error, message)
 
     @pytest.mark.parametrize(
         "k, count, match",
