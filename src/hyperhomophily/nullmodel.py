@@ -95,7 +95,7 @@ class BaselineEstimate:
 
 
 def _population(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the positive ``weights`` and those weights, at least k."""
+    """Indices and values of the positive ``weights``; fewer than k of them raise."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1:
         raise ValueError("weights must be a 1-d array")
