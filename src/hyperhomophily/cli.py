@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .exceptions import EmptyAnalysisError, ParseError
-from .homophily import _buckets, _report_from_buckets
+from .homophily import DEFAULT_EPSILON, _buckets, _report_from_buckets
 from .hsbm import HsbmConfig, generate_hsbm, sweep_phi_vs_k
 from .hypergraph import IngestOptions, load_hypergraph, write_hypergraph
 from .nullmodel import SamplerConfig
@@ -90,9 +90,9 @@ def cmd_analyze(args) -> int:
     )
     h = load_hypergraph(args.hyperedges, args.labels, args.label_names, opts)
     cfg = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.order)
-    buckets, size_one = _buckets(h, cfg, args.epsilon)
+    buckets = _buckets(h, cfg, args.epsilon)
     report = _report_from_buckets(
-        h, buckets, size_one, args.epsilon, emit_per_edge=args.per_edge_out is not None
+        h, buckets, args.epsilon, emit_per_edge=args.per_edge_out is not None
     )
 
     manifest = rpt.manifest(
@@ -212,16 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_sampler_flags(p):
-        p.add_argument("--samples", type=int, default=10_000, help="Monte Carlo samples per size")
-        p.add_argument("--seed", type=int, default=42, help="master RNG seed")
-        p.add_argument("--order", type=float, default=1.0, help="diversity order q")
+        p.add_argument("--samples", type=int, default=SamplerConfig.samples, help="Monte Carlo samples per size")
+        p.add_argument("--seed", type=int, default=SamplerConfig.seed, help="master RNG seed")
+        p.add_argument("--order", type=float, default=SamplerConfig.diversity_order, help="diversity order q")
 
     pa = sub.add_parser("analyze", help="score a hypergraph from benchmark text files")
     pa.add_argument("--hyperedges", required=True, help="hyperedges file path")
     pa.add_argument("--labels", required=True, help="node labels file path")
     pa.add_argument("--label-names", default=None, help="label names file path")
     add_sampler_flags(pa)
-    pa.add_argument("--epsilon", type=float, default=1e-9, help="degenerate-baseline threshold")
+    pa.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="degenerate-baseline threshold")
     pa.add_argument("--min-k", type=int, default=2, help="drop edges smaller than this at ingest")
     pa.add_argument("--max-k", type=int, default=None, help="drop edges larger than this at ingest")
     pa.add_argument("--collapse-duplicates", action="store_true", help="collapse repeated identical edges")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--k", type=int, required=True)
     pg.add_argument("--edges", type=int, required=True)
     pg.add_argument("--p", type=float, required=True, help="mixing level in [-1, 1]")
-    pg.add_argument("--seed", type=int, default=42)
+    pg.add_argument("--seed", type=int, default=HsbmConfig.seed)
     pg.add_argument("--out-prefix", required=True, help="output path prefix")
     pg.set_defaults(func=cmd_generate)
 

@@ -126,70 +126,55 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
-@dataclass(frozen=True)
-class _Bucket:
-    """Everything computed for the edges of one size."""
-
-    k: int
-    edge_indices: np.ndarray
-    observed: np.ndarray
-    m_e: np.ndarray
-    baseline: BaselineEstimate
-
-
 def _edge_labels(h: Hypergraph, k: int) -> np.ndarray:
     return h.attributes[h.edges_of_size(k)[1]]
 
 
 def _buckets(
     h: Hypergraph, cfg: SamplerConfig, epsilon: float
-) -> tuple[list[_Bucket], int]:
-    """Per-size computations for all sizes >= 2, in ascending size order,
-    plus the size-1 edge count. Each size draws from its own seed-derived
-    stream, so sizes are independent and run one after another.
+) -> tuple[list[BaselineEstimate], np.ndarray, np.ndarray, np.ndarray, int]:
+    """Per-size computations for all sizes >= 2: each size's baseline in
+    ascending size order; the edge indices, observed diversities and
+    distinct-attribute counts of those sizes' edges, concatenated in the same
+    size order; and the size-1 edge count. Each size draws from its own
+    seed-derived stream, so sizes are independent and run one after another.
     """
     _check_epsilon(epsilon)
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
     counts = np.bincount(h.sizes)  # every edge holds a node, so counts[1] exists
-    buckets = []
-    for k in (np.flatnonzero(counts[2:]) + 2).tolist():  # the sizes >= 2, ascending
-        # a size-k edge holds k distinct nodes of positive k-degree, so every
-        # size present has the population its baseline needs
-        baseline = estimate_baseline(h, k, cfg)
-        observed, m_e = bulk_diversity(_edge_labels(h, k), cfg.diversity_order)
-        buckets.append(_Bucket(k, h.edges_of_size(k)[0], observed, m_e, baseline))
-    if not buckets:
+    sizes = (np.flatnonzero(counts[2:]) + 2).tolist()  # the sizes >= 2, ascending
+    if not sizes:
         raise EmptyAnalysisError("no hyperedges of size >= 2")
-    return buckets, int(counts[1])
+    # a size-k edge holds k distinct nodes of positive k-degree, so every
+    # size present has the population its baseline needs
+    baselines = [estimate_baseline(h, k, cfg) for k in sizes]
+    edge_index = np.concatenate([h.edges_of_size(k)[0] for k in sizes])
+    per_size = [bulk_diversity(_edge_labels(h, k), cfg.diversity_order) for k in sizes]
+    observed, m_e = (np.concatenate(col) for col in zip(*per_size))
+    return baselines, edge_index, observed, m_e, int(counts[1])
 
 
 def _report_from_buckets(
-    h: Hypergraph,
-    buckets: list[_Bucket],
-    size_one: int,
-    epsilon: float,
-    emit_per_edge: bool,
+    h: Hypergraph, buckets: tuple, epsilon: float, emit_per_edge: bool
 ) -> HomophilyReport:
-    counts = [int(b.edge_indices.size) for b in buckets]
-    scores = _score(
-        np.concatenate([b.observed for b in buckets]),
-        np.repeat([b.baseline.mean for b in buckets], counts),
-        np.concatenate([b.m_e for b in buckets]),
-        epsilon,
-    )
+    """Score the columns :func:`_buckets` returns, then aggregate them."""
+    baselines, edge_index, observed, m_e, size_one = buckets
+    sizes = [b.k for b in baselines]
+    counts = np.bincount(h.sizes)[sizes]
+    scores = _score(observed, np.repeat([b.mean for b in baselines], counts), m_e, epsilon)
     phi, degenerate = scores["phi"], scores["degenerate"]
-    starts = (np.cumsum(counts) - counts).tolist()
+    starts = np.cumsum(counts) - counts  # each size's edges are one slice
     curve = tuple(
         PerKRow(
             k=b.k,
             edge_count=count,
-            baseline_mean=b.baseline.mean,
-            baseline_std_error=b.baseline.std_error,
+            baseline_mean=b.mean,
+            baseline_std_error=b.std_error,
             phi_k=float(np.mean(phi[start : start + count])),
-            mean_observed=float(np.mean(b.observed)),
+            mean_observed=float(np.mean(observed[start : start + count])),
         )
-        for b, count, start in zip(buckets, counts, starts)
+        for b, start, count in zip(baselines, starts.tolist(), counts.tolist())
     )
     # a size's edges share its baseline: its first edge's flag is the size's
     flags = degenerate[starts].tolist()
@@ -208,12 +193,8 @@ def _report_from_buckets(
 
     per_edge = None
     if emit_per_edge:
-        columns = {
-            "edge_index": np.concatenate([b.edge_indices for b in buckets]),
-            "k": np.repeat([b.k for b in buckets], counts),
-            **scores,
-        }
-        order = np.argsort(columns["edge_index"], kind="stable")
+        columns = {"edge_index": edge_index, "k": np.repeat(sizes, counts), **scores}
+        order = np.argsort(edge_index, kind="stable")
         per_edge = EdgeScores(**{name: col[order] for name, col in columns.items()})
 
     return HomophilyReport(
@@ -249,8 +230,7 @@ def analyze(
     because ``perfbench/traced.py`` calls ``analyze(..., workers=2)``.
     """
     cfg = cfg or SamplerConfig()
-    buckets, size_one = _buckets(h, cfg, epsilon)
-    return _report_from_buckets(h, buckets, size_one, epsilon, emit_per_edge)
+    return _report_from_buckets(h, _buckets(h, cfg, epsilon), epsilon, emit_per_edge)
 
 
 def newman_assortativity(h: Hypergraph) -> float:

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import io
 import json
 import os
 import random
@@ -14,8 +15,10 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from hyperhomophily import cli, hsbm
+from hyperhomophily import IngestOptions, SamplerConfig, analyze, cli, hsbm, load_hypergraph
+from hyperhomophily import report as rpt
 from hyperhomophily.cli import main
+from hyperhomophily.homophily import DEFAULT_EPSILON
 
 
 def write_dataset(tmp_path, edges_text, labels_text, names_text=None):
@@ -161,6 +164,43 @@ class TestAnalyze:
         outputs = ("report.json", "edges.csv", "curve.csv")
         got = tuple(hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in outputs)
         assert got == digests
+
+    @pytest.mark.parametrize(
+        "order, flags", [("1", []), ("2", []), ("1", ["--epsilon", "1"])],
+        ids=["q1", "q2", "degenerate-k2-q1"],
+    )
+    def test_outputs_are_what_analyze_renders(self, tmp_path, monkeypatch, order, flags):
+        # the CLI runs the pipeline's two stages itself; the library's one
+        # pipeline, rendered by report.py with the CLI's manifest, must give
+        # the same bytes
+        monkeypatch.chdir(tmp_path)
+        write_mixed_sizes(tmp_path)
+        code = main(
+            ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
+             "--label-names", "label-names.txt", "--samples", "300", "--seed", "5",
+             "--order", order, *flags, "--out", "report.json",
+             "--per-edge-out", "edges.csv", "--perplexity-curve", "curve.csv"]
+        )
+        assert code == 0
+        h = load_hypergraph(
+            "hyperedges.txt", "node-labels.txt", "label-names.txt", IngestOptions(min_size=2)
+        )
+        cfg = SamplerConfig(samples=300, seed=5, diversity_order=float(order))
+        epsilon = float(flags[1]) if flags else DEFAULT_EPSILON
+        report = analyze(h, cfg, epsilon=epsilon, emit_per_edge=True)
+        assert len(report.curve) > 2
+        assert any(e.reason == "degenerate_baseline" for e in report.exclusions) == bool(flags)
+        manifest = json.loads(Path("report.json").read_bytes())["manifest"]
+        edges, curve = io.StringIO(), io.StringIO()
+        rpt.write_per_edge_csv(report.per_edge, edges)
+        rpt.write_curve_csv(report.curve, curve)
+        expected = {
+            "report.json": rpt.dump_json(rpt.report_to_dict(report, manifest, h.ingest)),
+            "edges.csv": edges.getvalue(),
+            "curve.csv": curve.getvalue(),
+        }
+        for name, text in expected.items():
+            assert Path(name).read_bytes() == text.encode("utf-8"), name
 
     def test_parse_error_exit_2(self, tmp_path, caplog):
         args = write_dataset(tmp_path, "1,x\n", "1\n1\n")
