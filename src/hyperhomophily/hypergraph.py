@@ -63,11 +63,10 @@ class IngestOptions:
     collapse_duplicate_edges: bool = False
 
     def __post_init__(self):
-        if (
-            self.min_size is not None
-            and self.max_size is not None
-            and self.min_size > self.max_size
-        ):
+        for name in ("min_size", "max_size"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _check_int(getattr(self, name), name))
+        if None not in (self.min_size, self.max_size) and self.min_size > self.max_size:
             raise ValueError(
                 f"min_size ({self.min_size}) must not exceed max_size ({self.max_size})"
             )
@@ -216,6 +215,8 @@ class Hypergraph:
         sizes, then one gather per size); later calls look their size up.
         """
         k = _check_int(k, "k")
+        if k < 1:
+            raise ValueError("k must be >= 1")
         if self._by_size is None:
             sizes = self.sizes
             order = np.argsort(sizes, kind="stable")
@@ -263,11 +264,9 @@ class KDegreeIndex:
 
 def k_degrees(h: Hypergraph, k: int) -> KDegreeIndex:
     """Count, for each node, the hyperedges of size exactly ``k`` it belongs to."""
-    k = _check_int(k, "k")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    degrees = np.bincount(h.edges_of_size(k)[1].ravel(), minlength=h.node_count)
-    return KDegreeIndex(k=k, degrees=degrees.astype(np.int64, copy=False))
+    block = h.edges_of_size(k)[1]  # checks k; its width is k as an int
+    degrees = np.bincount(block.ravel(), minlength=h.node_count)
+    return KDegreeIndex(k=block.shape[1], degrees=degrees.astype(np.int64, copy=False))
 
 
 # -- ingestion ----------------------------------------------------------------

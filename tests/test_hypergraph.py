@@ -82,6 +82,20 @@ class TestParse:
         with pytest.raises(ValueError):
             IngestOptions(min_size=3, max_size=2)
 
+    @pytest.mark.parametrize("field", ["min_size", "max_size"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"], ids=repr)
+    def test_size_bounds_are_integers(self, field, value):
+        # min_size=2.5 kept only sizes >= 3, True acted as 1, and "2" failed
+        # in NumPy at parse time
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            IngestOptions(**{field: value})
+
+    def test_numpy_size_bounds_stored_as_int(self):
+        opts = IngestOptions(min_size=np.int64(2), max_size=np.uint8(2))
+        assert (type(opts.min_size), type(opts.max_size)) == (int, int)
+        h = parse("1\n1,2\n1,2,3\n", "1\n1\n1\n", min_size=np.int64(2), max_size=np.uint8(2))
+        assert h.edge_list() == [(0, 1)]
+
     def test_unlabeled_dropped_by_default(self):
         h = parse("1,2\n2,3\n", "1\n\n2\n")
         assert h.num_edges == 0
@@ -381,6 +395,15 @@ class TestSizeIndex:
         assert h.edges_of_size(2)[0].tolist() == [1, 4]
         assert h.edges_of_size(7)[1].shape == (0, 7)
         assert list(k_degrees(h, 7).degrees) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_size_below_one_rejected(self, k):
+        # edges_of_size(0) answered a (0, 0) block, and edges_of_size(-1)
+        # failed in NumPy on a negative dimension
+        h = Hypergraph([0, 1], [[0, 1]])
+        for query in (h.edges_of_size, lambda k: k_degrees(h, k)):
+            with pytest.raises(ValueError, match="^k must be >= 1$"):
+                query(k)
 
     def test_cached_blocks_are_read_only(self):
         h = Hypergraph([0, 1, 0, 1], [[0, 1], [1, 2, 3], [2, 3]])
