@@ -33,6 +33,8 @@ EXIT_EMPTY = 3
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 MAX_GRID_POINTS = 10_000  # each point of a sweep generates and analyzes a graph
+INPUT_FLAGS = ("hyperedges", "labels", "label_names")  # a manifest's inputs
+OUTPUT_FLAGS = ("out", "per_edge_out", "perplexity_curve", "out_prefix")  # left out of it
 
 
 def _grid_number(token: str) -> float:
@@ -81,6 +83,14 @@ def _write_text(path: str | None, content: str) -> None:
         Path(path).write_text(content, encoding="utf-8", newline="\n")
 
 
+def _manifest(args) -> dict:
+    """The manifest of a parsed command line: its input files under
+    ``inputs`` and every other flag but its output paths under ``options``."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", *OUTPUT_FLAGS)}
+    inputs = {k: options.pop(k) for k in INPUT_FLAGS if k in options}
+    return rpt.manifest(args.command, inputs, options)
+
+
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     opts = IngestOptions(
@@ -89,29 +99,13 @@ def cmd_analyze(args) -> int:
         collapse_duplicate_edges=args.collapse_duplicates,
     )
     h = load_hypergraph(args.hyperedges, args.labels, args.label_names, opts)
-    cfg = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.order)
+    cfg = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.diversity_order)
     buckets = _buckets(h, cfg, args.epsilon)
     report = _report_from_buckets(
         h, buckets, args.epsilon, emit_per_edge=args.per_edge_out is not None
     )
 
-    manifest = rpt.manifest(
-        "analyze",
-        inputs={
-            "hyperedges": args.hyperedges,
-            "labels": args.labels,
-            "label_names": args.label_names,
-        },
-        options={
-            "samples": args.samples,
-            "seed": args.seed,
-            "diversity_order": args.order,
-            "epsilon": args.epsilon,
-            "min_k": args.min_k,
-            "max_k": args.max_k,
-            "collapse_duplicates": args.collapse_duplicates,
-        },
-    )
+    manifest = _manifest(args)
     duration = time.perf_counter() - started  # logged, never in the report
     _write_text(args.out, rpt.dump_json(rpt.report_to_dict(report, manifest, h.ingest)))
 
@@ -153,18 +147,7 @@ def cmd_generate(args) -> int:
     ) as lf, open(paths["label_names"], "w", encoding="utf-8", newline="\n") as nf:
         write_hypergraph(h, ef, lf, nf)
 
-    payload = rpt.manifest(
-        "generate",
-        inputs={},
-        options={
-            "nodes": args.nodes,
-            "attrs": args.attrs,
-            "k": args.k,
-            "edges": args.edges,
-            "p": args.p,
-            "seed": args.seed,
-        },
-    )
+    payload = _manifest(args)
     payload["outputs"] = paths
     Path(f"{prefix}-manifest.json").write_text(
         rpt.dump_json(payload), encoding="utf-8", newline="\n"
@@ -175,9 +158,7 @@ def cmd_generate(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
-    sampler = SamplerConfig(
-        samples=args.samples, seed=args.seed, diversity_order=args.order
-    )
+    sampler = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.diversity_order)
     if args.mode == "kp":
         if args.k_grid is None:
             raise ValueError("--k-grid is required for mode kp")
@@ -214,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sampler_flags(p):
         p.add_argument("--samples", type=int, default=SamplerConfig.samples, help="Monte Carlo samples per size")
         p.add_argument("--seed", type=int, default=SamplerConfig.seed, help="master RNG seed")
-        p.add_argument("--order", type=float, default=SamplerConfig.diversity_order, help="diversity order q")
+        p.add_argument(
+            "--order", type=float, default=SamplerConfig.diversity_order,
+            dest="diversity_order", metavar="ORDER", help="diversity order q",
+        )
 
     pa = sub.add_parser("analyze", help="score a hypergraph from benchmark text files")
     pa.add_argument("--hyperedges", required=True, help="hyperedges file path")

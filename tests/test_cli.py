@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, file outputs, schema, determinism."""
 
+import argparse
 import ast
 import hashlib
 import io
@@ -331,6 +332,66 @@ class TestGenerate:
         )
         assert code == 2
         assert "divisible" in caplog.text
+
+
+def parser_flags(command):
+    """A subcommand's parser and the dests of its flags, read from the CLI's parser."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command_parser = sub.choices[command]
+    return command_parser, {a.dest for a in command_parser._actions if a.dest != "help"}
+
+
+class TestManifest:
+    """The manifest records every flag of the subcommand but its outputs.
+
+    Each flag is given a value that is not its default, so a flag that is
+    parsed but never recorded, or recorded at its default, fails.
+    """
+
+    def check(self, command, outputs, manifest, inputs, options):
+        command_parser, dests = parser_flags(command)
+        recorded = {**inputs, **options}
+        assert set(recorded) == dests - outputs
+        assert all(value != command_parser.get_default(dest) for dest, value in recorded.items())
+        assert manifest["command"] == command
+        assert (manifest["inputs"], manifest["options"]) == (inputs, options)
+        assert all(type(manifest["options"][k]) is type(v) for k, v in options.items())
+
+    def test_analyze(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_mixed_sizes(tmp_path)
+        code = main(
+            ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
+             "--label-names", "label-names.txt", "--samples", "123", "--seed", "9",
+             "--order", "2.5", "--epsilon", "0.25", "--min-k", "3", "--max-k", "5",
+             "--collapse-duplicates", "--out", "report.json", "--per-edge-out", "edges.csv",
+             "--perplexity-curve", "curve.csv"]
+        )
+        assert code == 0
+        manifest = json.loads(Path("report.json").read_text())["manifest"]
+        inputs = {"hyperedges": "hyperedges.txt", "labels": "node-labels.txt",
+                  "label_names": "label-names.txt"}
+        options = {"samples": 123, "seed": 9, "diversity_order": 2.5, "epsilon": 0.25,
+                   "min_k": 3, "max_k": 5, "collapse_duplicates": True}
+        self.check("analyze", {"out", "per_edge_out", "perplexity_curve"}, manifest, inputs, options)
+        assert not {"report.json", "edges.csv", "curve.csv"} & set(json.dumps(manifest).split('"'))
+
+    def test_generate(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["generate", "--nodes", "60", "--attrs", "3", "--k", "4", "--edges", "20",
+             "--p", "-0.5", "--seed", "9", "--out-prefix", "g"]
+        )
+        assert code == 0
+        manifest = json.loads(Path("g-manifest.json").read_text())
+        options = {"nodes": 60, "attrs": 3, "k": 4, "edges": 20, "p": -0.5, "seed": 9}
+        self.check("generate", {"out_prefix"}, manifest, {}, options)
+        assert manifest["outputs"] == {
+            "hyperedges": "g-hyperedges.txt",
+            "labels": "g-node-labels.txt",
+            "label_names": "g-label-names.txt",
+        }
 
 
 class TestSeedRange:
