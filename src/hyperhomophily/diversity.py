@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _check_int
+from .hypergraph import Hypergraph, _check_int, _check_real
 
 Q_ONE_TOLERANCE = 1e-9  # orders within this of 1 use the entropy limit form
 _NEAR_ONE = 0.25  # other orders within this of 1 use the log1p form
@@ -68,8 +68,8 @@ def composition(h: Hypergraph, edge_index: int) -> HyperedgeComposition:
 
 
 def _check_order(order: float) -> float:
-    """The diversity order as a float; it must be finite and >= 0."""
-    order = float(order)
+    """The diversity order as a float; it must be a finite real number >= 0."""
+    order = _check_real(order, "diversity order")
     if not (math.isfinite(order) and order >= 0):
         raise ValueError(f"diversity order must be finite and >= 0, got {order}")
     return order

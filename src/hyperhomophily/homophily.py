@@ -15,7 +15,7 @@ import numpy as np
 
 from .diversity import bulk_diversity
 from .exceptions import DegenerateMixingError, EmptyAnalysisError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _check_real
 from .nullmodel import BaselineEstimate, SamplerConfig, estimate_baseline
 
 DEFAULT_EPSILON = 1e-9
@@ -122,7 +122,7 @@ def _score(
 
 def _check_epsilon(epsilon: float) -> None:
     # a baseline of exactly 1 must count as degenerate, or its scores are 0/0
-    if not epsilon > 0:
+    if not _check_real(epsilon, "epsilon") > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 

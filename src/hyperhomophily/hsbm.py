@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .homophily import analyze
-from .hypergraph import Hypergraph, _check_int
+from .hypergraph import Hypergraph, _check_int, _check_real
 from .nullmodel import SamplerConfig, _check_seed, derive_seed, sample_weighted_k_sets
 
 _GEN_STREAM = 0  # seed-derivation tags, so generation and analysis
@@ -41,6 +41,7 @@ class HsbmConfig:
     def __post_init__(self):
         for name in ("num_nodes", "num_attributes", "k", "num_edges"):  # stored as ints
             object.__setattr__(self, name, _check_int(getattr(self, name), name))
+        object.__setattr__(self, "p", _check_real(self.p, "p"))
         if self.num_attributes < 1 or self.num_nodes < 1:
             raise ValueError("num_nodes and num_attributes must be >= 1")
         if self.num_nodes % self.num_attributes != 0:
@@ -141,7 +142,7 @@ def sweep_phi_vs_k(
     k_grid = [_check_int(k, "every k in the grid") for k in k_grid]
     if any(k < 2 for k in k_grid):
         raise ValueError(f"every k in the grid must be an integer >= 2, got {k_grid}")
-    configs = [replace(base_cfg, k=k, p=float(p)) for k, p in product(k_grid, p_grid)]
+    configs = [replace(base_cfg, k=k, p=p) for k, p in product(k_grid, p_grid)]
     points = []
     for index, cfg in enumerate(configs):
         h = generate_hsbm(replace(cfg, seed=derive_seed(cfg.seed, _GEN_STREAM, index)))

@@ -92,6 +92,13 @@ def _check_int(value, what: str) -> int:
     return int(value)
 
 
+def _check_real(value, what: str) -> float:
+    """``value``, a Python or NumPy real number but not a bool, as a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 class Hypergraph:
     """Immutable node-attributed hypergraph.
 

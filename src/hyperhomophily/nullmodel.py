@@ -74,12 +74,12 @@ class SamplerConfig:
     diversity_order: float = 1.0
 
     def __post_init__(self):
-        # a NumPy integer is stored as an int
+        # a NumPy integer is stored as an int, a real order as a float
         object.__setattr__(self, "samples", _check_int(self.samples, "samples"))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        _check_order(self.diversity_order)
+        object.__setattr__(self, "diversity_order", _check_order(self.diversity_order))
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,24 @@ class TestHillNumber:
         with pytest.raises(ValueError, match="finite"):
             SamplerConfig(diversity_order=q)
 
+    @pytest.mark.parametrize("q", [True, "1", None])
+    def test_non_real_order_rejected(self, q):
+        # True computed order 1; SamplerConfig kept "1" and copied it into estimates
+        with pytest.raises(ValueError, match="diversity order must be a real number"):
+            hill_number(comp(2, 1), q)
+        with pytest.raises(ValueError, match="diversity order must be a real number"):
+            bulk_diversity(np.array([[0, 0, 1]]), q)
+        with pytest.raises(ValueError, match="diversity order must be a real number"):
+            SamplerConfig(diversity_order=q)
+
+    @pytest.mark.parametrize("q", [2, np.float64(2.0), np.float32(2.0)])
+    def test_real_orders_give_the_same_values(self, q):
+        labels = np.array([[0, 0, 1, 2], [1, 1, 1, 0]])
+        assert hill_number(comp(2, 1, 1), q) == hill_number(comp(2, 1, 1), 2.0)
+        assert bulk_diversity(labels, q)[0].tolist() == bulk_diversity(labels, 2.0)[0].tolist()
+        cfg = SamplerConfig(diversity_order=q)
+        assert type(cfg.diversity_order) is float and cfg == SamplerConfig(diversity_order=2.0)
+
     def test_orders_near_one_keep_full_precision(self):
         # the log-sum form's rounding grows by 1/|1-q|: 2e-8 relative at 1+1e-8
         for q in (1.0 + 1e-8, 1.0 - 1e-5, 1.2):

@@ -1,5 +1,6 @@
 """Edge scoring, report aggregation, curve, and assortativity tests."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,6 +213,24 @@ class TestAnalyze:
         h = Hypergraph([0, 0, 0], [[0, 1], [1, 2], [0, 2]])
         with pytest.raises(ValueError, match="epsilon must be positive"):
             entry(h, SamplerConfig(samples=100, seed=1), epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [True, "1e-9", None])
+    def test_non_real_epsilon_rejected(self, epsilon):
+        # True ran at epsilon 1.0 (size 2 went degenerate); "1e-9" raised TypeError
+        with pytest.raises(ValueError, match="epsilon must be a real number"):
+            analyze(mixed_graph(), SamplerConfig(samples=100, seed=1), epsilon=epsilon)
+
+    def test_real_epsilon_values_give_the_same_report(self):
+        # at epsilon 1 size 2 is degenerate, so the value is the one that counts
+        cfg = SamplerConfig(samples=200, seed=1)
+        reports = [
+            analyze(mixed_graph(), cfg, epsilon=e, emit_per_edge=True)
+            for e in (1, 1.0, np.float64(1.0), np.float32(1.0))
+        ]
+        assert [(e.reason, e.k) for e in reports[0].exclusions] == [("degenerate_baseline", 2)]
+        for report in reports[1:]:
+            assert replace(report, per_edge=None) == replace(reports[0], per_edge=None)
+            assert np.array_equal(report.per_edge.phi, reports[0].per_edge.phi)
 
     def test_unlabeled_scorable_edge_rejected(self):
         with pytest.raises(ValueError, match="unlabeled"):

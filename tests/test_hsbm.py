@@ -62,6 +62,20 @@ class TestConfig:
         plain = HsbmConfig(num_nodes=10, num_attributes=2, k=2, num_edges=5, p=0.0, seed=4)
         assert generate_hsbm(cfg).edge_list() == generate_hsbm(plain).edge_list()
 
+    @pytest.mark.parametrize("p", [True, "0.5", None])
+    def test_non_real_p_rejected(self, p):
+        # True built an all-pure graph and "0.5" raised TypeError
+        kwargs = dict(num_nodes=10, num_attributes=2, k=2, num_edges=5)
+        with pytest.raises(ValueError, match="p must be a real number"):
+            HsbmConfig(**kwargs, p=p)
+
+    @pytest.mark.parametrize("p", [1, np.float64(1.0), np.float32(1.0)])
+    def test_real_p_stored_as_float(self, p):
+        kwargs = dict(num_nodes=10, num_attributes=2, k=2, num_edges=5, seed=4)
+        cfg = HsbmConfig(**kwargs, p=p)
+        assert type(cfg.p) is float and cfg == HsbmConfig(**kwargs, p=1.0)
+        assert generate_hsbm(cfg).edge_list() == generate_hsbm(HsbmConfig(**kwargs, p=1.0)).edge_list()
+
 
 def partition_of(cfg, node):
     return node // (cfg.num_nodes // cfg.num_attributes)
@@ -191,6 +205,8 @@ class TestSweeps:
             ([2, 50], [0.0, 1.0], "partition"),  # only the last point is invalid
             ([2.5], [0.0], "must be an integer"),  # would run and report k = 2
             ([2, True], [0.0], "must be an integer"),
+            ([3], [True], "p must be a real number"),  # ran at p = 1.0
+            ([3], ["0.5"], "p must be a real number"),  # was cast with float()
         ],
     )
     def test_grid_checked_before_any_point(self, monkeypatch, k_grid, p_grid, match):
@@ -201,6 +217,13 @@ class TestSweeps:
         cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=2, num_edges=50, p=0.0)
         with pytest.raises(ValueError, match=match):
             sweep_phi_vs_k(cfg, k_grid, p_grid, FAST_SAMPLER)
+
+    def test_real_p_values_give_the_same_points(self):
+        cfg = HsbmConfig(num_nodes=40, num_attributes=4, k=3, num_edges=30, p=0.0, seed=2)
+        grids = ([0, 1], [0.0, 1.0], [np.float64(0.0), np.float32(1.0)])
+        runs = [sweep_phi_vs_k(cfg, [3], grid, FAST_SAMPLER) for grid in grids]
+        assert runs[0] == runs[1] == runs[2]
+        assert all(type(point.p) is float for run in runs for point in run)
 
     def test_sweep_matches_direct_analysis(self):
         # a sweep point is just generate + analyze with derived seeds

@@ -209,6 +209,14 @@ class TestEstimate:
         est = estimate_baseline(two_bucket_graph(), 2, cfg)
         assert est == estimate_baseline(two_bucket_graph(), 2, SamplerConfig(samples=100, seed=9))
 
+    @pytest.mark.parametrize("order", [2, np.float64(2.0), np.float32(2.0)])
+    def test_real_orders_give_the_same_estimate(self, order):
+        # the estimate records the config's order, stored as a float
+        h = Hypergraph([0, 1, 2, 0, 1, 2], [[0, 1, 2], [2, 3, 4], [1, 4, 5]])
+        est = estimate_baseline(h, 3, SamplerConfig(samples=200, seed=3, diversity_order=order))
+        assert type(est.diversity_order) is float
+        assert est == estimate_baseline(h, 3, SamplerConfig(samples=200, seed=3, diversity_order=2.0))
+
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             estimate_baseline(two_bucket_graph(), 1, SamplerConfig(samples=10))
@@ -274,7 +282,7 @@ class TestExact:
         with pytest.raises(StateSpaceError):
             exact_baseline(h, n)
 
-    @pytest.mark.parametrize("order", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("order", [float("nan"), float("inf"), -1.0, True, "1", None])
     def test_order_checked_before_enumeration(self, order):
         # over the guard: only an order check at entry can come first
         n = 60
