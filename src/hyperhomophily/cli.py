@@ -33,6 +33,7 @@ EXIT_EMPTY = 3
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 MAX_GRID_POINTS = 10_000  # each point of a sweep generates and analyzes a graph
+SWEEP_K = 10  # the edge size of a mode-p sweep without --k
 INPUT_FLAGS = ("hyperedges", "labels", "label_names")  # a manifest's inputs
 OUTPUT_FLAGS = ("out", "per_edge_out", "perplexity_curve", "out_prefix")  # left out of it
 
@@ -160,11 +161,13 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     sampler = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.diversity_order)
     if args.mode == "kp":
-        if args.k_grid is None:
-            raise ValueError("--k-grid is required for mode kp")
+        if args.k_grid is None or args.k is not None:
+            raise ValueError("mode kp takes its sizes from --k-grid, and no --k")
         k_grid = _parse_grid(args.k_grid, integer=True)
-    else:  # --k sizes only mode p, as a one-size grid
-        k_grid = [args.k]
+    elif args.k_grid is not None:
+        raise ValueError("mode p takes its size from --k, and no --k-grid")
+    else:  # --k sizes mode p, as a one-size grid
+        k_grid = [SWEEP_K if args.k is None else args.k]
     base = HsbmConfig(
         num_nodes=args.nodes,
         num_attributes=args.attrs,
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k-grid", default=None, help="'start:stop:step' or comma list (mode kp)")
     ps.add_argument("--nodes", type=int, default=1000)
     ps.add_argument("--attrs", type=int, default=10)
-    ps.add_argument("--k", type=int, default=10, help="edge size for mode p")
+    ps.add_argument("--k", type=int, help=f"edge size for mode p (default {SWEEP_K})")
     ps.add_argument("--edges", type=int, default=5000)
     add_sampler_flags(ps)
     ps.add_argument("--out", default=None, help="CSV path (default stdout)")
@@ -243,18 +246,11 @@ def _join_grid_values(argv: list[str]) -> list[str]:
     """Let grid specs start with a minus sign (argparse would read them as
     flags): '--p-grid -1:1:0.25' becomes '--p-grid=-1:1:0.25'."""
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--p-grid", "--k-grid") and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if nxt.startswith("-"):
-                out.append(f"{tok}={nxt}")
-                skip = True
-                continue
-        out.append(tok)
+    for tok in argv:
+        if out and out[-1] in ("--p-grid", "--k-grid") and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
     return out
 
 

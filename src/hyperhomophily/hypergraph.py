@@ -73,12 +73,12 @@ class IngestOptions:
 
 
 def _int_ids(values, what: str) -> np.ndarray:
-    """A copy of ``values`` as int64; float, str and bool ids are rejected,
-    not truncated or cast, a bool among ints too."""
+    """A copy of the flat sequence ``values`` as int64; float, str and bool
+    ids are rejected, not truncated or cast, a bool among ints too."""
     arr = np.array(values)
-    if arr.ndim == 1 and not isinstance(values, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for v in values
-    ):
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a flat sequence of ids")
+    if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in values):
         arr = arr.astype(bool)  # np.array reads a bool among ints as an int
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got {arr.dtype} values")
@@ -116,22 +116,22 @@ class Hypergraph:
         attributes: Sequence[int] | np.ndarray,
         edges: Iterable[Iterable[int]],
         attribute_names: Sequence[str] | None = None,
-        ingest: IngestStats | None = None,
     ):
         attrs = _int_ids(attributes, "attribute ids")
-        if attrs.ndim != 1:
-            raise ValueError("attributes must be one id per node")
-        edge_arrays = []
-        for pos, edge in enumerate(edges):
-            arr = np.sort(_int_ids(list(edge), f"hyperedge {pos} node ids"))
-            if arr.size == 0:
-                raise ValueError(f"hyperedge {pos} is empty")
-            if np.any(arr[1:] == arr[:-1]):
-                raise ValueError(f"hyperedge {pos} contains duplicate node ids")
-            edge_arrays.append(arr)
-        flat = np.concatenate([np.empty(0, dtype=np.int64), *edge_arrays])
-        offsets = _offsets(np.array([a.size for a in edge_arrays], dtype=np.int64))
-        self._init_arrays(attrs, flat, offsets, attribute_names, ingest)
+        edges = [list(edge) for edge in edges]
+        sizes = np.array([len(edge) for edge in edges], dtype=np.int64)
+        flat = _int_ids([v for edge in edges for v in edge], "hyperedge node ids")
+        if flat.size and (flat.min() < 0 or flat.max() >= attrs.size):  # before the sort keys
+            raise ValueError("hyperedge node index out of range")
+        line = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        flat, repeat = _sorted_lines(line, flat, attrs.size)
+        bad = sizes == 0
+        bad[line[repeat]] = True  # the first bad edge in list order is reported
+        if bad.any():
+            pos = int(np.argmax(bad))
+            fault = "is empty" if sizes[pos] == 0 else "contains duplicate node ids"
+            raise ValueError(f"hyperedge {pos} {fault}")
+        self._init_arrays(attrs, flat, _offsets(sizes), attribute_names, None)
 
     @classmethod
     def _from_csr(
@@ -150,8 +150,6 @@ class Hypergraph:
     def _init_arrays(self, attrs, flat, offsets, names, ingest):
         if attrs.size and attrs.min() < UNLABELED:
             raise ValueError("attribute ids must be >= 0 (or UNLABELED)")
-        if flat.size and (flat.min() < 0 or flat.max() >= attrs.size):
-            raise ValueError("hyperedge node index out of range")
         if flat.size and attrs[flat].min() == UNLABELED:
             raise ValueError(
                 "hyperedges touch unlabeled nodes; label every node or drop "
@@ -370,6 +368,17 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
     return offsets
 
 
+def _sorted_lines(line: np.ndarray, nodes: np.ndarray, node_count: int):
+    """Each line's ids sorted (the lines in order) and the mask of the ids equal to the
+    one before: one stable sort of the keys line * node_count + id, linear when sorted."""
+    key = line * node_count
+    key += nodes
+    key.sort(kind="stable")
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[1:] = key[1:] == key[:-1]  # a repeated id repeats its key
+    return np.remainder(key, node_count, out=key), repeat  # in place: the keys are done
+
+
 def _repeated_edges(
     nodes: np.ndarray, line: np.ndarray, sizes: np.ndarray, keep: np.ndarray
 ) -> np.ndarray:
@@ -421,13 +430,7 @@ def _edges_whole(
             "overflow the int64 sort key"
         )
 
-    # sort each line; lines stay in order, and a repeated id repeats its key
-    key = line * node_count
-    key += nodes
-    key.sort()
-    repeat = np.zeros(key.size, dtype=bool)
-    repeat[1:] = key[1:] == key[:-1]
-    nodes = np.remainder(key, node_count, out=key)  # in place: the keys are done
+    nodes, repeat = _sorted_lines(line, nodes, node_count)
     dedup_events = 0
     if repeat.any():
         repeat_line = line[repeat]  # sorted, as the lines are

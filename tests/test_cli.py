@@ -467,6 +467,34 @@ class TestSweep:
             ["2", "0"], ["2", "1"], ["3", "0"], ["3", "1"]
         ]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mode", "p", "--k", "3", "--k-grid", "2,3"], "no --k-grid"),
+            (["--mode", "kp", "--k", "3", "--k-grid", "2,3"], "no --k"),
+        ],
+        ids=["p-with-k-grid", "kp-with-k"],
+    )
+    def test_size_flag_the_mode_ignores_exit_2(self, tmp_path, caplog, argv, message):
+        # --k-grid sizes only mode kp, and --k only mode p
+        out = tmp_path / "sweep.csv"
+        with mock.patch.object(hsbm, "generate_hsbm", side_effect=AssertionError):
+            code = main(
+                ["sweep", *argv, "--p-grid", "0", "--nodes", "40", "--attrs", "4",
+                 "--edges", "10", "--samples", "50", "--out", str(out)]
+            )
+        assert code == 2
+        assert f"invalid configuration: mode {argv[1]} " in caplog.text
+        assert caplog.text.rstrip().endswith(message)
+        assert not out.exists()
+
+    def test_p_mode_default_k(self):
+        # without --k, mode p sizes its edges 10
+        with mock.patch.object(cli, "sweep_phi_vs_k", return_value=[]) as sweep:
+            assert main(["sweep", "--mode", "p", "--p-grid", "0"]) == 0
+        base, k_grid = sweep.call_args.args[:2]
+        assert k_grid == [10] and base.k == 10
+
     def test_kp_mode_rejects_grid_size_too_large(self, tmp_path, caplog):
         code = main(
             ["sweep", "--mode", "kp", "--k-grid", "50", "--p-grid", "1",

@@ -139,7 +139,33 @@ class TestParse:
         assert np.array_equal(a.attributes, b.attributes)
 
 
+@st.composite
+def constructor_inputs(draw):
+    """Labelled nodes and an edge list whose edges may be empty or repeat an id."""
+    n = draw(st.integers(1, 6))
+    attrs = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return attrs, draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4), max_size=6))
+
+
 class TestConstructor:
+    @given(constructor_inputs())
+    @example(([0, 1], [[0, 1], [1, 1], []]))  # a repeated id, then an empty edge
+    @example(([0, 1], [[1, 0], [], [0, 0]]))  # an empty edge, then a repeated id
+    def test_canonical_form_is_ingests(self, case):
+        attrs, edges = case
+        bad = [i for i, e in enumerate(edges) if not e or len(set(e)) < len(e)]
+        if bad:
+            fault = "is empty" if not edges[bad[0]] else "contains duplicate node ids"
+            with pytest.raises(ValueError, match=f"^hyperedge {bad[0]} {fault}$"):
+                Hypergraph(attrs, edges)
+            return
+        h = Hypergraph(attrs, edges)
+        text = "".join(",".join(str(v + 1) for v in e) + "\n" for e in edges)
+        parsed = parse(text, "".join(f"{a + 1}\n" for a in attrs))
+        assert np.array_equal(h.edge_nodes, parsed.edge_nodes)
+        assert np.array_equal(h.offsets, parsed.offsets)
+        assert np.array_equal(h.attributes, parsed.attributes)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Hypergraph([0, 1], [[0, 5]])
