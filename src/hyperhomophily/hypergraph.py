@@ -215,27 +215,19 @@ class Hypergraph:
 
     def edges_of_size(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The size-``k`` edges: their indices in ascending order, and their
-        nodes as a read-only (count, k) block whose row i is edge indices[i].
-        The first call groups every edge by size (one stable sort of the
-        sizes, then one gather per size); later calls look their size up.
+        nodes as a (count, k) block whose row i is edge indices[i]; both are
+        read-only, empty for a size the graph lacks. The first call groups
+        every edge by size (:func:`_size_blocks`); later calls look up.
         """
         k = _check_int(k, "k")
         if k < 1:
             raise ValueError("k must be >= 1")
         if self._by_size is None:
-            sizes = self.sizes
-            order = np.argsort(sizes, kind="stable")
-            cuts = np.flatnonzero(np.diff(sizes[order])) + 1  # where the size changes
-            self._by_size = {}
-            for indices in np.split(order, cuts) if order.size else ():
-                size = int(sizes[indices[0]])
-                block = self._edge_nodes[self._offsets[indices][:, None] + np.arange(size)]
-                indices.setflags(write=False)
-                block.setflags(write=False)
-                self._by_size[size] = indices, block
-        if k in self._by_size:
-            return self._by_size[k]
-        return np.empty(0, dtype=np.int64), np.empty((0, k), dtype=np.int64)
+            self._by_size = _size_blocks(self._edge_nodes, self._offsets)
+        arrays = self._by_size.get(k) or (np.empty(0, np.int64), np.empty((0, k), np.int64))
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def edge(self, index: int) -> np.ndarray:
         if not 0 <= index < self.num_edges:
@@ -247,7 +239,8 @@ class Hypergraph:
             yield self._edge_nodes[self._offsets[i] : self._offsets[i + 1]]
 
     def edge_list(self) -> list[tuple[int, ...]]:
-        return [tuple(int(v) for v in e) for e in self.edges()]
+        ids, bounds = self._edge_nodes.tolist(), self._offsets.tolist()
+        return [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def __repr__(self) -> str:
         return (
@@ -379,19 +372,18 @@ def _sorted_lines(line: np.ndarray, nodes: np.ndarray, node_count: int):
     return np.remainder(key, node_count, out=key), repeat  # in place: the keys are done
 
 
-def _repeated_edges(
-    nodes: np.ndarray, line: np.ndarray, sizes: np.ndarray, keep: np.ndarray
-) -> np.ndarray:
-    """Mask of the kept lines whose node set equals that of an earlier kept line."""
-    repeated = np.zeros(sizes.size, dtype=bool)
-    token_size = np.where(keep, sizes, 0)[line]
-    for k in np.flatnonzero(np.bincount(sizes[keep])):  # the kept sizes
-        rows = nodes[token_size == k].reshape(-1, k)
-        lines = np.flatnonzero(keep & (sizes == k))
-        order = np.lexsort(rows.T[::-1])  # stable: the first occurrence leads its run
-        same = np.all(rows[order[1:]] == rows[order[:-1]], axis=1)
-        repeated[lines[order[1:][same]]] = True
-    return repeated
+def _size_blocks(nodes: np.ndarray, offsets: np.ndarray) -> dict:
+    """For each size k of the CSR edges ``nodes``, ``offsets``: the ascending
+    indices of the size-k edges and their nodes as a (count, k) block whose
+    row i is edge indices[i]; one stable sort of the sizes, one gather per size."""
+    sizes = np.diff(offsets)
+    order = np.argsort(sizes, kind="stable")
+    cuts = np.flatnonzero(np.diff(sizes[order])) + 1  # where the size changes
+    blocks = {}
+    for indices in np.split(order, cuts) if order.size else ():
+        k = int(sizes[indices[0]])
+        blocks[k] = indices, nodes[offsets[indices][:, None] + np.arange(k)]
+    return blocks
 
 
 def _edges_whole(
@@ -450,9 +442,13 @@ def _edges_whole(
     keep &= ~unlabeled
     collapsed = 0
     if opts.collapse_duplicate_edges:
-        repeated = _repeated_edges(nodes, line, sizes, keep)
-        collapsed = int(repeated.sum())
-        keep &= ~repeated
+        kept = np.flatnonzero(keep)
+        for indices, rows in _size_blocks(nodes[keep[line]], _offsets(sizes[kept])).values():
+            order = np.lexsort(rows.T[::-1])  # stable: the first occurrence leads its run
+            same = np.all(rows[order[1:]] == rows[order[:-1]], axis=1)
+            repeats = indices[order[1:][same]]
+            keep[kept[repeats]] = False
+            collapsed += repeats.size
 
     stats = IngestStats(
         dedup_events=dedup_events,
