@@ -8,7 +8,6 @@ hypergraph, with a block-model generator for validation sweeps.
 __version__ = "0.1.0"
 
 from .diversity import (
-    HyperedgeComposition,
     bulk_diversity,
     composition,
     hill_number,
@@ -67,7 +66,6 @@ __all__ = [
     "load_hypergraph",
     "write_hypergraph",
     "k_degrees",
-    "HyperedgeComposition",
     "composition",
     "perplexity",
     "hill_number",

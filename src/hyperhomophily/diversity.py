@@ -10,61 +10,20 @@ distinct attributes, and order 2 the inverse Simpson index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _check_int, _check_real
+from .hypergraph import Hypergraph, _check_real, _int_ids
 
 Q_ONE_TOLERANCE = 1e-9  # orders within this of 1 use the entropy limit form
 _NEAR_ONE = 0.25  # other orders within this of 1 use the log1p form
 
 
-@dataclass(frozen=True)
-class HyperedgeComposition:
-    """Attribute counts of a single hyperedge.
-
-    ``counts`` maps attribute id to a positive occurrence count; size and
-    proportions are derived.
-    """
-
-    counts: Mapping[int, int]
-
-    def __post_init__(self):
-        if not self.counts:
-            raise ValueError("composition must contain at least one attribute")
-        counts = {}  # stored as ints: a narrow NumPy count would overflow a sum
-        for attr, count in self.counts.items():
-            count = counts[attr] = _check_int(count, f"count for attribute {attr}")
-            if count < 1:
-                raise ValueError(f"count for attribute {attr} must be >= 1")
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_counts(cls, counts) -> "HyperedgeComposition":
-        """Build from a bare count sequence, assigning attribute ids 0, 1, ..."""
-        return cls(dict(enumerate(counts)))
-
-    @property
-    def size(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def num_attributes(self) -> int:
-        """m_e: number of distinct attributes present."""
-        return len(self.counts)
-
-    @property
-    def proportions(self) -> dict[int, float]:
-        total = self.size
-        return {attr: count / total for attr, count in self.counts.items()}
-
-
-def composition(h: Hypergraph, edge_index: int) -> HyperedgeComposition:
-    """Tally the attributes of one hyperedge's nodes."""
-    values, counts = np.unique(h.attributes[h.edge(edge_index)], return_counts=True)
-    return HyperedgeComposition({int(a): int(c) for a, c in zip(values, counts)})
+def composition(h: Hypergraph, edge_index: int) -> np.ndarray:
+    """The int64 attribute counts of one hyperedge's nodes, in ascending
+    attribute order."""
+    counts = np.unique(h.attributes[h.edge(edge_index)], return_counts=True)[1]
+    return counts.astype(np.int64, copy=False)
 
 
 def _check_order(order: float) -> float:
@@ -119,25 +78,32 @@ def _hill(
     return values, m
 
 
-def perplexity(c: HyperedgeComposition) -> float:
-    """Effective number of equally represented attributes in the edge.
+def perplexity(counts) -> float:
+    """Effective number of equally represented attributes in an edge with
+    these attribute counts.
 
     Equals 1 for a pure edge and the number of distinct attributes for a
     balanced one; absent attributes contribute nothing (0 log 0 = 0).
     """
-    return hill_number(c, 1.0)
+    return hill_number(counts, 1.0)
 
 
-def hill_number(c: HyperedgeComposition, q: float) -> float:
-    """Diversity of order ``q``: (sum_i p_i^q)^(1/(1-q)).
+def hill_number(counts, q: float) -> float:
+    """Diversity of order ``q`` of an edge with these attribute counts:
+    (sum_i p_i^q)^(1/(1-q)).
 
-    Order 0 is the number of distinct attributes, order 1 (taken as the
-    limit) is :func:`perplexity`, and the value is non-increasing in ``q``.
-    Equals, bit for bit, the :func:`bulk_diversity` row of the same edge.
+    ``counts`` is a non-empty flat sequence of integers >= 1 (NumPy integers
+    too, widened to int64). Order 0 is the number of distinct attributes,
+    order 1 (taken as the limit) is :func:`perplexity`, and the value is
+    non-increasing in ``q``. Given :func:`composition`'s counts it equals,
+    bit for bit, the :func:`bulk_diversity` row of the same edge.
     """
-    counts = np.array([c.counts[a] for a in sorted(c.counts)], dtype=np.int64)
+    counts = _int_ids(counts, "attribute counts")
+    if not counts.size or counts.min() < 1:
+        raise ValueError("attribute counts must be a non-empty sequence of integers >= 1")
     row = np.zeros(counts.size, dtype=np.intp)
-    return float(_hill(counts, row, 1, c.size, q)[0][0])
+    total = sum(counts.tolist())  # a Python int: an int64 sum could wrap
+    return float(_hill(counts, row, 1, total, q)[0][0])
 
 
 def bulk_diversity(labels: np.ndarray, order: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,6 +113,8 @@ def bulk_diversity(labels: np.ndarray, order: float) -> tuple[np.ndarray, np.nda
     k-node group. Returns (diversity per row, distinct-attribute count per
     row): each row's runs of equal sorted labels are its attribute counts.
     """
+    if labels.ndim != 2 or not labels.shape[1]:
+        raise ValueError(f"labels must be 2-d with at least one column, got shape {labels.shape}")
     rows, k = labels.shape
     s = np.sort(labels, axis=1)
     boundary = np.ones((rows, k), dtype=bool)

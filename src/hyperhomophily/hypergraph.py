@@ -74,10 +74,10 @@ class IngestOptions:
 
 def _int_ids(values, what: str) -> np.ndarray:
     """A copy of the flat sequence ``values`` as int64; float, str and bool
-    ids are rejected, not truncated or cast, a bool among ints too."""
+    values are rejected, not truncated or cast, a bool among ints too."""
     arr = np.array(values)
     if arr.ndim != 1:
-        raise ValueError(f"{what} must be a flat sequence of ids")
+        raise ValueError(f"{what} must be a flat sequence of integers")
     if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in values):
         arr = arr.astype(bool)  # np.array reads a bool among ints as an int
     if arr.size and arr.dtype.kind not in "iu":
@@ -375,9 +375,10 @@ def _sorted_lines(line: np.ndarray, nodes: np.ndarray, node_count: int):
 def _size_blocks(nodes: np.ndarray, offsets: np.ndarray) -> dict:
     """For each size k of the CSR edges ``nodes``, ``offsets``: the ascending
     indices of the size-k edges and their nodes as a (count, k) block whose
-    row i is edge indices[i]; one stable sort of the sizes, one gather per size."""
+    row i is edge indices[i]; one stable sort of the sizes (as the narrowest unsigned
+    type that holds them, which NumPy radix-sorts up to 16 bits), one gather per size."""
     sizes = np.diff(offsets)
-    order = np.argsort(sizes, kind="stable")
+    order = np.argsort(sizes.astype(np.min_scalar_type(sizes.max(initial=0))), kind="stable")
     cuts = np.flatnonzero(np.diff(sizes[order])) + 1  # where the size changes
     blocks = {}
     for indices in np.split(order, cuts) if order.size else ():

@@ -16,7 +16,6 @@ def test_all_is_pinned():
         "load_hypergraph",
         "write_hypergraph",
         "k_degrees",
-        "HyperedgeComposition",
         "composition",
         "perplexity",
         "hill_number",

@@ -3,6 +3,7 @@
 import decimal
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,17 +13,12 @@ from hypothesis import strategies as st
 
 from hyperhomophily import (
     Hypergraph,
-    HyperedgeComposition,
     SamplerConfig,
     bulk_diversity,
     composition,
     hill_number,
     perplexity,
 )
-
-
-def comp(*counts):
-    return HyperedgeComposition.from_counts(counts)
 
 
 def entropy_oracle(counts):
@@ -50,25 +46,24 @@ def reference_hill(counts, q):
     return sum(x**q for x in p) ** (1.0 / (1.0 - q))
 
 
+DIVERSITIES = [perplexity, lambda counts: hill_number(counts, 2.0)]
+
+
 class TestComposition:
     def test_mixed_department_group(self):
         # four members, two share one attribute, two others distinct
-        h = Hypergraph([0, 0, 1, 2], [[0, 1, 2, 3]])
+        h = Hypergraph([1, 1, 0, 2], [[0, 1, 2, 3]])
         c = composition(h, 0)
-        assert sorted(c.counts.values()) == [1, 1, 2]
-        assert c.size == 4
-        assert c.num_attributes == 3
+        assert c.dtype == np.int64
+        assert c.tolist() == [1, 2, 1]  # in ascending attribute order
 
     def test_pure_edge(self):
         h = Hypergraph([3] * 5, [[0, 1, 2, 3, 4]], attribute_names=list("abcd"))
-        c = composition(h, 0)
-        assert c.counts == {3: 5}
+        assert composition(h, 0).tolist() == [5]
 
     def test_all_distinct(self):
         h = Hypergraph([0, 1, 2, 3], [[0, 1, 2, 3]])
-        c = composition(h, 0)
-        assert c.num_attributes == 4
-        assert set(c.counts.values()) == {1}
+        assert composition(h, 0).tolist() == [1, 1, 1, 1]
 
     def test_invalid_index(self):
         h = Hypergraph([0], [[0]])
@@ -79,54 +74,55 @@ class TestComposition:
         with pytest.raises(ValueError, match="unlabeled"):
             Hypergraph([0, -1], [[0, 1]])
 
-    def test_proportions_sum_to_one(self):
-        c = comp(3, 2, 2)
-        assert abs(sum(c.proportions.values()) - 1.0) < 1e-12
-
     def test_counts_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HyperedgeComposition({0: 0, 1: 2})
+        for counts, diversity in itertools.product([[0, 2], [], [3, -1]], DIVERSITIES):
+            with pytest.raises(ValueError, match="non-empty sequence of integers >= 1"):
+                diversity(counts)
 
-    @pytest.mark.parametrize("counts", [{0: 2.5, 1: 1}, {0: True, 1: 1}, {0: 2.0}])
+    @pytest.mark.parametrize(
+        "counts", [[2.5, 1], [True, 1], [2.0], np.array([2.0, 1.0]), np.array([True, True])]
+    )
     def test_counts_must_be_integers(self, counts):
         # 2.5 was accepted, and hill_number cast it to 2 but divided by 3.5
-        with pytest.raises(ValueError, match="must be an integer"):
-            HyperedgeComposition(counts)
+        for diversity in DIVERSITIES:
+            with pytest.raises(ValueError, match="attribute counts must be integers"):
+                diversity(counts)
 
-    @pytest.mark.parametrize("counts", [[2.7, 1], [True, 1]])
-    def test_from_counts_rejects_non_integers(self, counts):
-        # [2.7, 1] was truncated to {0: 2, 1: 1}
-        with pytest.raises(ValueError, match="must be an integer"):
-            HyperedgeComposition.from_counts(counts)
+    @pytest.mark.parametrize("counts", [3, [[2, 1]], np.ones((2, 2), dtype=np.int64)])
+    def test_counts_must_be_flat(self, counts):
+        for diversity in DIVERSITIES:
+            with pytest.raises(ValueError, match="flat sequence of integers"):
+                diversity(counts)
 
-    def test_from_counts_accepts_numpy_integers(self):
-        c = HyperedgeComposition.from_counts(np.array([3, 1], dtype=np.uint8))
-        assert c.counts == {0: 3, 1: 1}
-        assert c.size == 4
-        # stored as ints, so a narrow dtype does not overflow the size
-        assert HyperedgeComposition.from_counts(np.array([200, 100], dtype=np.uint8)).size == 300
+    def test_counts_accept_numpy_integers(self):
+        for q in (0.0, 0.5, 1.0, 2.0):
+            assert hill_number(np.array([3, 1], dtype=np.uint8), q) == hill_number([3, 1], q)
+            assert hill_number([np.int64(3), np.uint16(1)], q) == hill_number([3, 1], q)
+            # widened to int64, so a narrow dtype does not overflow the total: 200 + 100 is 300
+            assert hill_number(np.array([200, 100], dtype=np.uint8), q) == hill_number([2, 1], q)
+        assert perplexity(np.array([200, 100], dtype=np.uint8)) == perplexity((2, 1))
 
 
 class TestPerplexity:
     def test_two_one_one(self):
         # published worked example: effectively ~2.83 departments
-        assert perplexity(comp(2, 1, 1)) == pytest.approx(2.8284271247461903, abs=1e-12)
+        assert perplexity((2, 1, 1)) == pytest.approx(2.8284271247461903, abs=1e-12)
 
     def test_pure_is_exactly_one(self):
-        assert perplexity(comp(4)) == 1.0
+        assert perplexity((4,)) == 1.0
 
     def test_balanced_four_is_exactly_four(self):
-        assert perplexity(comp(1, 1, 1, 1)) == 4.0
+        assert perplexity((1, 1, 1, 1)) == 4.0
 
     def test_eight_one_one(self):
         expected = entropy_oracle([8, 1, 1])
-        value = perplexity(comp(8, 1, 1))
+        value = perplexity((8, 1, 1))
         assert value == pytest.approx(expected, abs=1e-12)
         assert round(value, 2) == 1.89
 
     def test_matches_oracle(self):
         for counts in [(5, 3), (7, 2, 2, 1), (10, 1), (2, 2, 3)]:
-            assert perplexity(comp(*counts)) == pytest.approx(
+            assert perplexity(counts) == pytest.approx(
                 entropy_oracle(counts), abs=1e-12
             )
 
@@ -134,27 +130,27 @@ class TestPerplexity:
 class TestHillNumber:
     def test_inverse_simpson_eight_one_one(self):
         # squared proportions: 1 / (0.64 + 0.01 + 0.01)
-        assert hill_number(comp(8, 1, 1), 2.0) == pytest.approx(1 / 0.66, abs=1e-12)
+        assert hill_number((8, 1, 1), 2.0) == pytest.approx(1 / 0.66, abs=1e-12)
 
     def test_pure_any_order(self):
         for q in (0.0, 0.5, 1.0, 2.0, 17.0):
-            assert hill_number(comp(9), q) == 1.0
+            assert hill_number((9,), q) == 1.0
 
     def test_richness(self):
-        assert hill_number(comp(1, 1, 1), 0.0) == 3.0
+        assert hill_number((1, 1, 1), 0.0) == 3.0
 
     def test_order_one_limit_matches_perplexity(self):
-        c = comp(2, 1, 1)
+        c = (2, 1, 1)
         assert hill_number(c, 1.0) == perplexity(c)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            hill_number(comp(1, 1), -0.5)
+            hill_number((1, 1), -0.5)
 
     @pytest.mark.parametrize("q", [float("nan"), float("inf")])
     def test_non_finite_order_rejected(self, q):
         with pytest.raises(ValueError, match="finite"):
-            hill_number(comp(2, 1), q)
+            hill_number((2, 1), q)
         with pytest.raises(ValueError, match="finite"):
             bulk_diversity(np.array([[0, 0, 1]]), q)
         with pytest.raises(ValueError, match="finite"):
@@ -164,7 +160,7 @@ class TestHillNumber:
     def test_non_real_order_rejected(self, q):
         # True computed order 1; SamplerConfig kept "1" and copied it into estimates
         with pytest.raises(ValueError, match="diversity order must be a real number"):
-            hill_number(comp(2, 1), q)
+            hill_number((2, 1), q)
         with pytest.raises(ValueError, match="diversity order must be a real number"):
             bulk_diversity(np.array([[0, 0, 1]]), q)
         with pytest.raises(ValueError, match="diversity order must be a real number"):
@@ -173,7 +169,7 @@ class TestHillNumber:
     @pytest.mark.parametrize("q", [2, np.float64(2.0), np.float32(2.0)])
     def test_real_orders_give_the_same_values(self, q):
         labels = np.array([[0, 0, 1, 2], [1, 1, 1, 0]])
-        assert hill_number(comp(2, 1, 1), q) == hill_number(comp(2, 1, 1), 2.0)
+        assert hill_number((2, 1, 1), q) == hill_number((2, 1, 1), 2.0)
         assert bulk_diversity(labels, q)[0].tolist() == bulk_diversity(labels, 2.0)[0].tolist()
         cfg = SamplerConfig(diversity_order=q)
         assert type(cfg.diversity_order) is float and cfg == SamplerConfig(diversity_order=2.0)
@@ -183,24 +179,28 @@ class TestHillNumber:
         for q in (1.0 + 1e-8, 1.0 - 1e-5, 1.2):
             exact = decimal_hill([1, 2, 1, 1], q)
             for counts in itertools.permutations([1, 2, 1, 1]):
-                assert hill_number(comp(*counts), q) == pytest.approx(exact, rel=1e-14)
+                assert hill_number(counts, q) == pytest.approx(exact, rel=1e-14)
 
     def test_huge_counts(self):
         # the scalar route works on the counts, never on one label per member
-        assert hill_number(comp(10**9, 10**9), 2.0) == 2.0
-        assert hill_number(comp(3 * 10**9, 10**9), 1.0) == pytest.approx(
+        assert hill_number((10**9, 10**9), 2.0) == 2.0
+        assert hill_number((3 * 10**9, 10**9), 1.0) == pytest.approx(
+            entropy_oracle([3, 1]), rel=1e-12
+        )
+        # the total, 2^63, would wrap in an int64 sum
+        assert hill_number((3 * 2**61, 2**61), 1.0) == pytest.approx(
             entropy_oracle([3, 1]), rel=1e-12
         )
 
     def test_large_order_approaches_inverse_max_proportion(self):
-        c = comp(8, 1, 1)
+        c = (8, 1, 1)
         assert hill_number(c, 200.0) == pytest.approx(1 / 0.8, rel=1e-2)
 
     @pytest.mark.parametrize("q", [1e300, 1e305, 1e308, sys.float_info.max])
     def test_orders_near_the_float_limit_give_inverse_max_proportion(self, q):
         # order * log(max p) overflowed past about 1e308, which read as richness
         counts = [2, 2] + [1] * 16
-        assert hill_number(comp(*counts), q) == pytest.approx(10.0, rel=1e-14)
+        assert hill_number(counts, q) == pytest.approx(10.0, rel=1e-14)
         labels = np.repeat(np.arange(len(counts)), counts)[np.newaxis]
         assert bulk_diversity(labels, q)[0][0] == pytest.approx(10.0, rel=1e-14)
 
@@ -212,18 +212,14 @@ orders = st.floats(0.0, 30.0, allow_nan=False)
 class TestProperties:
     @given(counts_lists, orders)
     def test_bounds(self, counts, q):
-        c = comp(*counts)
-        value = hill_number(c, q)
-        m = c.num_attributes
-        assert 1.0 <= value <= m
+        assert 1.0 <= hill_number(counts, q) <= len(counts)
 
     @given(counts_lists, st.floats(1e-6, 30.0, allow_nan=False))
     def test_equality_conditions(self, counts, q):
         # iff conditions hold for orders bounded away from 0, where floating
         # point can still separate near-balanced from balanced
-        c = comp(*counts)
-        value = hill_number(c, q)
-        m = c.num_attributes
+        value = hill_number(counts, q)
+        m = len(counts)
         balanced = len(set(counts)) == 1
         assert (value == m) == balanced
         assert (value == 1.0) == (m == 1)
@@ -232,28 +228,26 @@ class TestProperties:
     def test_permutation_invariance(self, counts, q, rnd):
         shuffled = list(counts)
         rnd.shuffle(shuffled)
-        a = hill_number(comp(*counts), q)
-        b = hill_number(comp(*shuffled), q)
+        a = hill_number(counts, q)
+        b = hill_number(shuffled, q)
         assert a == pytest.approx(b, abs=1e-12)
 
     @given(counts_lists, orders, st.integers(2, 9))
     def test_replication_invariance(self, counts, q, mult):
-        a = hill_number(comp(*counts), q)
-        b = hill_number(comp(*[c * mult for c in counts]), q)
+        a = hill_number(counts, q)
+        b = hill_number([c * mult for c in counts], q)
         assert a == pytest.approx(b, abs=1e-12)
 
     @given(counts_lists, orders, orders)
     def test_monotone_in_order(self, counts, q1, q2):
         lo, hi = sorted((q1, q2))
-        c = comp(*counts)
-        assert hill_number(c, lo) >= hill_number(c, hi) - 1e-9
+        assert hill_number(counts, lo) >= hill_number(counts, hi) - 1e-9
 
     @given(st.lists(st.integers(1, 25), min_size=1, max_size=4))
     def test_continuity_at_order_one(self, counts):
-        c = comp(*counts)  # size <= 100 by construction
-        base = perplexity(c)
-        assert abs(hill_number(c, 1.0 + 1e-6) - base) <= 1e-4
-        assert abs(hill_number(c, 1.0 - 1e-6) - base) <= 1e-4
+        base = perplexity(counts)  # size <= 100 by construction
+        assert abs(hill_number(counts, 1.0 + 1e-6) - base) <= 1e-4
+        assert abs(hill_number(counts, 1.0 - 1e-6) - base) <= 1e-4
 
     def test_two_attribute_curve_shape(self):
         # symmetric around the even split, 1 at the extremes, peak of 2 at 50/50
@@ -261,7 +255,7 @@ class TestProperties:
         values = {}
         for i in range(0, n + 1):
             counts = [c for c in (i, n - i) if c > 0]
-            values[i] = perplexity(comp(*counts))
+            values[i] = perplexity(counts)
         assert values[0] == values[n] == 1.0
         assert values[n // 2] == 2.0
         for i in range(0, n + 1):
@@ -284,13 +278,21 @@ class TestBulkDiversity:
         values, distinct = bulk_diversity(labels, q)
         for row, value, m in zip(labels, values, distinct):
             counts = np.unique(row, return_counts=True)[1]
-            c = HyperedgeComposition.from_counts(counts)
-            assert m == c.num_attributes
-            assert value == pytest.approx(hill_number(c, q), abs=1e-9)
+            assert m == counts.size
+            assert value == pytest.approx(hill_number(counts, q), abs=1e-9)
 
     def test_empty_input(self):
         values, distinct = bulk_diversity(np.empty((0, 3), dtype=int), 1.0)
         assert values.size == 0 and distinct.size == 0
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.empty((2, 0), int), np.empty((0, 0), int), np.array([0, 1, 1]), np.zeros((2, 2, 2), int)],
+    )
+    def test_labels_must_be_2d_with_columns(self, labels):
+        # no columns failed inside np.maximum.reduceat, a 1-d array in tuple unpacking
+        with pytest.raises(ValueError, match=re.escape(f"got shape {labels.shape}")):
+            bulk_diversity(labels, 1.0)
 
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=8),
@@ -310,16 +312,11 @@ class TestBulkDiversity:
             max_size=12,
         ),
         st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5]),
-        st.randoms(),
     )
-    def test_scalar_route_is_bulk_row_bit_for_bit(self, rows, q, rnd):
+    def test_scalar_route_is_bulk_row_bit_for_bit(self, rows, q):
         h = Hypergraph(
             np.array(rows).ravel(), [range(4 * i, 4 * i + 4) for i in range(len(rows))]
         )
         values, _ = bulk_diversity(np.array(rows), q)
         for e, value in enumerate(values):
-            c = composition(h, e)
-            items = list(c.counts.items())
-            rnd.shuffle(items)  # the dict's order must not matter
-            assert hill_number(c, q) == value
-            assert hill_number(HyperedgeComposition(dict(items)), q) == value
+            assert hill_number(composition(h, e), q) == value

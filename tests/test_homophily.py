@@ -159,7 +159,7 @@ class TestAnalyze:
         pe = report.per_edge
         for idx, k, phi, phi_min in zip(pe.edge_index, pe.k, pe.phi, pe.phi_min):
             c = composition(h, int(idx))
-            redo = score_edge(perplexity(c), baselines[int(k)].mean, c.num_attributes)
+            redo = score_edge(perplexity(c), baselines[int(k)].mean, len(c))
             assert phi == pytest.approx(redo.phi, abs=1e-9)
             assert phi_min == pytest.approx(redo.phi_min, abs=1e-9)
 

@@ -444,6 +444,26 @@ class TestSizeIndex:
                     arr[0] = 0
         assert list(k_degrees(h, 2).degrees) == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize(
+        "large, dtype", [(9, np.uint8), (300, np.uint16), (70_000, np.uint32)]
+    )
+    def test_blocks_match_an_int64_stable_sort(self, large, dtype):
+        # the sizes are sorted as the narrowest unsigned type that holds them
+        rng = np.random.default_rng(large)
+        sizes = rng.integers(1, 6, 300)
+        sizes[[17, 150, 151]] = large  # ties that a stable sort keeps in edge order
+        assert np.min_scalar_type(sizes.max()) == dtype
+        offsets = hypergraph._offsets(sizes)
+        nodes = rng.integers(0, 1000, offsets[-1])
+        blocks = hypergraph._size_blocks(nodes, offsets)
+        order = np.argsort(sizes.astype(np.int64), kind="stable")
+        expected = {int(k): order[sizes[order] == k] for k in np.unique(sizes)}
+        assert list(blocks) == list(expected)
+        for k, indices in expected.items():
+            assert np.array_equal(blocks[k][0], indices)
+            rows = [nodes[offsets[i] : offsets[i + 1]] for i in indices]
+            assert np.array_equal(blocks[k][1], np.array(rows).reshape(-1, k))
+
 
 # -- whole-file parser against the line-by-line parser --------------------------
 

@@ -18,7 +18,6 @@ from hyperhomophily import (
     estimate_baseline,
     exact_baseline,
     hill_number,
-    HyperedgeComposition,
     k_degrees,
     sample_weighted_k_sets,
 )
@@ -72,7 +71,7 @@ def sequential_expected_diversity(attrs, weights, k, order_q=1.0):
             prob *= weights[node] / remaining
             remaining -= weights[node]
             counts[attrs[node]] = counts.get(attrs[node], 0) + 1
-        expectation += prob * hill_number(HyperedgeComposition(counts), order_q)
+        expectation += prob * hill_number([counts[a] for a in sorted(counts)], order_q)
     return expectation
 
 
