@@ -19,7 +19,6 @@ from .exceptions import (
     InsufficientPopulationError,
     NodeRangeError,
     ParseError,
-    StateSpaceError,
 )
 from .homophily import (
     EdgeScores,
@@ -51,7 +50,6 @@ from .nullmodel import (
     SamplerConfig,
     derive_seed,
     estimate_baseline,
-    exact_baseline,
     sample_weighted_k_sets,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "BaselineEstimate",
     "sample_weighted_k_sets",
     "estimate_baseline",
-    "exact_baseline",
     "derive_seed",
     "EdgeScores",
     "HomophilyReport",
@@ -89,7 +86,6 @@ __all__ = [
     "ParseError",
     "NodeRangeError",
     "InsufficientPopulationError",
-    "StateSpaceError",
     "EmptyAnalysisError",
     "DegenerateMixingError",
 ]

@@ -22,10 +22,6 @@ class InsufficientPopulationError(ValueError):
     """Fewer positive-weight nodes than the requested sample size."""
 
 
-class StateSpaceError(RuntimeError):
-    """Exact enumeration would exceed the tractability guard."""
-
-
 class EmptyAnalysisError(ValueError):
     """No hyperedges eligible for scoring."""
 

@@ -13,7 +13,7 @@ import logging
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -74,14 +74,22 @@ class IngestOptions:
 
 def _int_ids(values, what: str) -> np.ndarray:
     """A copy of the flat sequence ``values`` as int64; float, str and bool
-    values are rejected, not truncated or cast, a bool among ints too."""
+    values are rejected, not truncated or cast, a bool among ints too, and
+    so are integers outside int64, not wrapped."""
     arr = np.array(values)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a flat sequence of integers")
-    if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in values):
+    listed = not isinstance(values, np.ndarray)
+    if listed and any(isinstance(v, (bool, np.bool_)) for v in values):
         arr = arr.astype(bool)  # np.array reads a bool among ints as an int
+    out_of_range = f"{what} must lie in the int64 range [-2**63, 2**63)"
     if arr.size and arr.dtype.kind not in "iu":
+        # np.array reads ints past int64 as float64 or object values
+        if arr.dtype.kind in "fO" and listed and all(isinstance(v, numbers.Integral) for v in values):
+            raise ValueError(out_of_range)
         raise ValueError(f"{what} must be integers, got {arr.dtype} values")
+    if arr.dtype == np.uint64 and arr.size and arr.max() > _INT64_MAX:
+        raise ValueError(out_of_range)  # the int64 cast would wrap it negative
     return arr.astype(np.int64, copy=False)
 
 
@@ -233,10 +241,6 @@ class Hypergraph:
         if not 0 <= index < self.num_edges:
             raise IndexError(f"edge index {index} out of range (0..{self.num_edges - 1})")
         return self._edge_nodes[self._offsets[index] : self._offsets[index + 1]]
-
-    def edges(self) -> Iterator[np.ndarray]:
-        for i in range(self.num_edges):
-            yield self._edge_nodes[self._offsets[i] : self._offsets[i + 1]]
 
     def edge_list(self) -> list[tuple[int, ...]]:
         ids, bounds = self._edge_nodes.tolist(), self._offsets.tolist()

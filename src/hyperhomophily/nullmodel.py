@@ -28,9 +28,9 @@ The draws are fixed by the seed, the weights, k and the sample count, so
 results are reproducible bit for bit. They differ from the draws of version
 0.1.0, which raced every size.
 
-Two routes to the expected diversity are provided: an estimator for real data,
-exact at size 2 and Monte Carlo above it, and an exact ordered-tuple
-enumeration for small instances, used as the estimator's oracle in tests.
+The expected diversity is exact at size 2 and a Monte Carlo estimate above
+it. The tests check it on small instances against an enumeration of every
+ordered k-tuple (``tests/null_oracle.py``), the one exact reference.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .diversity import _check_order, _hill, bulk_diversity
-from .exceptions import InsufficientPopulationError, StateSpaceError
+from .diversity import _check_order, bulk_diversity
+from .exceptions import InsufficientPopulationError
 from .hypergraph import Hypergraph, _check_int, k_degrees
 
-ENUMERATION_GUARD = 10_000_000  # max n**k for exact_baseline
 _BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots or rows x n keys (~32 MB)
 _SEED_MASK = (1 << 64) - 1
 
@@ -274,55 +273,3 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
         spread = np.std(values, ddof=1) if cfg.samples > 1 else 0.0
         std_error = float(spread / math.sqrt(cfg.samples))
     return BaselineEstimate(k, mean, std_error, cfg.samples, cfg.seed, cfg.diversity_order)
-
-
-def _exact_expected_diversity(
-    attributes: np.ndarray, weights: np.ndarray, k: int, order: float
-) -> float:
-    """Exact expectation by enumerating every ordered k-tuple of distinct nodes.
-
-    Each tuple (v_1..v_k) carries probability prod_j w_{v_j} / (W - sum of
-    weights drawn before j). The probabilities are added up per distinct
-    attribute-count vector, and the vectors' diversities come from one
-    kernel call. Intentionally simple; the n**k guard keeps it tractable.
-    """
-    _check_order(order)  # before the enumeration, not after it
-    pos, w = _population(weights, k)
-    n = pos.size
-    if n**k > ENUMERATION_GUARD:
-        raise StateSpaceError(
-            f"{n} nodes at k={k} exceeds the enumeration guard ({ENUMERATION_GUARD})"
-        )
-    attrs = attributes[pos]
-    if attrs.min() < 0:
-        raise ValueError("positive-weight nodes must all carry an attribute")
-    w, attrs = w.tolist(), attrs.tolist()
-    counts = [0] * (max(attrs) + 1)
-    used = [False] * n
-    probability: dict[tuple[int, ...], float] = {}
-
-    def descend(depth: int, prob: float, remaining: float) -> None:
-        if depth == k:
-            key = tuple(counts)
-            probability[key] = probability.get(key, 0.0) + prob
-            return
-        for j in range(n):
-            if used[j]:
-                continue
-            used[j] = True
-            counts[attrs[j]] += 1
-            descend(depth + 1, prob * w[j] / remaining, remaining - w[j])
-            counts[attrs[j]] -= 1
-            used[j] = False
-
-    descend(0, 1.0, sum(w))
-    vectors = np.array(list(probability), dtype=np.int64)
-    present = vectors > 0  # row-major: each vector's counts by ascending attribute
-    values, _ = _hill(vectors[present], present.nonzero()[0], len(vectors), k, order)
-    return float(np.dot(list(probability.values()), values))
-
-
-def exact_baseline(h: Hypergraph, k: int, diversity_order: float = 1.0) -> float:
-    """Exact counterpart of :func:`estimate_baseline` for small instances."""
-    k, weights = _size_weights(h, k)
-    return _exact_expected_diversity(h.attributes, weights, k, diversity_order)

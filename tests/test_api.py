@@ -24,7 +24,6 @@ def test_all_is_pinned():
         "BaselineEstimate",
         "sample_weighted_k_sets",
         "estimate_baseline",
-        "exact_baseline",
         "derive_seed",
         "EdgeScores",
         "HomophilyReport",
@@ -39,7 +38,6 @@ def test_all_is_pinned():
         "ParseError",
         "NodeRangeError",
         "InsufficientPopulationError",
-        "StateSpaceError",
         "EmptyAnalysisError",
         "DegenerateMixingError",
     ]

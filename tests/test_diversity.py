@@ -94,6 +94,15 @@ class TestComposition:
             with pytest.raises(ValueError, match="flat sequence of integers"):
                 diversity(counts)
 
+    @pytest.mark.parametrize(
+        "counts", [[2**63, 1], np.array([2**63, 1], dtype=np.uint64)], ids=["int", "uint64"]
+    )
+    def test_counts_past_int64_rejected(self, counts):
+        # read as float64 values, or wrapped negative by the int64 cast
+        for diversity in DIVERSITIES:
+            with pytest.raises(ValueError, match=r"attribute counts must lie in the int64 range"):
+                diversity(counts)
+
     def test_counts_accept_numpy_integers(self):
         for q in (0.0, 0.5, 1.0, 2.0):
             assert hill_number(np.array([3, 1], dtype=np.uint8), q) == hill_number([3, 1], q)

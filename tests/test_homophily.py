@@ -166,7 +166,7 @@ class TestAnalyze:
     def test_attribute_relabeling_invariance(self):
         h = mixed_graph(seed=9)
         perm = np.array([2, 0, 1])  # attribute id permutation
-        relabeled = Hypergraph(perm[h.attributes], [list(e) for e in h.edges()])
+        relabeled = Hypergraph(perm[h.attributes], h.edge_list())
         cfg = SamplerConfig(samples=2000, seed=7)
         a = analyze(h, cfg)
         b = analyze(relabeled, cfg)

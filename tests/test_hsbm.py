@@ -86,7 +86,7 @@ class TestGenerate:
         cfg = HsbmConfig(num_nodes=200, num_attributes=10, k=7, num_edges=300, p=0.3, seed=3)
         h = generate_hsbm(cfg)
         assert h.num_edges == 300
-        for e in h.edges():
+        for e in h.edge_list():
             assert len(e) == 7
             assert len(set(int(v) for v in e)) == 7
 
@@ -99,29 +99,29 @@ class TestGenerate:
     def test_p_one_all_pure_within_partition(self):
         cfg = HsbmConfig(num_nodes=120, num_attributes=6, k=4, num_edges=200, p=1.0, seed=2)
         h = generate_hsbm(cfg)
-        for e in h.edges():
+        for e in h.edge_list():
             parts = {partition_of(cfg, int(v)) for v in e}
             assert len(parts) == 1
 
     def test_p_minus_one_balanced(self):
         cfg = HsbmConfig(num_nodes=100, num_attributes=5, k=10, num_edges=100, p=-1.0, seed=4)
         h = generate_hsbm(cfg)
-        for e in h.edges():
-            counts = np.bincount(h.attributes[e], minlength=5)
+        for e in h.edge_list():
+            counts = np.bincount(h.attributes[list(e)], minlength=5)
             assert counts.max() - counts.min() <= 1
 
     def test_balanced_when_attrs_do_not_divide_k(self):
         cfg = HsbmConfig(num_nodes=90, num_attributes=3, k=7, num_edges=150, p=-1.0, seed=5)
         h = generate_hsbm(cfg)
-        for e in h.edges():
-            counts = np.bincount(h.attributes[e], minlength=3)
+        for e in h.edge_list():
+            counts = np.bincount(h.attributes[list(e)], minlength=3)
             assert sorted(counts) == [2, 2, 3]
 
     def test_balanced_with_k_below_attrs(self):
         cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=4, num_edges=100, p=-1.0, seed=6)
         h = generate_hsbm(cfg)
-        for e in h.edges():
-            assert len(set(int(a) for a in h.attributes[e])) == 4
+        for e in h.edge_list():
+            assert len(set(int(a) for a in h.attributes[list(e)])) == 4
 
     def test_seed_determinism(self):
         cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=5, num_edges=100, p=0.4, seed=9)
@@ -140,7 +140,7 @@ class TestGenerate:
         cfg = HsbmConfig(num_nodes=1000, num_attributes=10, k=5, num_edges=4000, p=p, seed=7)
         h = generate_hsbm(cfg)
         pure = sum(
-            1 for e in h.edges() if len({partition_of(cfg, int(v)) for v in e}) == 1
+            1 for e in h.edge_list() if len({partition_of(cfg, int(v)) for v in e}) == 1
         )
         se = math.sqrt(p * (1 - p) / cfg.num_edges)
         assert abs(pure / cfg.num_edges - p) <= 4 * se + 1e-3

@@ -198,6 +198,22 @@ class TestConstructor:
         with pytest.raises(ValueError, match="must be integers"):
             Hypergraph(attrs, edges)
 
+    @pytest.mark.parametrize(
+        "attrs", [[0, 2**63], np.array([0, 2**63], dtype=np.uint64)], ids=["int", "uint64"]
+    )
+    def test_attribute_ids_past_int64_rejected(self, attrs):
+        # read as float64 values, or wrapped negative and reported as below 0
+        with pytest.raises(ValueError, match="attribute ids must lie in the int64 range"):
+            Hypergraph(attrs, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "edge", [(0, 2**63), np.array([0, 2**63], dtype=np.uint64)], ids=["int", "uint64"]
+    )
+    def test_node_ids_past_int64_rejected(self, edge):
+        # read as float64 values, or wrapped negative and reported as out of range
+        with pytest.raises(ValueError, match="hyperedge node ids must lie in the int64 range"):
+            Hypergraph([0, 1], [edge])
+
     def test_accepts_numpy_integer_ids(self):
         h = Hypergraph(np.array([0, 1], dtype=np.int32), [np.array([1, 0], dtype=np.uint8)])
         assert h.edge_list() == [(0, 1)]
@@ -303,7 +319,7 @@ class TestInvariants:
 
 def reference_written_files(h, with_names):
     """The text format written one node and one label at a time."""
-    edges = "".join(",".join(str(int(v) + 1) for v in e) + "\n" for e in h.edges())
+    edges = "".join(",".join(str(int(v) + 1) for v in e) + "\n" for e in h.edge_list())
     labels = "".join(
         ("" if a == UNLABELED else str(int(a) + 1)) + "\n" for a in h.attributes
     )

@@ -11,7 +11,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_library_block_runs(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8")
     block = re.search(r"^## Library\n\n```python\n(.*?)^```", text, re.S | re.M).group(1)
-    # small enough that exact_baseline(h, k=3) stays under its enumeration guard
+    # a small graph with edges of size 3, the size the block's baseline line asks for
     h = hh.generate_hsbm(hh.HsbmConfig(num_nodes=60, num_attributes=3, k=3, num_edges=200, p=0.5))
     names = ("hyperedges.txt", "node-labels.txt", "label-names.txt")
     assert all(f'"{name}"' in block for name in names)

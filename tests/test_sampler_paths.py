@@ -3,7 +3,7 @@
 ``reference_key_race`` is the exponential key race that drew every size in
 version 0.1.0. It stays here, test-only, as the reference for two-sample
 checks of the current drawer. The oracle checks pin instances to each path
-and compare them with the exact enumeration behind ``exact_baseline``.
+and compare them with the exact enumeration of ``null_oracle``.
 """
 
 import hashlib
@@ -20,19 +20,18 @@ from hyperhomophily import (
     SamplerConfig,
     bulk_diversity,
     estimate_baseline,
-    exact_baseline,
     k_degrees,
     sample_weighted_k_sets,
 )
 from hyperhomophily import nullmodel
 from hyperhomophily.nullmodel import (
     _draw_batches,
-    _exact_expected_diversity,
     _guide_table,
     _guided_search,
     _prefer_race,
     _rejection_batch,
 )
+from null_oracle import exact_baseline, sequential_expected_diversity
 
 CHI2_Z = 3.719  # upper 1e-4 point of the standard normal
 
@@ -199,7 +198,7 @@ class TestAdversarialWeights:
         values = bulk_diversity(attrs[sample_weighted_k_sets(weights, k, samples, rng)], 1.0)[0]
         if race:
             assert rng.variates == work
-        exact = _exact_expected_diversity(attrs, weights, k, 1.0)
+        exact = sequential_expected_diversity(attrs, weights, k)
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) <= 3 * se + 1e-9
 
