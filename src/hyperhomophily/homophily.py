@@ -16,7 +16,7 @@ import numpy as np
 from .diversity import bulk_diversity
 from .exceptions import DegenerateMixingError, EmptyAnalysisError
 from .hypergraph import Hypergraph, _check_real
-from .nullmodel import BaselineEstimate, SamplerConfig, estimate_baseline
+from .nullmodel import SamplerConfig, estimate_baseline
 
 DEFAULT_EPSILON = 1e-9
 
@@ -130,38 +130,44 @@ def _edge_labels(h: Hypergraph, k: int) -> np.ndarray:
     return h.attributes[h.edges_of_size(k)[1]]
 
 
-def _buckets(
-    h: Hypergraph, cfg: SamplerConfig, epsilon: float
-) -> tuple[list[BaselineEstimate], np.ndarray, np.ndarray, np.ndarray, int]:
-    """Per-size computations for all sizes >= 2: each size's baseline in
-    ascending size order; the edge indices, observed diversities and
-    distinct-attribute counts of those sizes' edges, concatenated in the same
-    size order; and the size-1 edge count. Each size draws from its own
+def analyze(
+    h: Hypergraph,
+    cfg: SamplerConfig | None = None,
+    epsilon: float = DEFAULT_EPSILON,
+    emit_per_edge: bool = False,
+    workers: int = 1,
+) -> HomophilyReport:
+    """Score every hyperedge of size >= 2 and aggregate.
+
+    One baseline is estimated per size present, each from its own
     seed-derived stream, so sizes are independent and run one after another.
+    The observed diversities of all scored sizes' edges are concatenated in
+    ascending size order and scored in one pass. Size-1 edges and edges whose
+    baseline is itself pure (degenerate) are excluded from the averages and
+    reported with reasons. The global index averages the per-edge scores over
+    the scored edges. The report's ``curve`` has one row per size >= 2,
+    degenerate sizes included, and ``per_k`` holds the rows of the scored
+    sizes. ``epsilon`` must be positive.
+
+    ``workers`` is ignored; it is kept only because ``perfbench/traced.py``
+    calls ``analyze(..., workers=2)``.
     """
+    cfg = cfg or SamplerConfig()
     _check_epsilon(epsilon)
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
-    counts = np.bincount(h.sizes)  # every edge holds a node, so counts[1] exists
-    sizes = (np.flatnonzero(counts[2:]) + 2).tolist()  # the sizes >= 2, ascending
+    histogram = np.bincount(h.sizes)  # every edge holds a node, so histogram[1] exists
+    sizes = (np.flatnonzero(histogram[2:]) + 2).tolist()  # the sizes >= 2, ascending
     if not sizes:
         raise EmptyAnalysisError("no hyperedges of size >= 2")
+    counts = histogram[sizes]
     # a size-k edge holds k distinct nodes of positive k-degree, so every
     # size present has the population its baseline needs
     baselines = [estimate_baseline(h, k, cfg) for k in sizes]
     edge_index = np.concatenate([h.edges_of_size(k)[0] for k in sizes])
     per_size = [bulk_diversity(_edge_labels(h, k), cfg.diversity_order) for k in sizes]
     observed, m_e = (np.concatenate(col) for col in zip(*per_size))
-    return baselines, edge_index, observed, m_e, int(counts[1])
 
-
-def _report_from_buckets(
-    h: Hypergraph, buckets: tuple, epsilon: float, emit_per_edge: bool
-) -> HomophilyReport:
-    """Score the columns :func:`_buckets` returns, then aggregate them."""
-    baselines, edge_index, observed, m_e, size_one = buckets
-    sizes = [b.k for b in baselines]
-    counts = np.bincount(h.sizes)[sizes]
     scores = _score(observed, np.repeat([b.mean for b in baselines], counts), m_e, epsilon)
     phi, degenerate = scores["phi"], scores["degenerate"]
     starts = np.cumsum(counts) - counts  # each size's edges are one slice
@@ -178,7 +184,7 @@ def _report_from_buckets(
     )
     # a size's edges share its baseline: its first edge's flag is the size's
     flags = degenerate[starts].tolist()
-    exclusions = [Exclusion(EXCLUDED_SIZE_ONE, 1, size_one)] if size_one else []
+    exclusions = [Exclusion(EXCLUDED_SIZE_ONE, 1, int(histogram[1]))] if histogram[1] else []
     exclusions += [
         Exclusion(EXCLUDED_DEGENERATE, row.k, row.edge_count)
         for row, flag in zip(curve, flags) if flag
@@ -208,29 +214,6 @@ def _report_from_buckets(
         curve=curve,
         per_edge=per_edge,
     )
-
-
-def analyze(
-    h: Hypergraph,
-    cfg: SamplerConfig | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-    emit_per_edge: bool = False,
-    workers: int = 1,
-) -> HomophilyReport:
-    """Score every hyperedge of size >= 2 and aggregate.
-
-    One baseline is estimated per size present. Size-1 edges and edges whose
-    baseline is itself pure (degenerate) are excluded from the averages and
-    reported with reasons. The global index averages the per-edge scores over
-    the scored edges. The report's ``curve`` has one row per size >= 2,
-    degenerate sizes included, and ``per_k`` holds the rows of the scored
-    sizes. ``epsilon`` must be positive.
-
-    ``workers`` is ignored (sizes run one after another); it is kept only
-    because ``perfbench/traced.py`` calls ``analyze(..., workers=2)``.
-    """
-    cfg = cfg or SamplerConfig()
-    return _report_from_buckets(h, _buckets(h, cfg, epsilon), epsilon, emit_per_edge)
 
 
 def newman_assortativity(h: Hypergraph) -> float:

@@ -16,7 +16,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from hyperhomophily import IngestOptions, SamplerConfig, analyze, cli, hsbm, load_hypergraph
+from hyperhomophily import IngestOptions, SamplerConfig, analyze, cli, homophily, hsbm, load_hypergraph
 from hyperhomophily import report as rpt
 from hyperhomophily.cli import main
 from hyperhomophily.homophily import DEFAULT_EPSILON
@@ -171,9 +171,8 @@ class TestAnalyze:
         ids=["q1", "q2", "degenerate-k2-q1"],
     )
     def test_outputs_are_what_analyze_renders(self, tmp_path, monkeypatch, order, flags):
-        # the CLI runs the pipeline's two stages itself; the library's one
-        # pipeline, rendered by report.py with the CLI's manifest, must give
-        # the same bytes
+        # the library's one pipeline, rendered by report.py with the CLI's
+        # manifest, gives the CLI's bytes
         monkeypatch.chdir(tmp_path)
         write_mixed_sizes(tmp_path)
         code = main(
@@ -202,6 +201,12 @@ class TestAnalyze:
         }
         for name, text in expected.items():
             assert Path(name).read_bytes() == text.encode("utf-8"), name
+
+    def test_cli_calls_the_one_pipeline(self):
+        # the CLI binds analyze under the name the traced benchmark hooks;
+        # the package keeps no second, staged pipeline beside it
+        assert cli._report_from_buckets is analyze
+        assert not hasattr(homophily, "_buckets")
 
     def test_parse_error_exit_2(self, tmp_path, caplog):
         args = write_dataset(tmp_path, "1,x\n", "1\n1\n")
@@ -349,11 +354,15 @@ class TestManifest:
     parsed but never recorded, or recorded at its default, fails.
     """
 
-    def check(self, command, outputs, manifest, inputs, options):
+    def check(self, command, outputs, manifest, inputs, options, unset=()):
+        # ``unset`` names the flags a run must leave at their defaults
         command_parser, dests = parser_flags(command)
         recorded = {**inputs, **options}
         assert set(recorded) == dests - outputs
-        assert all(value != command_parser.get_default(dest) for dest, value in recorded.items())
+        assert all(
+            (value == command_parser.get_default(dest)) == (dest in unset)
+            for dest, value in recorded.items()
+        )
         assert manifest["command"] == command
         assert (manifest["inputs"], manifest["options"]) == (inputs, options)
         assert all(type(manifest["options"][k]) is type(v) for k, v in options.items())
@@ -392,6 +401,32 @@ class TestManifest:
             "labels": "g-node-labels.txt",
             "label_names": "g-label-names.txt",
         }
+
+    # each mode refuses the other's size flag, so the two runs between them
+    # give every flag a value that is not its default
+    @pytest.mark.parametrize(
+        "mode, size_args, size_option, unset",
+        [("p", ["--k", "4"], {"k": 4}, {"k_grid"}),
+         ("kp", ["--k-grid", "2,3"], {"k_grid": "2,3"}, {"k"})],
+        ids=["p", "kp"],
+    )
+    def test_sweep(self, tmp_path, monkeypatch, mode, size_args, size_option, unset):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["sweep", "--mode", mode, "--p-grid", "-1,1", *size_args,
+             "--nodes", "40", "--attrs", "4", "--edges", "20", "--samples", "50",
+             "--seed", "9", "--order", "2.5", "--out", "sweep.csv"]
+        )
+        assert code == 0
+        first = Path("sweep.csv").read_text().split("\n", 1)[0]
+        prefix = "# manifest: "
+        assert first.startswith(prefix)
+        manifest = json.loads(first[len(prefix):])
+        options = {"mode": mode, "p_grid": "-1,1", "k_grid": None, "k": None, "nodes": 40,
+                   "attrs": 4, "edges": 20, "samples": 50, "seed": 9, "diversity_order": 2.5,
+                   **size_option}
+        self.check("sweep", {"out"}, manifest, {}, options, unset)
+        assert "sweep.csv" not in first
 
 
 class TestSeedRange:
@@ -517,9 +552,10 @@ class TestSweep:
         assert lines[1].split(",")[0] == "-1"
         assert lines[-1].split(",")[0] == "1"
 
-    # sha256 of the CSV bytes, recorded before p mode became a one-size grid
-    # of the (k, p) sweep; the merge must keep both tables byte for byte. The
-    # kp table was recorded again when the size-2 baseline became exact
+    # sha256 of the CSV bytes after the manifest line, recorded before p mode
+    # became a one-size grid of the (k, p) sweep; the merge must keep both
+    # tables byte for byte. The kp table was recorded again when the size-2
+    # baseline became exact
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -536,7 +572,13 @@ class TestSweep:
              "--samples", "150", "--seed", "3", "--out", str(out)]
         )
         assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        first, table = out.read_bytes().split(b"\n", 1)
+        manifest = json.loads(first.removeprefix(b"# manifest: "))
+        assert first == b"# manifest: " + json.dumps(
+            manifest, sort_keys=True, separators=(",", ":")
+        ).encode()
+        assert (manifest["command"], manifest["options"]["seed"]) == ("sweep", 3)
+        assert hashlib.sha256(table).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "k_grid, p_grid, message",

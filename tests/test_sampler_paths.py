@@ -224,6 +224,30 @@ class TestAdversarialWeights:
         self.check(attrs, weights, 5, race=True, seed=43)
 
 
+@st.composite
+def mixed_size_hypergraphs(draw):
+    """Up to 10 nodes in up to 3 labels, joined by edges of sizes 1 to 6."""
+    n = draw(st.integers(2, 10))
+    attrs = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True)
+    return Hypergraph(attrs, draw(st.lists(edge, min_size=1, max_size=15)))
+
+
+class TestRealizedDegreeShare:
+    """Why rejection stays cheap on the library's own weights: a k-degree is
+    at most E_k, the number of size-k edges, and the k-degrees sum to
+    k * E_k, so the k-1 largest hold at most (k-1)/k of the mass and every
+    rejection slot accepts with probability at least 1/k."""
+
+    @given(mixed_size_hypergraphs())
+    @example(Hypergraph([0, 1, 0, 1], [[0, 1, 2], [0, 1, 3]]))  # two nodes in every edge: equality
+    @settings(max_examples=200, deadline=None)
+    def test_largest_k_minus_one_hold_at_most_their_share(self, h):
+        for k in sorted(set(h.sizes.tolist()) - {1}):
+            degrees = sorted(k_degrees(h, k).degrees.tolist(), reverse=True)
+            assert k * sum(degrees[: k - 1]) <= (k - 1) * sum(degrees)
+
+
 class TestBoundedMemory:
     def test_batches_respect_cell_budget(self):
         weights = pareto_weights(2_000, 3)
