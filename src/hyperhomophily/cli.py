@@ -41,15 +41,20 @@ INPUT_FLAGS = ("hyperedges", "labels", "label_names")  # a manifest's inputs
 OUTPUT_FLAGS = ("out", "per_edge_out", "perplexity_curve", "out_prefix")  # left out of it
 
 
-def _grid_number(token: str) -> float:
+def _grid_number(token: str):
+    """The exact ``Fraction`` a grid token's decimal text names, finite as a
+    float; 0 where a float reads 0, so no tiny exponent builds a huge value."""
+    from decimal import Decimal  # imported here: only sweep reads grids, and these
+    from fractions import Fraction  # two imports would cost every command 2-5 ms
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"grid values must be finite, got {token.strip()!r}")
-    return value
+    return Fraction(Decimal(token)) if value else Fraction(0)
 
 
 def _parse_grid(spec: str, integer: bool = False) -> list:
-    """Grid syntax: 'start:stop:step' (inclusive) or a comma list."""
+    """Grid syntax: 'start:stop:step' (inclusive) or a comma list. A range
+    holds the exact start + i*step for i = 0 .. floor((stop - start)/step)."""
     spec = spec.strip()
     if not spec:
         raise ValueError("empty grid")
@@ -60,24 +65,19 @@ def _parse_grid(spec: str, integer: bool = False) -> list:
         start, stop, step = (_grid_number(p) for p in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        span = (stop - start) / step  # inf when the difference overflows
-        if not span < MAX_GRID_POINTS:
+        count = math.floor((stop - start) / step) + 1
+        if count > MAX_GRID_POINTS:
             raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-        # one candidate past floor(span): the tolerance below may admit it
-        candidates = (round(start + i * step, 12) for i in range(math.floor(span) + 2))
-        values = [v for v in candidates if v <= stop + step * 1e-9]
-        if not values:
-            raise ValueError(f"grid {spec!r} contains no points")
+        values = [start + i * step for i in range(count)]
     else:
         values = [_grid_number(tok) for tok in spec.split(",") if tok.strip() != ""]
-        if not values:
-            raise ValueError(f"grid {spec!r} contains no points")
+    if not values:
+        raise ValueError(f"grid {spec!r} contains no points")
     if integer:
-        ints = [int(v) for v in values]
-        if any(i != v for i, v in zip(ints, values)):
+        if any(v.denominator != 1 for v in values):
             raise ValueError(f"grid {spec!r} must contain integers")
-        return ints
-    return values
+        return [int(v) for v in values]
+    return [float(v) for v in values]
 
 
 def _write_text(path: str | None, content: str) -> None:

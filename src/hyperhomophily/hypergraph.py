@@ -238,6 +238,7 @@ class Hypergraph:
         return arrays
 
     def edge(self, index: int) -> np.ndarray:
+        index = _check_int(index, "edge index")
         if not 0 <= index < self.num_edges:
             raise IndexError(f"edge index {index} out of range (0..{self.num_edges - 1})")
         return self._edge_nodes[self._offsets[index] : self._offsets[index + 1]]

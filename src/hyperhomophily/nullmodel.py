@@ -47,20 +47,19 @@ from .exceptions import InsufficientPopulationError
 from .hypergraph import Hypergraph, _check_int, k_degrees
 
 _BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots or rows x n keys (~32 MB)
-_SEED_MASK = (1 << 64) - 1
 
 
 def derive_seed(*parts: int) -> int:
-    """Mix integer parts into one 64-bit stream seed (stable across runs)."""
-    entropy = [_check_int(p, "seed part") & _SEED_MASK for p in parts]
+    """Mix integer parts in [0, 2**64) into one 64-bit stream seed (stable across runs)."""
+    entropy = [_check_seed(p, "seed part") for p in parts]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _check_seed(seed: int) -> int:
-    seed = _check_int(seed, "seed")
-    # derive_seed masks each part to 64 bits: seeds 2**64 apart would collide
-    if not 0 <= seed <= _SEED_MASK:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+def _check_seed(seed: int, what: str = "seed") -> int:
+    seed = _check_int(seed, what)
+    # the range of the seeds derive_seed returns, so a derived seed is a seed too
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{what} must lie in [0, 2**64), got {seed}")
     return seed
 
 
@@ -83,7 +82,8 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class BaselineEstimate:
-    """Estimated expected diversity of a random k-set, with its uncertainty."""
+    """Estimated expected diversity of a random k-set, with its uncertainty;
+    ``samples`` counts the draws the mean averages (0 at the exact k = 2)."""
 
     k: int
     mean: float
@@ -263,6 +263,7 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
         labels, total = h.attributes[pos], w.sum()
         same = (np.bincount(labels, weights=w)[labels] - w) / (total - w)
         mean, std_error = float(1.0 + np.sum(w / total * (1.0 - same))), 0.0
+        samples = 0
     else:
         rng = np.random.default_rng(derive_seed(cfg.seed, k))
         batches = _draw_batches(weights, k, cfg.samples, rng)
@@ -271,5 +272,5 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
         )
         mean = float(np.mean(values))
         spread = np.std(values, ddof=1) if cfg.samples > 1 else 0.0
-        std_error = float(spread / math.sqrt(cfg.samples))
-    return BaselineEstimate(k, mean, std_error, cfg.samples, cfg.seed, cfg.diversity_order)
+        std_error, samples = float(spread / math.sqrt(cfg.samples)), cfg.samples
+    return BaselineEstimate(k, mean, std_error, samples, cfg.seed, cfg.diversity_order)

@@ -16,7 +16,9 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from hyperhomophily import IngestOptions, SamplerConfig, analyze, cli, homophily, hsbm, load_hypergraph
+from hyperhomophily import (
+    IngestOptions, SamplerConfig, analyze, cli, derive_seed, homophily, hsbm, load_hypergraph
+)
 from hyperhomophily import report as rpt
 from hyperhomophily.cli import main
 from hyperhomophily.homophily import DEFAULT_EPSILON
@@ -455,6 +457,12 @@ class TestSeedRange:
         assert main([*self.argv(command, tmp_path), f"--seed={seed}"]) == 2
         assert "invalid configuration: seed must lie in [0, 2**64)" in caplog.text
 
+    @pytest.mark.parametrize("part", [-1, 2**64])
+    def test_derive_seed_part_out_of_range(self, part):
+        # masked to 64 bits, -1 and 2**64 - 1 named one stream
+        with pytest.raises(ValueError, match=r"seed part must lie in \[0, 2\*\*64\)"):
+            derive_seed(1, part)
+
 
 class TestSweep:
     def test_p_mode_csv(self, tmp_path):
@@ -506,9 +514,10 @@ class TestSweep:
         "argv, message",
         [
             (["--mode", "p", "--k", "3", "--k-grid", "2,3"], "no --k-grid"),
+            (["--mode", "p", "--k-grid", "2,3"], "no --k-grid"),
             (["--mode", "kp", "--k", "3", "--k-grid", "2,3"], "no --k"),
         ],
-        ids=["p-with-k-grid", "kp-with-k"],
+        ids=["p-with-k-grid", "p-with-k-grid-alone", "kp-with-k"],
     )
     def test_size_flag_the_mode_ignores_exit_2(self, tmp_path, caplog, argv, message):
         # --k-grid sizes only mode kp, and --k only mode p
@@ -626,7 +635,7 @@ class TestSweep:
     def test_kp_requires_k_grid(self):
         assert main(["sweep", "--mode", "kp", "--p-grid", "0,1"]) == 2
 
-    @pytest.mark.parametrize("k_grid", ["inf", "1e400"])
+    @pytest.mark.parametrize("k_grid", ["inf", "1e400", "1e9999999999999999999"])
     def test_non_finite_k_grid_exit_2(self, caplog, k_grid):
         code = main(
             ["sweep", "--mode", "kp", "--k-grid", k_grid, "--p-grid", "0",
@@ -637,8 +646,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag", ["--p-grid", "--k-grid"])
     def test_huge_range_grid_refused_before_any_point(self, caplog, flag):
-        # round() computes each point: a refusal that never calls it built no list
-        with mock.patch.object(cli, "round", side_effect=AssertionError, create=True):
+        # range() enumerates the points: a refusal that never calls it built no list
+        with mock.patch.object(cli, "range", side_effect=AssertionError, create=True):
             code = main(["sweep", "--mode", "kp", "--k-grid", "2", "--p-grid", "0",
                          flag, "0:1e12:1"])
         assert code == 2
@@ -649,7 +658,25 @@ class TestSweep:
         with pytest.raises(ValueError, match="more than"):
             cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
         with pytest.raises(ValueError, match="more than"):
-            cli._parse_grid("-1e308:1e308:1e-300")  # the span overflows to inf
+            cli._parse_grid("-1e308:1e308:1e-300")  # 2e608 points
+
+    @pytest.mark.parametrize(
+        "spec, values",
+        [
+            # each point was rounded to 12 decimals: six 0.0 and six 1e-12
+            ("0:1e-12:1e-13", [i / 10**13 for i in range(11)]),
+            # the float tolerance fell short of the stop value
+            ("123456.1234567:123456.1234569:0.0000001",
+             [(1234561234567 + i) / 10**7 for i in range(3)]),
+            # -0.9 + 3 * 0.3 made -0.0, which the sweep CSV printed as -0
+            ("-0.9:1.0:0.3", [(3 * i - 9) / 10 for i in range(7)]),
+            # a token a float reads as 0 is 0, never -0
+            ("-0,1e-400,-1e-9999999999999999999", [0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_grid_points_are_exact(self, spec, values):
+        # each point is the exact start + i*step rounded once; repr tells 0.0 from -0.0
+        assert list(map(repr, cli._parse_grid(spec))) == list(map(repr, values))
 
     def test_float_k_grid_exit_2(self):
         assert main(["sweep", "--mode", "kp", "--p-grid", "0", "--k-grid", "2.5"]) == 2
@@ -670,9 +697,11 @@ def script_target():
     raise AssertionError("pyproject.toml names no hyperhomophily script")
 
 
-def run_process(launcher, argv):
-    """Run the CLI in a fresh interpreter, through its real process exit."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+def run_process(launcher, argv, **env):
+    """Run the CLI in a fresh interpreter, through its real process exit,
+    with ``env`` added to the environment."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, **env, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *launcher, *argv], env=env, capture_output=True, timeout=120
     )
@@ -714,6 +743,33 @@ class TestProcessExit:
         out = tmp_path / "report.json"
         assert main([*args, "--out", str(out)]) == 0
         assert run.stdout == out.read_bytes()
+
+    def test_outputs_are_the_same_bytes_under_any_hash_seed(self, tmp_path, monkeypatch):
+        # str hashes, and so the order of a set of strings, differ between
+        # interpreters started under different PYTHONHASHSEEDs
+        monkeypatch.chdir(tmp_path)
+        write_mixed_sizes(tmp_path)
+        outputs = {}
+        for seed in ("1", "2"):
+            Path(seed).mkdir()
+            runs = [
+                ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
+                 "--label-names", "label-names.txt", "--samples", "300", "--epsilon", "1",
+                 "--out", f"{seed}/report.json", "--per-edge-out", f"{seed}/edges.csv",
+                 "--perplexity-curve", f"{seed}/curve.csv"],
+                ["sweep", "--mode", "p", "--p-grid", "-1:1:0.5", "--nodes", "40", "--attrs", "4",
+                 "--k", "4", "--edges", "60", "--samples", "150", "--out", f"{seed}/sweep.csv"],
+            ]
+            for argv in runs:
+                run = run_process(
+                    ["-m", "hyperhomophily.cli"], argv,
+                    PYTHONHASHSEED=seed, PYTHONWARNINGS="error::RuntimeWarning",
+                )
+                assert run.returncode == 0, run.stderr
+            outputs[seed] = {path.name: path.read_bytes() for path in Path(seed).iterdir()}
+        json.loads(outputs["1"]["report.json"], parse_constant=reject_constant)
+        assert sorted(outputs["1"]) == ["curve.csv", "edges.csv", "report.json", "sweep.csv"]
+        assert outputs["1"] == outputs["2"]
 
     def test_malformed_hyperedges_exit_2(self, tmp_path):
         args = write_dataset(tmp_path, "1,2\n2,x\n", "1\n1\n2\n")

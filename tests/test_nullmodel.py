@@ -12,6 +12,7 @@ from hyperhomophily import (
     InsufficientPopulationError,
     SamplerConfig,
     bulk_diversity,
+    composition,
     derive_seed,
     estimate_baseline,
     k_degrees,
@@ -22,12 +23,21 @@ from null_oracle import exact_baseline, sequential_expected_diversity, sequentia
 from seed_bounds import max_beyond
 
 
-SIZE_CALLS = ("edges_of_size", "k_degrees", "estimate_baseline", "exact_baseline", "derive_seed")
+# the calls that take a size, and the two that take an edge index
+INTEGER_CALLS = (
+    "edges_of_size", "k_degrees", "estimate_baseline", "exact_baseline", "derive_seed",
+    "edge", "composition",
+)
 
 
 def call_with_size(name, h, k):
-    """The result of the named function at size ``k``, in a form that compares
-    equal for equal results; a size the result records comes with its type."""
+    """The result of the named function at size (or edge index) ``k``, in a
+    form that compares equal for equal results; a size the result records
+    comes with its type."""
+    if name == "edge":
+        return h.edge(k).tolist()
+    if name == "composition":
+        return composition(h, k).tolist()
     if name == "edges_of_size":
         return [a.tolist() for a in h.edges_of_size(k)]
     if name == "k_degrees":
@@ -107,12 +117,13 @@ class TestSampler:
         with pytest.raises(ValueError, match=match):
             sample_weighted_k_sets(np.ones(4), k, count, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("name", SIZE_CALLS)
+    @pytest.mark.parametrize("name", INTEGER_CALLS)
     @pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), 2.0, True, "2"], ids=repr)
     def test_size_arguments_are_integers(self, name, k):
         # a NumPy size crashed estimate_baseline and derive_seed with an
         # OverflowError, and a float size was answered by the package's exact
-        # oracle; the test oracle reads its weights through the estimator's check
+        # oracle; the test oracle reads its weights through the estimator's check.
+        # A bool or float edge index raised NumPy's TypeError or IndexError
         h = Hypergraph([0, 0, 1, 1], [[0, 1], [2, 3], [1, 2]])
         if isinstance(k, np.integer):
             assert call_with_size(name, h, k) == call_with_size(name, h, int(k))
@@ -145,9 +156,12 @@ class TestEstimate:
         assert abs(est.mean - 5 / 3) <= 3 * est.std_error
 
     def test_metadata_fields(self):
+        # samples counts the draws the mean averages; the exact size 2 draws none
         cfg = SamplerConfig(samples=100, seed=9, diversity_order=2.0)
-        est = estimate_baseline(two_bucket_graph(), 2, cfg)
-        assert (est.k, est.samples, est.seed, est.diversity_order) == (2, 100, 9, 2.0)
+        h = Hypergraph([0, 0, 1, 1], [[0, 1], [2, 3], [0, 1, 2], [1, 2, 3]])
+        for k, samples in ((2, 0), (3, 100)):
+            est = estimate_baseline(h, k, cfg)
+            assert (est.k, est.samples, est.seed, est.diversity_order) == (k, samples, 9, 2.0)
 
     def test_seed_determinism(self):
         cfg = SamplerConfig(samples=2000, seed=77)
@@ -264,7 +278,7 @@ class TestExactPair:
         h = Hypergraph([0, 1, 0, 1], [[0, 1], [1, 2], [1, 2, 3]])
         cfg = SamplerConfig(samples=500, seed=4, diversity_order=2.0)
         est = estimate_baseline(h, 2, cfg)
-        assert (est.samples, est.seed, est.diversity_order, est.std_error) == (500, 4, 2.0, 0.0)
+        assert (est.samples, est.seed, est.diversity_order, est.std_error) == (0, 4, 2.0, 0.0)
         with pytest.raises(AssertionError, match="drew random numbers"):
             estimate_baseline(h, 3, cfg)  # the larger size does reach the patched names
 
