@@ -145,9 +145,10 @@ def analyze(
     ascending size order and scored in one pass. Size-1 edges and edges whose
     baseline is itself pure (degenerate) are excluded from the averages and
     reported with reasons. The global index averages the per-edge scores over
-    the scored edges. The report's ``curve`` has one row per size >= 2,
-    degenerate sizes included, and ``per_k`` holds the rows of the scored
-    sizes. ``epsilon`` must be positive.
+    the scored edges; fewer than two raise ``EmptyAnalysisError``, as one
+    score has no standard error. The report's ``curve`` has one row per size
+    >= 2, degenerate sizes included, and ``per_k`` holds the rows of the
+    scored sizes. ``epsilon`` must be positive.
 
     ``workers`` is ignored; it is kept only because ``perfbench/traced.py``
     calls ``analyze(..., workers=2)``.
@@ -191,11 +192,11 @@ def analyze(
     ]
 
     all_phis = phi[~degenerate]
-    if not all_phis.size:
-        raise EmptyAnalysisError("no scorable hyperedges after exclusions")
     scored = int(all_phis.size)
+    if scored < 2:  # a standard error needs two scores
+        raise EmptyAnalysisError(f"need 2 scorable hyperedges after exclusions, found {scored}")
     global_phi = float(np.mean(all_phis))
-    phi_se = float(np.std(all_phis, ddof=1) / np.sqrt(scored)) if scored > 1 else 0.0
+    phi_se = float(np.std(all_phis, ddof=1) / np.sqrt(scored))
 
     per_edge = None
     if emit_per_edge:

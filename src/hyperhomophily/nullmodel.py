@@ -74,8 +74,8 @@ class SamplerConfig:
     def __post_init__(self):
         # a NumPy integer is stored as an int, a real order as a float
         object.__setattr__(self, "samples", _check_int(self.samples, "samples"))
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 2:  # a standard error needs two draws
+            raise ValueError("samples must be >= 2")
         object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "diversity_order", _check_order(self.diversity_order))
 
@@ -89,8 +89,6 @@ class BaselineEstimate:
     mean: float
     std_error: float
     samples: int
-    seed: int
-    diversity_order: float
 
 
 def _population(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,6 +100,9 @@ def _population(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("weights must be finite")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
+    with np.errstate(over="ignore"):  # finite weights can sum past the largest double
+        if not np.isfinite(np.sum(weights)):
+            raise ValueError("weights must have a finite total")
     pos = np.flatnonzero(weights > 0)
     if pos.size < k:
         raise InsufficientPopulationError(f"need {k} positive-weight nodes, found {pos.size}")
@@ -252,7 +253,8 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     standard error 0, and draws nothing: a pair's Hill number is 2 when its
     labels differ and 1 otherwise, at every order, so with W_a the weight of
     label a, B_2 = 1 + sum_i (w_i/W) (1 - (W_{a_i} - w_i) / (W - w_i)). Above
-    that it is a Monte Carlo mean over an RNG stream derived from
+    that it is a Monte Carlo mean of ``cfg.samples`` (at least 2) draws, with
+    the standard error of that mean, over an RNG stream derived from
     (cfg.seed, k), so estimates for different sizes are independent and a
     fixed seed reproduces the estimate bitwise no matter how calls are
     scheduled.
@@ -262,15 +264,11 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
         pos, w = _population(weights, 2)
         labels, total = h.attributes[pos], w.sum()
         same = (np.bincount(labels, weights=w)[labels] - w) / (total - w)
-        mean, std_error = float(1.0 + np.sum(w / total * (1.0 - same))), 0.0
-        samples = 0
-    else:
-        rng = np.random.default_rng(derive_seed(cfg.seed, k))
-        batches = _draw_batches(weights, k, cfg.samples, rng)
-        values = np.concatenate(
-            [bulk_diversity(h.attributes[sets], cfg.diversity_order)[0] for sets in batches]
-        )
-        mean = float(np.mean(values))
-        spread = np.std(values, ddof=1) if cfg.samples > 1 else 0.0
-        std_error, samples = float(spread / math.sqrt(cfg.samples)), cfg.samples
-    return BaselineEstimate(k, mean, std_error, samples, cfg.seed, cfg.diversity_order)
+        return BaselineEstimate(k, float(1.0 + np.sum(w / total * (1.0 - same))), 0.0, 0)
+    rng = np.random.default_rng(derive_seed(cfg.seed, k))
+    batches = _draw_batches(weights, k, cfg.samples, rng)
+    values = np.concatenate(
+        [bulk_diversity(h.attributes[sets], cfg.diversity_order)[0] for sets in batches]
+    )
+    std_error = np.std(values, ddof=1) / math.sqrt(cfg.samples)
+    return BaselineEstimate(k, float(np.mean(values)), float(std_error), cfg.samples)

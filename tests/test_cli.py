@@ -302,6 +302,14 @@ class TestAnalyze:
         args = write_dataset(tmp_path, "1\n2\n", "1\n2\n")
         assert main(["analyze", *args]) == 3
 
+    def test_one_scorable_edge_exit_3(self, tmp_path, caplog):
+        # one score has no standard error; this exited 0 with global_phi_std_error 0.0
+        args = write_dataset(tmp_path, "1,2\n", "1\n2\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", *args, "--samples", "100", "--out", str(out)]) == 3
+        assert "nothing to analyze: need 2 scorable hyperedges" in caplog.text
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_generate_then_analyze_pure(self, tmp_path):
@@ -433,7 +441,8 @@ class TestManifest:
 
 class TestSeedRange:
     """Seeds 2**64 apart would draw the same streams, so a seed outside
-    [0, 2**64) is a configuration error."""
+    [0, 2**64) is a configuration error; so is a sample count below 2,
+    whose mean has no standard error."""
 
     @staticmethod
     def argv(command, tmp_path):
@@ -456,6 +465,12 @@ class TestSeedRange:
     def test_seed_out_of_range_exit_2(self, tmp_path, caplog, command, seed):
         assert main([*self.argv(command, tmp_path), f"--seed={seed}"]) == 2
         assert "invalid configuration: seed must lie in [0, 2**64)" in caplog.text
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_one_sample_exit_2(self, tmp_path, caplog, command):
+        # the flag given last wins over the helper's --samples 50
+        assert main([*self.argv(command, tmp_path), "--samples", "1"]) == 2
+        assert "invalid configuration: samples must be >= 2" in caplog.text
 
     @pytest.mark.parametrize("part", [-1, 2**64])
     def test_derive_seed_part_out_of_range(self, part):
@@ -608,6 +623,15 @@ class TestSweep:
             )
         assert code == 2
         assert message in caplog.text
+        assert not out.exists()
+
+    def test_point_with_one_scorable_edge_exit_3(self, tmp_path, caplog):
+        # a point of one size-3 edge has at most one scorable edge; this one has one
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--mode", "p", "--k", "3", "--p-grid", "0", "--nodes", "20",
+                     "--attrs", "4", "--edges", "1", "--samples", "50", "--out", str(out)])
+        assert code == 3
+        assert "nothing to analyze: need 2 scorable hyperedges" in caplog.text
         assert not out.exists()
 
     def test_p_mode_size_one_exits_2(self):

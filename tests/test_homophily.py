@@ -206,6 +206,12 @@ class TestAnalyze:
         with pytest.raises(EmptyAnalysisError):
             analyze(h, SamplerConfig(samples=100, seed=1))
 
+    def test_one_scorable_edge(self):
+        # one score has no standard error; the global SE read 0, the exact baseline's
+        h = Hypergraph([0, 1], [[0, 1]])
+        with pytest.raises(EmptyAnalysisError, match="need 2 scorable hyperedges"):
+            analyze(h, SamplerConfig(samples=100, seed=1))
+
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("entry", [analyze])
     def test_non_positive_epsilon_rejected(self, entry, epsilon):

@@ -95,8 +95,10 @@ class TestSampler:
             (np.array([1.0, -1.0, 1.0]), ValueError, "weights must be non-negative"),
             (np.array([1.0, 0.0, 0.0]), InsufficientPopulationError,
              "need 2 positive-weight nodes, found 1"),
+            # overflowed the cumulative sum and failed inside NumPy's bincount
+            (np.array([1e308, 1e308, 1.0]), ValueError, "weights must have a finite total"),
         ],
-        ids=["2-d", "inf", "-inf", "nan", "negative", "too-few"],
+        ids=["2-d", "inf", "-inf", "nan", "negative", "too-few", "total-overflows"],
     )
     @pytest.mark.parametrize("entry", [sample_weighted_k_sets], ids=lambda f: f.__name__)
     def test_negative_weights_rejected(self, entry, weights, error, message):
@@ -161,7 +163,7 @@ class TestEstimate:
         h = Hypergraph([0, 0, 1, 1], [[0, 1], [2, 3], [0, 1, 2], [1, 2, 3]])
         for k, samples in ((2, 0), (3, 100)):
             est = estimate_baseline(h, k, cfg)
-            assert (est.k, est.samples, est.seed, est.diversity_order) == (k, samples, 9, 2.0)
+            assert (est.k, est.samples) == (k, samples)
 
     def test_seed_determinism(self):
         cfg = SamplerConfig(samples=2000, seed=77)
@@ -172,6 +174,12 @@ class TestEstimate:
     @pytest.mark.parametrize("samples", [2.5, 1000.0, "100", True])
     def test_non_integer_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples must be an integer"):
+            SamplerConfig(samples=samples)
+
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        # one draw reported a standard error of 0, the exact size 2's
+        with pytest.raises(ValueError, match="samples must be >= 2"):
             SamplerConfig(samples=samples)
 
     @pytest.mark.parametrize("seed", [3.5, True, "7"])  # 3.5 crashed analyze with TypeError
@@ -187,10 +195,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("order", [2, np.float64(2.0), np.float32(2.0)])
     def test_real_orders_give_the_same_estimate(self, order):
-        # the estimate records the config's order, stored as a float
         h = Hypergraph([0, 1, 2, 0, 1, 2], [[0, 1, 2], [2, 3, 4], [1, 4, 5]])
         est = estimate_baseline(h, 3, SamplerConfig(samples=200, seed=3, diversity_order=order))
-        assert type(est.diversity_order) is float
         assert est == estimate_baseline(h, 3, SamplerConfig(samples=200, seed=3, diversity_order=2.0))
 
     def test_k_below_two_rejected(self):
@@ -278,7 +284,7 @@ class TestExactPair:
         h = Hypergraph([0, 1, 0, 1], [[0, 1], [1, 2], [1, 2, 3]])
         cfg = SamplerConfig(samples=500, seed=4, diversity_order=2.0)
         est = estimate_baseline(h, 2, cfg)
-        assert (est.samples, est.seed, est.diversity_order, est.std_error) == (0, 4, 2.0, 0.0)
+        assert (est.samples, est.std_error) == (0, 0.0)
         with pytest.raises(AssertionError, match="drew random numbers"):
             estimate_baseline(h, 3, cfg)  # the larger size does reach the patched names
 
