@@ -266,9 +266,17 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
         same = (np.bincount(labels, weights=w)[labels] - w) / (total - w)
         return BaselineEstimate(k, float(1.0 + np.sum(w / total * (1.0 - same))), 0.0, 0)
     rng = np.random.default_rng(derive_seed(cfg.seed, k))
-    batches = _draw_batches(weights, k, cfg.samples, rng)
-    values = np.concatenate(
-        [bulk_diversity(h.attributes[sets], cfg.diversity_order)[0] for sets in batches]
-    )
-    std_error = np.std(values, ddof=1) / math.sqrt(cfg.samples)
-    return BaselineEstimate(k, float(np.mean(values)), float(std_error), cfg.samples)
+    # the count, mean and sum of squared deviations of the draws so far: each
+    # batch's are merged in by the pairwise update of Chan, Golub & LeVeque
+    # (1979), so memory stays within one batch. From zero, one batch's merge is
+    # exact: its mean is np.mean and its standard deviation np.std(ddof=1).
+    count, mean, m2 = 0, 0.0, 0.0
+    for sets in _draw_batches(weights, k, cfg.samples, rng):
+        values = bulk_diversity(h.attributes[sets], cfg.diversity_order)[0]
+        size, batch_mean = values.size, np.mean(values)
+        batch_m2 = np.sum(np.square(values - batch_mean))
+        delta, count = batch_mean - mean, count + size
+        mean += delta * (size / count)
+        m2 += batch_m2 + delta * delta * ((count - size) * size / count)
+    std_error = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+    return BaselineEstimate(k, float(mean), std_error, count)

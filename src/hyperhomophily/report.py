@@ -14,12 +14,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from . import __version__
 from .homophily import EDGE_COLUMNS, EdgeScores, HomophilyReport, PerKRow
 from .hsbm import GridPoint
 from .hypergraph import IngestStats
-
-TOOL_NAME = "hyperhomophily"
 
 
 def format_number(value) -> str:
@@ -29,18 +26,6 @@ def format_number(value) -> str:
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
-
-
-def manifest(command: str, inputs: dict, options: dict) -> dict:
-    """What produced a report: command, inputs, and resolved options. It
-    holds no timing, so identical flags always produce identical bytes."""
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "options": options,
-    }
 
 
 def report_to_dict(
@@ -81,8 +66,7 @@ def write_per_edge_csv(scores: EdgeScores, out: IO[str]) -> None:
     by an entry of ``_LAST_TWO``; so a row is three shared strings and no
     cell is formatted per row.
     """
-    out.write("# one row per scored or degenerate hyperedge\n")
-    out.write(",".join(EDGE_COLUMNS) + "\n")
+    write_table((), EDGE_COLUMNS, ("one row per scored or degenerate hyperedge",), out)
     keys = [
         scores.k,
         *(getattr(scores, name).view(np.uint64) for name in EDGE_COLUMNS[2:-1]),

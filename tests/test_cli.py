@@ -649,6 +649,13 @@ class TestSweep:
     def test_empty_grid_exit_2(self):
         assert main(["sweep", "--mode", "p", "--p-grid", " "]) == 2
 
+    @pytest.mark.parametrize(
+        "p_grid, message", [("0:1:0", "grid step must be positive"), (",", "contains no points")]
+    )
+    def test_grid_without_points_exit_2(self, caplog, p_grid, message):
+        assert main(["sweep", "--mode", "p", "--p-grid", p_grid]) == 2
+        assert message in caplog.text
+
     def test_bad_grid_exit_2(self):
         assert main(["sweep", "--mode", "p", "--p-grid", "0:1"]) == 2
 

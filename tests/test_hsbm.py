@@ -40,6 +40,21 @@ class TestConfig:
             HsbmConfig(num_nodes=100, num_attributes=10, k=5, num_edges=0, p=0.0)
 
     @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            # checked before num_nodes % num_attributes, which would divide by zero
+            ({"num_attributes": 0}, "num_nodes and num_attributes must be >= 1"),
+            ({"num_nodes": 0}, "num_nodes and num_attributes must be >= 1"),
+            ({"k": 0}, "k must be >= 1"),
+            ({"k": 11}, "k cannot exceed the number of nodes"),  # 10 nodes, p = 0
+        ],
+    )
+    def test_sizes_out_of_range_rejected(self, sizes, message):
+        kwargs = dict(num_nodes=10, num_attributes=2, k=2, num_edges=5, p=0.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HsbmConfig(**{**kwargs, **sizes})
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("k", 2.5),  # was accepted, and generate_hsbm raised TypeError

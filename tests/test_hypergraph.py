@@ -180,6 +180,17 @@ class TestConstructor:
             Hypergraph([0, 1], [[0, 0]])
 
     @pytest.mark.parametrize(
+        "attrs, names, message",
+        [
+            ([-2, 0], None, r"^attribute ids must be >= 0 \(or UNLABELED\)$"),
+            ([0, 1], ["a"], "^attribute id exceeds the number of attribute names$"),
+        ],
+    )
+    def test_rejects_attribute_ids_out_of_range(self, attrs, names, message):
+        with pytest.raises(ValueError, match=message):
+            Hypergraph(attrs, [[0, 1]], names)
+
+    @pytest.mark.parametrize(
         "attrs, edges",
         [
             ([0, 1, 0], [[0.9, 1.2]]),  # would truncate to edge (0, 1)

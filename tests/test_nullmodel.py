@@ -113,6 +113,7 @@ class TestSampler:
             (2, -1, "count must be >= 0"),  # raised "negative dimensions are not allowed"
             (2.5, 2, "k must be an integer"),  # raised "Partition index must be integer"
             (True, 2, "k must be an integer"),
+            (0, 3, "k must be >= 1"),
         ],
     )
     def test_non_integer_k_and_count_rejected(self, k, count, match):

@@ -87,6 +87,13 @@ def scores_from_tails(edge_index, tails) -> EdgeScores:
     )
 
 
+def test_per_edge_scores_compare_only_with_per_edge_scores():
+    scores = scores_from_tails([0], [(2, *[0.5] * 7, False)])
+    assert scores == scores_from_tails([0], [(2, *[0.5] * 7, False)])
+    # __eq__ answers NotImplemented, and Python falls back to identity
+    assert (scores == 1) is False
+
+
 # a small value set makes cells such as 0.0 and -0.0 meet in one column;
 # they print differently
 _cell = st.one_of(

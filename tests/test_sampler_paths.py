@@ -19,6 +19,7 @@ from hyperhomophily import (
     Hypergraph,
     SamplerConfig,
     bulk_diversity,
+    derive_seed,
     estimate_baseline,
     k_degrees,
     sample_weighted_k_sets,
@@ -272,6 +273,34 @@ class TestBoundedMemory:
         assert out.shape == (count, k)
         # the output plus a few batch-sized temporaries, never count x k of them
         assert peak <= out.nbytes + 32 * 8 * (1 << 16)
+
+    def test_baseline_memory_does_not_grow_with_samples(self, monkeypatch):
+        # the draws' diversities were all held at once: 16 bytes a sample
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 3_000)  # 1,000 rows a batch at k = 3
+        h = golden_hypergraph()
+        peaks = []
+        for samples in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                estimate_baseline(h, 3, SamplerConfig(samples=samples, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
+    def test_merged_batches_match_the_concatenated_draws(self, monkeypatch, order):
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 3_000)  # 600 rows a batch at k = 5
+        h, k = golden_hypergraph(), 5
+        cfg = SamplerConfig(samples=10_000, seed=9, diversity_order=order)
+        est = estimate_baseline(h, k, cfg)
+        # the same stream, drawn and scored all at once
+        rng = np.random.default_rng(derive_seed(cfg.seed, k))
+        batches = _draw_batches(k_degrees(h, k).degrees.astype(np.float64), k, cfg.samples, rng)
+        values = np.concatenate([bulk_diversity(h.attributes[s], order)[0] for s in batches])
+        assert est.mean == pytest.approx(np.mean(values), rel=1e-12, abs=0)
+        expected = np.std(values, ddof=1) / math.sqrt(cfg.samples)
+        assert est.std_error == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def digest(sets):
