@@ -50,7 +50,6 @@ from .nullmodel import (
     SamplerConfig,
     derive_seed,
     estimate_baseline,
-    sample_weighted_k_sets,
 )
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "bulk_diversity",
     "SamplerConfig",
     "BaselineEstimate",
-    "sample_weighted_k_sets",
     "estimate_baseline",
     "derive_seed",
     "EdgeScores",

@@ -2,31 +2,29 @@
 
 The null model draws k nodes sequentially without replacement, each draw
 proportional to the node's weight (its k-degree) among the nodes not yet
-drawn. Whole batches of samples are drawn with array operations, by one of
-two exact routes:
+drawn. Whole batches of samples are drawn with array operations, by per-slot
+rejection. Slot j of every sample is drawn from the cumulative weights of all
+nodes, and only the samples whose new node repeats one of their earlier slots
+draw that slot again. A draw proportional to weight over all nodes,
+conditioned on missing the nodes already taken, is a draw proportional to
+weight over the nodes that remain, so this is the sequential law. A guide
+table (Chen & Asau's indexed search) finds most slots' nodes with one lookup
+and hands the rest to ``searchsorted``; either way a uniform u gets the index
+that ``searchsorted`` gives it. A batch draws and searches the k*rows uniforms
+it needs at least in one call, and the slot loop reads them in the order
+drawing slot by slot would, so the stream is the same as that of per-slot
+draws.
 
-- Per-slot rejection (the default). Slot j of every sample is drawn from the
-  cumulative weights of all nodes, and only the samples whose new node
-  repeats one of their earlier slots draw that slot again. A draw
-  proportional to weight over all nodes, conditioned on missing the nodes
-  already taken, is a draw proportional to weight over the nodes that
-  remain, so this is the sequential law. A guide table (Chen & Asau's
-  indexed search) finds most slots' nodes with one lookup and hands the rest
-  to ``searchsorted``; either way a uniform u gets the index that
-  ``searchsorted`` gives it. Expected cost per sample: k draws, each one
-  lookup outside the table's crowded cells and O(log n) at worst, plus
-  k^2/2 collision compares. A batch draws and searches the k*rows uniforms it
-  needs at least in one call, and the slot loop reads them in the order
-  drawing slot by slot would, so the stream is the same as that of
-  per-slot draws.
-- The exponential race of Efraimidis & Spirakis (2006): with keys
-  Exp(1)/w_i, the set of the k smallest keys follows the same law. It costs
-  n keys per sample, and is used only where the k-1 largest weights hold
-  more than half the mass: a rejection slot could then need many redraws.
+The input rule: no node holds more than 1/k of the total weight. Realized
+k-degrees meet it (a k-degree is at most E_k, the number of size-k edges, and
+the k-degrees sum to k*E_k), and so do ``hsbm``'s equal weights (k <= n).
+Under it the j nodes already taken hold at most j/k of the mass, so slot j
+accepts with probability at least (k-j)/k, and a sample needs at most
+k*H_k = k(1 + 1/2 + ... + 1/k) draws on average, plus k^2/2 collision
+compares. Outside it a slot can need arbitrarily many redraws.
 
 The draws are fixed by the seed, the weights, k and the sample count, so
-results are reproducible bit for bit. They differ from the draws of version
-0.1.0, which raced every size.
+results are reproducible bit for bit.
 
 The expected diversity is exact at size 2 and a Monte Carlo estimate above
 it. The tests check it on small instances against an enumeration of every
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -46,7 +43,7 @@ from .diversity import _check_order, bulk_diversity
 from .exceptions import InsufficientPopulationError
 from .hypergraph import Hypergraph, _check_int, k_degrees
 
-_BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots or rows x n keys (~32 MB)
+_BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots (~32 MB)
 
 
 def derive_seed(*parts: int) -> int:
@@ -107,25 +104,6 @@ def _population(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if pos.size < k:
         raise InsufficientPopulationError(f"need {k} positive-weight nodes, found {pos.size}")
     return pos, weights[pos]
-
-
-def _prefer_race(w: np.ndarray, k: int) -> bool:
-    """Should the exponential race, not rejection, draw these k-sets?
-
-    True when the k-1 largest of the positive weights ``w`` hold more than
-    half the mass. Below that bound every rejection slot accepts with
-    probability >= 1/2, so it needs at most 2 draws on average; above it a
-    slot may need arbitrarily many. The choice reads the weights alone, so
-    the RNG stream never depends on the sample count or the call schedule.
-    """
-    n = w.size
-    return k > 1 and bool(np.partition(w, n - k + 1)[n - k + 1 :].sum() > 0.5 * w.sum())
-
-
-def _race_batch(w: np.ndarray, k: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Exponential race: the k smallest keys Exp(1)/w_i, in no particular order."""
-    keys = rng.exponential(size=(rows, w.size)) / w
-    return np.argpartition(keys, k - 1, axis=1)[:, :k]
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -194,26 +172,22 @@ def _draw_batches(
     """Iterate over ``count`` sequentially weighted k-sets in batches of rows.
 
     Each batch is an int array of shape (rows, k) holding indices into
-    ``weights``. On the rejection path column j is the j-th node drawn; the
-    race returns each row's set in no particular order. The batch capacity
-    depends only on k and the number of positive weights, so memory stays
-    within ``_BATCH_CELLS`` however large ``count`` is, and the draws never
-    depend on how calls are scheduled.
+    ``weights``; column j is the j-th node drawn. The batch capacity depends
+    only on k, so memory stays within ``_BATCH_CELLS`` however large
+    ``count`` is, and the draws never depend on how calls are scheduled.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     pos, w = _population(weights, k)
-    if _prefer_race(w, k):
-        batch = max(1, _BATCH_CELLS // w.size)
-        draw = partial(_race_batch, w, k, rng=rng)
-    else:
-        cdf = np.cumsum(w)
-        cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
-        batch = max(1, _BATCH_CELLS // k)
-        guide = _guide_table(cdf)
-        draw = partial(_rejection_batch, cdf, guide, k, rng=rng)
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
+    guide = _guide_table(cdf)
+    batch = max(1, _BATCH_CELLS // k)
     # a generator expression, so the checks above run at the call
-    return (pos[draw(min(batch, count - done))] for done in range(0, count, batch))
+    return (
+        pos[_rejection_batch(cdf, guide, k, min(batch, count - done), rng)]
+        for done in range(0, count, batch)
+    )
 
 
 def sample_weighted_k_sets(
@@ -225,6 +199,13 @@ def sample_weighted_k_sets(
     probability proportional to weight among the not-yet-drawn indices.
     Returns an int array of shape (count, k); entries within a row are the
     selected node indices in ascending order.
+
+    Every caller passes weights in which no node holds more than 1/k of the
+    total: realized k-degrees (d_i <= E_k) or ``hsbm``'s equal weights
+    (k <= n). Under that rule a sample needs at most k*H_k expected draws.
+    Outside it rejection can need about 1e8 redraws per sample (two weights
+    of 1e6 among tiny ones at k = 3), which is why this function is not
+    part of the public API.
     """
     k, count = _check_int(k, "k"), _check_int(count, "count")
     if count < 0:

@@ -22,7 +22,6 @@ def test_all_is_pinned():
         "bulk_diversity",
         "SamplerConfig",
         "BaselineEstimate",
-        "sample_weighted_k_sets",
         "estimate_baseline",
         "derive_seed",
         "EdgeScores",

@@ -68,7 +68,10 @@ CONFIGS = {
     "pure": (8, 2, 3, 0.6),
     "balanced-extra": (6, 3, 4, -0.7),
     "balanced-k-below-attrs": (8, 4, 2, -1.0),
-    "uniform-race": (6, 2, 5, 0.0),  # k - 1 > n / 2: the sampler races
+    # k - 1 > n / 2: by the last slot the nodes already taken hold over half
+    # the mass, which sent these draws to the key race until it was removed
+    "uniform-raced": (6, 2, 5, 0.0),
+    "balanced-extra-raced": (10, 5, 4, -0.7),  # which 4 of 5 attributes get a slot
 }
 
 

@@ -16,9 +16,9 @@ from hyperhomophily import (
     derive_seed,
     estimate_baseline,
     k_degrees,
-    sample_weighted_k_sets,
 )
 from hyperhomophily import nullmodel
+from hyperhomophily.nullmodel import sample_weighted_k_sets
 from null_oracle import exact_baseline, sequential_expected_diversity, sequential_set_probability
 from seed_bounds import max_beyond
 

@@ -1,9 +1,10 @@
-"""The null-model sampler's two paths: per-slot rejection and the key race.
+"""The null-model sampler: per-slot rejection, its one path.
 
 ``reference_key_race`` is the exponential key race that drew every size in
-version 0.1.0. It stays here, test-only, as the reference for two-sample
-checks of the current drawer. The oracle checks pin instances to each path
-and compare them with the exact enumeration of ``null_oracle``.
+version 0.1.0, and the concentrated sizes until it was removed. It stays
+here, test-only, as the reference for two-sample checks of the drawer. The
+oracle checks compare draws on spread and on concentrated weights with the
+exact enumeration of ``null_oracle``.
 """
 
 import hashlib
@@ -22,15 +23,14 @@ from hyperhomophily import (
     derive_seed,
     estimate_baseline,
     k_degrees,
-    sample_weighted_k_sets,
 )
 from hyperhomophily import nullmodel
 from hyperhomophily.nullmodel import (
     _draw_batches,
     _guide_table,
     _guided_search,
-    _prefer_race,
     _rejection_batch,
+    sample_weighted_k_sets,
 )
 from null_oracle import exact_baseline, sequential_expected_diversity
 
@@ -42,6 +42,14 @@ def reference_key_race(weights, k, count, rng):
     pos = np.flatnonzero(weights > 0)
     keys = rng.exponential(size=(count, pos.size)) / weights[pos]
     return pos[np.argsort(keys, axis=1)[:, :k]]
+
+
+def used_to_race(w, k):
+    """Do the k-1 largest of the positive weights ``w`` hold more than half
+    the mass? The sampler sent such sizes to the key race until it was
+    removed; the tests below keep their inputs on the side they were on."""
+    n = w.size
+    return k > 1 and bool(np.partition(w, n - k + 1)[n - k + 1 :].sum() > 0.5 * w.sum())
 
 
 def reference_rejection_batch(cdf, k, rows, rng):
@@ -59,7 +67,7 @@ def reference_rejection_batch(cdf, k, rows, rng):
 
 
 def drawn(weights, k, count, rng):
-    """The production drawer's sets (in draw order on the rejection path)."""
+    """The production drawer's sets, in draw order."""
     return np.concatenate(list(_draw_batches(weights, k, count, rng)))
 
 
@@ -84,7 +92,7 @@ def pareto_weights(n, seed):
 
 
 def concentrated_weights(n, seed):
-    """A few nodes hold most of the mass: the race path."""
+    """A few nodes hold most of the mass: the sizes that used to race."""
     w = pareto_weights(n, seed)
     w[:5] = w.sum()
     return w
@@ -92,7 +100,7 @@ def concentrated_weights(n, seed):
 
 class TestTwoSampleAgainstKeyRace:
     @pytest.mark.parametrize(
-        "make_weights,k,race",
+        "make_weights,k,concentrated",
         [
             (pareto_weights, 2, False),
             (pareto_weights, 10, False),
@@ -100,19 +108,16 @@ class TestTwoSampleAgainstKeyRace:
             (concentrated_weights, 10, True),
         ],
     )
-    def test_slot_frequencies_and_mean_diversity(self, make_weights, k, race):
+    def test_slot_frequencies_and_mean_diversity(self, make_weights, k, concentrated):
         n, count, bins = 500, 10_000, 10
         weights = make_weights(n, 11 + k)
-        assert _prefer_race(weights, k) == race
+        assert used_to_race(weights, k) == concentrated
         sets = drawn(weights, k, count, np.random.default_rng(2 * k))
         ref_sets = reference_key_race(weights, k, count, np.random.default_rng(2 * k + 1))
 
         bin_of = mass_bins(weights, bins)
         ours, ref = bin_of[sets], bin_of[ref_sets]
-        if race:
-            # the race returns sets, not draw order: compare the j-th smallest bin of each set
-            ours, ref = np.sort(ours, axis=1), np.sort(ref, axis=1)
-        # on the rejection path, the same law for every slot, not only for the set
+        # the same law for every slot, not only for the set
         for j in range(k):
             a = np.bincount(ours[:, j], minlength=bins)
             b = np.bincount(ref[:, j], minlength=bins)
@@ -138,10 +143,14 @@ class TestTwoSampleAgainstKeyRace:
 
 
 class TestOracleOnEachPath:
+    """Spread and concentrated k-degrees: the two sides of the line that
+    split the sampler into rejection and the key race until the race was
+    removed. Both now draw by rejection."""
+
     @staticmethod
-    def check(h, k, race, seed):
+    def check(h, k, concentrated, seed):
         w = k_degrees(h, k).degrees.astype(np.float64)
-        assert _prefer_race(w[w > 0], k) == race
+        assert used_to_race(w[w > 0], k) == concentrated
         exact = exact_baseline(h, k)
         est = estimate_baseline(h, k, SamplerConfig(samples=20_000, seed=seed))
         assert abs(est.mean - exact) <= 3 * est.std_error + 1e-9
@@ -150,14 +159,14 @@ class TestOracleOnEachPath:
         # pairs on 8 nodes, no node near half the mass
         ring = [[i, (i + 1) % 8] for i in range(8)]
         h = Hypergraph([0, 0, 1, 1, 2, 2, 3, 0], ring + [[0, 4], [1, 5], [2, 6]])
-        self.check(h, 2, race=False, seed=31)
+        self.check(h, 2, concentrated=False, seed=31)
 
     def test_race_path_by_concentration(self):
         # two hubs in every triple hold 2/3 of the mass
         h = Hypergraph([0, 1, 2, 2, 0, 1, 3, 3, 2, 0], [[0, 1, x] for x in range(2, 10)])
         w = k_degrees(h, 3).degrees.astype(np.float64)
         assert np.sort(w)[-2:].sum() > 0.5 * w.sum()
-        self.check(h, 3, race=True, seed=33)
+        self.check(h, 3, concentrated=True, seed=33)
 
 
 class CountingRng:
@@ -180,49 +189,63 @@ class CountingRng:
         self._count(size)
         return self._rng.random(size)
 
-    def exponential(self, size):
-        self._count(size)
-        return self._rng.exponential(size=size)
-
 
 class TestAdversarialWeights:
-    """Weights that would make naive rejection loop for ~1e9 draws."""
-
-    @staticmethod
-    def check(attrs, weights, k, race, seed):
-        n = int(np.count_nonzero(weights))
-        samples = 20_000
-        assert _prefer_race(weights[weights > 0], k) == race
-        # the race reads n keys per sample; rejection averages <= 2 draws per slot
-        work = samples * n if race else 2 * samples * k
-        rng = CountingRng(seed, limit=2 * work)
-        values = bulk_diversity(attrs[sample_weighted_k_sets(weights, k, samples, rng)], 1.0)[0]
-        if race:
-            assert rng.variates == work
-        exact = sequential_expected_diversity(attrs, weights, k)
-        se = values.std(ddof=1) / math.sqrt(values.size)
-        assert abs(values.mean() - exact) <= 3 * se + 1e-9
+    """Weights twelve orders of magnitude apart that still meet the input
+    rule: rejection stays cheap."""
 
     def test_few_huge_among_many_tiny_pairs(self):
         # three heavy nodes of a hundred: one holds a third, so rejection accepts >= 2/3
         weights = np.full(100, 1e-3)
         weights[[3, 6, 40]] = 1e6
         attrs = np.arange(100) % 3
-        self.check(attrs, weights, 2, race=False, seed=41)
+        samples, k = 20_000, 2
+        assert not used_to_race(weights, k)
+        # rejection averages <= 2 draws per slot
+        rng = CountingRng(41, limit=4 * samples * k)
+        values = bulk_diversity(attrs[sample_weighted_k_sets(weights, k, samples, rng)], 1.0)[0]
+        exact = sequential_expected_diversity(attrs, weights, k)
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - exact) <= 3 * se + 1e-9
 
-    def test_few_huge_among_many_tiny_triples(self):
-        # the third slot must land on a tiny node: acceptance ~1e-8 per draw
-        weights = np.full(25, 1e-3)
-        weights[[0, 12]] = 1e6
-        attrs = np.array([0, 1, 2, 3] * 6 + [0])
-        self.check(attrs, weights, 3, race=True, seed=42)
 
-    def test_whole_population_with_near_zero_weight(self):
-        # n_k == k: the last slot is the near-zero node, acceptance ~2e-10;
-        # a power of two keeps the oracle's running remainder exact
-        weights = np.array([1.0, 1.0, 2.0**-32, 1.0, 1.0])
-        attrs = np.array([0, 1, 1, 2, 0])
-        self.check(attrs, weights, 5, race=True, seed=43)
+def hub_graph(n_k, k):
+    """k-1 hubs in every size-k edge, whose last slot is a node of its own.
+
+    The most concentrated k-degrees a graph can have: each hub holds exactly
+    1/k of the mass, the edge of the sampler's input rule. Returns the graph
+    and its k-degrees as weights.
+    """
+    hubs = list(range(k - 1))
+    h = Hypergraph(np.arange(n_k) % 3, [hubs + [x] for x in range(k - 1, n_k)])
+    return h, k_degrees(h, k).degrees.astype(np.float64)
+
+
+class TestWorkBound:
+    """Under the input rule a sample needs at most k*H_k draws on average.
+
+    A drawer that reads n_k keys per sample, as the exponential race did,
+    would use 4M variates at (2,000, 3), against a limit of 22k here."""
+
+    @pytest.mark.parametrize("n_k,k", [(2_000, 3), (500, 10)])
+    def test_hub_graph_draws_within_k_harmonic(self, n_k, k):
+        samples = 2_000
+        _, weights = hub_graph(n_k, k)
+        assert used_to_race(weights, k)
+        k_harmonic = k * sum(1.0 / j for j in range(1, k + 1))
+        rng = CountingRng(n_k + k, limit=2 * samples * k_harmonic)
+        sets = sample_weighted_k_sets(weights, k, samples, rng)
+        assert sets.shape == (samples, k)
+        assert not np.any(sets[:, 1:] == sets[:, :-1])
+
+    def test_hub_graph_mean_diversity(self):
+        h, weights = hub_graph(12, 3)
+        samples = 20_000
+        sets = sample_weighted_k_sets(weights, 3, samples, np.random.default_rng(47))
+        values = bulk_diversity(h.attributes[sets], 1.0)[0]
+        exact = sequential_expected_diversity(h.attributes, weights, 3)
+        se = values.std(ddof=1) / math.sqrt(samples)
+        assert abs(values.mean() - exact) <= 3 * se
 
 
 @st.composite
@@ -256,9 +279,6 @@ class TestBoundedMemory:
             rows = [len(b) for b in _draw_batches(weights, k, count, np.random.default_rng(k))]
             assert sum(rows) == count
             assert max(rows) * k <= nullmodel._BATCH_CELLS
-        race = concentrated_weights(2_000, 3)
-        for batch in _draw_batches(race, 10, 3_000, np.random.default_rng(1)):
-            assert len(batch) * race.size <= nullmodel._BATCH_CELLS
 
     def test_million_sets_stay_within_budget(self, monkeypatch):
         monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 1 << 16)
@@ -310,7 +330,7 @@ def digest(sets):
 GOLDEN_WEIGHTS = {
     "skewed": (np.random.default_rng(2024).pareto(1.1, 3000) + 1e-3, 12),
     "uniform": (np.ones(400), 25),
-    "race": (np.concatenate([[500.0, 400.0, 300.0], np.ones(60)]), 4),
+    "concentrated": (np.concatenate([[500.0, 400.0, 300.0], np.ones(60)]), 4),
     "tiny": (np.array([1e-300, 1.0, 1.0, 1.0, 1e-300, 1.0, 1.0]), 3),
 }
 
@@ -322,9 +342,9 @@ GOLDEN_SETS = {
     ("uniform", 1): "7421fe58fd4baf26",
     ("uniform", 7): "6025690e513b298a",
     ("uniform", 2500): "42148838deb71daa",
-    ("race", 1): "5e366ef4d4fd591f",
-    ("race", 7): "780fa1faed6163fc",
-    ("race", 2500): "a98e2b29f778251c",
+    ("concentrated", 1): "ff5814bbd3bf36eb",
+    ("concentrated", 7): "e6754283ae12dc2c",
+    ("concentrated", 2500): "d0bb69d30b83248a",
     ("tiny", 1): "ae3ea7e89aa8a861",
     ("tiny", 7): "903ef7e2e86c53b1",
     ("tiny", 2500): "3244734ef3294c12",
@@ -359,7 +379,7 @@ class TestGoldenStream:
     @pytest.mark.parametrize("name,count", sorted(GOLDEN_SETS))
     def test_sets(self, name, count):
         weights, k = GOLDEN_WEIGHTS[name]
-        assert _prefer_race(weights, k) == (name == "race")
+        assert used_to_race(weights, k) == (name == "concentrated")
         sets = sample_weighted_k_sets(weights, k, count, np.random.default_rng(count))
         assert digest(sets) == GOLDEN_SETS[name, count]
 
@@ -372,9 +392,9 @@ class TestGoldenStream:
     @pytest.mark.parametrize(
         "name,cells,after",
         [
-            ("skewed", None, "0x1.e391725d0ce94p-3"),  # rejection, one batch
-            ("skewed", 1 << 10, "0x1.cbff441912731p-1"),  # rejection, 30 batches
-            ("race", None, "0x1.77280b245662ep-2"),
+            ("skewed", None, "0x1.e391725d0ce94p-3"),  # one batch
+            ("skewed", 1 << 10, "0x1.cbff441912731p-1"),  # 30 batches
+            ("concentrated", None, "0x1.7422155f7edf9p-1"),  # three heavy nodes
         ],
     )
     def test_rng_position_after_draw(self, monkeypatch, name, cells, after):
@@ -438,7 +458,7 @@ class TestBatchedUniforms:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_slot_draws(self, weights, k, rows, seed):
         w = np.array(weights)
-        assume(k <= w.size and not _prefer_race(w, k))
+        assume(k <= w.size and not used_to_race(w, k))
         cdf = np.cumsum(w)
         cdf /= cdf[-1]
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
