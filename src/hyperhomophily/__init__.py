@@ -42,7 +42,6 @@ from .hypergraph import (
     KDegreeIndex,
     k_degrees,
     load_hypergraph,
-    parse_hypergraph,
     write_hypergraph,
 )
 from .nullmodel import (
@@ -59,7 +58,6 @@ __all__ = [
     "IngestOptions",
     "IngestStats",
     "KDegreeIndex",
-    "parse_hypergraph",
     "load_hypergraph",
     "write_hypergraph",
     "k_degrees",

@@ -18,7 +18,6 @@ import sys
 import time
 
 from .exceptions import EmptyAnalysisError, ParseError
-from .homophily import DEFAULT_EPSILON
 # perfbench/traced.py times the CLI's pipeline by hooking this name on this module
 from .homophily import analyze as _report_from_buckets
 from .hsbm import HsbmConfig, generate_hsbm, sweep_phi_vs_k
@@ -113,7 +112,7 @@ def cmd_analyze(args) -> int:
     )
     h = load_hypergraph(args.hyperedges, args.labels, args.label_names, opts)
     cfg = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.diversity_order)
-    report = _report_from_buckets(h, cfg, args.epsilon, emit_per_edge=args.per_edge_out is not None)
+    report = _report_from_buckets(h, cfg, emit_per_edge=args.per_edge_out is not None)
 
     manifest = _manifest(args)
     duration = time.perf_counter() - started  # logged, never in the report
@@ -213,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--labels", required=True, help="node labels file path")
     pa.add_argument("--label-names", default=None, help="label names file path")
     add_sampler_flags(pa)
-    pa.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="degenerate-baseline threshold")
     pa.add_argument("--min-k", type=int, default=2, help="drop edges smaller than this at ingest")
     pa.add_argument("--max-k", type=int, default=None, help="drop edges larger than this at ingest")
     pa.add_argument("--collapse-duplicates", action="store_true", help="collapse repeated identical edges")

@@ -15,10 +15,12 @@ import numpy as np
 
 from .diversity import bulk_diversity
 from .exceptions import DegenerateMixingError, EmptyAnalysisError
-from .hypergraph import Hypergraph, _check_real
+from .hypergraph import Hypergraph
 from .nullmodel import SamplerConfig, estimate_baseline
 
-DEFAULT_EPSILON = 1e-9
+# a one-label null population gives a baseline of exactly 1.0 (the size-2
+# closed form and the Monte Carlo merge both do): a guard, not a setting
+_EPSILON = 1e-9
 
 EXCLUDED_SIZE_ONE = "size_1"
 EXCLUDED_DEGENERATE = "degenerate_baseline"
@@ -94,19 +96,17 @@ class HomophilyReport:
     per_edge: EdgeScores | None = None
 
 
-def _score(
-    observed: np.ndarray, baseline: np.ndarray, m_e: np.ndarray, epsilon: float
-) -> dict[str, np.ndarray]:
+def _score(observed: np.ndarray, baseline: np.ndarray, m_e: np.ndarray) -> dict[str, np.ndarray]:
     """Score edges of any sizes against their sizes' baseline means, as columns.
 
-    An edge whose baseline is within ``epsilon`` of 1 has a pure null model,
+    An edge whose baseline is within ``_EPSILON`` of 1 has a pure null model,
     which offers no contrast; it is flagged degenerate and scored 0, and its
     scores are never divided.
     """
     gap = baseline - observed
     gap_max = baseline - 1.0
     gap_min = baseline - m_e
-    degenerate = gap_max < epsilon
+    degenerate = gap_max < _EPSILON
     scored = ~degenerate
     return {
         "observed": observed,
@@ -120,12 +120,6 @@ def _score(
     }
 
 
-def _check_epsilon(epsilon: float) -> None:
-    # a baseline of exactly 1 must count as degenerate, or its scores are 0/0
-    if not _check_real(epsilon, "epsilon") > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-
-
 def _edge_labels(h: Hypergraph, k: int) -> np.ndarray:
     return h.attributes[h.edges_of_size(k)[1]]
 
@@ -133,7 +127,6 @@ def _edge_labels(h: Hypergraph, k: int) -> np.ndarray:
 def analyze(
     h: Hypergraph,
     cfg: SamplerConfig | None = None,
-    epsilon: float = DEFAULT_EPSILON,
     emit_per_edge: bool = False,
     workers: int = 1,
 ) -> HomophilyReport:
@@ -148,13 +141,12 @@ def analyze(
     the scored edges; fewer than two raise ``EmptyAnalysisError``, as one
     score has no standard error. The report's ``curve`` has one row per size
     >= 2, degenerate sizes included, and ``per_k`` holds the rows of the
-    scored sizes. ``epsilon`` must be positive.
+    scored sizes.
 
     ``workers`` is ignored; it is kept only because ``perfbench/traced.py``
     calls ``analyze(..., workers=2)``.
     """
     cfg = cfg or SamplerConfig()
-    _check_epsilon(epsilon)
     if h.num_edges == 0:
         raise EmptyAnalysisError("hypergraph has no hyperedges")
     histogram = np.bincount(h.sizes)  # every edge holds a node, so histogram[1] exists
@@ -169,7 +161,7 @@ def analyze(
     per_size = [bulk_diversity(_edge_labels(h, k), cfg.diversity_order) for k in sizes]
     observed, m_e = (np.concatenate(col) for col in zip(*per_size))
 
-    scores = _score(observed, np.repeat([b.mean for b in baselines], counts), m_e, epsilon)
+    scores = _score(observed, np.repeat([b.mean for b in baselines], counts), m_e)
     phi, degenerate = scores["phi"], scores["degenerate"]
     starts = np.cumsum(counts) - counts  # each size's edges are one slice
     curve = tuple(

@@ -8,9 +8,7 @@ otherwise it is a uniform random k-subset of all nodes. The mixing parameter
 p therefore sweeps the generated hypergraph from strongly heterophilic (-1)
 through random (0) to fully homophilic (+1).
 
-A fixed seed gives a fixed hypergraph, but not the one version 0.1.0 gave:
-the edges are now drawn all at once, with the null model's sampler, instead
-of one edge at a time.
+A fixed seed gives a fixed hypergraph.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ class IngestStats:
     excluded_by_size: int = 0
     excluded_unlabeled: int = 0
     duplicate_edges_collapsed: int = 0
-    size_one_edges: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -45,7 +44,7 @@ class IngestStats:
 
 @dataclass(frozen=True)
 class IngestOptions:
-    """Knobs for :func:`parse_hypergraph`.
+    """Knobs for :func:`load_hypergraph`.
 
     Ingest always reads 1-based ids of ASCII digits, drops repeated node ids
     within a line (counted), and drops hyperedges touching a node without a
@@ -461,7 +460,6 @@ def _edges_whole(
         excluded_by_size=excluded_by_size,
         excluded_unlabeled=excluded_unlabeled,
         duplicate_edges_collapsed=collapsed,
-        size_one_edges=int(np.count_nonzero(keep & (sizes == 1))),
     )
     return nodes[keep[line]], _offsets(sizes[keep]), stats
 
@@ -502,37 +500,23 @@ def _parse_bytes(
     return Hypergraph._from_csr(attributes, flat, offsets, names, ingest=stats)
 
 
-def parse_hypergraph(
-    hyperedges_text: IO[str],
-    labels_text: IO[str],
-    label_names_text: IO[str] | None = None,
-    opts: IngestOptions = IngestOptions(),
-) -> Hypergraph:
-    """Parse the benchmark text format into a :class:`Hypergraph`.
-
-    ``hyperedges_text`` holds one hyperedge per line as comma-separated node
-    ids; ``labels_text`` holds one label id per line, line i labeling node i.
-    An id is 1-based and made of ASCII digits, at most 18 of them; no spaces,
-    signs or other digits. Trailing ASCII whitespace of the hyperedges text
-    is ignored; a blank line before it is an error. In the labels text an
-    empty line denotes an unlabeled node. Each stream is read whole and its
-    UTF-8 bytes parsed as a file's; LF, CRLF and a lone CR each end a line.
-    Exclusion and dedup counts are retrievable via ``Hypergraph.ingest``.
-    """
-    edges, labels, names = (
-        None if f is None else f.read().encode("utf-8", "surrogatepass")
-        for f in (hyperedges_text, labels_text, label_names_text)
-    )
-    return _parse_bytes(edges, labels, names, opts)
-
-
 def load_hypergraph(
     hyperedges_path: str | Path,
     labels_path: str | Path,
     label_names_path: str | Path | None = None,
     opts: IngestOptions = IngestOptions(),
 ) -> Hypergraph:
-    """File-path form of :func:`parse_hypergraph`; each file is parsed from its bytes."""
+    """Read the benchmark text format from files into a :class:`Hypergraph`.
+
+    ``hyperedges_path`` holds one hyperedge per line as comma-separated node
+    ids; ``labels_path`` holds one label id per line, line i labeling node i.
+    An id is 1-based and made of ASCII digits, at most 18 of them; no spaces,
+    signs or other digits. Trailing ASCII whitespace of the hyperedges file
+    is ignored; a blank line before it is an error. In the labels file an
+    empty line denotes an unlabeled node. Each file is read whole and parsed
+    from its bytes; LF, CRLF and a lone CR each end a line. Exclusion and
+    dedup counts are retrievable via ``Hypergraph.ingest``.
+    """
     edges, labels, names = (
         None if path is None else Path(path).read_bytes()
         for path in (hyperedges_path, labels_path, label_names_path)
@@ -549,12 +533,15 @@ def write_hypergraph(
     """Serialize back to the ingestion text format (LF line endings, 1-based ids).
 
     Parsing the written files with default options reproduces the node count,
-    attributes, edge multiset and label names. A label name that holds a line
-    break, a name that UTF-8 cannot encode (a lone surrogate), or a blank last
-    name (which ingest drops as a trailing blank line), raises ValueError
-    before anything is written.
+    attributes, edge multiset and label names. A names stream for a graph
+    without names (its empty names file would name no label), a label name
+    that holds a line break, a name that UTF-8 cannot encode (a lone
+    surrogate), or a blank last name (which ingest drops as a trailing blank
+    line), raises ValueError before anything is written.
     """
     names = h.attribute_names if label_names_out is not None else None
+    if label_names_out is not None and names is None:
+        raise ValueError("the hypergraph has no label names to write")
     for name in names or ():
         if "\n" in name or "\r" in name:
             raise ValueError(f"label name {name!r} holds a line break")

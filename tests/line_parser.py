@@ -41,7 +41,6 @@ def edges_by_line(
     excluded_by_size = 0
     excluded_unlabeled = 0
     collapsed = 0
-    size_one = 0
     seen: set[tuple[int, ...]] = set()
     edge_nodes: list[int] = []
     lengths: list[int] = []
@@ -82,8 +81,6 @@ def edges_by_line(
                 collapsed += 1
                 continue
             seen.add(key)
-        if size == 1:
-            size_one += 1
         edge_nodes.extend(unique)
         lengths.append(size)
 
@@ -92,7 +89,6 @@ def edges_by_line(
         excluded_by_size=excluded_by_size,
         excluded_unlabeled=excluded_unlabeled,
         duplicate_edges_collapsed=collapsed,
-        size_one_edges=size_one,
     )
     offsets = _offsets(np.asarray(lengths, dtype=np.int64))
     return np.asarray(edge_nodes, dtype=np.int64), offsets, stats

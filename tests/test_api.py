@@ -12,7 +12,6 @@ def test_all_is_pinned():
         "IngestOptions",
         "IngestStats",
         "KDegreeIndex",
-        "parse_hypergraph",
         "load_hypergraph",
         "write_hypergraph",
         "k_degrees",

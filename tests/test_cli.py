@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import csv
 import hashlib
 import io
 import json
@@ -17,11 +18,11 @@ import jsonschema
 import pytest
 
 from hyperhomophily import (
-    IngestOptions, SamplerConfig, analyze, cli, derive_seed, homophily, hsbm, load_hypergraph
+    IngestOptions, SamplerConfig, analyze, cli, derive_seed, homophily, hsbm, load_hypergraph,
+    nullmodel,
 )
 from hyperhomophily import report as rpt
 from hyperhomophily.cli import main
-from hyperhomophily.homophily import DEFAULT_EPSILON
 
 
 def write_dataset(tmp_path, edges_text, labels_text, names_text=None):
@@ -37,10 +38,12 @@ def write_dataset(tmp_path, edges_text, labels_text, names_text=None):
     return args
 
 
-def write_mixed_sizes(directory):
+def write_mixed_sizes(directory, one_label_pairs=False):
     """A fixed 40-node, 3-label dataset of 160 lines of sizes 1 to 6: some
     lines repeat an id, some repeat an earlier line, and node 8 has no label.
-    Drawn with ``random()`` alone, whose stream is the same in every Python."""
+    Drawn with ``random()`` alone, whose stream is the same in every Python.
+    ``one_label_pairs`` gives label 1 to every node of a kept size-2 line, so
+    size 2's null population holds one label and its baseline is exactly 1."""
     rng = random.Random(11)
     labels = [str(1 + int(rng.random() * 3)) for _ in range(40)]
     labels[7] = ""
@@ -51,9 +54,19 @@ def write_mixed_sizes(directory):
             continue
         size = 1 + int(rng.random() * 6)
         lines.append(",".join(str(1 + int(rng.random() * 40)) for _ in range(size)))
+    if one_label_pairs:
+        for ids in (set(line.split(",")) for line in lines):
+            if len(ids) == 2 and "8" not in ids:  # a line holding node 8 is dropped
+                for node in ids:
+                    labels[int(node) - 1] = "1"
     (directory / "hyperedges.txt").write_text("\n".join(lines) + "\n")
     (directory / "node-labels.txt").write_text("\n".join(labels) + "\n")
     (directory / "label-names.txt").write_text("red\ngreen\nblue\n")
+
+
+def csv_rows(path):
+    """The rows of a CSV output as dicts, its comment lines skipped."""
+    return list(csv.DictReader(l for l in path.read_text().splitlines() if not l.startswith("#")))
 
 
 COLLAPSE_3_TO_5 = ["--collapse-duplicates", "--min-k", "3", "--max-k", "5"]
@@ -119,44 +132,47 @@ class TestAnalyze:
         assert main(["analyze", *args, "--samples", "500", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    # sha256 of the report JSON, per-edge CSV and curve CSV, recorded when
-    # the size-2 baseline became exact (every other size keeps its stream)
+    # sha256 of the report JSON, per-edge CSV and curve CSV; the CSVs'
+    # digests date from when the size-2 baseline became exact, the reports'
+    # from when the manifest lost epsilon and ingest its size-1 count
     @pytest.mark.parametrize(
-        "flags, order, digests",
+        "flags, order, one_label_pairs, digests",
         [
-            ([], "0", ("489526bdd33daa425baff7221885d6e63096333fbddedde25e19ca287b513177",
+            ([], "0", False, ("bdf807614a6ed42c30d2810096f07d45bfe3d59645930acc416a2e2740286d3f",
                        "87e1be46937cfe221790732b9e9d6459025f98a9560135309726ee27680f4d09",
                        "00f7436e9992bc7b6ae29368509e83bb781fc8032a303a53e94a50a3ae53989f")),
-            ([], "1", ("90d5992d36c3b44714843850f0964c546ed0b4a4178c048b1d89a2d9c42861a6",
+            ([], "1", False, ("7a036c2651e3d18df292aced9d3fbf2bae41e5afc8977f8e839ffbcafdb6dc5e",
                        "cec154167865b7f1773a05770e0578f19a6f76c1613d3edcd13e77a2f5b35661",
                        "9ee32c0fe3a2862e9c745b955a91d45e3c1b0973913cc64a7f57254dbc2daef1")),
-            ([], "2", ("da3b2b8b76e35d2aff485857eb51d81d5efeb786224c19b14fb5b9ddce3e2b58",
+            ([], "2", False, ("f7c15ae2e7e4bf96c17d5049e5fc91e1846b870a5b88cd88bdc60ba7602f0a28",
                        "1a5b4f5b1f36390e543639262c5ac2af37f17b3936f5a15db8dc7c20ac069993",
                        "3bf1efe926c448fdabc9260457b2c98ed447c2427da0e1ff50d2580072c71740")),
-            (COLLAPSE_3_TO_5, "0",
-             ("574bc7e9d5068d2af886b7c7e02193eba5444242029c380cc8cee26cc5209512",
+            (COLLAPSE_3_TO_5, "0", False,
+             ("a0df71ae26d01fa4ee82de2fe23e1fae69ccd19a42a1d389bcd959a0f5206208",
               "eaf6b69ea78a06db5f3532a8777d2b5cbb419a41e2d7a24a25cbf92ddbe2aa18",
               "f4bbdaebb5bbeb19417650c4eaddbaf8ede9705dc5e063c32559b3de4589683e")),
-            (COLLAPSE_3_TO_5, "1",
-             ("35cc62590897b526fb4efdf310a4929bd1e8ae97cd03984b25cd57778837c6cb",
+            (COLLAPSE_3_TO_5, "1", False,
+             ("777e1d57dda30f79adfc70e937cfee45d736551f95b6bb2f26e4591fc96b20f8",
               "cfa15ef45d94c5b265849b6d1a642f3e1e95de34d771128ad182e4916255566e",
               "a3a6ed264e1f994f63c379e2a293fc19487bae275fccb4158251857c87992316")),
-            (COLLAPSE_3_TO_5, "2",
-             ("22bd321f4bac44e09b3176d2806d33a42e14357316d76b4f2d415d3f039f059e",
+            (COLLAPSE_3_TO_5, "2", False,
+             ("eb849bc9f80f28cc5ea00ea32f0143c5a2d06524fc899599db0951f7195efd2a",
               "d1b2c9d8480e3762a30996b35aad5e0cb15ee514994119865dbbbdac33e8e15a",
               "8e088df1964cc96255905c3ad4280ae26189d7b6778733ff28dd3fab70f94485")),
-            # size 2's baseline is within 1 of 1: a curve row with no per_k row
-            (["--epsilon", "1"], "1",
-             ("64b7e9aa31f6565e39de2fb8183c73be9496225f0ab16a1d20c0f88e7afae8b5",
-              "09c2622f3eb97ff4e9ade9e90025ef14984fb0bfbd33f124b7cce8491f0d590a",
-              "9ee32c0fe3a2862e9c745b955a91d45e3c1b0973913cc64a7f57254dbc2daef1")),
+            # size 2's baseline is exactly 1: a curve row with no per_k row
+            ([], "1", True,
+             ("270b8337ecccb678d97adbf53bdc3e071f2352b873f4bc98a27bffbfb77803f5",
+              "107251e084a590c6c076fdeed1ce676e2e09196f59647f38771691172269bf5b",
+              "b6874c87dea404782beb6f4b3e5b2a600c158ce6c6d7ec12bddd411d409e5bdd")),
         ],
         ids=["q0", "q1", "q2", "collapse-3-5-q0", "collapse-3-5-q1", "collapse-3-5-q2",
              "degenerate-k2-q1"],
     )
-    def test_output_bytes_are_pinned(self, tmp_path, monkeypatch, flags, order, digests):
+    def test_output_bytes_are_pinned(
+        self, tmp_path, monkeypatch, flags, order, one_label_pairs, digests
+    ):
         monkeypatch.chdir(tmp_path)  # relative paths: the manifest records them
-        write_mixed_sizes(tmp_path)
+        write_mixed_sizes(tmp_path, one_label_pairs)
         code = main(
             ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
              "--label-names", "label-names.txt", "--samples", "300", "--seed", "5",
@@ -169,18 +185,18 @@ class TestAnalyze:
         assert got == digests
 
     @pytest.mark.parametrize(
-        "order, flags", [("1", []), ("2", []), ("1", ["--epsilon", "1"])],
+        "order, one_label_pairs", [("1", False), ("2", False), ("1", True)],
         ids=["q1", "q2", "degenerate-k2-q1"],
     )
-    def test_outputs_are_what_analyze_renders(self, tmp_path, monkeypatch, order, flags):
+    def test_outputs_are_what_analyze_renders(self, tmp_path, monkeypatch, order, one_label_pairs):
         # the library's one pipeline, rendered by report.py with the CLI's
         # manifest, gives the CLI's bytes
         monkeypatch.chdir(tmp_path)
-        write_mixed_sizes(tmp_path)
+        write_mixed_sizes(tmp_path, one_label_pairs)
         code = main(
             ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
              "--label-names", "label-names.txt", "--samples", "300", "--seed", "5",
-             "--order", order, *flags, "--out", "report.json",
+             "--order", order, "--out", "report.json",
              "--per-edge-out", "edges.csv", "--perplexity-curve", "curve.csv"]
         )
         assert code == 0
@@ -188,10 +204,10 @@ class TestAnalyze:
             "hyperedges.txt", "node-labels.txt", "label-names.txt", IngestOptions(min_size=2)
         )
         cfg = SamplerConfig(samples=300, seed=5, diversity_order=float(order))
-        epsilon = float(flags[1]) if flags else DEFAULT_EPSILON
-        report = analyze(h, cfg, epsilon=epsilon, emit_per_edge=True)
+        report = analyze(h, cfg, emit_per_edge=True)
         assert len(report.curve) > 2
-        assert any(e.reason == "degenerate_baseline" for e in report.exclusions) == bool(flags)
+        degenerate = [e.k for e in report.exclusions if e.reason == "degenerate_baseline"]
+        assert degenerate == ([2] if one_label_pairs else [])
         manifest = json.loads(Path("report.json").read_bytes())["manifest"]
         edges, curve = io.StringIO(), io.StringIO()
         rpt.write_per_edge_csv(report.per_edge, edges)
@@ -258,19 +274,6 @@ class TestAnalyze:
         assert "HYPERHOMOPHILY_LOG" in err[0] and "'LOUD'" in err[0]
         assert all(level in err[0] for level in ("DEBUG", "INFO", "WARNING", "ERROR"))
 
-    @pytest.mark.parametrize("epsilon", ["0", "-1"])
-    def test_non_positive_epsilon_exit_2(self, tmp_path, caplog, epsilon):
-        # one label: the baseline is exactly 1, which epsilon 0 would score 0/0
-        args = write_dataset(tmp_path, "1,2\n2,3\n1,3\n", "1\n1\n1\n")
-        out = tmp_path / "report.json"
-        code = main(
-            ["analyze", *args, "--samples", "100", f"--epsilon={epsilon}",
-             "--out", str(out)]
-        )
-        assert code == 2
-        assert "epsilon must be positive" in caplog.text
-        assert not out.exists()
-
     @pytest.mark.parametrize("order", ["nan", "inf"])
     def test_non_finite_order_exit_2(self, tmp_path, caplog, order):
         # a NaN or infinite order would write NaN and Infinity, which JSON lacks
@@ -290,6 +293,42 @@ class TestAnalyze:
             main(["analyze", *args, "--workers", "2"])
         assert info.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_epsilon_flag_exit_2(self, tmp_path, capsys):
+        # a one-label size's baseline is exactly 1, so the threshold is no flag
+        args = write_dataset(tmp_path, "1,2\n3,4\n1,3\n", "1\n1\n2\n2\n")
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", *args, "--epsilon", "1e-9"])
+        assert info.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "k, batch_cells", [(2, None), (3, None), (3, 3 * 8)], ids=["k2", "k3", "k3-batches"]
+    )
+    def test_one_label_size_is_degenerate(self, tmp_path, monkeypatch, k, batch_cells):
+        # size k's edges hold label-1 nodes only: its baseline is exactly 1,
+        # by the closed form at k = 2 and the merge of one batch or several
+        if batch_cells is not None:  # 8 rows a batch: 50 samples take 7 batches
+            monkeypatch.setattr(nullmodel, "_BATCH_CELLS", batch_cells)
+        pure = "1,2,3\n2,3,4\n1,2,4\n" if k == 3 else "1,2\n2,3\n3,4\n"
+        mixed = "1,5\n2,6\n5,6\n3,5\n" if k == 3 else "1,5,6\n2,5,7\n3,6,7\n"
+        args = write_dataset(tmp_path, pure + mixed, "1\n1\n1\n1\n2\n2\n3\n")
+        paths = {name: tmp_path / name for name in ("r.json", "edges.csv", "curve.csv")}
+        code = main(
+            ["analyze", *args, "--samples", "50", "--seed", "3", "--out", str(paths["r.json"]),
+             "--per-edge-out", str(paths["edges.csv"]),
+             "--perplexity-curve", str(paths["curve.csv"])]
+        )
+        assert code == 0
+        payload = json.loads(paths["r.json"].read_text())
+        assert payload["exclusions"] == [{"count": 3, "k": k, "reason": "degenerate_baseline"}]
+        assert k not in [row["k"] for row in payload["per_k"]]
+        curve = {row["k"]: row for row in csv_rows(paths["curve.csv"])}
+        assert curve[str(k)]["baseline_mean"] == "1"
+        for row in csv_rows(paths["edges.csv"]):
+            assert (row["degenerate"] == "true") == (row["k"] == str(k))
+            if row["k"] == str(k):
+                assert (row["baseline"], row["phi"], row["phi_min"]) == ("1", "0", "0")
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(
@@ -383,7 +422,7 @@ class TestManifest:
         code = main(
             ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
              "--label-names", "label-names.txt", "--samples", "123", "--seed", "9",
-             "--order", "2.5", "--epsilon", "0.25", "--min-k", "3", "--max-k", "5",
+             "--order", "2.5", "--min-k", "3", "--max-k", "5",
              "--collapse-duplicates", "--out", "report.json", "--per-edge-out", "edges.csv",
              "--perplexity-curve", "curve.csv"]
         )
@@ -391,7 +430,7 @@ class TestManifest:
         manifest = json.loads(Path("report.json").read_text())["manifest"]
         inputs = {"hyperedges": "hyperedges.txt", "labels": "node-labels.txt",
                   "label_names": "label-names.txt"}
-        options = {"samples": 123, "seed": 9, "diversity_order": 2.5, "epsilon": 0.25,
+        options = {"samples": 123, "seed": 9, "diversity_order": 2.5,
                    "min_k": 3, "max_k": 5, "collapse_duplicates": True}
         self.check("analyze", {"out", "per_edge_out", "perplexity_curve"}, manifest, inputs, options)
         assert not {"report.json", "edges.csv", "curve.csv"} & set(json.dumps(manifest).split('"'))
@@ -779,13 +818,13 @@ class TestProcessExit:
         # str hashes, and so the order of a set of strings, differ between
         # interpreters started under different PYTHONHASHSEEDs
         monkeypatch.chdir(tmp_path)
-        write_mixed_sizes(tmp_path)
+        write_mixed_sizes(tmp_path, one_label_pairs=True)
         outputs = {}
         for seed in ("1", "2"):
             Path(seed).mkdir()
             runs = [
                 ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
-                 "--label-names", "label-names.txt", "--samples", "300", "--epsilon", "1",
+                 "--label-names", "label-names.txt", "--samples", "300",
                  "--out", f"{seed}/report.json", "--per-edge-out", f"{seed}/edges.csv",
                  "--perplexity-curve", f"{seed}/curve.csv"],
                 ["sweep", "--mode", "p", "--p-grid", "-1:1:0.5", "--nodes", "40", "--attrs", "4",

@@ -1,6 +1,5 @@
 """Edge scoring, report aggregation, curve, and assortativity tests."""
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,15 +14,15 @@ from hyperhomophily import (
     estimate_baseline,
     newman_assortativity,
 )
-from hyperhomophily.homophily import DEFAULT_EPSILON, _check_epsilon, _score
+from hyperhomophily import nullmodel
+from hyperhomophily.homophily import _score
 
 
-def score_edge(observed, baseline, m_e, epsilon=DEFAULT_EPSILON):
-    """One edge through the columnar scorer, as analyze scores it: epsilon
-    is checked once, then the edge is scored against its baseline mean."""
-    _check_epsilon(epsilon)
+def score_edge(observed, baseline, m_e):
+    """One edge through the columnar scorer, as analyze scores it against
+    its size's baseline mean."""
     columns = (np.array([float(observed)]), np.array([baseline]), np.array([m_e]))
-    row = _score(*columns, epsilon)
+    row = _score(*columns)
     return SimpleNamespace(**{name: col.item() for name, col in row.items()})
 
 
@@ -55,12 +54,6 @@ class TestScoreEdge:
         assert r.degenerate
         assert r.phi == 0.0
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
-    def test_non_positive_epsilon_rejected(self, epsilon):
-        # a baseline of exactly 1 would give 0/0 scores unless flagged degenerate
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            score_edge(1.0, 1.0, m_e=1, epsilon=epsilon)
-
     def test_degenerate_and_scored_sizes_in_one_call(self):
         # rows of a pure-baseline size next to rows of a scored size: the
         # degenerate rows read 0 and no 0/0 is computed (warnings are errors)
@@ -68,7 +61,6 @@ class TestScoreEdge:
             np.array([1.0, 1.0, 1.0, 2.0]),
             np.array([1.0, 1.0, 5 / 3, 5 / 3]),
             np.array([1, 1, 1, 2]),
-            DEFAULT_EPSILON,
         )
         assert r["degenerate"].tolist() == [True, True, False, False]
         assert r["phi"].tolist() == [0.0, 0.0, 1.0, pytest.approx(-0.5, abs=1e-12)]
@@ -212,35 +204,40 @@ class TestAnalyze:
         with pytest.raises(EmptyAnalysisError, match="need 2 scorable hyperedges"):
             analyze(h, SamplerConfig(samples=100, seed=1))
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("entry", [analyze])
-    def test_non_positive_epsilon_rejected(self, entry, epsilon):
-        # one label: the baseline is exactly 1, so only epsilon > 0 flags it
-        h = Hypergraph([0, 0, 0], [[0, 1], [1, 2], [0, 2]])
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            entry(h, SamplerConfig(samples=100, seed=1), epsilon=epsilon)
-
-    @pytest.mark.parametrize("epsilon", [True, "1e-9", None])
-    def test_non_real_epsilon_rejected(self, epsilon):
-        # True ran at epsilon 1.0 (size 2 went degenerate); "1e-9" raised TypeError
-        with pytest.raises(ValueError, match="epsilon must be a real number"):
-            analyze(mixed_graph(), SamplerConfig(samples=100, seed=1), epsilon=epsilon)
-
-    def test_real_epsilon_values_give_the_same_report(self):
-        # at epsilon 1 size 2 is degenerate, so the value is the one that counts
-        cfg = SamplerConfig(samples=200, seed=1)
-        reports = [
-            analyze(mixed_graph(), cfg, epsilon=e, emit_per_edge=True)
-            for e in (1, 1.0, np.float64(1.0), np.float32(1.0))
-        ]
-        assert [(e.reason, e.k) for e in reports[0].exclusions] == [("degenerate_baseline", 2)]
-        for report in reports[1:]:
-            assert replace(report, per_edge=None) == replace(reports[0], per_edge=None)
-            assert np.array_equal(report.per_edge.phi, reports[0].per_edge.phi)
-
     def test_unlabeled_scorable_edge_rejected(self):
         with pytest.raises(ValueError, match="unlabeled"):
             Hypergraph([0, -1, 1], [[0, 1], [0, 2]])
+
+
+def one_label_size(k):
+    """Sizes 2 and 3, size ``k``'s edges on nodes that all hold label 0 and
+    the other size's edges mixed: size k's baseline is exactly 1.0."""
+    pure = [[0, 1, 2], [1, 2, 3], [0, 1, 3]] if k == 3 else [[0, 1], [1, 2], [2, 3]]
+    mixed = [[0, 4], [1, 5], [4, 5], [2, 4]] if k == 3 else [[0, 4, 5], [1, 4, 6], [2, 5, 6]]
+    return Hypergraph([0, 0, 0, 0, 1, 1, 2], pure + mixed)
+
+
+class TestOneLabelSizeIsExact:
+    """A size whose null population holds one label has a baseline of exactly
+    1.0, by the size-2 closed form and by the Monte Carlo merge over one batch
+    or several, so a fixed threshold flags it degenerate and scores it 0."""
+
+    @pytest.mark.parametrize(
+        "k, batch_cells", [(2, None), (3, None), (3, 3 * 8)], ids=["k2", "k3", "k3-batches"]
+    )
+    def test_baseline_is_one_and_size_is_degenerate(self, monkeypatch, k, batch_cells):
+        if batch_cells is not None:  # 8 rows a batch: 50 samples take 7 batches
+            monkeypatch.setattr(nullmodel, "_BATCH_CELLS", batch_cells)
+        report = analyze(one_label_size(k), SamplerConfig(samples=50, seed=3), emit_per_edge=True)
+        row = next(row for row in report.curve if row.k == k)
+        assert (row.baseline_mean, row.phi_k) == (1.0, 0.0)
+        assert [(e.reason, e.k, e.count) for e in report.exclusions] == [
+            ("degenerate_baseline", k, 3)
+        ]
+        assert k not in [row.k for row in report.per_k]
+        pe = report.per_edge
+        assert pe.degenerate.tolist() == (pe.k == k).tolist()
+        assert not pe.phi[pe.degenerate].any() and not pe.phi_min[pe.degenerate].any()
 
 
 class TestCurve:

@@ -1,6 +1,5 @@
 """Block-model generator and sweep tests."""
 
-import io
 import math
 
 import numpy as np
@@ -8,11 +7,10 @@ import pytest
 
 from hyperhomophily import (
     HsbmConfig,
-    IngestOptions,
     SamplerConfig,
     analyze,
     generate_hsbm,
-    parse_hypergraph,
+    load_hypergraph,
     sweep_phi_vs_k,
     write_hypergraph,
 )
@@ -160,17 +158,14 @@ class TestGenerate:
         se = math.sqrt(p * (1 - p) / cfg.num_edges)
         assert abs(pure / cfg.num_edges - p) <= 4 * se + 1e-3
 
-    def test_round_trip_through_text_format(self):
+    def test_round_trip_through_text_format(self, tmp_path):
         cfg = HsbmConfig(num_nodes=60, num_attributes=6, k=3, num_edges=50, p=0.5, seed=8)
         h = generate_hsbm(cfg)
-        edges_io, labels_io, names_io = io.StringIO(), io.StringIO(), io.StringIO()
-        write_hypergraph(h, edges_io, labels_io, names_io)
-        back = parse_hypergraph(
-            io.StringIO(edges_io.getvalue()),
-            io.StringIO(labels_io.getvalue()),
-            io.StringIO(names_io.getvalue()),
-            IngestOptions(),
-        )
+        paths = [tmp_path / name for name in ("e.txt", "l.txt", "n.txt")]
+        files = [open(path, "w", encoding="utf-8", newline="\n") for path in paths]
+        with files[0], files[1], files[2]:
+            write_hypergraph(h, *files)
+        back = load_hypergraph(*paths)
         assert back.node_count == h.node_count
         assert np.array_equal(back.attributes, h.attributes)
         assert back.edge_list() == h.edge_list()

@@ -1,11 +1,18 @@
-"""The README's Library code block runs as written."""
+"""The README's Library code block runs as written, and every documented
+command line parses."""
 
 import re
+import shlex
 from pathlib import Path
 
-import hyperhomophily as hh
+import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import hyperhomophily as hh
+from hyperhomophily import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+DOCS = (README, ROOT / "docs" / "plotting.md")
 
 
 def test_library_block_runs(tmp_path, monkeypatch):
@@ -23,3 +30,28 @@ def test_library_block_runs(tmp_path, monkeypatch):
         hh.write_hypergraph(h, edges, labels, label_names)
     monkeypatch.chdir(tmp_path)
     exec(compile(block, str(README), "exec"), {})
+
+
+def documented_commands():
+    """(file name, argv) of every ``hyperhomophily`` line in a bash block of
+    the docs, its backslash continuations joined."""
+    commands = []
+    for path in DOCS:
+        text = path.read_text(encoding="utf-8")
+        for block in re.findall(r"^```bash\n(.*?)^```", text, re.S | re.M):
+            for line in block.replace("\\\n", " ").splitlines():
+                if line.startswith("hyperhomophily "):
+                    commands.append((path.name, shlex.split(line)[1:]))
+    return commands
+
+
+def test_documented_commands_parse(capsys):
+    # a flag removed from the CLI but left in the docs exits argparse with 2
+    commands = documented_commands()
+    assert {name for name, _ in commands} == {path.name for path in DOCS}
+    parser = cli.build_parser()
+    for name, argv in commands:
+        try:
+            parser.parse_args(cli._join_grid_values(argv))
+        except SystemExit:
+            pytest.fail(f"{name}: {shlex.join(argv)}: {capsys.readouterr().err.strip()}")
