@@ -5,7 +5,7 @@ degree-preserving random baseline, per hyperedge and aggregated over the
 hypergraph, with a block-model generator for validation sweeps.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .diversity import (
     bulk_diversity,

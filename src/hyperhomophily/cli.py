@@ -187,7 +187,7 @@ def cmd_sweep(args) -> int:
     manifest = json.dumps(_manifest(args), sort_keys=True, separators=(",", ":"))
     with _output(args.out) as out:
         out.write(f"# manifest: {manifest}\n")
-        rpt.write_grid_csv(points, out, with_k=args.mode == "kp")
+        rpt.write_grid_csv(points, out)
     log.info("sweep: %d points (%.1fs)", len(points), time.perf_counter() - started)
     return EXIT_OK
 
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--labels", required=True, help="node labels file path")
     pa.add_argument("--label-names", default=None, help="label names file path")
     add_sampler_flags(pa)
-    pa.add_argument("--min-k", type=int, default=2, help="drop edges smaller than this at ingest")
+    pa.add_argument("--min-k", type=int, default=None, help="drop edges smaller than this at ingest"
+                    " (default: none; analyze reports size-1 edges as size_1)")
     pa.add_argument("--max-k", type=int, default=None, help="drop edges larger than this at ingest")
     pa.add_argument("--collapse-duplicates", action="store_true", help="collapse repeated identical edges")
     pa.add_argument("--per-edge-out", default=None, help="write per-edge scores CSV here")

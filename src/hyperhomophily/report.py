@@ -115,14 +115,11 @@ def write_curve_csv(rows: Sequence[PerKRow], out: IO[str]) -> None:
     write_table(rows, columns, comments, out)
 
 
-def write_grid_csv(points: Sequence[GridPoint], out: IO[str], with_k: bool = True) -> None:
-    """The sweep table; without ``with_k`` it is the table of a sweep over
-    mixing levels alone, whose points share one size."""
-    title = (
-        "homophily index over the (edge size k, mixing level p) grid"
-        if with_k
-        else "homophily index of one generated hypergraph per mixing level p"
+def write_grid_csv(points: Sequence[GridPoint], out: IO[str]) -> None:
+    """The sweep table, one row per (k, p) point; a mode-p sweep is a one-size grid."""
+    comments = (
+        "homophily index over the (edge size k, mixing level p) grid",
+        "phi_std_error is the standard error of the per-edge score mean",
     )
-    comments = (title, "phi_std_error is the standard error of the per-edge score mean")
-    columns = ("k",) * with_k + ("p", "phi", "phi_std_error", "edges_scored")
+    columns = ("k", "p", "phi", "phi_std_error", "edges_scored")
     write_table(points, columns, comments, out)

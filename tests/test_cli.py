@@ -132,37 +132,38 @@ class TestAnalyze:
         assert main(["analyze", *args, "--samples", "500", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    # sha256 of the report JSON, per-edge CSV and curve CSV; the CSVs'
+    # sha256 of the report JSON, per-edge CSV and curve CSV; the curves'
     # digests date from when the size-2 baseline became exact, the reports'
-    # from when the manifest lost epsilon and ingest its size-1 count
+    # from version 0.2.0, and the per-edge CSVs of the runs that keep size-1
+    # edges from when the CLI stopped dropping them (their edge indices moved)
     @pytest.mark.parametrize(
         "flags, order, one_label_pairs, digests",
         [
-            ([], "0", False, ("bdf807614a6ed42c30d2810096f07d45bfe3d59645930acc416a2e2740286d3f",
-                       "87e1be46937cfe221790732b9e9d6459025f98a9560135309726ee27680f4d09",
+            ([], "0", False, ("0398b9c913b79359ae53d960109c51c47b20c562383eb99611e0a2e3d5b04fb8",
+                       "077bce37325b687a040ef37231fcdb9de0a568ccd1ece8d436d2b366aa05c4f3",
                        "00f7436e9992bc7b6ae29368509e83bb781fc8032a303a53e94a50a3ae53989f")),
-            ([], "1", False, ("7a036c2651e3d18df292aced9d3fbf2bae41e5afc8977f8e839ffbcafdb6dc5e",
-                       "cec154167865b7f1773a05770e0578f19a6f76c1613d3edcd13e77a2f5b35661",
+            ([], "1", False, ("5c94d6d4ada1a11a40fb65ead34fb95179378197bfbb4666bc2a4583d8806d1e",
+                       "a991fec5bfb69f1a584e29f3bfc9f77868aba6a06316ae5be0224c65a1908ebf",
                        "9ee32c0fe3a2862e9c745b955a91d45e3c1b0973913cc64a7f57254dbc2daef1")),
-            ([], "2", False, ("f7c15ae2e7e4bf96c17d5049e5fc91e1846b870a5b88cd88bdc60ba7602f0a28",
-                       "1a5b4f5b1f36390e543639262c5ac2af37f17b3936f5a15db8dc7c20ac069993",
+            ([], "2", False, ("69f7017d1e40846055c75c40f69547cc848f5e69e6c8bb2d77cb56c0a3b8aba4",
+                       "491f1c6e8517aab73a43d7780cf98d1b455acbbb54d69f149a307149377e3f6d",
                        "3bf1efe926c448fdabc9260457b2c98ed447c2427da0e1ff50d2580072c71740")),
             (COLLAPSE_3_TO_5, "0", False,
-             ("a0df71ae26d01fa4ee82de2fe23e1fae69ccd19a42a1d389bcd959a0f5206208",
+             ("f9bf4eca9138299fa109128d4fc0c52e5ce4eff583d40d1c16df5f424d8fa18b",
               "eaf6b69ea78a06db5f3532a8777d2b5cbb419a41e2d7a24a25cbf92ddbe2aa18",
               "f4bbdaebb5bbeb19417650c4eaddbaf8ede9705dc5e063c32559b3de4589683e")),
             (COLLAPSE_3_TO_5, "1", False,
-             ("777e1d57dda30f79adfc70e937cfee45d736551f95b6bb2f26e4591fc96b20f8",
+             ("d5e54ce86daec1826d09c88265541adad66b695bce03cccbc52bf14ec3228232",
               "cfa15ef45d94c5b265849b6d1a642f3e1e95de34d771128ad182e4916255566e",
               "a3a6ed264e1f994f63c379e2a293fc19487bae275fccb4158251857c87992316")),
             (COLLAPSE_3_TO_5, "2", False,
-             ("eb849bc9f80f28cc5ea00ea32f0143c5a2d06524fc899599db0951f7195efd2a",
+             ("c8206a44464171a8a6e425bea712d95dfa1856e40757feea0c7436446d06c870",
               "d1b2c9d8480e3762a30996b35aad5e0cb15ee514994119865dbbbdac33e8e15a",
               "8e088df1964cc96255905c3ad4280ae26189d7b6778733ff28dd3fab70f94485")),
             # size 2's baseline is exactly 1: a curve row with no per_k row
             ([], "1", True,
-             ("270b8337ecccb678d97adbf53bdc3e071f2352b873f4bc98a27bffbfb77803f5",
-              "107251e084a590c6c076fdeed1ce676e2e09196f59647f38771691172269bf5b",
+             ("cc2f5282723c1fac176840399981eaa92df19abc875513d26e316b99d3a6b3b7",
+              "7fe77794d9cd67bb04c084ce4d51cc604080498a641af0f8a22024e878f0727e",
               "b6874c87dea404782beb6f4b3e5b2a600c158ce6c6d7ec12bddd411d409e5bdd")),
         ],
         ids=["q0", "q1", "q2", "collapse-3-5-q0", "collapse-3-5-q1", "collapse-3-5-q2",
@@ -200,9 +201,7 @@ class TestAnalyze:
              "--per-edge-out", "edges.csv", "--perplexity-curve", "curve.csv"]
         )
         assert code == 0
-        h = load_hypergraph(
-            "hyperedges.txt", "node-labels.txt", "label-names.txt", IngestOptions(min_size=2)
-        )
+        h = load_hypergraph("hyperedges.txt", "node-labels.txt", "label-names.txt")
         cfg = SamplerConfig(samples=300, seed=5, diversity_order=float(order))
         report = analyze(h, cfg, emit_per_edge=True)
         assert len(report.curve) > 2
@@ -225,6 +224,12 @@ class TestAnalyze:
         # the package keeps no second, staged pipeline beside it
         assert cli._report_from_buckets is analyze
         assert not hasattr(homophily, "_buckets")
+
+    def test_ingest_flags_default_to_the_library(self):
+        # the CLI adds no ingest rule: unset flags load as IngestOptions() does
+        parser, _ = parser_flags("analyze")
+        flags = ("min_k", "max_k", "collapse_duplicates")
+        assert IngestOptions(*map(parser.get_default, flags)) == IngestOptions()
 
     def test_parse_error_exit_2(self, tmp_path, caplog):
         args = write_dataset(tmp_path, "1,x\n", "1\n1\n")
@@ -337,9 +342,31 @@ class TestAnalyze:
         ) == 1
 
     def test_empty_analysis_exit_3(self, tmp_path):
-        # only size-1 edges; the default min-k filter leaves nothing
+        # only size-1 edges: analyze excludes them all as size_1
         args = write_dataset(tmp_path, "1\n2\n", "1\n2\n")
         assert main(["analyze", *args]) == 3
+
+    def test_size_one_edge_is_the_library_exclusion(self, tmp_path):
+        # no size is dropped at ingest unless asked: the CLI's report is the
+        # library's default pipeline, and the size-1 edge its size_1 exclusion
+        args = write_dataset(tmp_path, "1,2\n3\n1,2,3\n2,3,4\n1,4\n", "1\n2\n1\n2\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", *args, "--samples", "100", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        h = load_hypergraph(tmp_path / "hyperedges.txt", tmp_path / "node-labels.txt")
+        report = analyze(h, SamplerConfig(samples=100))
+        assert out.read_text() == rpt.dump_json(
+            rpt.report_to_dict(report, payload["manifest"], h.ingest)
+        )
+        assert payload["edge_total"] == 5
+        assert payload["exclusions"] == [{"count": 1, "k": 1, "reason": "size_1"}]
+        assert payload["ingest"]["excluded_by_size"] == 0
+
+    def test_max_k_one_exit_3(self, tmp_path, caplog):
+        # --max-k alone keeps the size-1 edges only, and analyze scores none of them
+        args = write_dataset(tmp_path, "1,2\n3\n1,2,3\n2,3,4\n1,4\n", "1\n2\n1\n2\n")
+        assert main(["analyze", *args, "--max-k", "1"]) == 3
+        assert "nothing to analyze: no hyperedges of size >= 2" in caplog.text
 
     def test_one_scorable_edge_exit_3(self, tmp_path, caplog):
         # one score has no standard error; this exited 0 with global_phi_std_error 0.0
@@ -528,10 +555,11 @@ class TestSweep:
         )
         assert code == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "p,phi,phi_std_error,edges_scored"
+        assert lines[0] == "k,p,phi,phi_std_error,edges_scored"
         assert len(lines) == 4  # header + 3 grid points
+        assert {line.split(",")[0] for line in lines[1:]} == {"5"}
         last = lines[-1].split(",")
-        assert float(last[0]) == 1.0 and float(last[1]) == 1.0
+        assert float(last[1]) == 1.0 and float(last[2]) == 1.0
 
     def test_kp_mode_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -586,12 +614,23 @@ class TestSweep:
         assert caplog.text.rstrip().endswith(message)
         assert not out.exists()
 
-    def test_p_mode_default_k(self):
-        # without --k, mode p sizes its edges 10
-        with mock.patch.object(cli, "sweep_phi_vs_k", return_value=[]) as sweep:
-            assert main(["sweep", "--mode", "p", "--p-grid", "0"]) == 0
-        base, k_grid = sweep.call_args.args[:2]
-        assert k_grid == [10] and base.k == 10
+    def test_p_mode_default_k(self, tmp_path):
+        # without --k, mode p sizes its edges 10, and its table says so
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--mode", "p", "--p-grid", "0", "--nodes", "40", "--attrs", "4",
+                     "--edges", "20", "--samples", "50", "--out", str(out)])
+        assert code == 0
+        assert [(row["k"], row["p"]) for row in csv_rows(out)] == [("10", "0")]
+
+    def test_p_mode_table_is_the_one_size_kp_table(self, tmp_path):
+        tables = []
+        for size_args in (["--mode", "p", "--k", "3"], ["--mode", "kp", "--k-grid", "3"]):
+            out = tmp_path / "sweep.csv"
+            code = main(["sweep", *size_args, "--p-grid", "-1,0,1", "--nodes", "40",
+                         "--attrs", "4", "--edges", "30", "--samples", "50", "--out", str(out)])
+            assert code == 0
+            tables.append(out.read_bytes().split(b"\n", 1)[1])  # after the manifest line
+        assert tables[0] == tables[1]
 
     def test_kp_mode_rejects_grid_size_too_large(self, tmp_path, caplog):
         code = main(
@@ -612,21 +651,21 @@ class TestSweep:
         assert code == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 10  # header + 9 points
-        assert lines[1].split(",")[0] == "-1"
-        assert lines[-1].split(",")[0] == "1"
+        assert lines[1].split(",")[1] == "-1"
+        assert lines[-1].split(",")[1] == "1"
 
-    # sha256 of the CSV bytes after the manifest line, recorded before p mode
-    # became a one-size grid of the (k, p) sweep; the merge must keep both
-    # tables byte for byte. The kp table was recorded again when the size-2
-    # baseline became exact
+    # sha256 of the CSV bytes after the manifest line. The kp table was
+    # recorded when the size-2 baseline became exact, the p table when it
+    # became the kp table of a one-size grid, with its k column
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--mode", "p", "--p-grid", "-1:1:0.5", "--k", "4"],
-             "cb48e427b01d7360f210b3dfdb53062c9b7b0e68334ca9befff7a9897ee545ea"),
+             "76ac1734ba4d810694a03b1232e6bc5d176adc4d764438dac9dfeecc069f0faf"),
             (["--mode", "kp", "--k-grid", "2,3", "--p-grid", "-1,0,1"],
              "d514162461205a8f26a16ea4380334db74b0757c0851b2977e9015836101a49e"),
         ],
+        ids=["p", "kp"],
     )
     def test_sweep_csv_bytes_are_pinned(self, tmp_path, argv, digest):
         out = tmp_path / "sweep.csv"
