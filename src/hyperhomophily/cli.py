@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 parse/validation error, 3 empty
 analysis (nothing scorable). Log verbosity comes from the HYPERHOMOPHILY_LOG
-environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL; default INFO).
+environment variable (DEBUG/INFO/WARNING/ERROR/CRITICAL; default INFO, also
+when it is set but empty).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ EXIT_EMPTY = 3
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 MAX_GRID_POINTS = 10_000  # each point of a sweep generates and analyzes a graph
-SWEEP_K = 10  # the edge size of a mode-p sweep without --k
 INPUT_FLAGS = ("hyperedges", "labels", "label_names")  # a manifest's inputs
 OUTPUT_FLAGS = ("out", "per_edge_out", "perplexity_curve", "out_prefix")  # left out of it
 
@@ -163,20 +163,12 @@ def cmd_generate(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     sampler = SamplerConfig(samples=args.samples, seed=args.seed, diversity_order=args.diversity_order)
-    if args.mode == "kp":
-        if args.k_grid is None or args.k is not None:
-            raise ValueError("mode kp takes its sizes from --k-grid, and no --k")
-        k_grid = _parse_grid(args.k_grid, integer=True)
-    elif args.k_grid is not None:
-        raise ValueError("mode p takes its size from --k, and no --k-grid")
-    else:  # --k sizes mode p, as a one-size grid
-        k_grid = [SWEEP_K if args.k is None else args.k]
+    k_grid = _parse_grid(args.k_grid, integer=True)
     base = HsbmConfig(
         num_nodes=args.nodes,
         num_attributes=args.attrs,
         k=k_grid[0],
         num_edges=args.edges,
-        p=0.0,
         seed=args.seed,
     )
     p_grid = _parse_grid(args.p_grid)
@@ -207,7 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
             dest="diversity_order", metavar="ORDER", help="diversity order q",
         )
 
-    pa = sub.add_parser("analyze", help="score a hypergraph from benchmark text files")
+    def add_model_flags(p):
+        p.add_argument("--nodes", type=int, default=HsbmConfig.num_nodes, help="node count")
+        p.add_argument("--attrs", type=int, default=HsbmConfig.num_attributes, help="attribute count")
+        p.add_argument("--edges", type=int, default=HsbmConfig.num_edges, help="edges per graph")
+
+    # flags are spelled in full: no prefix stands for a flag (sweep --k is no --k-grid)
+    pa = sub.add_parser("analyze", help="score a hypergraph from benchmark text files", allow_abbrev=False)
     pa.add_argument("--hyperedges", required=True, help="hyperedges file path")
     pa.add_argument("--labels", required=True, help="node labels file path")
     pa.add_argument("--label-names", default=None, help="label names file path")
@@ -221,24 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--out", default=None, help="JSON report path (default stdout)")
     pa.set_defaults(func=cmd_analyze)
 
-    pg = sub.add_parser("generate", help="generate a block-model hypergraph")
-    pg.add_argument("--nodes", type=int, required=True)
-    pg.add_argument("--attrs", type=int, required=True)
-    pg.add_argument("--k", type=int, required=True)
-    pg.add_argument("--edges", type=int, required=True)
-    pg.add_argument("--p", type=float, required=True, help="mixing level in [-1, 1]")
+    pg = sub.add_parser("generate", help="generate a block-model hypergraph", allow_abbrev=False)
+    add_model_flags(pg)
+    pg.add_argument("--k", type=int, default=HsbmConfig.k, help="edge size")
+    pg.add_argument("--p", type=float, default=HsbmConfig.p, help="mixing level in [-1, 1]")
     pg.add_argument("--seed", type=int, default=HsbmConfig.seed)
     pg.add_argument("--out-prefix", required=True, help="output path prefix")
     pg.set_defaults(func=cmd_generate)
 
-    ps = sub.add_parser("sweep", help="generate-and-analyze over a parameter grid")
-    ps.add_argument("--mode", choices=["p", "kp"], required=True)
+    ps = sub.add_parser("sweep", help="generate-and-analyze over a parameter grid", allow_abbrev=False)
+    # one choice: every sweep is the (k, p) grid; perfbench/run.py passes --mode kp
+    ps.add_argument("--mode", choices=["kp"], default="kp")
     ps.add_argument("--p-grid", required=True, help="'start:stop:step' or comma list")
-    ps.add_argument("--k-grid", default=None, help="'start:stop:step' or comma list (mode kp)")
-    ps.add_argument("--nodes", type=int, default=1000)
-    ps.add_argument("--attrs", type=int, default=10)
-    ps.add_argument("--k", type=int, help=f"edge size for mode p (default {SWEEP_K})")
-    ps.add_argument("--edges", type=int, default=5000)
+    ps.add_argument("--k-grid", default=str(HsbmConfig.k), help="edge sizes, as --p-grid")
+    add_model_flags(ps)
     add_sampler_flags(ps)
     ps.add_argument("--out", default=None, help="CSV path (default stdout)")
     ps.set_defaults(func=cmd_sweep)
@@ -259,7 +253,7 @@ def _join_grid_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HYPERHOMOPHILY_LOG", "INFO").upper()
+    level = (os.environ.get("HYPERHOMOPHILY_LOG") or "INFO").upper()  # empty is unset
     if level not in LOG_LEVELS:
         print(
             f"invalid configuration: HYPERHOMOPHILY_LOG={level!r}, "

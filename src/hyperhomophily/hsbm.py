@@ -29,11 +29,11 @@ _ANALYZE_STREAM = 1  # streams of one sweep never collide
 
 @dataclass(frozen=True)
 class HsbmConfig:
-    num_nodes: int
-    num_attributes: int
-    k: int
-    num_edges: int
-    p: float
+    num_nodes: int = 1000
+    num_attributes: int = 10
+    k: int = 10
+    num_edges: int = 5000
+    p: float = 0.0
     seed: int = 42
 
     def __post_init__(self):

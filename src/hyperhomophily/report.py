@@ -116,7 +116,7 @@ def write_curve_csv(rows: Sequence[PerKRow], out: IO[str]) -> None:
 
 
 def write_grid_csv(points: Sequence[GridPoint], out: IO[str]) -> None:
-    """The sweep table, one row per (k, p) point; a mode-p sweep is a one-size grid."""
+    """The sweep table, one row per (k, p) point; a sweep over p alone is a one-size grid."""
     comments = (
         "homophily index over the (edge size k, mixing level p) grid",
         "phi_std_error is the standard error of the per-edge score mean",

@@ -18,8 +18,8 @@ import jsonschema
 import pytest
 
 from hyperhomophily import (
-    IngestOptions, SamplerConfig, analyze, cli, derive_seed, homophily, hsbm, load_hypergraph,
-    nullmodel,
+    HsbmConfig, IngestOptions, SamplerConfig, analyze, cli, derive_seed, generate_hsbm, homophily,
+    hsbm, load_hypergraph, nullmodel, write_hypergraph,
 )
 from hyperhomophily import report as rpt
 from hyperhomophily.cli import main
@@ -225,12 +225,6 @@ class TestAnalyze:
         assert cli._report_from_buckets is analyze
         assert not hasattr(homophily, "_buckets")
 
-    def test_ingest_flags_default_to_the_library(self):
-        # the CLI adds no ingest rule: unset flags load as IngestOptions() does
-        parser, _ = parser_flags("analyze")
-        flags = ("min_k", "max_k", "collapse_duplicates")
-        assert IngestOptions(*map(parser.get_default, flags)) == IngestOptions()
-
     def test_parse_error_exit_2(self, tmp_path, caplog):
         args = write_dataset(tmp_path, "1,x\n", "1\n1\n")
         assert main(["analyze", *args]) == 2
@@ -278,6 +272,14 @@ class TestAnalyze:
         assert len(err) == 1
         assert "HYPERHOMOPHILY_LOG" in err[0] and "'LOUD'" in err[0]
         assert all(level in err[0] for level in ("DEBUG", "INFO", "WARNING", "ERROR"))
+
+    def test_empty_log_level_is_unset(self, tmp_path, monkeypatch):
+        # as Python reads its own PYTHON* variables: set but empty is not set
+        args = write_dataset(tmp_path, "1,2\n3,4\n", "1\n1\n2\n2\n")
+        monkeypatch.setenv("HYPERHOMOPHILY_LOG", "")
+        out = tmp_path / "report.json"
+        assert main(["analyze", *args, "--samples", "100", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["edges_scored"] == 2
 
     @pytest.mark.parametrize("order", ["nan", "inf"])
     def test_non_finite_order_exit_2(self, tmp_path, caplog, order):
@@ -414,6 +416,15 @@ class TestGenerate:
         assert code == 2
         assert "divisible" in caplog.text
 
+    def test_model_flags_default_to_hsbm_config(self, tmp_path):
+        # no model flag: the files of the library's default block model
+        prefix = str(tmp_path / "g")
+        assert main(["generate", "--out-prefix", prefix]) == 0
+        expected = [io.StringIO() for _ in range(3)]
+        write_hypergraph(generate_hsbm(HsbmConfig()), *expected)
+        for suffix, text in zip(("-hyperedges.txt", "-node-labels.txt", "-label-names.txt"), expected):
+            assert Path(prefix + suffix).read_bytes() == text.getvalue().encode("utf-8")
+
 
 def parser_flags(command):
     """A subcommand's parser and the dests of its flags, read from the CLI's parser."""
@@ -421,6 +432,49 @@ def parser_flags(command):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command_parser = sub.choices[command]
     return command_parser, {a.dest for a in command_parser._actions if a.dest != "help"}
+
+
+def test_flags_default_to_the_library():
+    # the CLI invents no default: each model, sampler and ingest flag's is its
+    # field's, and every other flag names an input, an output or the p grid
+    sampler = {"samples": SamplerConfig.samples, "seed": SamplerConfig.seed,
+               "diversity_order": SamplerConfig.diversity_order}
+    model = {"nodes": HsbmConfig.num_nodes, "attrs": HsbmConfig.num_attributes,
+             "edges": HsbmConfig.num_edges, "seed": HsbmConfig.seed}
+    ingest = IngestOptions()
+    assert SamplerConfig.seed == HsbmConfig.seed  # sweep's one --seed seeds both
+    flags = {
+        "analyze": {**sampler, "min_k": ingest.min_size, "max_k": ingest.max_size,
+                    "collapse_duplicates": ingest.collapse_duplicate_edges},
+        "generate": {**model, "k": HsbmConfig.k, "p": HsbmConfig.p},
+        "sweep": {**sampler, **model, "k_grid": str(HsbmConfig.k)},  # the one-size grid
+    }
+    others = {"analyze": {"hyperedges", "labels", "label_names", "out", "per_edge_out",
+                          "perplexity_curve"},
+              "generate": {"out_prefix"}, "sweep": {"mode", "p_grid", "out"}}
+    for command, expected in flags.items():
+        parser, dests = parser_flags(command)
+        assert dests == others[command] | set(expected), command
+        got = {flag: parser.get_default(flag) for flag in expected}
+        assert got == expected, command
+        assert all(type(got[flag]) is type(value) for flag, value in expected.items()), command
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [(["analyze", "--hyperedges", "e", "--labels", "l", "--per-edge", "x"], "--per-edge x"),
+     (["generate", "--out-prefix", "g", "--node", "60"], "--node 60"),
+     (["sweep", "--p-grid", "0", "--sample", "50"], "--sample 50")],
+    ids=["analyze", "generate", "sweep"],
+)
+def test_flag_prefix_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
+    # a prefix stands for no flag, so adding or removing a flag changes no other argv's meaning
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestManifest:
@@ -478,18 +532,10 @@ class TestManifest:
             "label_names": "g-label-names.txt",
         }
 
-    # each mode refuses the other's size flag, so the two runs between them
-    # give every flag a value that is not its default
-    @pytest.mark.parametrize(
-        "mode, size_args, size_option, unset",
-        [("p", ["--k", "4"], {"k": 4}, {"k_grid"}),
-         ("kp", ["--k-grid", "2,3"], {"k_grid": "2,3"}, {"k"})],
-        ids=["p", "kp"],
-    )
-    def test_sweep(self, tmp_path, monkeypatch, mode, size_args, size_option, unset):
+    def test_sweep(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(
-            ["sweep", "--mode", mode, "--p-grid", "-1,1", *size_args,
+            ["sweep", "--p-grid", "-1,1", "--k-grid", "2,3",
              "--nodes", "40", "--attrs", "4", "--edges", "20", "--samples", "50",
              "--seed", "9", "--order", "2.5", "--out", "sweep.csv"]
         )
@@ -498,10 +544,10 @@ class TestManifest:
         prefix = "# manifest: "
         assert first.startswith(prefix)
         manifest = json.loads(first[len(prefix):])
-        options = {"mode": mode, "p_grid": "-1,1", "k_grid": None, "k": None, "nodes": 40,
-                   "attrs": 4, "edges": 20, "samples": 50, "seed": 9, "diversity_order": 2.5,
-                   **size_option}
-        self.check("sweep", {"out"}, manifest, {}, options, unset)
+        options = {"mode": "kp", "p_grid": "-1,1", "k_grid": "2,3", "nodes": 40, "attrs": 4,
+                   "edges": 20, "samples": 50, "seed": 9, "diversity_order": 2.5}
+        # --mode has one choice, so it is recorded at its default
+        self.check("sweep", {"out"}, manifest, {}, options, unset={"mode"})
         assert "sweep.csv" not in first
 
 
@@ -518,8 +564,8 @@ class TestSeedRange:
         if command == "generate":
             return ["generate", "--nodes", "20", "--attrs", "2", "--k", "3", "--edges", "10",
                     "--p", "0.5", "--out-prefix", str(tmp_path / "g")]
-        return ["sweep", "--mode", "p", "--p-grid", "0,1", "--nodes", "20", "--attrs", "2",
-                "--k", "3", "--edges", "10", "--samples", "50", "--out", str(tmp_path / "s.csv")]
+        return ["sweep", "--p-grid", "0,1", "--nodes", "20", "--attrs", "2",
+                "--k-grid", "3", "--edges", "10", "--samples", "50", "--out", str(tmp_path / "s.csv")]
 
     @pytest.mark.parametrize("command", ["analyze", "generate", "sweep"])
     @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
@@ -549,8 +595,8 @@ class TestSweep:
     def test_p_mode_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
-            ["sweep", "--mode", "p", "--p-grid", "0:1:0.5",
-             "--nodes", "100", "--attrs", "10", "--k", "5", "--edges", "200",
+            ["sweep", "--p-grid", "0:1:0.5",
+             "--nodes", "100", "--attrs", "10", "--k-grid", "5", "--edges", "200",
              "--samples", "300", "--out", str(out)]
         )
         assert code == 0
@@ -563,7 +609,7 @@ class TestSweep:
 
     def test_kp_mode_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
-        code = main(
+        code = main(  # --mode kp, the one mode, as the benchmark spells it
             ["sweep", "--mode", "kp", "--k-grid", "2,5", "--p-grid", "0,1",
              "--nodes", "100", "--attrs", "10", "--edges", "200",
              "--samples", "300", "--out", str(out)]
@@ -578,10 +624,10 @@ class TestSweep:
                 assert float(phi) == 1.0
 
     def test_kp_mode_ignores_default_k(self, tmp_path):
-        # the default --k (10) exceeds --nodes 8 but sizes no grid point
+        # HsbmConfig's k (10) exceeds --nodes 8 but sizes no point of a given --k-grid
         out = tmp_path / "grid.csv"
         code = main(
-            ["sweep", "--mode", "kp", "--k-grid", "2,3", "--p-grid", "0,1",
+            ["sweep", "--k-grid", "2,3", "--p-grid", "0,1",
              "--nodes", "8", "--attrs", "2", "--edges", "20",
              "--samples", "200", "--out", str(out)]
         )
@@ -594,47 +640,32 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [
-            (["--mode", "p", "--k", "3", "--k-grid", "2,3"], "no --k-grid"),
-            (["--mode", "p", "--k-grid", "2,3"], "no --k-grid"),
-            (["--mode", "kp", "--k", "3", "--k-grid", "2,3"], "no --k"),
-        ],
-        ids=["p-with-k-grid", "p-with-k-grid-alone", "kp-with-k"],
+        [(["--mode", "p"], "argument --mode: invalid choice: 'p'"),
+         (["--k", "3"], "unrecognized arguments: --k 3")],
+        ids=["mode-p", "k"],
     )
-    def test_size_flag_the_mode_ignores_exit_2(self, tmp_path, caplog, argv, message):
-        # --k-grid sizes only mode kp, and --k only mode p
+    def test_removed_size_flags_exit_2(self, tmp_path, capsys, argv, message):
+        # every sweep is the (k, p) grid, sized by --k-grid alone: --mode keeps
+        # one choice, and --k is gone (and no prefix of --k-grid)
         out = tmp_path / "sweep.csv"
-        with mock.patch.object(hsbm, "generate_hsbm", side_effect=AssertionError):
-            code = main(
-                ["sweep", *argv, "--p-grid", "0", "--nodes", "40", "--attrs", "4",
-                 "--edges", "10", "--samples", "50", "--out", str(out)]
-            )
-        assert code == 2
-        assert f"invalid configuration: mode {argv[1]} " in caplog.text
-        assert caplog.text.rstrip().endswith(message)
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", *argv, "--p-grid", "0", "--nodes", "40", "--attrs", "4",
+                  "--edges", "10", "--samples", "50", "--out", str(out)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_p_mode_default_k(self, tmp_path):
-        # without --k, mode p sizes its edges 10, and its table says so
+        # without --k-grid, a sweep sizes its edges HsbmConfig's k (10), and its table says so
         out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--mode", "p", "--p-grid", "0", "--nodes", "40", "--attrs", "4",
-                     "--edges", "20", "--samples", "50", "--out", str(out)])
+        code = main(["sweep", "--p-grid", "0,1", "--nodes", "40", "--attrs", "4",
+                     "--edges", "30", "--samples", "50", "--out", str(out)])
         assert code == 0
-        assert [(row["k"], row["p"]) for row in csv_rows(out)] == [("10", "0")]
-
-    def test_p_mode_table_is_the_one_size_kp_table(self, tmp_path):
-        tables = []
-        for size_args in (["--mode", "p", "--k", "3"], ["--mode", "kp", "--k-grid", "3"]):
-            out = tmp_path / "sweep.csv"
-            code = main(["sweep", *size_args, "--p-grid", "-1,0,1", "--nodes", "40",
-                         "--attrs", "4", "--edges", "30", "--samples", "50", "--out", str(out)])
-            assert code == 0
-            tables.append(out.read_bytes().split(b"\n", 1)[1])  # after the manifest line
-        assert tables[0] == tables[1]
+        assert [(row["k"], row["p"]) for row in csv_rows(out)] == [("10", "0"), ("10", "1")]
 
     def test_kp_mode_rejects_grid_size_too_large(self, tmp_path, caplog):
         code = main(
-            ["sweep", "--mode", "kp", "--k-grid", "50", "--p-grid", "1",
+            ["sweep", "--k-grid", "50", "--p-grid", "1",
              "--nodes", "100", "--attrs", "10", "--edges", "20",
              "--samples", "200", "--out", str(tmp_path / "grid.csv")]
         )
@@ -644,8 +675,8 @@ class TestSweep:
     def test_range_grid_inclusive(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
-            ["sweep", "--mode", "p", "--p-grid", "-1:1:0.25",
-             "--nodes", "40", "--attrs", "4", "--k", "4", "--edges", "60",
+            ["sweep", "--p-grid", "-1:1:0.25",
+             "--nodes", "40", "--attrs", "4", "--k-grid", "4", "--edges", "60",
              "--samples", "150", "--out", str(out)]
         )
         assert code == 0
@@ -655,14 +686,14 @@ class TestSweep:
         assert lines[-1].split(",")[1] == "1"
 
     # sha256 of the CSV bytes after the manifest line. The kp table was
-    # recorded when the size-2 baseline became exact, the p table when it
-    # became the kp table of a one-size grid, with its k column
+    # recorded when the size-2 baseline became exact, the p table (one size,
+    # a sweep over p alone) when it became the table of a one-size grid
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (["--mode", "p", "--p-grid", "-1:1:0.5", "--k", "4"],
+            (["--p-grid", "-1:1:0.5", "--k-grid", "4"],
              "76ac1734ba4d810694a03b1232e6bc5d176adc4d764438dac9dfeecc069f0faf"),
-            (["--mode", "kp", "--k-grid", "2,3", "--p-grid", "-1,0,1"],
+            (["--k-grid", "2,3", "--p-grid", "-1,0,1"],
              "d514162461205a8f26a16ea4380334db74b0757c0851b2977e9015836101a49e"),
         ],
         ids=["p", "kp"],
@@ -695,7 +726,7 @@ class TestSweep:
         out = tmp_path / "grid.csv"
         with mock.patch.object(hsbm, "generate_hsbm", side_effect=AssertionError):
             code = main(
-                ["sweep", "--mode", "kp", "--k-grid", k_grid, "--p-grid", p_grid,
+                ["sweep", "--k-grid", k_grid, "--p-grid", p_grid,
                  "--nodes", "100", "--attrs", "10", "--edges", "50",
                  "--samples", "100", "--out", str(out)]
             )
@@ -706,48 +737,45 @@ class TestSweep:
     def test_point_with_one_scorable_edge_exit_3(self, tmp_path, caplog):
         # a point of one size-3 edge has at most one scorable edge; this one has one
         out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--mode", "p", "--k", "3", "--p-grid", "0", "--nodes", "20",
+        code = main(["sweep", "--k-grid", "3", "--p-grid", "0", "--nodes", "20",
                      "--attrs", "4", "--edges", "1", "--samples", "50", "--out", str(out)])
         assert code == 3
         assert "nothing to analyze: need 2 scorable hyperedges" in caplog.text
         assert not out.exists()
 
     def test_p_mode_size_one_exits_2(self):
-        assert main(["sweep", "--mode", "p", "--k", "1", "--p-grid", "0",
+        assert main(["sweep", "--k-grid", "1", "--p-grid", "0",
                      "--nodes", "20", "--attrs", "2", "--edges", "10"]) == 2
 
     def test_grid_product_over_ceiling_exit_2(self, caplog):
         # 100 sizes times 101 mixing levels; each grid alone is under the ceiling
         with mock.patch.object(hsbm, "generate_hsbm", side_effect=AssertionError):
-            code = main(["sweep", "--mode", "kp", "--k-grid", "2:101:1",
+            code = main(["sweep", "--k-grid", "2:101:1",
                          "--p-grid", "0:1:0.01", "--samples", "10"])
         assert code == 2
         assert "more than" in caplog.text
 
     def test_empty_grid_exit_2(self):
-        assert main(["sweep", "--mode", "p", "--p-grid", " "]) == 2
+        assert main(["sweep", "--p-grid", " "]) == 2
 
     @pytest.mark.parametrize(
         "p_grid, message", [("0:1:0", "grid step must be positive"), (",", "contains no points")]
     )
     def test_grid_without_points_exit_2(self, caplog, p_grid, message):
-        assert main(["sweep", "--mode", "p", "--p-grid", p_grid]) == 2
+        assert main(["sweep", "--p-grid", p_grid]) == 2
         assert message in caplog.text
 
     def test_bad_grid_exit_2(self):
-        assert main(["sweep", "--mode", "p", "--p-grid", "0:1"]) == 2
+        assert main(["sweep", "--p-grid", "0:1"]) == 2
 
     def test_out_of_range_grid_exit_2(self, caplog):
-        assert main(["sweep", "--mode", "p", "--p-grid", "0,2"]) == 2
+        assert main(["sweep", "--p-grid", "0,2"]) == 2
         assert "p must lie in [-1, 1]" in caplog.text
-
-    def test_kp_requires_k_grid(self):
-        assert main(["sweep", "--mode", "kp", "--p-grid", "0,1"]) == 2
 
     @pytest.mark.parametrize("k_grid", ["inf", "1e400", "1e9999999999999999999"])
     def test_non_finite_k_grid_exit_2(self, caplog, k_grid):
         code = main(
-            ["sweep", "--mode", "kp", "--k-grid", k_grid, "--p-grid", "0",
+            ["sweep", "--k-grid", k_grid, "--p-grid", "0",
              "--nodes", "8", "--attrs", "2", "--edges", "5", "--samples", "10"]
         )
         assert code == 2
@@ -757,7 +785,7 @@ class TestSweep:
     def test_huge_range_grid_refused_before_any_point(self, caplog, flag):
         # range() enumerates the points: a refusal that never calls it built no list
         with mock.patch.object(cli, "range", side_effect=AssertionError, create=True):
-            code = main(["sweep", "--mode", "kp", "--k-grid", "2", "--p-grid", "0",
+            code = main(["sweep", "--k-grid", "2", "--p-grid", "0",
                          flag, "0:1e12:1"])
         assert code == 2
         assert "more than" in caplog.text
@@ -788,7 +816,7 @@ class TestSweep:
         assert list(map(repr, cli._parse_grid(spec))) == list(map(repr, values))
 
     def test_float_k_grid_exit_2(self):
-        assert main(["sweep", "--mode", "kp", "--p-grid", "0", "--k-grid", "2.5"]) == 2
+        assert main(["sweep", "--p-grid", "0", "--k-grid", "2.5"]) == 2
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -866,8 +894,8 @@ class TestProcessExit:
                  "--label-names", "label-names.txt", "--samples", "300",
                  "--out", f"{seed}/report.json", "--per-edge-out", f"{seed}/edges.csv",
                  "--perplexity-curve", f"{seed}/curve.csv"],
-                ["sweep", "--mode", "p", "--p-grid", "-1:1:0.5", "--nodes", "40", "--attrs", "4",
-                 "--k", "4", "--edges", "60", "--samples", "150", "--out", f"{seed}/sweep.csv"],
+                ["sweep", "--p-grid", "-1:1:0.5", "--nodes", "40", "--attrs", "4",
+                 "--k-grid", "4", "--edges", "60", "--samples", "150", "--out", f"{seed}/sweep.csv"],
             ]
             for argv in runs:
                 run = run_process(
