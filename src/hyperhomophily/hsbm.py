@@ -21,7 +21,7 @@ import numpy as np
 
 from .homophily import analyze
 from .hypergraph import Hypergraph, _check_int, _check_real
-from .nullmodel import SamplerConfig, _check_seed, derive_seed, sample_weighted_k_sets
+from .nullmodel import SamplerConfig, _check_seed, _draw_batches, derive_seed
 
 _GEN_STREAM = 0  # seed-derivation tags, so generation and analysis
 _ANALYZE_STREAM = 1  # streams of one sweep never collide
@@ -68,8 +68,8 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
     """Generate a hypergraph from the block model (deterministic per seed).
 
     All edges are drawn with array operations: one uniform per edge picks its
-    mode, and each batch of draws without replacement is one call of the null
-    model's sampler with equal weights, whose rows come out sorted.
+    mode, and each batch of draws without replacement comes from the null
+    model's sampler with equal weights, its rows sorted as they are stored.
     """
     rng = np.random.default_rng(derive_seed(cfg.seed))
     num_attrs, k = cfg.num_attributes, cfg.k
@@ -77,7 +77,13 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
     attributes = np.repeat(np.arange(num_attrs), per_part)
 
     def k_subsets(n: int, size: int, count: int) -> np.ndarray:
-        return sample_weighted_k_sets(np.ones(n), size, count, rng)
+        # filled batch by batch: the batches never coexist with a second copy
+        out = np.empty((count, size), dtype=np.int64)
+        done = 0
+        for sets in _draw_batches(np.ones(n), size, count, rng):
+            out[done : done + len(sets)] = np.sort(sets, axis=1)
+            done += len(sets)
+        return out
 
     u = rng.random(cfg.num_edges)
     pure = np.flatnonzero(u < cfg.p)  # empty unless p > 0

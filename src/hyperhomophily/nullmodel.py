@@ -90,16 +90,6 @@ class BaselineEstimate:
 
 def _population(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and values of the positive ``weights``; fewer than k of them raise."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1:
-        raise ValueError("weights must be a 1-d array")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    with np.errstate(over="ignore"):  # finite weights can sum past the largest double
-        if not np.isfinite(np.sum(weights)):
-            raise ValueError("weights must have a finite total")
     pos = np.flatnonzero(weights > 0)
     if pos.size < k:
         raise InsufficientPopulationError(f"need {k} positive-weight nodes, found {pos.size}")
@@ -171,13 +161,14 @@ def _draw_batches(
 ) -> Iterator[np.ndarray]:
     """Iterate over ``count`` sequentially weighted k-sets in batches of rows.
 
-    Each batch is an int array of shape (rows, k) holding indices into
-    ``weights``; column j is the j-th node drawn. The batch capacity depends
-    only on k, so memory stays within ``_BATCH_CELLS`` however large
-    ``count`` is, and the draws never depend on how calls are scheduled.
+    ``weights`` is a 1-d float array in which no node holds more than 1/k of
+    the total (the input rule above); every caller passes realized k-degrees
+    or ``hsbm``'s equal weights. Each batch is an int array of shape
+    (rows, k) holding indices into ``weights``; column j is the j-th node
+    drawn. The batch capacity depends only on k, so memory stays within
+    ``_BATCH_CELLS`` however large ``count`` is, and the draws never depend
+    on how calls are scheduled.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     pos, w = _population(weights, k)
     cdf = np.cumsum(w)
     cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
@@ -188,35 +179,6 @@ def _draw_batches(
         pos[_rejection_batch(cdf, guide, k, min(batch, count - done), rng)]
         for done in range(0, count, batch)
     )
-
-
-def sample_weighted_k_sets(
-    weights: np.ndarray, k: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``count`` sets of ``k`` distinct indices, sequentially weighted.
-
-    Each set is distributed as k successive draws without replacement with
-    probability proportional to weight among the not-yet-drawn indices.
-    Returns an int array of shape (count, k); entries within a row are the
-    selected node indices in ascending order.
-
-    Every caller passes weights in which no node holds more than 1/k of the
-    total: realized k-degrees (d_i <= E_k) or ``hsbm``'s equal weights
-    (k <= n). Under that rule a sample needs at most k*H_k expected draws.
-    Outside it rejection can need about 1e8 redraws per sample (two weights
-    of 1e6 among tiny ones at k = 3), which is why this function is not
-    part of the public API.
-    """
-    k, count = _check_int(k, "k"), _check_int(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    batches = _draw_batches(weights, k, count, rng)
-    out = np.empty((count, k), dtype=np.int64)
-    done = 0
-    for sets in batches:
-        out[done : done + len(sets)] = np.sort(sets, axis=1)
-        done += len(sets)
-    return out
 
 
 def _size_weights(h: Hypergraph, k: int) -> tuple[int, np.ndarray]:

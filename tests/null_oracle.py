@@ -1,13 +1,23 @@
 """Test-only reference for the null model: the exact law of a k-set drawn by
 successive weighted sampling (Hajek 1981), enumerated over every ordering of
 the nodes. The estimator in ``hyperhomophily.nullmodel`` is compared against
-it on small instances."""
+it on small instances. ``weighted_k_sets`` draws sets from the sampler for
+the tests that check the draws themselves."""
 
 import itertools
 from collections import Counter
 
+import numpy as np
+
 from hyperhomophily import hill_number
-from hyperhomophily.nullmodel import _size_weights
+from hyperhomophily.nullmodel import _draw_batches, _size_weights
+
+
+def weighted_k_sets(weights, k, count, rng):
+    """``count`` sampled k-sets of the indices of ``weights``, one sorted row
+    each: the null model's batches, drawn with ``weights`` as floats."""
+    batches = _draw_batches(np.asarray(weights, dtype=np.float64), k, count, rng)
+    return np.sort(np.concatenate(list(batches)), axis=1)
 
 
 def sequential_set_probability(weights, target):

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import hyperhomophily as hh
-from hyperhomophily.nullmodel import derive_seed, sample_weighted_k_sets
+from hyperhomophily.nullmodel import derive_seed
 from hyperhomophily.cli import main
-from null_oracle import exact_baseline
+from null_oracle import exact_baseline, weighted_k_sets
 
 
 @contextmanager
@@ -80,7 +80,7 @@ def test_criterion_3_null_calibration():
         n, k = 400, 5
         attrs = rng.choice(4, size=n, p=[0.4, 0.3, 0.2, 0.1])
         planted = rng.integers(1, 6, size=n).astype(float)
-        edges = sample_weighted_k_sets(planted, k, 10_000, rng)
+        edges = weighted_k_sets(planted, k, 10_000, rng)
         h = hh.Hypergraph(attrs, edges)
         report = hh.analyze(h, hh.SamplerConfig(samples=10_000, seed=42))
         assert -0.05 <= report.global_phi <= 0.05, report.global_phi

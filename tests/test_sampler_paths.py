@@ -17,11 +17,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperhomophily import (
+    HsbmConfig,
     Hypergraph,
     SamplerConfig,
     bulk_diversity,
     derive_seed,
     estimate_baseline,
+    generate_hsbm,
     k_degrees,
 )
 from hyperhomophily import nullmodel
@@ -30,9 +32,8 @@ from hyperhomophily.nullmodel import (
     _guide_table,
     _guided_search,
     _rejection_batch,
-    sample_weighted_k_sets,
 )
-from null_oracle import exact_baseline, sequential_expected_diversity
+from null_oracle import exact_baseline, sequential_expected_diversity, weighted_k_sets
 
 CHI2_Z = 3.719  # upper 1e-4 point of the standard normal
 
@@ -138,7 +139,7 @@ class TestTwoSampleAgainstKeyRace:
     def test_rows_hold_distinct_nodes(self):
         weights = pareto_weights(300, 5)
         for k in (2, 10, 40):
-            sets = np.sort(drawn(weights, k, 2_000, np.random.default_rng(k)), axis=1)
+            sets = weighted_k_sets(weights, k, 2_000, np.random.default_rng(k))
             assert not np.any(sets[:, 1:] == sets[:, :-1])
 
 
@@ -203,7 +204,7 @@ class TestAdversarialWeights:
         assert not used_to_race(weights, k)
         # rejection averages <= 2 draws per slot
         rng = CountingRng(41, limit=4 * samples * k)
-        values = bulk_diversity(attrs[sample_weighted_k_sets(weights, k, samples, rng)], 1.0)[0]
+        values = bulk_diversity(attrs[weighted_k_sets(weights, k, samples, rng)], 1.0)[0]
         exact = sequential_expected_diversity(attrs, weights, k)
         se = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - exact) <= 3 * se + 1e-9
@@ -234,14 +235,14 @@ class TestWorkBound:
         assert used_to_race(weights, k)
         k_harmonic = k * sum(1.0 / j for j in range(1, k + 1))
         rng = CountingRng(n_k + k, limit=2 * samples * k_harmonic)
-        sets = sample_weighted_k_sets(weights, k, samples, rng)
+        sets = weighted_k_sets(weights, k, samples, rng)
         assert sets.shape == (samples, k)
         assert not np.any(sets[:, 1:] == sets[:, :-1])
 
     def test_hub_graph_mean_diversity(self):
         h, weights = hub_graph(12, 3)
         samples = 20_000
-        sets = sample_weighted_k_sets(weights, 3, samples, np.random.default_rng(47))
+        sets = weighted_k_sets(weights, 3, samples, np.random.default_rng(47))
         values = bulk_diversity(h.attributes[sets], 1.0)[0]
         exact = sequential_expected_diversity(h.attributes, weights, 3)
         se = values.std(ddof=1) / math.sqrt(samples)
@@ -282,17 +283,19 @@ class TestBoundedMemory:
 
     def test_million_sets_stay_within_budget(self, monkeypatch):
         monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 1 << 16)
-        weights = pareto_weights(1_000, 4)
-        count, k = 10**6, 4
+        cfg = HsbmConfig(num_nodes=1000, num_attributes=10, k=4, num_edges=250_000, p=0.0, seed=3)
         tracemalloc.start()
         try:
-            out = sample_weighted_k_sets(weights, k, count, np.random.default_rng(0))
+            h = generate_hsbm(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.shape == (count, k)
-        # the output plus a few batch-sized temporaries, never count x k of them
-        assert peak <= out.nbytes + 32 * 8 * (1 << 16)
+        edges = h.edge_nodes.nbytes
+        assert edges == cfg.num_edges * cfg.k * 8
+        # the edges, the sampled copy that fills them, the mode uniforms and
+        # the uniform rows' indices (2.5 x the edges), plus a few batches;
+        # concatenating the batches before the fill peaks 3.6 x the edges
+        assert peak <= 2.5 * edges + 8 * 8 * (1 << 16)
 
     def test_baseline_memory_does_not_grow_with_samples(self, monkeypatch):
         # the draws' diversities were all held at once: 16 bytes a sample
@@ -334,7 +337,7 @@ GOLDEN_WEIGHTS = {
     "tiny": (np.array([1e-300, 1.0, 1.0, 1.0, 1e-300, 1.0, 1.0]), 3),
 }
 
-# sha256 prefixes of sample_weighted_k_sets(weights, k, count, default_rng(count))
+# sha256 prefixes of weighted_k_sets(weights, k, count, default_rng(count))
 GOLDEN_SETS = {
     ("skewed", 1): "f105063962c7517d",
     ("skewed", 7): "b260f904b74559ec",
@@ -380,13 +383,13 @@ class TestGoldenStream:
     def test_sets(self, name, count):
         weights, k = GOLDEN_WEIGHTS[name]
         assert used_to_race(weights, k) == (name == "concentrated")
-        sets = sample_weighted_k_sets(weights, k, count, np.random.default_rng(count))
+        sets = weighted_k_sets(weights, k, count, np.random.default_rng(count))
         assert digest(sets) == GOLDEN_SETS[name, count]
 
     def test_sets_across_batches(self, monkeypatch):
         monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 1 << 10)  # 85 rows a batch
         weights, k = GOLDEN_WEIGHTS["skewed"]
-        sets = sample_weighted_k_sets(weights, k, 2500, np.random.default_rng(2500))
+        sets = weighted_k_sets(weights, k, 2500, np.random.default_rng(2500))
         assert digest(sets) == "905a54a3e83956ba"
 
     @pytest.mark.parametrize(
@@ -404,7 +407,7 @@ class TestGoldenStream:
             monkeypatch.setattr(nullmodel, "_BATCH_CELLS", cells)
         weights, k = GOLDEN_WEIGHTS[name]
         rng = np.random.default_rng(2500)
-        sample_weighted_k_sets(weights, k, 2500, rng)
+        weighted_k_sets(weights, k, 2500, rng)
         assert rng.random().hex() == after
 
     def test_baselines(self):
