@@ -1,5 +1,7 @@
 """Block-model generator and sweep tests."""
 
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -170,6 +172,26 @@ class TestGenerate:
         assert np.array_equal(back.attributes, h.attributes)
         assert back.edge_list() == h.edge_list()
         assert back.attribute_names == h.attribute_names
+
+    # sha256 of the edges, labels and names streams joined by NUL. At p < 0,
+    # k % A != 0 gives rows with runs of one and of two slots (A = 4, k = 6)
+    # and rows of single slots only (A = 8, k = 3)
+    @pytest.mark.parametrize(
+        "p, attrs, k, digest",
+        [
+            (0.5, 4, 6, "97fb0506238f86b0499fb02cda4606ef8d26df3fa6040b28ab18b00e71b70ca4"),
+            (0.0, 4, 6, "3f241f2b117ddbd3d23444a9761b69a5d2cff6d8db1b4d86a9e16e091b497d35"),
+            (-0.5, 4, 6, "dadde36047cc6c2c3aa25a303bbbdcbdf24e8490c579d966987c3e518759770a"),
+            (-1.0, 8, 3, "cde83ab778e4f8df4d44bedcb8d00c9cf9dd881f7205d0729c9eb71bf0ba9f9d"),
+        ],
+        ids=["pure", "uniform", "balanced", "balanced-k-below-attrs"],
+    )
+    def test_output_bytes_are_pinned(self, p, attrs, k, digest):
+        cfg = HsbmConfig(num_nodes=120, num_attributes=attrs, k=k, num_edges=300, p=p, seed=5)
+        streams = [io.StringIO() for _ in range(3)]
+        write_hypergraph(generate_hsbm(cfg), *streams)
+        text = "\0".join(s.getvalue() for s in streams)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 FAST_SAMPLER = SamplerConfig(samples=1500, seed=11)
