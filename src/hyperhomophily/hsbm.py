@@ -96,23 +96,25 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
         part = rng.integers(num_attrs, size=pure.size)
         edges[pure] = k_subsets(per_part, k, pure.size) + (part * per_part)[:, None]
     if balanced.size:
-        # as even as possible: each attribute gets base or base+1 slots; the
-        # partitions are contiguous, so attribute a's nodes go right after
-        # those of attributes 0..a-1 and every row stays sorted
+        # as even as possible: each row's k slots hold every attribute k // A
+        # times and k % A chosen ones once more, in ascending order, each slot
+        # starting at its attribute's first node. Each run of one attribute
+        # then gets a sorted set from that partition; the partitions are
+        # contiguous, so every row stays sorted
         base, extra = divmod(k, num_attrs)
-        take = np.full((balanced.size, num_attrs), base, dtype=np.int64)
+        nodes = np.tile(np.repeat(np.arange(num_attrs) * per_part, base), (balanced.size, 1))
         if extra:
-            chosen = k_subsets(num_attrs, extra, balanced.size)
-            take[np.arange(balanced.size)[:, None], chosen] += 1
-        start = np.cumsum(take, axis=1) - take
-        for attr in range(num_attrs):
-            for count in (base, base + 1):
-                rows = np.flatnonzero(take[:, attr] == count)
-                if count and rows.size:
-                    cols = start[rows, attr][:, None] + np.arange(count)
-                    edges[balanced[rows][:, None], cols] = (
-                        k_subsets(per_part, count, rows.size) + attr * per_part
-                    )
+            chosen = k_subsets(num_attrs, extra, balanced.size) * per_part
+            nodes = np.concatenate((nodes, chosen), axis=1)
+            nodes.sort(axis=1)
+        new_run = np.ones(nodes.shape, dtype=bool)  # a run never crosses a row
+        new_run[:, 1:] = nodes[:, 1:] != nodes[:, :-1]
+        lengths = np.diff(np.flatnonzero(new_run), append=new_run.size)
+        for length in np.unique(lengths):  # base and base + 1
+            in_run = lengths == length
+            sets = k_subsets(per_part, length, np.count_nonzero(in_run))
+            nodes[np.repeat(in_run, lengths).reshape(nodes.shape)] += sets.ravel()
+        edges[balanced] = nodes
 
     offsets = np.arange(cfg.num_edges + 1, dtype=np.int64) * k
     names = tuple(f"group-{i}" for i in range(num_attrs))

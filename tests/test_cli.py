@@ -685,16 +685,16 @@ class TestSweep:
         assert lines[1].split(",")[1] == "-1"
         assert lines[-1].split(",")[1] == "1"
 
-    # sha256 of the CSV bytes after the manifest line. The kp table was
-    # recorded when the size-2 baseline became exact, the p table (one size,
-    # a sweep over p alone) when it became the table of a one-size grid
+    # sha256 of the CSV bytes after the manifest line. Both were recorded
+    # when balanced edges (p < 0) began drawing their nodes run by run; the
+    # rows at p >= 0 did not move
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--p-grid", "-1:1:0.5", "--k-grid", "4"],
-             "76ac1734ba4d810694a03b1232e6bc5d176adc4d764438dac9dfeecc069f0faf"),
+             "8499601111bf4d595ece1d68708d51cfc09a93f5ae35a93d3298308128a74616"),
             (["--k-grid", "2,3", "--p-grid", "-1,0,1"],
-             "d514162461205a8f26a16ea4380334db74b0757c0851b2977e9015836101a49e"),
+             "aaa51e61c9febed04ae4365d2728f9d858883a89b52c12974c3fed2893addf3f"),
         ],
         ids=["p", "kp"],
     )
