@@ -115,6 +115,8 @@ def bulk_diversity(labels: np.ndarray, order: float) -> tuple[np.ndarray, np.nda
     """
     if labels.ndim != 2 or not labels.shape[1]:
         raise ValueError(f"labels must be 2-d with at least one column, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":  # a float or bool would be read as a label
+        raise ValueError(f"labels must be integers, got {labels.dtype} values")
     rows, k = labels.shape
     s = np.sort(labels, axis=1)
     boundary = np.ones((rows, k), dtype=bool)

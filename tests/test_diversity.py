@@ -303,6 +303,24 @@ class TestBulkDiversity:
         with pytest.raises(ValueError, match=re.escape(f"got shape {labels.shape}")):
             bulk_diversity(labels, 1.0)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([[0.5, 0.25]]), np.array([[True, False]]), np.array([[1, 2]], dtype=object)],
+        ids=["float", "bool", "object"],
+    )
+    def test_labels_must_be_integers(self, labels):
+        # a float matrix was scored as two labels
+        with pytest.raises(ValueError, match=f"labels must be integers, got {labels.dtype} values"):
+            bulk_diversity(labels, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16])
+    def test_narrow_integer_labels_give_the_int64_result(self, dtype):
+        labels = np.array([[0, 1, 1, 3], [2, 2, 2, 2], [5, 0, 1, 3]])
+        for q in (0.0, 1.0, 2.0):
+            got, expected = bulk_diversity(labels.astype(dtype), q), bulk_diversity(labels, q)
+            assert [a.dtype for a in got] == [a.dtype for a in expected]
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=8),
         st.sampled_from([0.0, 0.5, 2.0, 3.0, 7.5, 1.0]),
