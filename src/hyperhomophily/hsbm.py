@@ -110,10 +110,11 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
         new_run = np.ones(nodes.shape, dtype=bool)  # a run never crosses a row
         new_run[:, 1:] = nodes[:, 1:] != nodes[:, :-1]
         lengths = np.diff(np.flatnonzero(new_run), append=new_run.size)
-        for length in np.unique(lengths):  # base and base + 1
-            in_run = lengths == length
-            sets = k_subsets(per_part, length, np.count_nonzero(in_run))
-            nodes[np.repeat(in_run, lengths).reshape(nodes.shape)] += sets.ravel()
+        for length in (base, base + 1):
+            in_run = lengths == length  # never true at length 0
+            if in_run.any():
+                sets = k_subsets(per_part, length, np.count_nonzero(in_run))
+                nodes[np.repeat(in_run, lengths).reshape(nodes.shape)] += sets.ravel()
         edges[balanced] = nodes
 
     offsets = np.arange(cfg.num_edges + 1, dtype=np.int64) * k
