@@ -106,6 +106,15 @@ def hill_number(counts, q: float) -> float:
     return float(_hill(counts, row, 1, total, q)[0][0])
 
 
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat start index and length of each run of equal values in the rows
+    of a 2-d array; a run never crosses a row edge."""
+    boundary = np.ones(rows.shape, dtype=bool)
+    boundary[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    starts = np.flatnonzero(boundary)
+    return starts, np.diff(starts, append=boundary.size)
+
+
 def bulk_diversity(labels: np.ndarray, order: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise diversity of an integer label matrix.
 
@@ -118,10 +127,5 @@ def bulk_diversity(labels: np.ndarray, order: float) -> tuple[np.ndarray, np.nda
     if labels.dtype.kind not in "iu":  # a float or bool would be read as a label
         raise ValueError(f"labels must be integers, got {labels.dtype} values")
     rows, k = labels.shape
-    s = np.sort(labels, axis=1)
-    boundary = np.ones((rows, k), dtype=bool)
-    boundary[:, 1:] = s[:, 1:] != s[:, :-1]
-    flat = boundary.ravel()
-    starts = np.flatnonzero(flat)
-    lengths = np.diff(starts, append=flat.size)  # runs never cross row edges
+    starts, lengths = _runs(np.sort(labels, axis=1))
     return _hill(lengths, starts // k, rows, k, order)

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .diversity import _runs
 from .homophily import analyze
 from .hypergraph import Hypergraph, _check_int, _check_real
 from .nullmodel import SamplerConfig, _check_seed, _draw_batches, derive_seed
@@ -107,9 +108,7 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
             chosen = k_subsets(num_attrs, extra, balanced.size) * per_part
             nodes = np.concatenate((nodes, chosen), axis=1)
             nodes.sort(axis=1)
-        new_run = np.ones(nodes.shape, dtype=bool)  # a run never crosses a row
-        new_run[:, 1:] = nodes[:, 1:] != nodes[:, :-1]
-        lengths = np.diff(np.flatnonzero(new_run), append=new_run.size)
+        lengths = _runs(nodes)[1]
         for length in (base, base + 1):
             in_run = lengths == length  # never true at length 0
             if in_run.any():
