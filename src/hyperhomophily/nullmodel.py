@@ -162,7 +162,7 @@ def _draw_batches(
     """Iterate over ``count`` sequentially weighted k-sets in batches of rows.
 
     ``weights`` is a 1-d float array in which no node holds more than 1/k of
-    the total (the input rule above); every caller passes realized k-degrees
+    the total (the module's input rule); every caller passes realized k-degrees
     or ``hsbm``'s equal weights. Each batch is an int array of shape
     (rows, k) holding indices into ``weights``; column j is the j-th node
     drawn. The batch capacity depends only on k, so memory stays within

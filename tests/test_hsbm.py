@@ -141,7 +141,7 @@ class TestGenerate:
 
     def test_balanced_memory_does_not_grow_with_attributes(self):
         # each balanced row held an int64 count and start per attribute, and
-        # every attribute took two sampler calls: 1.3 GB here. Now about 45 MB,
+        # every attribute took two sampler calls: 1.3 GB here. Now about 44 MB,
         # 9.4 x the 4.8 MB of edges, at 10 attributes as at 400
         cfg = HsbmConfig(num_nodes=4000, num_attributes=400, k=3, num_edges=200_000, p=-1.0, seed=3)
         tracemalloc.start()

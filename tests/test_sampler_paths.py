@@ -294,7 +294,7 @@ class TestBoundedMemory:
         assert edges == cfg.num_edges * cfg.k * 8
         # the edges, the sampled copy that fills them, the mode uniforms and
         # the uniform rows' indices (2.5 x the edges), plus a few batches;
-        # concatenating the batches before the fill peaks 3.6 x the edges
+        # concatenating the batches before the fill peaks 3.5 x the edges
         assert peak <= 2.5 * edges + 8 * 8 * (1 << 16)
 
     def test_baseline_memory_does_not_grow_with_samples(self, monkeypatch):
