@@ -1,4 +1,4 @@
-"""Per-edge CSV serialization tests."""
+"""CSV serialization tests: every table against a cell-by-cell reference."""
 
 import io
 import math
@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 
 from hyperhomophily import Hypergraph, SamplerConfig, analyze
 from hyperhomophily import report as rpt
-from hyperhomophily.homophily import EDGE_COLUMNS, EdgeScores
+from hyperhomophily.homophily import EDGE_COLUMNS, EdgeScores, PerKRow
+from hyperhomophily.hsbm import GridPoint
+
+
+def format_number(value) -> str:
+    """The reference rule for one CSV cell: integers as digits, floats to
+    17 significant digits, booleans as ``true``/``false``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".17g")
 
 
 def reference_per_edge_csv(scores) -> str:
@@ -22,7 +33,7 @@ def reference_per_edge_csv(scores) -> str:
     ]
     for i in range(len(scores)):
         cells = [getattr(scores, name)[i].item() for name in EDGE_COLUMNS]
-        lines.append(",".join(rpt.format_number(c) for c in cells) + "\n")
+        lines.append(",".join(format_number(c) for c in cells) + "\n")
     return "".join(lines)
 
 
@@ -43,9 +54,9 @@ def interleaved_graph() -> Hypergraph:
     return Hypergraph(attrs, edges)
 
 
-@pytest.mark.parametrize("chunk_rows", [3, rpt._PER_EDGE_CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [3, rpt._CHUNK_ROWS])
 def test_per_edge_csv_bytes_match_format_number(monkeypatch, chunk_rows):
-    monkeypatch.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(rpt, "_CHUNK_ROWS", chunk_rows)
     h = interleaved_graph()
     report = analyze(h, SamplerConfig(samples=300, seed=4), emit_per_edge=True)
     reasons = {e.reason: (e.k, e.count) for e in report.exclusions}
@@ -136,14 +147,14 @@ _SIGNED_ZEROS = scores_from_tails(
 )
 
 
-@given(edge_scores(), st.sampled_from([1, 3, rpt._PER_EDGE_CHUNK_ROWS]))
+@given(edge_scores(), st.sampled_from([1, 3, rpt._CHUNK_ROWS]))
 @example(_SIGNED_ZEROS, 1)
 @example(scores_from_tails([7], [(5, *[0.25] * 7, False)]), 3)
 @settings(max_examples=150, deadline=None)
 def test_per_edge_csv_bytes_match_reference(scores, chunk_rows):
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
+        mp.setattr(rpt, "_CHUNK_ROWS", chunk_rows)
         rpt.write_per_edge_csv(scores, out)
     assert out.getvalue() == reference_per_edge_csv(scores)
 
@@ -154,9 +165,9 @@ _INDEX_BOUNDARIES = [0, 9, 10, 99, 100, 101, 999, 1000, 2**63 - 1]
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, rpt._PER_EDGE_CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [1, 3, rpt._CHUNK_ROWS])
 def test_per_edge_csv_index_digit_boundaries(monkeypatch, chunk_rows):
-    monkeypatch.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(rpt, "_CHUNK_ROWS", chunk_rows)
     tails = [(2 + i % 3, *[0.25 * i] * 7, i % 2 == 0) for i in range(len(_INDEX_BOUNDARIES))]
     scores = scores_from_tails(_INDEX_BOUNDARIES, tails)
     out = io.StringIO()
@@ -170,7 +181,7 @@ def test_per_edge_csv_index_digit_boundaries(monkeypatch, chunk_rows):
         min_size=1,
         max_size=40,
     ),
-    st.sampled_from([1, 3, rpt._PER_EDGE_CHUNK_ROWS]),
+    st.sampled_from([1, 3, rpt._CHUNK_ROWS]),
 )
 @settings(max_examples=150, deadline=None)
 def test_per_edge_csv_whole_int64_index_range(edge_index, chunk_rows):
@@ -183,7 +194,7 @@ def test_per_edge_csv_whole_int64_index_range(edge_index, chunk_rows):
     scores = scores_from_tails(edge_index, tails)
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rpt, "_PER_EDGE_CHUNK_ROWS", chunk_rows)
+        mp.setattr(rpt, "_CHUNK_ROWS", chunk_rows)
         rpt.write_per_edge_csv(scores, out)
     assert out.getvalue() == reference_per_edge_csv(scores)
 
@@ -196,3 +207,111 @@ def test_per_edge_csv_time_does_not_grow_with_the_largest_index():
     rpt.write_per_edge_csv(scores, out)
     assert time.perf_counter() - started < 0.5
     assert out.getvalue().splitlines()[2].startswith(f"{2**62},2,")
+
+
+def reference_table(rows, columns, comments) -> str:
+    """``#`` comments, the header, and one ``format_number`` call per cell."""
+    lines = [f"# {line}\n" for line in comments] + [",".join(columns) + "\n"]
+    for row in rows:
+        lines.append(",".join(format_number(getattr(row, c)) for c in columns) + "\n")
+    return "".join(lines)
+
+
+_CURVE = (
+    ("k", "mean_observed", "baseline_mean", "baseline_std_error", "edge_count"),
+    ("per hyperedge size: mean observed diversity vs. null baseline",),
+)
+_GRID = (
+    ("k", "p", "phi", "phi_std_error", "edges_scored"),
+    (
+        "homophily index over the (edge size k, mixing level p) grid",
+        "phi_std_error is the standard error of the per-edge score mean",
+    ),
+)
+# first cells on both sides of the heads/_LAST_TWO split, and float cells
+# whose text is easy to get wrong
+_TABLE_KS = [2, 99, 100, 101, 1234]
+_TABLE_CELLS = [-0.0, math.nan, math.inf, -math.inf, 1e-300]
+
+
+def curve_rows(ks, cells):
+    return [
+        PerKRow(k=k, edge_count=10 * i, baseline_mean=cells[i % len(cells)],
+                baseline_std_error=cells[(i + 1) % len(cells)], phi_k=0.5,
+                mean_observed=cells[(i + 2) % len(cells)])
+        for i, k in enumerate(ks)
+    ]
+
+
+def grid_points(ks, cells):
+    return [
+        GridPoint(k=k, p=cells[i % len(cells)], phi=cells[(i + 1) % len(cells)],
+                  phi_std_error=cells[(i + 3) % len(cells)], edges_scored=7 * i)
+        for i, k in enumerate(ks)
+    ]
+
+
+_TABLES = [
+    (rpt.write_curve_csv, curve_rows, _CURVE),
+    (rpt.write_grid_csv, grid_points, _GRID),
+]
+
+
+@pytest.mark.parametrize("write, build, layout", _TABLES, ids=["curve", "grid"])
+def test_row_tables_match_reference(write, build, layout):
+    rows = build(_TABLE_KS, _TABLE_CELLS) + build([3, 3], [0.0, 0.25])
+    out = io.StringIO()
+    write(rows, out)
+    text = out.getvalue()
+    assert text == reference_table(rows, *layout)
+    body = [line.split(",") for line in text.splitlines()[len(layout[1]) + 1 :]]
+    assert [cells[0] for cells in body] == ["2", "99", "100", "101", "1234", "3", "3"]
+    assert {"-0", "nan", "inf", "-inf", "1e-300"} <= {c for r in body for c in r}
+
+
+@pytest.mark.parametrize("write, build, layout", _TABLES, ids=["curve", "grid"])
+@given(
+    ks=st.lists(st.integers(0, 10**12), max_size=12),
+    cells=st.lists(st.floats(), min_size=4, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_tables_match_reference_for_any_cells(write, build, layout, ks, cells):
+    rows = build(ks, cells)
+    out = io.StringIO()
+    write(rows, out)
+    assert out.getvalue() == reference_table(rows, *layout)
+
+
+@pytest.mark.parametrize("write, layout", [(rpt.write_curve_csv, _CURVE),
+                                           (rpt.write_grid_csv, _GRID)], ids=["curve", "grid"])
+def test_empty_row_table_is_comments_and_header(write, layout):
+    out = io.StringIO()
+    write([], out)
+    columns, comments = layout
+    assert out.getvalue() == "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
+
+
+@pytest.mark.parametrize("write, build", [(rpt.write_curve_csv, curve_rows),
+                                          (rpt.write_grid_csv, grid_points)], ids=["curve", "grid"])
+@pytest.mark.parametrize("k", [-1, 2.0, True], ids=["negative", "float", "bool"])
+def test_first_column_must_hold_integers_at_least_zero(write, build, k):
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="first column, k,"):
+        write(build([k, k], [0.5]), out)
+    assert out.getvalue() == ""  # nothing is written before the check
+
+
+def test_unsigned_first_column_renders_its_digits():
+    index = np.array([0, 99, 100, 2**64 - 1], dtype=np.uint64)
+    out = io.StringIO()
+    rpt.write_csv({"i": index, "x": np.full(4, 0.5), "b": index > 99}, (), out)
+    assert out.getvalue() == (
+        f"i,x,b\n0,0.5,false\n99,0.5,false\n100,0.5,true\n{2**64 - 1},0.5,true\n"
+    )
+
+
+def test_a_cell_that_is_no_number_is_refused():
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="column x holds <U1"):
+        rpt.write_csv({"i": np.arange(2), "x": np.array(["a", "b"])}, (), out)
+    assert out.getvalue() == ""
