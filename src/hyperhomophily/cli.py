@@ -103,8 +103,25 @@ def _manifest(args) -> dict:
             "inputs": inputs, "options": options}
 
 
+def _check_distinct_outputs(args, outputs: tuple[str, ...]) -> None:
+    """Refuse an output that names the same file as another path flag, so no
+    output replaces an input or another output. A path that exists and is
+    not a regular file (``/dev/null``) may be named more than once."""
+    seen = {}
+    for flag in (*INPUT_FLAGS, *outputs):  # inputs first: each clash is met at an output
+        path = getattr(args, flag)
+        if path is None or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        key = os.path.realpath(path)
+        if key in seen and flag in outputs:
+            first, second = (f"--{dest.replace('_', '-')}" for dest in (seen[key], flag))
+            raise ValueError(f"{second} names the same file as {first}: {path}")
+        seen[key] = flag
+
+
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
+    _check_distinct_outputs(args, ("out", "per_edge_out", "perplexity_curve"))
     opts = IngestOptions(
         min_size=args.min_k,
         max_size=args.max_k,

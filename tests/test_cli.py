@@ -293,6 +293,43 @@ class TestAnalyze:
         assert "invalid configuration" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            ["--out", "same.txt", "--per-edge-out", "same.txt"],
+            ["--out", "hyperedges.txt"],
+            ["--per-edge-out", "./curve.csv", "--perplexity-curve", "curve.csv"],
+            ["--perplexity-curve", "sub/../label-names.txt"],
+            ["--out", "link.txt"],
+        ],
+        ids=["two-outputs", "output-is-input", "dot-slash", "dot-dot", "symlink-to-input"],
+    )
+    def test_an_output_never_names_the_file_of_another_flag(
+        self, tmp_path, monkeypatch, capsys, caplog, outputs
+    ):
+        # checked before anything is read or opened: no file is written or changed
+        monkeypatch.chdir(tmp_path)
+        write_mixed_sizes(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.txt").symlink_to("hyperedges.txt")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        code = main(
+            ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
+             "--label-names", "label-names.txt", "--samples", "50", *outputs]
+        )
+        assert code == 2
+        assert "invalid configuration" in caplog.text and "names the same file as" in caplog.text
+        assert capsys.readouterr().out == ""
+        after = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        assert after == before
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_the_null_device_may_take_every_output(self, tmp_path):
+        args = write_dataset(tmp_path, "1,2\n3,4\n1,3\n", "1\n1\n2\n2\n")
+        outputs = ["--out", os.devnull, "--per-edge-out", os.devnull,
+                   "--perplexity-curve", os.devnull]
+        assert main(["analyze", *args, "--samples", "50", *outputs]) == 0
+
     def test_workers_flag_exit_2(self, tmp_path, capsys):
         # sizes run one after another; the flag is gone and argparse rejects it
         args = write_dataset(tmp_path, "1,2\n3,4\n1,3\n", "1\n1\n2\n2\n")
