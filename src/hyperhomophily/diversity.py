@@ -115,13 +115,15 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=boundary.size)
 
 
-def bulk_diversity(labels: np.ndarray, order: float) -> tuple[np.ndarray, np.ndarray]:
+def bulk_diversity(labels, order: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise diversity of an integer label matrix.
 
-    ``labels`` has shape (rows, k): each row is the attribute ids of one
-    k-node group. Returns (diversity per row, distinct-attribute count per
-    row): each row's runs of equal sorted labels are its attribute counts.
+    ``labels`` (an array or a nested list) has shape (rows, k): each row is
+    the attribute ids of one k-node group. Returns (diversity per row,
+    distinct-attribute count per row): each row's runs of equal sorted
+    labels are its attribute counts.
     """
+    labels = np.asarray(labels)
     if labels.ndim != 2 or not labels.shape[1]:
         raise ValueError(f"labels must be 2-d with at least one column, got shape {labels.shape}")
     if labels.dtype.kind not in "iu":  # a float or bool would be read as a label

@@ -313,6 +313,24 @@ class TestBulkDiversity:
         with pytest.raises(ValueError, match=f"labels must be integers, got {labels.dtype} values"):
             bulk_diversity(labels, 1.0)
 
+    def test_nested_list_is_scored_as_its_int64_array(self):
+        # a list failed on labels.ndim with AttributeError
+        rows = [[0, 1, 1, 3], [2, 2, 2, 2], [5, 0, 1, 3]]
+        for q in (0.0, 1.0, 2.0):
+            got, expected = bulk_diversity(rows, q), bulk_diversity(np.array(rows, np.int64), q)
+            assert [a.dtype for a in got] == [a.dtype for a in expected]
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([[0.5, 0.25]], "labels must be integers, got float64 values"),
+         ([0, 1, 1], re.escape("got shape (3,)"))],
+        ids=["float", "1-d"],
+    )
+    def test_bad_nested_lists_are_refused(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            bulk_diversity(labels, 1.0)
+
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16])
     def test_narrow_integer_labels_give_the_int64_result(self, dtype):
         labels = np.array([[0, 1, 1, 3], [2, 2, 2, 2], [5, 0, 1, 3]])
