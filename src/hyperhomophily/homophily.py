@@ -29,8 +29,10 @@ EXCLUDED_DEGENERATE = "degenerate_baseline"
 @dataclass(frozen=True, eq=False)
 class EdgeScores:
     """Per-hyperedge scores as read-only columns, one row per scored or
-    degenerate hyperedge, sorted by ``edge_index``. An edge index is a
-    position in the hypergraph's edge list, so a negative one is rejected."""
+    degenerate hyperedge, sorted by ``edge_index``. Every column is 1-d with
+    one entry per row: ``edge_index`` and ``k`` integers, ``degenerate``
+    bool and the seven scores float64. An edge index is a position in the
+    hypergraph's edge list, so a negative one is rejected."""
 
     edge_index: np.ndarray
     k: np.ndarray
@@ -44,6 +46,13 @@ class EdgeScores:
     degenerate: np.ndarray
 
     def __post_init__(self):
+        for name in EDGE_COLUMNS:
+            column = getattr(self, name)
+            if column.ndim != 1 or column.shape != self.edge_index.shape:
+                raise ValueError(f"{name} must be 1-d with len(edge_index) rows, got {column.shape}")
+            want = _EDGE_DTYPES.get(name, "float64")
+            if not (column.dtype.kind in "iu" if want == "integers" else column.dtype == want):
+                raise ValueError(f"{name} must hold {want}, got {column.dtype}")
         if self.edge_index.size and self.edge_index.min() < 0:
             raise ValueError("edge_index must be >= 0")
         for name in EDGE_COLUMNS:
@@ -62,6 +71,7 @@ class EdgeScores:
 
 
 EDGE_COLUMNS = tuple(f.name for f in fields(EdgeScores))
+_EDGE_DTYPES = {"edge_index": "integers", "k": "integers", "degenerate": "bool"}  # others float64
 
 
 @dataclass(frozen=True)

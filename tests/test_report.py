@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import time
 
 import numpy as np
@@ -96,6 +97,41 @@ def scores_from_tails(edge_index, tails) -> EdgeScores:
         },
         degenerate=np.array(columns[-1], dtype=bool),
     )
+
+
+def _valid_columns(rows=4) -> dict:
+    scores = scores_from_tails(range(rows), [(2, *[0.5] * 7, False)] * rows)
+    return {name: getattr(scores, name).copy() for name in EDGE_COLUMNS}
+
+
+@pytest.mark.parametrize(
+    "name, column, message",
+    [
+        ("phi", np.full(1, 0.5), "phi must be 1-d with len(edge_index) rows, got (1,)"),
+        ("edge_index", np.arange(4).reshape(4, 1), "edge_index must be 1-d"),
+        ("gap", np.float64(0.5), "gap must be 1-d"),
+        ("degenerate", np.zeros(4, dtype=np.int64), "degenerate must hold bool, got int64"),
+        ("k", np.full(4, 2.0), "k must hold integers, got float64"),
+        ("edge_index", np.arange(4.0), "edge_index must hold integers, got float64"),
+        ("phi_min", np.full(4, 0.5, dtype=np.float32), "phi_min must hold float64, got float32"),
+        ("observed", np.full(4, 1, dtype=np.int64), "observed must hold float64, got int64"),
+    ],
+    ids=["short", "2-d", "0-d", "int-flag", "float-size", "float-index", "float32", "int-score"],
+)
+def test_per_edge_columns_must_fit_together(name, column, message):
+    # a 1-row phi beside 4-row columns gave len() 4 and failed in the writer
+    columns = {**_valid_columns(), name: column}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EdgeScores(**columns)
+
+
+def test_unsigned_integer_columns_are_integers():
+    columns = _valid_columns()
+    columns["edge_index"] = columns["edge_index"].astype(np.uint32)
+    columns["k"] = columns["k"].astype(np.uint8)
+    out = io.StringIO()
+    rpt.write_per_edge_csv(EdgeScores(**columns), out)
+    assert out.getvalue() == reference_per_edge_csv(EdgeScores(**_valid_columns()))
 
 
 def test_per_edge_scores_compare_only_with_per_edge_scores():
