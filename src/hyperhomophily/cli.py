@@ -105,14 +105,17 @@ def _manifest(args) -> dict:
 
 def _check_distinct_outputs(args, outputs: tuple[str, ...]) -> None:
     """Refuse an output that names the same file as another path flag, so no
-    output replaces an input or another output. A path that exists and is
-    not a regular file (``/dev/null``) may be named more than once."""
+    output replaces an input or another output. An existing file is known by
+    its device and inode (a hard link too), any other path by its resolved
+    form; a path that exists and is not a regular file (``/dev/null``) may
+    be named more than once."""
     seen = {}
     for flag in (*INPUT_FLAGS, *outputs):  # inputs first: each clash is met at an output
         path = getattr(args, flag)
         if path is None or (os.path.exists(path) and not os.path.isfile(path)):
             continue
-        key = os.path.realpath(path)
+        stat = os.stat(path) if os.path.exists(path) else None
+        key = (stat.st_dev, stat.st_ino) if stat else os.path.realpath(path)
         if key in seen and flag in outputs:
             first, second = (f"--{dest.replace('_', '-')}" for dest in (seen[key], flag))
             raise ValueError(f"{second} names the same file as {first}: {path}")

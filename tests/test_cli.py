@@ -301,8 +301,10 @@ class TestAnalyze:
             ["--per-edge-out", "./curve.csv", "--perplexity-curve", "curve.csv"],
             ["--perplexity-curve", "sub/../label-names.txt"],
             ["--out", "link.txt"],
+            ["--out", "hard.txt"],
         ],
-        ids=["two-outputs", "output-is-input", "dot-slash", "dot-dot", "symlink-to-input"],
+        ids=["two-outputs", "output-is-input", "dot-slash", "dot-dot", "symlink-to-input",
+             "hard-link-to-input"],
     )
     def test_an_output_never_names_the_file_of_another_flag(
         self, tmp_path, monkeypatch, capsys, caplog, outputs
@@ -312,6 +314,7 @@ class TestAnalyze:
         write_mixed_sizes(tmp_path)
         (tmp_path / "sub").mkdir()
         (tmp_path / "link.txt").symlink_to("hyperedges.txt")
+        os.link(tmp_path / "hyperedges.txt", tmp_path / "hard.txt")
         before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
         code = main(
             ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
