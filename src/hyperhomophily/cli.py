@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import json
 import logging
@@ -103,12 +104,24 @@ def _manifest(args) -> dict:
             "inputs": inputs, "options": options}
 
 
-def _check_distinct_outputs(args, outputs: tuple[str, ...]) -> None:
-    """Refuse an output that names the same file as another path flag, so no
-    output replaces an input or another output. An existing file is known by
-    its device and inode (a hard link too), any other path by its resolved
-    form; a path that exists and is not a regular file (``/dev/null``) may
-    be named more than once."""
+def _check_outputs(args, outputs: tuple[str, ...]) -> None:
+    """Refuse, before anything is read or written, an output that could not
+    be written or that names the same file as another path flag, so that a
+    failed run leaves no output behind and no output replaces an input or
+    another output.
+
+    An output that is an existing directory, or whose directory does not
+    exist, raises the ``OSError`` that opening it would (exit 1). A clash
+    raises ``ValueError`` (exit 2): an existing file is known by its device
+    and inode (a hard link too), any other path by its resolved form; a path
+    that exists and is not a regular file (``/dev/null``) may be named more
+    than once."""
+    for flag in outputs:
+        path = getattr(args, flag)
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     seen = {}
     for flag in (*INPUT_FLAGS, *outputs):  # inputs first: each clash is met at an output
         path = getattr(args, flag)
@@ -124,7 +137,7 @@ def _check_distinct_outputs(args, outputs: tuple[str, ...]) -> None:
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
-    _check_distinct_outputs(args, ("out", "per_edge_out", "perplexity_curve"))
+    _check_outputs(args, ("out", "per_edge_out", "perplexity_curve"))
     opts = IngestOptions(
         min_size=args.min_k,
         max_size=args.max_k,

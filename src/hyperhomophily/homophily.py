@@ -18,8 +18,8 @@ from .exceptions import DegenerateMixingError, EmptyAnalysisError
 from .hypergraph import Hypergraph
 from .nullmodel import SamplerConfig, estimate_baseline
 
-# a one-label null population gives a baseline of exactly 1.0 (the size-2
-# closed form and the Monte Carlo merge both do): a guard, not a setting
+# a one-label null population gives a baseline of exactly 1.0 (every group
+# of it is pure, exact or drawn): a guard, not a setting
 _EPSILON = 1e-9
 
 EXCLUDED_SIZE_ONE = "size_1"
@@ -142,12 +142,13 @@ def analyze(
 ) -> HomophilyReport:
     """Score every hyperedge of size >= 2 and aggregate.
 
-    One baseline is estimated per size present, each from its own
-    seed-derived stream, so sizes are independent and run one after another.
-    The observed diversities of all scored sizes' edges are concatenated in
-    ascending size order and scored in one pass. Size-1 edges and edges whose
-    baseline is itself pure (degenerate) are excluded from the averages and
-    reported with reasons. The global index averages the per-edge scores over
+    One baseline is estimated per size present, from the conditional
+    Poisson null that the first estimate fits for every size at once
+    (``nullmodel``) and keeps on ``h``, so a second analysis of ``h`` reads
+    it. The observed diversities of all scored sizes' edges are concatenated
+    in ascending size order and scored in one pass. Size-1 edges and edges
+    whose baseline is itself pure (degenerate) are excluded from the averages
+    and reported with reasons. The global index averages the per-edge scores over
     the scored edges; fewer than two raise ``EmptyAnalysisError``, as one
     score has no standard error. The report's ``curve`` has one row per size
     >= 2, degenerate sizes included, and ``per_k`` holds the rows of the

@@ -77,9 +77,9 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
     per_part = cfg.num_nodes // num_attrs
     attributes = np.repeat(np.arange(num_attrs), per_part)
 
-    def k_subsets(n: int, size: int, count: int) -> np.ndarray:
+    def k_subsets(n: int, size: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         # filled batch by batch: the batches never coexist with a second copy
-        out = np.empty((count, size), dtype=np.int64)
+        out = np.empty((count, size), dtype=np.int64) if out is None else out
         done = 0
         for sets in _draw_batches(np.ones(n), size, count, rng):
             out[done : done + len(sets)] = np.sort(sets, axis=1)
@@ -87,25 +87,34 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
         return out
 
     u = rng.random(cfg.num_edges)
-    pure = np.flatnonzero(u < cfg.p)  # empty unless p > 0
-    balanced = np.flatnonzero(u < -cfg.p)  # empty unless p < 0
-    uniform = np.flatnonzero(u >= abs(cfg.p))
+    pure = u < cfg.p  # none unless p > 0
+    balanced = u < -cfg.p  # none unless p < 0
+    uniform = u >= abs(cfg.p)
+    del u
     edges = np.empty((cfg.num_edges, k), dtype=np.int64)
-    if uniform.size:
-        edges[uniform] = k_subsets(cfg.num_nodes, k, uniform.size)
-    if pure.size:
-        part = rng.integers(num_attrs, size=pure.size)
-        edges[pure] = k_subsets(per_part, k, pure.size) + (part * per_part)[:, None]
-    if balanced.size:
+    # a mode that covers every edge draws its sets straight into the edges
+    if uniform.all():
+        k_subsets(cfg.num_nodes, k, cfg.num_edges, out=edges)
+    elif uniform.any():
+        edges[uniform] = k_subsets(cfg.num_nodes, k, np.count_nonzero(uniform))
+    if pure.any():
+        part = rng.integers(num_attrs, size=np.count_nonzero(pure))
+        if pure.all():
+            k_subsets(per_part, k, cfg.num_edges, out=edges)
+            edges += (part * per_part)[:, None]
+        else:
+            edges[pure] = k_subsets(per_part, k, part.size) + (part * per_part)[:, None]
+    if balanced.any():
         # as even as possible: each row's k slots hold every attribute k // A
         # times and k % A chosen ones once more, in ascending order, each slot
         # starting at its attribute's first node. Each run of one attribute
         # then gets a sorted set from that partition; the partitions are
         # contiguous, so every row stays sorted
+        rows = np.count_nonzero(balanced)
         base, extra = divmod(k, num_attrs)
-        nodes = np.tile(np.repeat(np.arange(num_attrs) * per_part, base), (balanced.size, 1))
+        nodes = np.tile(np.repeat(np.arange(num_attrs) * per_part, base), (rows, 1))
         if extra:
-            chosen = k_subsets(num_attrs, extra, balanced.size) * per_part
+            chosen = k_subsets(num_attrs, extra, rows) * per_part
             nodes = np.concatenate((nodes, chosen), axis=1)
             nodes.sort(axis=1)
         lengths = _runs(nodes)[1]
@@ -116,7 +125,8 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
                 nodes[np.repeat(in_run, lengths).reshape(nodes.shape)] += sets.ravel()
         edges[balanced] = nodes
 
-    offsets = np.arange(cfg.num_edges + 1, dtype=np.int64) * k
+    offsets = np.arange(cfg.num_edges + 1, dtype=np.int64)
+    offsets *= k
     names = tuple(f"group-{i}" for i in range(num_attrs))
     return Hypergraph._from_csr(attributes, edges.ravel(), offsets, names)
 

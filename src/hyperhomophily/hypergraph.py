@@ -116,7 +116,7 @@ class Hypergraph:
     multiset: identical edges may repeat.
     """
 
-    __slots__ = ("_attributes", "_edge_nodes", "_offsets", "_names", "_ingest", "_by_size")
+    __slots__ = ("_attributes", "_edge_nodes", "_offsets", "_names", "_ingest", "_by_size", "_null")
 
     def __init__(
         self,
@@ -157,7 +157,8 @@ class Hypergraph:
     def _init_arrays(self, attrs, flat, offsets, names, ingest):
         if attrs.size and attrs.min() < UNLABELED:
             raise ValueError("attribute ids must be >= 0 (or UNLABELED)")
-        if flat.size and attrs[flat].min() == UNLABELED:
+        # the gather runs only when some node is unlabeled: it is as large as the edges
+        if flat.size and attrs.min(initial=0) == UNLABELED and attrs[flat].min() == UNLABELED:
             raise ValueError(
                 "hyperedges touch unlabeled nodes; label every node or drop "
                 "those edges (file ingest drops them)"
@@ -175,6 +176,7 @@ class Hypergraph:
         self._names = names
         self._ingest = ingest
         self._by_size = None  # built on first use by edges_of_size
+        self._null = None  # the null model of every size, fitted by the first baseline
 
     # -- basic accessors -----------------------------------------------------
 

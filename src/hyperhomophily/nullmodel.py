@@ -1,34 +1,37 @@
 """Baseline diversity under degree-preserving random mixing.
 
-The null model draws k nodes sequentially without replacement, each draw
-proportional to the node's weight (its k-degree) among the nodes not yet
-drawn. Whole batches of samples are drawn with array operations, by per-slot
-rejection. Slot j of every sample is drawn from the cumulative weights of all
-nodes, and only the samples whose new node repeats one of their earlier slots
-draw that slot again. A draw proportional to weight over all nodes,
-conditioned on missing the nodes already taken, is a draw proportional to
-weight over the nodes that remain, so this is the sequential law. A guide
-table (Chen & Asau's indexed search) finds most slots' nodes with one lookup
-and hands the rest to ``searchsorted``; either way a uniform u gets the index
-that ``searchsorted`` gives it. A batch draws and searches the k*rows uniforms
-it needs at least in one call, and the slot loop reads them in the order
-drawing slot by slot would, so the stream is the same as that of per-slot
-draws.
+The null model of size k is conditional Poisson sampling (CPS; Hajek 1964):
+every node i of positive k-degree d_i joins a group independently with
+probability p_i, conditioned on the group holding exactly k nodes. The p_i
+are fitted so that node i is in a group with probability d_i / E_k, E_k
+being the number of size-k edges, so every node's expected share is its
+realized share. Of all laws on k-sets with those inclusion probabilities,
+CPS has the largest entropy (Chen, Dempster & Liu 1994). It departs from
+drawing nodes one after another in proportion to degree, which includes
+heavy nodes less often than their degree says (Rosen 1997).
 
-The input rule: no node holds more than 1/k of the total weight. Realized
-k-degrees meet it (a k-degree is at most E_k, the number of size-k edges, and
-the k-degrees sum to k*E_k), and so do ``hsbm``'s equal weights (k <= n).
-Under it the j nodes already taken hold at most j/k of the mass, so slot j
-accepts with probability at least (k-j)/k, and a sample needs at most
-k*H_k = k(1 + 1/2 + ... + 1/k) draws on average, plus k^2/2 collision
-compares. Outside it a slot can need arbitrarily many redraws.
+The fit runs once per hypergraph for every size at once (``_fit``). Nodes of
+equal degree share one p, so it is over the distinct k-degrees of all sizes,
+stacked. Every generating function is evaluated at the M-th roots of unity,
+M = 2 max k' + 65 (odd, so no factor 1 - p + p z vanishes there), in polar
+form with real arithmetic; k' is k less the nodes that every group holds (the
+certainty nodes, of degree E_k). A coefficient is read back by the real
+inverse transform, and the few degrees past M that alias onto it have
+negligible mass. Each pass evaluates the inclusion probabilities and takes
+the step (target - pi) / (pi (1 - pi)) on each log-odds, which is Newton's
+step under Hajek's approximation of the joint inclusion probabilities; at
+k' = 1, and at one node left out, the fit has a closed form.
 
-The draws are fixed by the seed, the weights, k and the sample count, so
-results are reproducible bit for bit.
+From the fit, per-label generating functions give the expected diversity
+exactly at orders 0 and 1 (``_Null.exact``), and at every order for k = 2,
+where a pair's diversity is the same at every order. Other orders are a Monte
+Carlo mean: k' nodes drawn i.i.d. in proportion to the fitted odds
+p / (1 - p), a row kept only when its nodes are distinct, is a CPS group
+(Hajek 1964), drawn over an RNG stream derived from (seed, k).
 
-The expected diversity is exact at size 2 and a Monte Carlo estimate above
-it. The tests check it on small instances against an enumeration of every
-ordered k-tuple (``tests/null_oracle.py``), the one exact reference.
+``_draw_batches`` draws sequentially weighted k-sets by per-slot rejection;
+the block model draws its uniform k-sets with it, and with equal weights the
+sequential law is the uniform one.
 """
 
 from __future__ import annotations
@@ -39,11 +42,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .diversity import _check_order, bulk_diversity
+from .diversity import Q_ONE_TOLERANCE, _check_order, bulk_diversity, hill_number
 from .exceptions import InsufficientPopulationError
 from .hypergraph import Hypergraph, _check_int, k_degrees
 
 _BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots (~32 MB)
+_CIRCLE_PAD = 65  # roots of unity past 2 k': aliased coefficients stay below rounding
+_FIT_TOLERANCE = 1e-13  # a size has converged when every |d / E_k - pi| is this small,
+_FIT_FLOOR = 1e-10  # or is this small and fell by less than a tenth in a pass (rounding)
+_FIT_PASSES = 1000  # a fit that has not converged by then raises
 
 
 def derive_seed(*parts: int) -> int:
@@ -181,41 +188,333 @@ def _draw_batches(
     )
 
 
-def _size_weights(h: Hypergraph, k: int) -> tuple[int, np.ndarray]:
-    """The checked size k and the k-degrees of ``h`` as float weights."""
-    k = _check_int(k, "k")
-    if k < 2:
-        raise ValueError("k must be >= 2 (a size-1 baseline is identically 1)")
-    return k, k_degrees(h, k).degrees.astype(np.float64)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-d ``a``, in blocks that OpenBLAS runs on the calling
+    thread (a matrix product below 2^18 multiply-adds, a matrix-vector one
+    below 2^13 cells): waking its thread pool costs more than these products
+    take, and far more when the cores are shared."""
+    if b.ndim == 1:
+        step = max(1, (1 << 13) // max(1, a.shape[1]))
+        return np.concatenate([a[j : j + step] @ b for j in range(0, a.shape[0], step)])
+    step = max(1, (1 << 18) // max(1, a.shape[0] * a.shape[1]))
+    if b.shape[1] <= step:
+        return a @ b
+    return np.concatenate([a @ b[:, j : j + step] for j in range(0, b.shape[1], step)], axis=1)
+
+
+def _rect(log_magnitude: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """exp(log_magnitude + i angle), each value's real and imaginary parts
+    side by side along the last axis, so that ``.view(np.complex128)`` reads
+    it as complex.
+
+    The cosine and sine come from t = tan(angle / 2), as (1 - t^2) / (1 + t^2)
+    and 2t / (1 + t^2): NumPy runs tan in SIMD lanes on machines where it
+    runs cos and sin one value at a time.
+    """
+    t = np.tan(0.5 * angle)
+    u = t * t
+    u += 1.0
+    s = np.exp(log_magnitude)
+    s /= u
+    out = np.empty((*angle.shape[:-1], 2 * angle.shape[-1]))
+    np.multiply(np.subtract(2.0, u, out=u), s, out=out[..., ::2])
+    t *= s
+    np.add(t, t, out=out[..., 1::2])
+    return out
+
+
+@dataclass(eq=False)
+class _Null:
+    """The fitted CPS null of every size >= 2 of one hypergraph (``_fit``).
+
+    Size i is ``sizes[i]``, ascending, with k' = ``free[i]``. Its nodes of
+    positive k-degree are ``nodes[node_bounds[i]:node_bounds[i + 1]]``, and
+    ``odds[node_value]`` gives each node's fitted p / (1 - p), 0 for a
+    certainty node. The distinct degrees of its free nodes, the "values", are
+    rows ``bounds[i]:bounds[i + 1]`` of ``counts`` and ``polar``. For
+    f = 1 - p + p z at a value's fitted p, ``polar`` holds log|f| and arg f at
+    the angles ``theta`` (2 pi m / M for m < h, M = 2h - 1) and then
+    log(1 - p). ``total`` holds log|Q| and arg Q for Q the product of f over
+    a size's free nodes, and ``scale`` its coefficient of z^k'. ``inverse``
+    maps values on the circle, real and imaginary parts side by side, to
+    coefficients 0..max k', and ``forward`` maps coefficients back;
+    ``phi[i, c]`` is (c/k)^(-c/k), a label's factor in the order-1 diversity.
+    """
+
+    sizes: np.ndarray
+    free: np.ndarray
+    fixed: np.ndarray  # (S, L) label counts of the certainty nodes
+    free_counts: np.ndarray  # (S, L) label counts of the free nodes
+    counts: np.ndarray  # (U, L) label counts of each value's nodes
+    bounds: np.ndarray
+    polar: np.ndarray  # (U, 2h + 1)
+    odds: np.ndarray
+    total: np.ndarray  # (S, 2h)
+    scale: np.ndarray
+    nodes: np.ndarray
+    node_value: np.ndarray
+    node_bounds: np.ndarray
+    theta: np.ndarray
+    inverse: np.ndarray  # (2h, max k' + 1)
+    forward: np.ndarray  # (max k' + 1, 2h)
+    phi: np.ndarray
+    means: dict
+
+    def exact(self, order: float) -> np.ndarray:
+        """Expected diversity of order 0 or 1 of every size, computed once."""
+        if order not in self.means:
+            self.means[order] = self._diversity(order)
+        return self.means[order]
+
+    def _diversity(self, order: float) -> np.ndarray:
+        # A label's free nodes have the generating function F = prod f; its
+        # coefficient of z^c over [z^k'] Q weighs the groups holding c of
+        # them. Every label has a row, F = 1 where it has no free node
+        h = self.theta.size
+        if order == 0.0:
+            means = np.count_nonzero(self.fixed, axis=1).astype(np.float64)
+        else:  # a size with k' = 0 keeps this, its one group's diversity
+            means = np.take_along_axis(self.phi, self.fixed, axis=1).prod(axis=1)
+        shift = np.arange(self.forward.shape[0])
+        for i in np.flatnonzero(self.free).tolist():
+            free, fixed = int(self.free[i]), self.fixed[i]
+            values = slice(self.bounds[i], self.bounds[i + 1])
+            log_f = _dot(self.counts[values].T, self.polar[values])
+            if order == 0.0:
+                # a label is missed with probability F(0) [z^k'](Q / F) / [z^k'] Q
+                angle = self.total[i, h:] - self.theta * free - log_f[:, h:-1]
+                rest = _dot(_rect(self.total[i, :h] - log_f[:, :h], angle), self.inverse[:, 0])
+                missed = np.exp(log_f[:, -1]) * rest / self.scale[i]
+                means[i] += np.sum(1.0 - missed[fixed == 0])
+            else:
+                # exp(entropy) is the product over labels of phi(count), so
+                # the mean is [z^k'] prod_a G_a / [z^k'] Q, G_a[c] = phi(c + fixed_a) F_a[c]
+                coef = _dot(_rect(log_f[:, :h], log_f[:, h:-1]), self.inverse[:, : free + 1])
+                phi = self.phi[i, : free + 1]
+                coef *= self.phi[i, fixed[:, None] + shift[: free + 1]] if fixed.any() else phi
+                product = _dot(coef, self.forward[: free + 1]).view(np.complex128).prod(axis=0)
+                means[i] = product.view(np.float64) @ self.inverse[:, free] / self.scale[i]
+        # every group of a one-label population is pure
+        means[np.count_nonzero(self.fixed + self.free_counts, axis=1) == 1] = 1.0
+        return means
+
+    def draw(
+        self, i: int, attributes: np.ndarray, count: int, rng: np.random.Generator
+    ) -> Iterator[np.ndarray]:
+        """The labels of ``count`` CPS groups of size index i, one row each,
+        in batches: the certainty nodes' labels, then those of k' free nodes
+        drawn by ``_rejective_batches`` in proportion to their fitted odds."""
+        span = slice(self.node_bounds[i], self.node_bounds[i + 1])
+        nodes = self.nodes[span]
+        cdf = np.cumsum(self.odds[self.node_value[span]])  # a certainty node's step is 0
+        cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
+        fixed = np.repeat(np.arange(self.fixed.shape[1]), self.fixed[i])
+        for sets in _rejective_batches(cdf, int(self.free[i]), count, rng):
+            fixed_rows = np.broadcast_to(fixed, (len(sets), fixed.size))
+            yield np.concatenate((fixed_rows, attributes[nodes[sets]]), axis=1)
+
+
+def _fit(h: Hypergraph) -> _Null:
+    """Fit the CPS null of every size >= 2 of ``h`` in one stacked loop, and
+    keep it on ``h``.
+
+    The k-degrees come from one ``k_degrees`` call per size. The distinct free
+    degrees of all sizes are fitted together, and a pass evaluates only the
+    sizes that have not converged.
+    """
+    histogram = np.bincount(h.sizes, minlength=2)
+    sizes = np.flatnonzero(histogram[2:]) + 2
+    edges = histogram[sizes]
+    # each node of positive k-degree d gets the key start_k + d: one bincount
+    # of the keys then gives each size's distinct degrees (its values),
+    # ascending, and how many nodes hold each
+    span = edges + 1
+    start = np.cumsum(span) - span
+    nodes, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for k, offset in zip(sizes.tolist(), start.tolist()):
+        d = k_degrees(h, k).degrees
+        nodes.append(np.flatnonzero(d > 0))  # NumPy finds a bool's nonzeros faster
+        keys.append(d[nodes[-1]] + offset)
+    population = [n.size for n in nodes[1:]]
+    node, key = np.concatenate(nodes), np.concatenate(keys)
+    label = h.attributes[node]
+    S, L = sizes.size, int(label.max(initial=-1)) + 1
+    multiplicity = np.bincount(key, minlength=int(span.sum()))
+    held = multiplicity > 0
+    slot = np.flatnonzero(held)
+    value = np.cumsum(held)[key]
+    value -= 1
+    value_size = np.searchsorted(start, slot, side="right") - 1
+    counts = np.bincount(value * L + label, minlength=slot.size * L).reshape(-1, L)
+    # a node of degree E_k is in every edge of its size, so in every group:
+    # each size has at most one such value, and the fit leaves it out
+    certain = slot - start[value_size] == edges[value_size]
+    fixed = np.zeros((S, L), dtype=np.int64)
+    fixed[value_size[certain]] = counts[certain]
+    free_counts = np.add.reduceat(counts, np.searchsorted(value_size, np.arange(S)), axis=0) - fixed
+    free = sizes - fixed.sum(axis=1)
+    fitted = np.flatnonzero(~certain)
+    target = (slot - start[value_size])[fitted] / edges[value_size[fitted]]
+    m = multiplicity[slot[fitted]].astype(np.float64)
+    value_size = value_size[fitted]
+
+    top = int(free.max(initial=0))
+    M = 2 * top + _CIRCLE_PAD
+    half = M // 2 + 1
+    theta = 2.0 * np.pi * np.arange(half) / M
+    cos, sin = np.cos(theta), np.sin(theta)
+    weight = np.full(half, 2.0 / M)  # the angles past half are the conjugates
+    weight[0] = 1.0 / M
+    arc = np.outer(np.arange(top + 1), theta)
+    forward = np.stack((np.cos(arc), np.sin(arc)), axis=-1).reshape(top + 1, -1)
+    inverse = (forward * np.repeat(weight, 2)).T
+    x = np.arange(sizes.max(initial=2) + 1) / sizes[:, None]
+    phi = np.exp(-x * np.log(np.where(x > 0, x, 1.0)))
+
+    # log-odds: from Hajek's approximation inverted, p = pi - g (pi - pi*) / D
+    # with g = pi (1 - pi), D the size's sum of g and pi* its g-weighted mean
+    # pi, kept within [pi / 2, (1 + pi) / 2]; or closed forms: at k' = 1 the
+    # odds are in proportion to pi, and with one free node left out to 1 / (1 - pi)
+    g = target * (1.0 - target)
+    spread = np.bincount(value_size, weights=m * g, minlength=S)[value_size]
+    centre = np.bincount(value_size, weights=m * g * target, minlength=S)[value_size] / spread
+    guess = np.clip(target - g * (target - centre) / spread, 0.5 * target, 0.5 + 0.5 * target)
+    lam = np.log(guess) - np.log1p(-guess)
+    one_in = (free == 1)[value_size]
+    lam[one_in] = np.log(target[one_in])
+    one_out = (np.bincount(value_size, weights=m, minlength=S) - free == 1)[value_size]
+    lam[one_out] = -np.log1p(-target[one_out])
+    polar = np.empty((fitted.size, 2 * half + 1))
+    total = np.zeros((S, 2 * half))
+    scale = np.ones(S)  # k' = 0: Q = 1
+    error = np.full(S, np.inf)
+    fitting = np.arange(fitted.size)
+    for _ in range(_FIT_PASSES):
+        if not fitting.size:
+            break
+        p = 1.0 / (1.0 + np.exp(-lam[fitting]))
+        q = 1.0 / (1.0 + np.exp(lam[fitting]))
+        norm = np.multiply.outer(-2.0 * p * q, 1.0 - cos)
+        norm += 1.0  # |f|^2
+        f = np.empty((fitting.size, 2 * half))  # log |f|^2 and arg f
+        np.log(norm, out=f[:, :half])
+        x = np.multiply.outer(p, cos)
+        x += q[:, None]
+        np.arctan2(np.multiply.outer(p, sin), x, out=f[:, half:])
+        polar[fitting, :-1] = f
+        new = np.diff(value_size[fitting], prepend=-1) != 0
+        first, group = np.flatnonzero(new), np.cumsum(new) - 1
+        fit_sizes = value_size[fitting][first]
+        f *= m[fitting, None]
+        total[fit_sizes] = np.add.reduceat(f, first, axis=0)
+        total[fit_sizes, :half] *= 0.5
+        # Q z^-k' on the circle gives [z^k'] Q and then [z^(k'-1)] Q / f
+        shifted = total[fit_sizes, half:] - np.outer(free[fit_sizes], theta)
+        circle = _rect(total[fit_sizes, :half], shifted)
+        re, im = circle[:, ::2], circle[:, 1::2]
+        scale[fit_sizes] = _dot(re, weight)
+        rest = np.stack((weight * (re * cos - im * sin), weight * re), axis=-1)
+        np.reciprocal(norm, out=norm)
+        below = np.empty((fitting.size, 2))
+        for j, (a, b) in enumerate(zip(first.tolist(), [*first[1:].tolist(), fitting.size])):
+            below[a:b] = norm[a:b] @ rest[j]
+        pi = p * (q * below[:, 0] + p * below[:, 1]) / scale[fit_sizes][group]
+        last, now = error[fit_sizes], np.maximum.reduceat(np.abs(target[fitting] - pi), first)
+        error[fit_sizes] = now
+        converged = (now <= _FIT_TOLERANCE) | ((now <= _FIT_FLOOR) & (now > 0.9 * last))
+        going = ~converged[group]
+        fitting, pi = fitting[going], pi[going]
+        # Newton's step under Hajek's approximation of the joint inclusions
+        lam[fitting] += (target[fitting] - pi) / (pi * (1.0 - pi))
+    if fitting.size:
+        raise ArithmeticError(f"the null of size {sizes[value_size[fitting[0]]]} did not converge")
+    polar[:, :half] *= 0.5
+    polar[:, -1] = -np.logaddexp(0.0, lam)  # log(1 - p)
+    odds = np.zeros(slot.size)  # a certainty node is never drawn
+    odds[fitted] = np.exp(lam)
+
+    null = _Null(
+        sizes=sizes,
+        free=free,
+        fixed=fixed,
+        free_counts=free_counts,
+        counts=counts[fitted].astype(np.float64),
+        bounds=np.searchsorted(value_size, np.arange(S + 1)),
+        polar=polar,
+        odds=odds,
+        total=total,
+        scale=scale,
+        nodes=node,
+        node_value=value,
+        node_bounds=np.cumsum([0, *population]),
+        theta=theta,
+        inverse=inverse,
+        forward=forward,
+        phi=phi,
+        means={},
+    )
+    h._null = null
+    return null
+
+
+def _rejective_batches(
+    cdf: np.ndarray, k: int, count: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """``count`` CPS k-sets of indices into ``cdf``, as sorted rows, in batches.
+
+    A candidate row draws k indices i.i.d. in proportion to the steps of
+    ``cdf`` and is kept when they are distinct, which is the CPS law with
+    those steps as odds (Hajek 1964). After the first round, a round draws
+    the rows it still needs at the acceptance seen so far, within
+    ``_BATCH_CELLS``; the last round's surplus rows are dropped.
+    """
+    guide = _guide_table(cdf)
+    batch = max(1, _BATCH_CELLS // k)
+    drawn = kept = 0
+    while count:
+        rows = min(batch, -(-count * drawn // kept) if kept else count)
+        sets = np.sort(_guided_search(cdf, guide, rng.random(rows * k)).reshape(rows, k), axis=1)
+        sets = sets[(sets[:, 1:] != sets[:, :-1]).all(axis=1)]
+        drawn, kept = drawn + rows, kept + len(sets)
+        sets = sets[:count]
+        count -= len(sets)
+        if len(sets):
+            yield sets
 
 
 def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEstimate:
-    """Estimate of the expected diversity of a random size-k group.
+    """Expected diversity of a random size-k group under the CPS null.
 
-    Weights are the k-degrees of ``h``. At k = 2 the estimate is exact, with
-    standard error 0, and draws nothing: a pair's Hill number is 2 when its
-    labels differ and 1 otherwise, at every order, so with W_a the weight of
-    label a, B_2 = 1 + sum_i (w_i/W) (1 - (W_{a_i} - w_i) / (W - w_i)). Above
-    that it is a Monte Carlo mean of ``cfg.samples`` (at least 2) draws, with
-    the standard error of that mean, over an RNG stream derived from
-    (cfg.seed, k), so estimates for different sizes are independent and a
-    fixed seed reproduces the estimate bitwise no matter how calls are
-    scheduled.
+    The first call on a hypergraph fits every size's null at once and keeps
+    it on the hypergraph. At orders 0 and 1, at k = 2 and when every node of
+    the groups is fixed, the value is exact, with standard error 0 and no
+    draws. Other orders are the Monte Carlo mean of ``cfg.samples`` rejective
+    draws, with the standard error of that mean, over an RNG stream derived
+    from (cfg.seed, k), so a fixed seed reproduces the estimate bitwise.
     """
-    k, weights = _size_weights(h, k)
-    if k == 2:
-        pos, w = _population(weights, 2)
-        labels, total = h.attributes[pos], w.sum()
-        same = (np.bincount(labels, weights=w)[labels] - w) / (total - w)
-        return BaselineEstimate(k, float(1.0 + np.sum(w / total * (1.0 - same))), 0.0, 0)
+    k = _check_int(k, "k")
+    if k < 2:
+        raise ValueError("k must be >= 2 (a size-1 baseline is identically 1)")
+    null = h._null or _fit(h)
+    i = int(np.searchsorted(null.sizes, k))
+    if i == null.sizes.size or null.sizes[i] != k:
+        raise InsufficientPopulationError(f"need {k} positive-weight nodes, found 0")
+    order = cfg.diversity_order
+    if order != 0.0 and (k == 2 or abs(order - 1.0) < Q_ONE_TOLERANCE):
+        order = 1.0  # a pair's diversity is 1 or 2 at every order
+    if order in (0.0, 1.0):
+        return BaselineEstimate(k, float(null.exact(order)[i]), 0.0, 0)
+    if null.free[i] == 0:  # every group is the certainty nodes
+        counts = null.fixed[i]
+        return BaselineEstimate(k, hill_number(counts[counts > 0], order), 0.0, 0)
     rng = np.random.default_rng(derive_seed(cfg.seed, k))
     # the count, mean and sum of squared deviations of the draws so far: each
     # batch's are merged in by the pairwise update of Chan, Golub & LeVeque
     # (1979), so memory stays within one batch. From zero, one batch's merge is
     # exact: its mean is np.mean and its standard deviation np.std(ddof=1).
     count, mean, m2 = 0, 0.0, 0.0
-    for sets in _draw_batches(weights, k, cfg.samples, rng):
-        values = bulk_diversity(h.attributes[sets], cfg.diversity_order)[0]
+    for groups in null.draw(i, h.attributes, cfg.samples, rng):
+        values = bulk_diversity(groups, order)[0]
         size, batch_mean = values.size, np.mean(values)
         batch_m2 = np.sum(np.square(values - batch_mean))
         delta, count = batch_mean - mean, count + size

@@ -132,39 +132,40 @@ class TestAnalyze:
         assert main(["analyze", *args, "--samples", "500", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    # sha256 of the report JSON, per-edge CSV and curve CSV; the curves'
-    # digests date from when the size-2 baseline became exact, the reports'
-    # from version 0.2.0, and the per-edge CSVs of the runs that keep size-1
-    # edges from when the CLI stopped dropping them (their edge indices moved)
+    # sha256 of the report JSON, per-edge CSV and curve CSV, all recorded when
+    # the conditional Poisson null replaced the sequential one
     @pytest.mark.parametrize(
         "flags, order, one_label_pairs, digests",
         [
-            ([], "0", False, ("0398b9c913b79359ae53d960109c51c47b20c562383eb99611e0a2e3d5b04fb8",
-                       "077bce37325b687a040ef37231fcdb9de0a568ccd1ece8d436d2b366aa05c4f3",
-                       "00f7436e9992bc7b6ae29368509e83bb781fc8032a303a53e94a50a3ae53989f")),
-            ([], "1", False, ("5c94d6d4ada1a11a40fb65ead34fb95179378197bfbb4666bc2a4583d8806d1e",
-                       "a991fec5bfb69f1a584e29f3bfc9f77868aba6a06316ae5be0224c65a1908ebf",
-                       "9ee32c0fe3a2862e9c745b955a91d45e3c1b0973913cc64a7f57254dbc2daef1")),
-            ([], "2", False, ("69f7017d1e40846055c75c40f69547cc848f5e69e6c8bb2d77cb56c0a3b8aba4",
-                       "491f1c6e8517aab73a43d7780cf98d1b455acbbb54d69f149a307149377e3f6d",
-                       "3bf1efe926c448fdabc9260457b2c98ed447c2427da0e1ff50d2580072c71740")),
+            ([], "0", False,
+             ("1c59a5422f907331491d4904d6f1723aa50ef39062f1383e57655c364b66f261",
+              "d770e285fdbdf2faa9e50680d811e393d4ca2c8daa09d68a9cd961110d4df6bd",
+              "4770e3aa68f3a77820693b78c367255400a2b0e2cf53531511854992ccfeea8b")),
+            ([], "1", False,
+             ("1f0dd091b7ab7744a1732dee82c9202bdadaba3aed2053fba33e19e5c84d0a0c",
+              "099143cc6469992d5b6f8bf67a0c4d340a15f031153b95fae3152643014f7bf3",
+              "c62185d53d2b42bfd27a6c85a4e1261f10113c57c7ce8a289d1c51b9cd9a8bb5")),
+            ([], "2", False,
+             ("e095dfd64806dfe14d438966f9c7ca978865c66f9520059d0207da7c6a637a07",
+              "738d6e15cb16bb1a1d26384007d610cd9dbd06af2696db9e3335323f3b6b06d3",
+              "aa5199391ab78cc14bc52d5b584cb51de10f1ad301e4efdcb571fc23b4c94edf")),
             (COLLAPSE_3_TO_5, "0", False,
-             ("f9bf4eca9138299fa109128d4fc0c52e5ce4eff583d40d1c16df5f424d8fa18b",
-              "eaf6b69ea78a06db5f3532a8777d2b5cbb419a41e2d7a24a25cbf92ddbe2aa18",
-              "f4bbdaebb5bbeb19417650c4eaddbaf8ede9705dc5e063c32559b3de4589683e")),
+             ("232ed18134e95e99ac40ef3bf649a2a0e20aa6ecfbed3e8776ec915783d006bb",
+              "73c187e19748b3a2e8f7ebd1e95567de7e3f48433d4168a3f1d781fbeb6c1561",
+              "ac0d14003a8d464d5ac0c080da80f75f65a417ed16d8c71a629030b4ad765393")),
             (COLLAPSE_3_TO_5, "1", False,
-             ("d5e54ce86daec1826d09c88265541adad66b695bce03cccbc52bf14ec3228232",
-              "cfa15ef45d94c5b265849b6d1a642f3e1e95de34d771128ad182e4916255566e",
-              "a3a6ed264e1f994f63c379e2a293fc19487bae275fccb4158251857c87992316")),
+             ("f0f46ea8a2222dea8f5cd9c7cece5a94daef710ba2c0c571a4c0db13563c9969",
+              "f2a05f5b6eb92dd057975bc0e8dc2437beade1f8731e5d51e79ae0ff7f54aec5",
+              "89981a80eaca8e41046e19acd924ea683a2d88c2a2308b7ff4fc9be2968de699")),
             (COLLAPSE_3_TO_5, "2", False,
-             ("c8206a44464171a8a6e425bea712d95dfa1856e40757feea0c7436446d06c870",
-              "d1b2c9d8480e3762a30996b35aad5e0cb15ee514994119865dbbbdac33e8e15a",
-              "8e088df1964cc96255905c3ad4280ae26189d7b6778733ff28dd3fab70f94485")),
+             ("abd847c73817d0c72f15f971f67342ef72b7e6d2b97d92aa8ac9e5a1d1e355ef",
+              "bb8777b70870679a6a808484b331ed961e6da740def382f87d5101f128e76e2d",
+              "26db81bdd27eb3bb5738929bdc21fd1257fbbcb5541fdd8cecb25cfe825a52b0")),
             # size 2's baseline is exactly 1: a curve row with no per_k row
             ([], "1", True,
-             ("cc2f5282723c1fac176840399981eaa92df19abc875513d26e316b99d3a6b3b7",
-              "7fe77794d9cd67bb04c084ce4d51cc604080498a641af0f8a22024e878f0727e",
-              "b6874c87dea404782beb6f4b3e5b2a600c158ce6c6d7ec12bddd411d409e5bdd")),
+             ("9f2ec0cc60016cc926be59bba4680be9c1ab0221965be87213fe2284b32fb9dd",
+              "50f39f92d7064f0d105a55312f161c6c116926f842c07067a10c623d3d61ee6d",
+              "8e8b0a84ec6397cfe40636c02a56abf6a0010d4c18853859ae2d1ad82ac01127")),
         ],
         ids=["q0", "q1", "q2", "collapse-3-5-q0", "collapse-3-5-q1", "collapse-3-5-q2",
              "degenerate-k2-q1"],
@@ -324,6 +325,30 @@ class TestAnalyze:
         assert "invalid configuration" in caplog.text and "names the same file as" in caplog.text
         assert capsys.readouterr().out == ""
         after = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [["--per-edge-out", "adir"], ["--perplexity-curve", "missing/curve.csv"], ["--out", "adir"]],
+        ids=["directory", "missing-directory", "report-is-directory"],
+    )
+    def test_an_unwritable_output_is_refused_before_any_is_written(
+        self, tmp_path, monkeypatch, caplog, outputs
+    ):
+        # the outputs were written one after another, so the report stayed
+        # behind when a later output was a directory or had none
+        monkeypatch.chdir(tmp_path)
+        write_mixed_sizes(tmp_path)
+        (tmp_path / "adir").mkdir()
+        before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+        code = main(
+            ["analyze", "--hyperedges", "hyperedges.txt", "--labels", "node-labels.txt",
+             "--label-names", "label-names.txt", "--samples", "50", "--out", "report.json",
+             *outputs]
+        )
+        assert code == 1
+        assert "i/o failure" in caplog.text
+        after = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
         assert after == before
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
@@ -726,15 +751,14 @@ class TestSweep:
         assert lines[-1].split(",")[1] == "1"
 
     # sha256 of the CSV bytes after the manifest line. Both were recorded
-    # when balanced edges (p < 0) began drawing their nodes run by run; the
-    # rows at p >= 0 did not move
+    # when the conditional Poisson null replaced the sequential one
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--p-grid", "-1:1:0.5", "--k-grid", "4"],
-             "8499601111bf4d595ece1d68708d51cfc09a93f5ae35a93d3298308128a74616"),
+             "f1b16b1a282c64f995e73743e04428010f0f7dcedda4f591aba28df7f84f309a"),
             (["--k-grid", "2,3", "--p-grid", "-1,0,1"],
-             "aaa51e61c9febed04ae4365d2728f9d858883a89b52c12974c3fed2893addf3f"),
+             "238b4358b697f1205c1952d2f3c964c41b6a60a8e0c76b45ef8a9cc6965a9019"),
         ],
         ids=["p", "kp"],
     )

@@ -14,7 +14,7 @@ from hyperhomophily import (
     estimate_baseline,
     newman_assortativity,
 )
-from hyperhomophily import nullmodel
+from hyperhomophily import homophily, nullmodel
 from hyperhomophily.homophily import _score
 
 
@@ -207,6 +207,38 @@ class TestAnalyze:
     def test_unlabeled_scorable_edge_rejected(self):
         with pytest.raises(ValueError, match="unlabeled"):
             Hypergraph([0, -1, 1], [[0, 1], [0, 2]])
+
+
+class TestHookContract:
+    """The names perfbench/traced.py hooks: analyze estimates each size's
+    baseline through homophily.estimate_baseline, and the fit reads each
+    size's degrees through nullmodel.k_degrees, once per size each."""
+
+    @pytest.mark.parametrize("order, drawn", [(1.0, 0), (2.0, 200)])
+    def test_each_size_once_and_the_kept_null_reread(self, monkeypatch, order, drawn):
+        seen = {"estimates": [], "degrees": []}
+        estimate, degrees = homophily.estimate_baseline, nullmodel.k_degrees
+
+        def counted_estimate(h, k, cfg):
+            result = estimate(h, k, cfg)
+            seen["estimates"].append((k, result.k, result.samples))
+            return result
+
+        def counted_degrees(h, k):
+            seen["degrees"].append(k)
+            return degrees(h, k)
+
+        monkeypatch.setattr(homophily, "estimate_baseline", counted_estimate)
+        monkeypatch.setattr(nullmodel, "k_degrees", counted_degrees)
+        h, cfg = mixed_graph(), SamplerConfig(samples=200, seed=2, diversity_order=order)
+        first = analyze(h, cfg, emit_per_edge=True)
+        # size 2 is exact at every order; orders 0 and 1 at every size
+        estimates = [(2, 2, 0), (3, 3, drawn), (4, 4, drawn)]
+        assert seen == {"estimates": estimates, "degrees": [2, 3, 4]}
+        # a second analysis reads the null kept on the graph, so no degrees
+        second = analyze(h, cfg, emit_per_edge=True)
+        assert seen == {"estimates": estimates * 2, "degrees": [2, 3, 4]}
+        assert second == first
 
 
 def one_label_size(k):

@@ -17,7 +17,7 @@ from hyperhomophily import (
     sweep_phi_vs_k,
     write_hypergraph,
 )
-from hyperhomophily import hsbm
+from hyperhomophily import hsbm, nullmodel
 
 
 class TestConfig:
@@ -153,6 +153,25 @@ class TestGenerate:
         assert h.edge_nodes.nbytes == 4_800_000
         assert peak < 100e6
 
+    @pytest.mark.parametrize("p", [0.0, 1.0], ids=["all-uniform", "all-pure"])
+    def test_one_mode_fills_the_edges_in_place(self, monkeypatch, p):
+        # every row from one mode: the sampled sets went to a table of their
+        # own that was copied into the edges, with an int64 index per edge,
+        # peaking at 23.0 MB (p = 0) and 32.1 MB (p = 1) for 8.0 MB of edges.
+        # The bound, set before the in-place fill was measured: the edges,
+        # half again for the mode uniforms, and eight batches
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 1 << 16)
+        cfg = HsbmConfig(num_nodes=1000, num_attributes=10, k=4, num_edges=250_000, p=p, seed=3)
+        tracemalloc.start()
+        try:
+            h = generate_hsbm(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        edges = h.edge_nodes.nbytes
+        assert edges == cfg.num_edges * cfg.k * 8
+        assert peak <= 1.5 * edges + 8 * 8 * (1 << 16)
+
     def test_seed_determinism(self):
         cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=5, num_edges=100, p=0.4, seed=9)
         assert generate_hsbm(cfg).edge_list() == generate_hsbm(cfg).edge_list()
@@ -190,16 +209,18 @@ class TestGenerate:
 
     # sha256 of the edges, labels and names streams joined by NUL. At p < 0,
     # k % A != 0 gives rows with runs of one and of two slots (A = 4, k = 6)
-    # and rows of single slots only (A = 8, k = 3)
+    # and rows of single slots only (A = 8, k = 3). p = 1 was recorded before
+    # a one-mode graph's edges were filled in place
     @pytest.mark.parametrize(
         "p, attrs, k, digest",
         [
+            (1.0, 4, 6, "a3d92ae43242046c0b7c5911989b0f57f9321449aeec32f8b5ab8131f5d81087"),
             (0.5, 4, 6, "97fb0506238f86b0499fb02cda4606ef8d26df3fa6040b28ab18b00e71b70ca4"),
             (0.0, 4, 6, "3f241f2b117ddbd3d23444a9761b69a5d2cff6d8db1b4d86a9e16e091b497d35"),
             (-0.5, 4, 6, "0471d50c04f5df74e21aafb112599412ca1e09dec87c1125659b8f33debc1034"),
             (-1.0, 8, 3, "b27d5cc86ef353cb1351271b6f0fd2429f0a65b43280b2923dab6b7347fa01d8"),
         ],
-        ids=["pure", "uniform", "balanced", "balanced-k-below-attrs"],
+        ids=["all-pure", "pure", "uniform", "balanced", "balanced-k-below-attrs"],
     )
     def test_output_bytes_are_pinned(self, p, attrs, k, digest):
         cfg = HsbmConfig(num_nodes=120, num_attributes=attrs, k=k, num_edges=300, p=p, seed=5)

@@ -122,9 +122,10 @@ class TestEstimate:
         assert est.std_error == 0.0
 
     def test_two_attribute_uniform_pairs(self):
-        # enumeration of the 6 unordered pairs: 2 pure, 4 mixed -> 5/3
+        # enumeration of the 6 unordered pairs: 2 pure, 4 mixed -> 5/3; size
+        # 2 is exact, so to the exact orders' 1e-12
         est = estimate_baseline(two_bucket_graph(), 2, SamplerConfig(samples=20_000, seed=5))
-        assert abs(est.mean - 5 / 3) <= 3 * est.std_error
+        assert (est.mean, est.std_error) == (pytest.approx(5 / 3, abs=1e-12), 0.0)
 
     def test_metadata_fields(self):
         # samples counts the draws the mean averages; the exact size 2 draws none
@@ -182,10 +183,12 @@ class TestEstimate:
         assert 1.0 <= est.mean <= min(3, present)
 
     def test_std_error_scaling(self):
+        # order 2 is drawn; orders 0 and 1 are exact, with standard error 0
         h = Hypergraph([0, 0, 1, 1, 2], [[0, 2, 4], [1, 3, 4]])
         ses = []
         for samples in (1_000, 10_000, 100_000):
-            est = estimate_baseline(h, 3, SamplerConfig(samples=samples, seed=11))
+            cfg = SamplerConfig(samples=samples, seed=11, diversity_order=2.0)
+            est = estimate_baseline(h, 3, cfg)
             ses.append(est.std_error)
         for a, b in zip(ses, ses[1:]):
             ratio = a / b  # expect ~sqrt(10) ~ 3.16
@@ -202,17 +205,11 @@ class TestExact:
         assert exact_baseline(two_bucket_graph(), 2) == pytest.approx(5 / 3, abs=1e-12)
 
     def test_monte_carlo_agrees_with_oracle(self):
-        # weights (2,1,1) realized as 2-degrees via a multiset of pair edges;
-        # estimate_baseline is exact at size 2, so the sampler's pairs are
-        # drawn here, from the stream estimate_baseline drew them from before
-        h = Hypergraph([0, 1, 1], [[0, 1], [0, 2]])
-        weights = k_degrees(h, 2).degrees
-        assert list(weights) == [2, 1, 1]
-        rng = np.random.default_rng(derive_seed(13, 2))
-        sets = weighted_k_sets(weights, 2, 20_000, rng)
-        values = bulk_diversity(h.attributes[sets], 1.0)[0]
-        exact = exact_baseline(h, 2)
-        assert abs(values.mean() - exact) <= 3 * values.std(ddof=1) / math.sqrt(values.size)
+        # order 2 is the mean of rejective draws, which follow the CPS law
+        h = Hypergraph([0, 1, 1, 2, 0, 2], [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5], [0, 1, 5]])
+        est = estimate_baseline(h, 3, SamplerConfig(samples=20_000, seed=13, diversity_order=2.0))
+        assert est.samples == 20_000
+        assert abs(est.mean - exact_baseline(h, 3, 2.0)) <= 3 * est.std_error
 
     def test_weight_scaling_invariance(self):
         attrs = np.array([0, 1, 0, 2])
@@ -250,7 +247,8 @@ class TestExactPair:
 
         monkeypatch.setattr(nullmodel, "derive_seed", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        h = Hypergraph([0, 1, 0, 1], [[0, 1], [1, 2], [1, 2, 3]])
+        # size 3's groups hold the certainty nodes 2 and 3 and one of 0 and 1
+        h = Hypergraph([0, 1, 0, 1], [[0, 1], [1, 2], [1, 2, 3], [0, 2, 3]])
         cfg = SamplerConfig(samples=500, seed=4, diversity_order=2.0)
         est = estimate_baseline(h, 2, cfg)
         assert (est.samples, est.std_error) == (0, 0.0)

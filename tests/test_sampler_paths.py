@@ -1,10 +1,11 @@
-"""The null-model sampler: per-slot rejection, its one path.
+"""The block model's sampler (per-slot rejection, sequential weighted draws)
+and the null model's rejective CPS draws.
 
 ``reference_key_race`` is the exponential key race that drew every size in
 version 0.1.0, and the concentrated sizes until it was removed. It stays
-here, test-only, as the reference for two-sample checks of the drawer. The
-oracle checks compare draws on spread and on concentrated weights with the
-exact enumeration of ``null_oracle``.
+here, test-only, as the reference for two-sample checks of the sequential
+drawer. The oracle checks compare the baseline on spread and on concentrated
+degrees with the exact CPS enumeration of ``null_oracle``.
 """
 
 import hashlib
@@ -145,8 +146,8 @@ class TestTwoSampleAgainstKeyRace:
 
 class TestOracleOnEachPath:
     """Spread and concentrated k-degrees: the two sides of the line that
-    split the sampler into rejection and the key race until the race was
-    removed. Both now draw by rejection."""
+    split the sequential sampler into rejection and the key race until the
+    race was removed. The baseline now fits both exactly."""
 
     @staticmethod
     def check(h, k, concentrated, seed):
@@ -298,29 +299,36 @@ class TestBoundedMemory:
         assert peak <= 2.5 * edges + 8 * 8 * (1 << 16)
 
     def test_baseline_memory_does_not_grow_with_samples(self, monkeypatch):
-        # the draws' diversities were all held at once: 16 bytes a sample
+        # the draws' diversities were all held at once: 16 bytes a sample.
+        # Order 2 is drawn (orders 0 and 1 are exact), from the kept null
         monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 3_000)  # 1,000 rows a batch at k = 3
         h = golden_hypergraph()
+        estimate_baseline(h, 2, SamplerConfig())
         peaks = []
         for samples in (10**4, 10**5):
             tracemalloc.start()
             try:
-                estimate_baseline(h, 3, SamplerConfig(samples=samples, seed=1))
+                estimate_baseline(h, 3, SamplerConfig(samples=samples, seed=1, diversity_order=2.0))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
 
-    @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("order", [0.5, 2.0, 3.0])
     def test_merged_batches_match_the_concatenated_draws(self, monkeypatch, order):
-        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 3_000)  # 600 rows a batch at k = 5
+        # orders 0 and 1 are exact; the others merge the rejective batches
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 3_000)  # 600 rows a batch at k' = 5
         h, k = golden_hypergraph(), 5
         cfg = SamplerConfig(samples=10_000, seed=9, diversity_order=order)
         est = estimate_baseline(h, k, cfg)
         # the same stream, drawn and scored all at once
+        null = h._null
+        i = int(np.searchsorted(null.sizes, k))
         rng = np.random.default_rng(derive_seed(cfg.seed, k))
-        batches = _draw_batches(k_degrees(h, k).degrees.astype(np.float64), k, cfg.samples, rng)
-        values = np.concatenate([bulk_diversity(h.attributes[s], order)[0] for s in batches])
+        batches = list(null.draw(i, h.attributes, cfg.samples, rng))
+        assert len(batches) > 1 and null.free[i] == k
+        values = np.concatenate([bulk_diversity(labels, order)[0] for labels in batches])
+        assert values.size == est.samples == cfg.samples
         assert est.mean == pytest.approx(np.mean(values), rel=1e-12, abs=0)
         expected = np.std(values, ddof=1) / math.sqrt(cfg.samples)
         assert est.std_error == pytest.approx(expected, rel=1e-12, abs=0)
@@ -353,18 +361,19 @@ GOLDEN_SETS = {
     ("tiny", 2500): "3244734ef3294c12",
 }
 
-# (k, order): (mean, std_error) of estimate_baseline on golden_hypergraph();
-# size 2 is the exact closed form, the same at every order
+# (k, order): (mean, std_error) of estimate_baseline on golden_hypergraph(),
+# recorded when the conditional Poisson null replaced the sequential one;
+# orders 0 and 1 are exact, and so is size 2, the same at every order
 GOLDEN_BASELINES = {
-    (2, 0.0): ("0x1.c0ea1214848a6p+0", "0x0.0p+0"),
-    (2, 1.0): ("0x1.c0ea1214848a6p+0", "0x0.0p+0"),
-    (2, 2.0): ("0x1.c0ea1214848a6p+0", "0x0.0p+0"),
-    (5, 0.0): ("0x1.87a32846ff514p+1", "0x1.81ab81af056b6p-7"),
-    (5, 1.0): ("0x1.6b8fca5b40d0dp+1", "0x1.7d31b8fe946fdp-7"),
-    (5, 2.0): ("0x1.552734e15f0fap+1", "0x1.73955d57c7ceap-7"),
-    (8, 0.0): ("0x1.cbfd44f307826p+1", "0x1.4289785c53befp-7"),
-    (8, 1.0): ("0x1.9e924735c3c77p+1", "0x1.3936bb9917cb5p-7"),
-    (8, 2.0): ("0x1.7ffe0a7c44fa6p+1", "0x1.46e3f079dd16dp-7"),
+    (2, 0.0): ("0x1.c0ea4f9c8abccp+0", "0x0.0p+0"),
+    (2, 1.0): ("0x1.c0ea4f9c8abccp+0", "0x0.0p+0"),
+    (2, 2.0): ("0x1.c0ea4f9c8abccp+0", "0x0.0p+0"),
+    (5, 0.0): ("0x1.872713043235ep+1", "0x0.0p+0"),
+    (5, 1.0): ("0x1.6b7462d317a62p+1", "0x0.0p+0"),
+    (5, 2.0): ("0x1.5698075ad25dap+1", "0x1.771952cc271eap-7"),
+    (8, 0.0): ("0x1.cd13b09671670p+1", "0x0.0p+0"),
+    (8, 1.0): ("0x1.a0a50a845ba79p+1", "0x0.0p+0"),
+    (8, 2.0): ("0x1.826e13f1ee671p+1", "0x1.44f9c6b1a5c30p-7"),
 }
 
 
