@@ -225,8 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_sampler_flags(p):
-        p.add_argument("--samples", type=int, default=SamplerConfig.samples, help="Monte Carlo samples per size")
-        p.add_argument("--seed", type=int, default=SamplerConfig.seed, help="master RNG seed")
+        # orders 0 and 1 (and size 2) are exact and draw nothing
+        p.add_argument("--samples", type=int, default=SamplerConfig.samples,
+                       help="Monte Carlo samples per size, at orders other than 0 and 1")
+        p.add_argument("--seed", type=int, default=SamplerConfig.seed,
+                       help="master RNG seed, for orders other than 0 and 1 and for sweeps")
         p.add_argument(
             "--order", type=float, default=SamplerConfig.diversity_order,
             dest="diversity_order", metavar="ORDER", help="diversity order q",

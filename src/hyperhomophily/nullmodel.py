@@ -69,7 +69,8 @@ def _check_seed(seed: int, what: str = "seed") -> int:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Monte Carlo settings for baseline estimation."""
+    """Baseline settings: the diversity order, and the Monte Carlo sample
+    count and seed that orders other than 0 and 1 draw with."""
 
     samples: int = 10_000
     seed: int = 42
@@ -86,8 +87,8 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class BaselineEstimate:
-    """Estimated expected diversity of a random k-set, with its uncertainty;
-    ``samples`` counts the draws the mean averages (0 at the exact k = 2)."""
+    """Expected diversity of a random k-set, with its uncertainty; ``samples``
+    counts the draws the mean averages (0 where it is exact)."""
 
     k: int
     mean: float
