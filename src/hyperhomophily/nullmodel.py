@@ -306,10 +306,10 @@ class _Null:
         in batches: the certainty nodes' labels, then those of k' free nodes
         drawn by ``_rejective_batches`` in proportion to their fitted odds."""
         span = slice(self.node_bounds[i], self.node_bounds[i + 1])
-        nodes = self.nodes[span]
-        cdf = np.cumsum(self.odds[self.node_value[span]])  # a certainty node's step is 0
+        nodes, odds = self.nodes[span], self.odds[self.node_value[span]]
+        fixed = attributes[nodes[odds == 0]]  # the certainty nodes, never drawn
+        cdf = np.cumsum(odds)
         cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
-        fixed = np.repeat(np.arange(self.fixed.shape[1]), self.fixed[i])
         for sets in _rejective_batches(cdf, int(self.free[i]), count, rng):
             fixed_rows = np.broadcast_to(fixed, (len(sets), fixed.size))
             yield np.concatenate((fixed_rows, attributes[nodes[sets]]), axis=1)
@@ -339,7 +339,9 @@ def _fit(h: Hypergraph) -> _Null:
     population = [n.size for n in nodes[1:]]
     node, key = np.concatenate(nodes), np.concatenate(keys)
     label = h.attributes[node]
-    S, L = sizes.size, int(label.max(initial=-1)) + 1
+    if label.size and label.max() >= label.size:  # sparse ids: number them densely
+        label = np.unique(label, return_inverse=True)[1]
+    S, L = sizes.size, int(label.max(initial=0)) + 1
     multiplicity = np.bincount(key, minlength=int(span.sum()))
     held = multiplicity > 0
     slot = np.flatnonzero(held)

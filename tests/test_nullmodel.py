@@ -169,6 +169,25 @@ class TestEstimate:
         est = estimate_baseline(h, 3, SamplerConfig(samples=200, seed=3, diversity_order=order))
         assert est == estimate_baseline(h, 3, SamplerConfig(samples=200, seed=3, diversity_order=2.0))
 
+    @pytest.mark.parametrize(
+        "edges", [[[0], [1]], [], [[0, 1], [1, 2]]], ids=["size-1-only", "no-edges", "pairs-only"]
+    )
+    def test_absent_size_has_no_population(self, edges):
+        h = Hypergraph([0, 1, 1], edges)
+        with pytest.raises(InsufficientPopulationError, match="need 3 positive-weight nodes, found 0"):
+            estimate_baseline(h, 3, SamplerConfig())
+
+    @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
+    def test_label_ids_are_only_names(self, order):
+        # ids far past the node count, in the same order, give the baselines
+        # of the dense ids; node 0 is in every size-4 edge, so in every group
+        edges = [[0, 1, 2, 3], [0, 2, 4, 5], [0, 1, 3, 5], [0, 3, 4, 5], [1, 2], [4, 5]]
+        dense = Hypergraph([0, 1, 1, 2, 0, 2], edges)
+        sparse = Hypergraph([5, 10**9, 10**9, 10**12, 5, 10**12], edges)
+        cfg = SamplerConfig(samples=500, seed=5, diversity_order=order)
+        for k in (2, 4):
+            assert estimate_baseline(sparse, k, cfg) == estimate_baseline(dense, k, cfg)
+
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             estimate_baseline(two_bucket_graph(), 1, SamplerConfig(samples=10))
