@@ -401,9 +401,9 @@ def _fit(h: Hypergraph) -> _Null:
         norm += 1.0  # |f|^2
         f = np.empty((fitting.size, 2 * half))  # log |f|^2 and arg f
         np.log(norm, out=f[:, :half])
-        x = np.multiply.outer(p, cos)
-        x += q[:, None]
-        np.arctan2(np.multiply.outer(p, sin), x, out=f[:, half:])
+        real = np.multiply.outer(p, cos)
+        real += q[:, None]
+        np.arctan2(np.multiply.outer(p, sin), real, out=f[:, half:])
         polar[fitting, :-1] = f
         new = np.diff(value_size[fitting], prepend=-1) != 0
         first, group = np.flatnonzero(new), np.cumsum(new) - 1
