@@ -25,9 +25,11 @@ k' = 1, and at one node left out, the fit has a closed form.
 From the fit, per-label generating functions give the expected diversity
 exactly at orders 0 and 1 (``_Null.exact``), and at every order for k = 2,
 where a pair's diversity is the same at every order. Other orders are a Monte
-Carlo mean: k' nodes drawn i.i.d. in proportion to the fitted odds
-p / (1 - p), a row kept only when its nodes are distinct, is a CPS group
-(Hajek 1964), drawn over an RNG stream derived from (seed, k).
+Carlo mean over CPS groups (``_Null.draw``), over an RNG stream derived from
+(seed, k): k' nodes drawn i.i.d. in proportion to their fitted odds and kept
+when distinct (Hajek 1964), or, where that keeps too few draws (a large size
+with few edges, or a node in nearly every edge), label counts drawn label by
+label from their exact law through the same tables.
 
 ``_draw_batches`` draws sequentially weighted k-sets by per-slot rejection;
 the block model draws its uniform k-sets with it, and with equal weights the
@@ -42,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diversity import Q_ONE_TOLERANCE, _check_order, bulk_diversity, hill_number
+from .diversity import Q_ONE_TOLERANCE, _check_order, _hill, bulk_diversity, hill_number
 from .exceptions import InsufficientPopulationError
 from .hypergraph import Hypergraph, _check_int, k_degrees
 
@@ -228,11 +230,9 @@ def _rect(log_magnitude: np.ndarray, angle: np.ndarray) -> np.ndarray:
 class _Null:
     """The fitted CPS null of every size >= 2 of one hypergraph (``_fit``).
 
-    Size i is ``sizes[i]``, ascending, with k' = ``free[i]``. Its nodes of
-    positive k-degree are ``nodes[node_bounds[i]:node_bounds[i + 1]]``, and
-    ``odds[node_value]`` gives each node's fitted p / (1 - p), 0 for a
-    certainty node. The distinct degrees of its free nodes, the "values", are
-    rows ``bounds[i]:bounds[i + 1]`` of ``counts`` and ``polar``. For
+    Size i is ``sizes[i]``, ascending, with k' = ``free[i]``. The distinct
+    degrees of its free nodes, the "values", are rows ``bounds[i]:bounds[i +
+    1]`` of ``counts`` and ``polar``. For
     f = 1 - p + p z at a value's fitted p, ``polar`` holds log|f| and arg f at
     the angles ``theta`` (2 pi m / M for m < h, M = 2h - 1) and then
     log(1 - p). ``total`` holds log|Q| and arg Q for Q the product of f over
@@ -249,12 +249,8 @@ class _Null:
     counts: np.ndarray  # (U, L) label counts of each value's nodes
     bounds: np.ndarray
     polar: np.ndarray  # (U, 2h + 1)
-    odds: np.ndarray
     total: np.ndarray  # (S, 2h)
     scale: np.ndarray
-    nodes: np.ndarray
-    node_value: np.ndarray
-    node_bounds: np.ndarray
     theta: np.ndarray
     inverse: np.ndarray  # (2h, max k' + 1)
     forward: np.ndarray  # (max k' + 1, 2h)
@@ -300,19 +296,110 @@ class _Null:
         return means
 
     def draw(
-        self, i: int, attributes: np.ndarray, count: int, rng: np.random.Generator
+        self, i: int, count: int, order: float, rng: np.random.Generator
     ) -> Iterator[np.ndarray]:
-        """The labels of ``count`` CPS groups of size index i, one row each,
-        in batches: the certainty nodes' labels, then those of k' free nodes
-        drawn by ``_rejective_batches`` in proportion to their fitted odds."""
-        span = slice(self.node_bounds[i], self.node_bounds[i + 1])
-        nodes, odds = self.nodes[span], self.odds[self.node_value[span]]
-        fixed = attributes[nodes[odds == 0]]  # the certainty nodes, never drawn
-        cdf = np.cumsum(odds)
+        """The diversities of ``count`` CPS groups of size index i, in batches.
+
+        Drawing k' free nodes i.i.d. in proportion to their fitted odds and
+        keeping the draws whose nodes are distinct gives CPS groups (Hajek
+        1964), and keeps k'! e_k'(r) / (sum r)^k' of them, e_k'(r) being
+        [z^k'] Q / prod (1 - p). That share falls as exp(-k'^2 / 2n') among
+        n' equal nodes, and towards 0 as a node's p nears 1. So a size draws
+        that way only while it needs at most four uniforms per label and
+        group, and draws its label counts label by label otherwise.
+        """
+        free = int(self.free[i])
+        labels = np.flatnonzero(self.free_counts[i])
+        values = slice(self.bounds[i], self.bounds[i + 1])
+        nodes = self.counts[values][:, labels]  # a value's nodes of each label
+        log_q = self.polar[values, -1]  # log(1 - p)
+        odds, held = np.expm1(-log_q), nodes.sum(axis=1)
+        kept = math.lgamma(free + 1) + math.log(max(self.scale[i], 1e-300)) - held @ log_q
+        kept -= free * math.log(held @ odds)
+        if free <= 4 * labels.size * math.exp(kept):
+            fixed = np.repeat(np.arange(self.fixed.shape[1]), self.fixed[i])
+            for drawn in self._by_node(i, nodes, odds, labels, count, rng):
+                rows = np.broadcast_to(fixed, (len(drawn), fixed.size))
+                yield bulk_diversity(np.concatenate((rows, drawn), axis=1), order)[0]
+        else:
+            for groups in self._by_label(i, nodes, labels, count, rng):
+                # each row's counts in ascending label order, as bulk_diversity's
+                counts = self.fixed[i] + groups
+                positive = counts > 0
+                k = int(self.sizes[i])
+                yield _hill(counts[positive], np.nonzero(positive)[0], len(counts), k, order)[0]
+
+    def _by_node(self, i, nodes, odds, labels, count, rng):
+        """The free members' labels of CPS groups, one row each, in batches:
+        k' nodes drawn i.i.d. by odds through the guide table, a draw kept
+        when its nodes are distinct. The nodes are numbered by value, then
+        label, as ``nodes`` counts them."""
+        free = int(self.free[i])
+        value, label = np.nonzero(nodes)
+        size = nodes[value, label].astype(np.int64)
+        node_label = np.repeat(labels[label], size)
+        cdf = np.cumsum(np.repeat(odds[value], size))
         cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
-        for sets in _rejective_batches(cdf, int(self.free[i]), count, rng):
-            fixed_rows = np.broadcast_to(fixed, (len(sets), fixed.size))
-            yield np.concatenate((fixed_rows, attributes[nodes[sets]]), axis=1)
+        guide = _guide_table(cdf)
+        batch = max(1, _BATCH_CELLS // free)
+        drawn = kept = 0
+        while count:
+            # after the first round, the rows still needed at the share kept so far
+            rows = min(batch, -(-count * drawn // kept) if kept else count)
+            sets = _guided_search(cdf, guide, rng.random(rows * free)).reshape(rows, free)
+            ordered = np.sort(sets, axis=1)
+            sets = sets[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)][:count]
+            drawn, kept = drawn + rows, kept + len(sets)
+            if len(sets):
+                count -= len(sets)
+                yield node_label[sets]
+
+    def _by_label(self, i, nodes, labels, count, rng):
+        """Label counts of CPS groups, one row each, in batches, drawn label by label from
+        their exact law, so no draw is rejected: given j free places left,
+        label a takes c of them with probability F_a[c] R_a[j - c] /
+        (F_a R_a)[j], R_a being the product of the F of the labels after it.
+        One uniform per label and group finds c in a table of every j's
+        cumulative probabilities, each row shifted by j."""
+        h, free = self.theta.size, int(self.free[i])
+        values = slice(self.bounds[i], self.bounds[i + 1])
+        log_f = _dot(nodes.T, self.polar[values])
+        circle = _rect(log_f[:, :h], log_f[:, h:-1])
+        after = np.ones((labels.size, h), dtype=np.complex128)
+        after[:-1] = np.cumprod(circle.view(np.complex128)[:0:-1], axis=0)[::-1]
+        own = np.maximum(_dot(circle, self.inverse[:, : free + 1]), 0.0)
+        rest = np.maximum(_dot(after.view(np.float64), self.inverse[:, : free + 1]), 0.0)
+        places = np.arange(free + 1)
+        gap = places[:, None] - places  # j - c in row j, column c
+
+        def tables(first: int, last: int) -> np.ndarray:
+            # labels first..last-1: row j holds the cumulative law of c given
+            # j, plus j, so that each label's rows, end to end, ascend
+            weight = own[first:last, None, :] * rest[first:last][:, np.maximum(gap, 0)]
+            cum = np.cumsum(weight * (gap >= 0), axis=2)
+            total = cum[:, :, -1:]
+            # a row that no draw reaches (total 0) is left at 1
+            cum = np.divide(cum, total, out=np.ones_like(cum), where=total > 0)
+            return (cum + places[:, None]).reshape(last - first, -1)
+
+        chunk = max(1, _BATCH_CELLS // (free + 1) ** 2)  # labels whose tables are held at once
+        batch = max(1, _BATCH_CELLS // self.fixed.shape[1])
+        for done in range(0, count, batch):
+            rows = min(batch, count - done)
+            uniforms = rng.random((labels.size - 1, rows))
+            left = np.full(rows, free)
+            groups = np.zeros((rows, self.fixed.shape[1]), dtype=np.int64)
+            for a, label in enumerate(labels[:-1].tolist()):
+                if a % chunk == 0:
+                    shifted = tables(a, min(a + chunk, labels.size - 1))
+                table, target, row_start = shifted[a % chunk], left + uniforms[a], left * (free + 1)
+                # most rows take none of a label: search only the others
+                moved = np.flatnonzero(target >= table[row_start])
+                taken = np.searchsorted(table, target[moved], side="right") - row_start[moved]
+                groups[moved, label] = taken
+                left[moved] -= taken
+            groups[:, labels[-1]] = left
+            yield groups
 
 
 def _fit(h: Hypergraph) -> _Null:
@@ -331,14 +418,13 @@ def _fit(h: Hypergraph) -> _Null:
     # ascending, and how many nodes hold each
     span = edges + 1
     start = np.cumsum(span) - span
-    nodes, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    labels, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for k, offset in zip(sizes.tolist(), start.tolist()):
         d = k_degrees(h, k).degrees
-        nodes.append(np.flatnonzero(d > 0))  # NumPy finds a bool's nonzeros faster
-        keys.append(d[nodes[-1]] + offset)
-    population = [n.size for n in nodes[1:]]
-    node, key = np.concatenate(nodes), np.concatenate(keys)
-    label = h.attributes[node]
+        nodes = np.flatnonzero(d > 0)  # faster than masking twice
+        keys.append(d[nodes] + offset)
+        labels.append(h.attributes[nodes])
+    key, label = np.concatenate(keys), np.concatenate(labels)
     if label.size and label.max() >= label.size:  # sparse ids: number them densely
         label = np.unique(label, return_inverse=True)[1]
     S, L = sizes.size, int(label.max(initial=0)) + 1
@@ -433,8 +519,6 @@ def _fit(h: Hypergraph) -> _Null:
         raise ArithmeticError(f"the null of size {sizes[value_size[fitting[0]]]} did not converge")
     polar[:, :half] *= 0.5
     polar[:, -1] = -np.logaddexp(0.0, lam)  # log(1 - p)
-    odds = np.zeros(slot.size)  # a certainty node is never drawn
-    odds[fitted] = np.exp(lam)
 
     null = _Null(
         sizes=sizes,
@@ -444,12 +528,8 @@ def _fit(h: Hypergraph) -> _Null:
         counts=counts[fitted].astype(np.float64),
         bounds=np.searchsorted(value_size, np.arange(S + 1)),
         polar=polar,
-        odds=odds,
         total=total,
         scale=scale,
-        nodes=node,
-        node_value=value,
-        node_bounds=np.cumsum([0, *population]),
         theta=theta,
         inverse=inverse,
         forward=forward,
@@ -460,38 +540,13 @@ def _fit(h: Hypergraph) -> _Null:
     return null
 
 
-def _rejective_batches(
-    cdf: np.ndarray, k: int, count: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """``count`` CPS k-sets of indices into ``cdf``, as sorted rows, in batches.
-
-    A candidate row draws k indices i.i.d. in proportion to the steps of
-    ``cdf`` and is kept when they are distinct, which is the CPS law with
-    those steps as odds (Hajek 1964). After the first round, a round draws
-    the rows it still needs at the acceptance seen so far, within
-    ``_BATCH_CELLS``; the last round's surplus rows are dropped.
-    """
-    guide = _guide_table(cdf)
-    batch = max(1, _BATCH_CELLS // k)
-    drawn = kept = 0
-    while count:
-        rows = min(batch, -(-count * drawn // kept) if kept else count)
-        sets = np.sort(_guided_search(cdf, guide, rng.random(rows * k)).reshape(rows, k), axis=1)
-        sets = sets[(sets[:, 1:] != sets[:, :-1]).all(axis=1)]
-        drawn, kept = drawn + rows, kept + len(sets)
-        sets = sets[:count]
-        count -= len(sets)
-        if len(sets):
-            yield sets
-
-
 def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEstimate:
     """Expected diversity of a random size-k group under the CPS null.
 
     The first call on a hypergraph fits every size's null at once and keeps
     it on the hypergraph. At orders 0 and 1, at k = 2 and when every node of
     the groups is fixed, the value is exact, with standard error 0 and no
-    draws. Other orders are the Monte Carlo mean of ``cfg.samples`` rejective
+    draws. Other orders are the Monte Carlo mean of ``cfg.samples`` CPS
     draws, with the standard error of that mean, over an RNG stream derived
     from (cfg.seed, k), so a fixed seed reproduces the estimate bitwise.
     """
@@ -516,8 +571,7 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     # (1979), so memory stays within one batch. From zero, one batch's merge is
     # exact: its mean is np.mean and its standard deviation np.std(ddof=1).
     count, mean, m2 = 0, 0.0, 0.0
-    for groups in null.draw(i, h.attributes, cfg.samples, rng):
-        values = bulk_diversity(groups, order)[0]
+    for values in null.draw(i, cfg.samples, order, rng):
         size, batch_mean = values.size, np.mean(values)
         batch_m2 = np.sum(np.square(values - batch_mean))
         delta, count = batch_mean - mean, count + size

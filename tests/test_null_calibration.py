@@ -1,5 +1,6 @@
 """The conditional Poisson null: calibration on graphs with no homophily, the
-inclusion probabilities of its fit, and one-label sizes."""
+inclusion probabilities of its fit, one-label sizes, and the draws of the
+orders other than 0 and 1."""
 
 import itertools
 
@@ -8,10 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperhomophily import Hypergraph, SamplerConfig, analyze, k_degrees
+from hyperhomophily import (
+    Hypergraph,
+    SamplerConfig,
+    analyze,
+    estimate_baseline,
+    hill_number,
+    k_degrees,
+)
 from hyperhomophily import nullmodel
-from null_oracle import heavy_tailed_null
+from null_oracle import cps_law, heavy_tailed_null
 from seed_bounds import max_beyond
+from test_sampler_paths import chi2_critical
 
 # Each null family runs NULL_SEEDS seeds; a calibrated phi falls beyond 2
 # reported SEs with probability at most 0.05 per seed, so at most
@@ -47,6 +56,22 @@ def inclusion(odds, fixed, k):
                      for i in range(len(odds))])
 
 
+def fitted_odds(h, null, i, k):
+    """Each node of positive k-degree with its fitted odds p / (1 - p), 0 for
+    a node in every edge: ``polar``'s last column is log(1 - p) of each
+    distinct free degree, ascending."""
+    degrees = k_degrees(h, k).degrees
+    edges = np.count_nonzero(h.sizes == k)
+    degrees = degrees[degrees > 0]
+    values = np.unique(degrees[degrees < edges])
+    p = -np.expm1(null.polar[null.bounds[i] : null.bounds[i + 1], -1])
+    assert p.size == values.size
+    odds = np.zeros(degrees.size)
+    free = degrees < edges
+    odds[free] = (p / (1 - p))[np.searchsorted(values, degrees[free])]
+    return degrees, edges, odds
+
+
 @st.composite
 def small_hypergraphs(draw):
     """Up to 9 nodes in up to 3 labels, joined by edges of sizes 2 to 5."""
@@ -68,12 +93,9 @@ class TestInclusion:
     def test_equal_degree_over_edges(self, h):
         null = h._null or nullmodel._fit(h)
         for i, k in enumerate(null.sizes.tolist()):
-            span = slice(null.node_bounds[i], null.node_bounds[i + 1])
-            nodes, odds = null.nodes[span], null.odds[null.node_value[span]]
-            fixed = {j for j in range(nodes.size) if odds[j] == 0}
+            degrees, edges, odds = fitted_odds(h, null, i, k)
+            fixed = {j for j in range(odds.size) if odds[j] == 0}
             assert len(fixed) == k - null.free[i]
-            degrees = k_degrees(h, k).degrees[nodes]
-            edges = np.count_nonzero(h.sizes == k)
             assert inclusion(odds, fixed, k) == pytest.approx(degrees / edges, abs=1e-9)
 
 
@@ -91,3 +113,69 @@ class TestOneLabelSize:
         assert (row.baseline_mean, row.baseline_std_error, row.phi_k) == (1.0, 0.0, 0.0)
         exclusions = [(e.reason, e.k, e.count) for e in report.exclusions]
         assert exclusions == [("degenerate_baseline", 4, 4)]
+
+
+DEFAULT_RNG = np.random.default_rng  # kept before a test patches the name
+
+
+class CountingRng:
+    """A generator that counts the uniforms it hands out."""
+
+    def __init__(self, seed):
+        self._rng = DEFAULT_RNG(seed)
+        self.variates = 0
+
+    def random(self, size):
+        self.variates += int(np.prod(size))
+        return self._rng.random(size)
+
+
+class TestDraws:
+    """Orders other than 0 and 1 draw each group's label counts from their
+    exact law, label by label."""
+
+    @pytest.mark.parametrize("draws", ["_by_node", "_by_label"])
+    def test_label_counts_match_enumeration(self, draws):
+        # node 0 is in every size-4 edge; both ways of drawing give each
+        # vector of the other three members' label counts its exact probability
+        edges = [[0, 1, 2, 3], [0, 2, 4, 5], [0, 1, 3, 5], [0, 3, 4, 6], [0, 1, 5, 6]]
+        h = Hypergraph([0, 1, 1, 2, 0, 2, 1], edges)
+        law = {}
+        for nodes, prob in cps_law(k_degrees(h, 4).degrees, 4):
+            key = tuple(np.bincount(h.attributes[list(nodes[1:])], minlength=3))
+            law[key] = law.get(key, 0.0) + prob
+        null = nullmodel._fit(h)
+        i = int(np.searchsorted(null.sizes, 4))
+        labels = np.flatnonzero(null.free_counts[i])
+        values = slice(null.bounds[i], null.bounds[i + 1])
+        nodes = null.counts[values][:, labels]
+        odds = np.expm1(-null.polar[values, -1])
+        count, rng = 40_000, np.random.default_rng(8)
+        if draws == "_by_node":  # rows of the drawn members' labels
+            drawn = np.concatenate(list(null._by_node(i, nodes, odds, labels, count, rng)))
+            groups = np.stack([np.bincount(row, minlength=3) for row in drawn])
+        else:  # rows of label counts
+            groups = np.concatenate(list(null._by_label(i, nodes, labels, count, rng)))
+        keys, counts = np.unique(groups, axis=0, return_counts=True)
+        seen = {tuple(key.tolist()): n for key, n in zip(keys, counts.tolist())}
+        assert len(groups) == count and set(seen) <= set(law)
+        expected = np.array([law[key] * count for key in law])
+        observed = np.array([seen.get(key, 0) for key in law])
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert stat <= chi2_critical(len(law) - 1)
+
+    def test_one_uniform_per_label_and_group(self, monkeypatch):
+        # two disjoint size-40 edges: 80 nodes at inclusion 1/2 each. Drawing
+        # nodes and keeping distinct ones kept about 1 draw in 10^5 here
+        edges = [list(range(40)), list(range(40, 80))] + [[i, i + 1] for i in range(0, 78, 2)]
+        h = Hypergraph(np.arange(80) % 4, edges)
+        rngs = []
+
+        def counting(seed):
+            rngs.append(CountingRng(seed))
+            return rngs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        est = estimate_baseline(h, 40, SamplerConfig(samples=10_000, seed=1, diversity_order=2.0))
+        assert est.samples == 10_000
+        assert [rng.variates for rng in rngs] == [3 * 10_000]  # labels 0-3, the last one forced

@@ -224,7 +224,7 @@ class TestExact:
         assert exact_baseline(two_bucket_graph(), 2) == pytest.approx(5 / 3, abs=1e-12)
 
     def test_monte_carlo_agrees_with_oracle(self):
-        # order 2 is the mean of rejective draws, which follow the CPS law
+        # order 2 is the mean of drawn groups, which follow the CPS law
         h = Hypergraph([0, 1, 1, 2, 0, 2], [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5], [0, 1, 5]])
         est = estimate_baseline(h, 3, SamplerConfig(samples=20_000, seed=13, diversity_order=2.0))
         assert est.samples == 20_000
