@@ -8,24 +8,120 @@ otherwise it is a uniform random k-subset of all nodes. The mixing parameter
 p therefore sweeps the generated hypergraph from strongly heterophilic (-1)
 through random (0) to fully homophilic (+1).
 
-A fixed seed gives a fixed hypergraph.
+Every k-set without replacement comes from ``_draw_batches``: sequentially
+weighted draws by per-slot rejection, whose law with equal weights is the
+uniform one. A fixed seed gives a fixed hypergraph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .diversity import _runs
+from .exceptions import InsufficientPopulationError
 from .homophily import analyze
 from .hypergraph import Hypergraph, _check_int, _check_real
-from .nullmodel import SamplerConfig, _check_seed, _draw_batches, derive_seed
+from .nullmodel import SamplerConfig, _check_seed, derive_seed
 
 _GEN_STREAM = 0  # seed-derivation tags, so generation and analysis
 _ANALYZE_STREAM = 1  # streams of one sweep never collide
+_BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots (~32 MB)
+
+
+def _population(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of the positive ``weights``; fewer than k of them raise."""
+    pos = np.flatnonzero(weights > 0)
+    if pos.size < k:
+        raise InsufficientPopulationError(f"need {k} positive-weight nodes, found {pos.size}")
+    return pos, weights[pos]
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table (Chen & Asau's indexed search) for ``cdf`` over m cells.
+
+    Cell c covers [c/m, (c+1)/m). Its entry is the number of values of
+    ``cdf`` at or below c/m when at most one value lies inside the cell, and
+    -1 otherwise. m is the power of two at or above 4n: a power of two keeps
+    u*m and c/m exact, and about four cells per value leave few cells crowded.
+    """
+    m = 1 << (4 * cdf.size - 1).bit_length()
+    # the values x at or below c/m are those with ceil(x*m) <= c
+    below = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1))
+    return np.where(below[1:] - below[:-1] <= 1, below[:-1], -1)
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, "right")`` for u in [0, 1), via the guide table."""
+    found = guide[(u * guide.size).astype(np.intp)]
+    # the first value past the cell's start is the only one that can be <= u;
+    # a -1 entry compares u with cdf[-1] == 1 and stays -1
+    found += cdf[found] <= u
+    crowded = np.flatnonzero(found < 0)
+    found[crowded] = np.searchsorted(cdf, u[crowded], side="right")
+    return found
+
+
+def _rejection_batch(
+    cdf: np.ndarray, guide: np.ndarray, k: int, rows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Slot-by-slot cumulative-weight draws; redraw rows that repeat a node.
+
+    The k*rows uniforms that every batch consumes at least are drawn and
+    searched in one call. Slot j takes the next ``rows`` of them and its
+    redraws the ones after that, as drawing slot by slot would. Draws that
+    run past the end draw exactly what they need, so the RNG ends where the
+    slot-by-slot order leaves it.
+    """
+    ahead = _guided_search(cdf, guide, rng.random(k * rows))
+    used = 0
+
+    def take(count: int) -> np.ndarray:
+        nonlocal used
+        got = ahead[used : used + count]
+        used += count
+        if got.size < count:
+            # past the end: plain binary search, on the few redraws it leaves
+            fresh = cdf.searchsorted(rng.random(count - got.size), "right")
+            got = np.concatenate((got, fresh))
+        return got
+
+    out = np.empty((k, rows), dtype=np.int64)  # slot-major: out[j] is slot j
+    for j in range(k):
+        out[j] = take(rows)
+        redo = (out[:j] == out[j]).any(axis=0).nonzero()[0]
+        while redo.size:
+            col = take(redo.size)
+            out[j, redo] = col
+            redo = redo[(out[:j, redo] == col).any(axis=0)]
+    return out.T
+
+
+def _draw_batches(
+    weights: np.ndarray, k: int, count: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Iterate over ``count`` sequentially weighted k-sets in batches of rows.
+
+    ``weights`` is a 1-d float array in which no node holds more than 1/k of
+    the total; ``generate_hsbm`` passes equal weights. Each batch is an int array of shape
+    (rows, k) holding indices into ``weights``; column j is the j-th node
+    drawn. The batch capacity depends only on k, so memory stays within
+    ``_BATCH_CELLS`` however large ``count`` is, and the draws never depend
+    on how calls are scheduled.
+    """
+    pos, w = _population(weights, k)
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
+    guide = _guide_table(cdf)
+    batch = max(1, _BATCH_CELLS // k)
+    # a generator expression, so the checks above run at the call
+    return (
+        pos[_rejection_batch(cdf, guide, k, min(batch, count - done), rng)]
+        for done in range(0, count, batch)
+    )
 
 
 @dataclass(frozen=True)
@@ -69,8 +165,8 @@ def generate_hsbm(cfg: HsbmConfig) -> Hypergraph:
     """Generate a hypergraph from the block model (deterministic per seed).
 
     All edges are drawn with array operations: one uniform per edge picks its
-    mode, and each batch of draws without replacement comes from the null
-    model's sampler with equal weights, its rows sorted as they are stored.
+    mode, and each batch of draws without replacement comes from
+    ``_draw_batches`` with equal weights, its rows sorted as they are stored.
     """
     rng = np.random.default_rng(derive_seed(cfg.seed))
     num_attrs, k = cfg.num_attributes, cfg.k

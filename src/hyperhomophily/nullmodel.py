@@ -26,14 +26,8 @@ From the fit, per-label generating functions give the expected diversity
 exactly at orders 0 and 1 (``_Null.exact``), and at every order for k = 2,
 where a pair's diversity is the same at every order. Other orders are a Monte
 Carlo mean over CPS groups (``_Null.draw``), over an RNG stream derived from
-(seed, k): k' nodes drawn i.i.d. in proportion to their fitted odds and kept
-when distinct (Hajek 1964), or, where that keeps too few draws (a large size
-with few edges, or a node in nearly every edge), label counts drawn label by
-label from their exact law through the same tables.
-
-``_draw_batches`` draws sequentially weighted k-sets by per-slot rejection;
-the block model draws its uniform k-sets with it, and with equal weights the
-sequential law is the uniform one.
+(seed, k): each group's label counts are drawn label by label from their
+exact law through the same tables.
 """
 
 from __future__ import annotations
@@ -44,11 +38,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .diversity import Q_ONE_TOLERANCE, _check_order, _hill, bulk_diversity, hill_number
+from .diversity import Q_ONE_TOLERANCE, _check_order, _hill, hill_number
 from .exceptions import InsufficientPopulationError
 from .hypergraph import Hypergraph, _check_int, k_degrees
 
-_BATCH_CELLS = 1 << 22  # cells per sampling batch, rows x k slots (~32 MB)
+_BATCH_CELLS = 1 << 22  # cells per draw batch, rows x labels, and of label tables held at once
 _CIRCLE_PAD = 65  # roots of unity past 2 k': aliased coefficients stay below rounding
 _FIT_TOLERANCE = 1e-13  # a size has converged when every |d / E_k - pi| is this small,
 _FIT_FLOOR = 1e-10  # or is this small and fell by less than a tenth in a pass (rounding)
@@ -96,99 +90,6 @@ class BaselineEstimate:
     mean: float
     std_error: float
     samples: int
-
-
-def _population(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and values of the positive ``weights``; fewer than k of them raise."""
-    pos = np.flatnonzero(weights > 0)
-    if pos.size < k:
-        raise InsufficientPopulationError(f"need {k} positive-weight nodes, found {pos.size}")
-    return pos, weights[pos]
-
-
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Guide table (Chen & Asau's indexed search) for ``cdf`` over m cells.
-
-    Cell c covers [c/m, (c+1)/m). Its entry is the number of values of
-    ``cdf`` at or below c/m when at most one value lies inside the cell, and
-    -1 otherwise. m is the power of two at or above 4n: a power of two keeps
-    u*m and c/m exact, and about four cells per value leave few cells crowded.
-    """
-    m = 1 << (4 * cdf.size - 1).bit_length()
-    # the values x at or below c/m are those with ceil(x*m) <= c
-    below = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1))
-    return np.where(below[1:] - below[:-1] <= 1, below[:-1], -1)
-
-
-def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdf, u, "right")`` for u in [0, 1), via the guide table."""
-    found = guide[(u * guide.size).astype(np.intp)]
-    # the first value past the cell's start is the only one that can be <= u;
-    # a -1 entry compares u with cdf[-1] == 1 and stays -1
-    found += cdf[found] <= u
-    crowded = np.flatnonzero(found < 0)
-    found[crowded] = np.searchsorted(cdf, u[crowded], side="right")
-    return found
-
-
-def _rejection_batch(
-    cdf: np.ndarray, guide: np.ndarray, k: int, rows: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Slot-by-slot cumulative-weight draws; redraw rows that repeat a node.
-
-    The k*rows uniforms that every batch consumes at least are drawn and
-    searched in one call. Slot j takes the next ``rows`` of them and its
-    redraws the ones after that, as drawing slot by slot would. Draws that
-    run past the end draw exactly what they need, so the RNG ends where the
-    slot-by-slot order leaves it.
-    """
-    ahead = _guided_search(cdf, guide, rng.random(k * rows))
-    used = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal used
-        got = ahead[used : used + count]
-        used += count
-        if got.size < count:
-            # past the end: plain binary search, on the few redraws it leaves
-            fresh = cdf.searchsorted(rng.random(count - got.size), "right")
-            got = np.concatenate((got, fresh))
-        return got
-
-    out = np.empty((k, rows), dtype=np.int64)  # slot-major: out[j] is slot j
-    for j in range(k):
-        out[j] = take(rows)
-        redo = (out[:j] == out[j]).any(axis=0).nonzero()[0]
-        while redo.size:
-            col = take(redo.size)
-            out[j, redo] = col
-            redo = redo[(out[:j, redo] == col).any(axis=0)]
-    return out.T
-
-
-def _draw_batches(
-    weights: np.ndarray, k: int, count: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Iterate over ``count`` sequentially weighted k-sets in batches of rows.
-
-    ``weights`` is a 1-d float array in which no node holds more than 1/k of
-    the total (the module's input rule); every caller passes realized k-degrees
-    or ``hsbm``'s equal weights. Each batch is an int array of shape
-    (rows, k) holding indices into ``weights``; column j is the j-th node
-    drawn. The batch capacity depends only on k, so memory stays within
-    ``_BATCH_CELLS`` however large ``count`` is, and the draws never depend
-    on how calls are scheduled.
-    """
-    pos, w = _population(weights, k)
-    cdf = np.cumsum(w)
-    cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
-    guide = _guide_table(cdf)
-    batch = max(1, _BATCH_CELLS // k)
-    # a generator expression, so the checks above run at the call
-    return (
-        pos[_rejection_batch(cdf, guide, k, min(batch, count - done), rng)]
-        for done in range(0, count, batch)
-    )
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,72 +199,27 @@ class _Null:
     def draw(
         self, i: int, count: int, order: float, rng: np.random.Generator
     ) -> Iterator[np.ndarray]:
-        """The diversities of ``count`` CPS groups of size index i, in batches.
+        """The diversities of ``count`` CPS groups of size index i, in batches."""
+        k = int(self.sizes[i])
+        for groups in self._label_counts(i, count, rng):
+            # each row's counts in ascending label order, as bulk_diversity's
+            counts = self.fixed[i] + groups
+            positive = counts > 0
+            yield _hill(counts[positive], np.nonzero(positive)[0], len(counts), k, order)[0]
 
-        Drawing k' free nodes i.i.d. in proportion to their fitted odds and
-        keeping the draws whose nodes are distinct gives CPS groups (Hajek
-        1964), and keeps k'! e_k'(r) / (sum r)^k' of them, e_k'(r) being
-        [z^k'] Q / prod (1 - p). That share falls as exp(-k'^2 / 2n') among
-        n' equal nodes, and towards 0 as a node's p nears 1. So a size draws
-        that way only while it needs at most four uniforms per label and
-        group, and draws its label counts label by label otherwise.
-        """
-        free = int(self.free[i])
+    def _label_counts(
+        self, i: int, count: int, rng: np.random.Generator
+    ) -> Iterator[np.ndarray]:
+        """Label counts of CPS groups of size index i, one row each, in
+        batches, drawn label by label from their exact law, so no draw is
+        rejected: given j free places left, label a takes c of them with
+        probability F_a[c] R_a[j - c] / (F_a R_a)[j], R_a being the product of
+        the F of the labels after it. One uniform per label and group finds c
+        in a table of every j's cumulative probabilities, each row shifted by j."""
+        h, free = self.theta.size, int(self.free[i])
         labels = np.flatnonzero(self.free_counts[i])
         values = slice(self.bounds[i], self.bounds[i + 1])
-        nodes = self.counts[values][:, labels]  # a value's nodes of each label
-        log_q = self.polar[values, -1]  # log(1 - p)
-        odds, held = np.expm1(-log_q), nodes.sum(axis=1)
-        kept = math.lgamma(free + 1) + math.log(max(self.scale[i], 1e-300)) - held @ log_q
-        kept -= free * math.log(held @ odds)
-        if free <= 4 * labels.size * math.exp(kept):
-            fixed = np.repeat(np.arange(self.fixed.shape[1]), self.fixed[i])
-            for drawn in self._by_node(i, nodes, odds, labels, count, rng):
-                rows = np.broadcast_to(fixed, (len(drawn), fixed.size))
-                yield bulk_diversity(np.concatenate((rows, drawn), axis=1), order)[0]
-        else:
-            for groups in self._by_label(i, nodes, labels, count, rng):
-                # each row's counts in ascending label order, as bulk_diversity's
-                counts = self.fixed[i] + groups
-                positive = counts > 0
-                k = int(self.sizes[i])
-                yield _hill(counts[positive], np.nonzero(positive)[0], len(counts), k, order)[0]
-
-    def _by_node(self, i, nodes, odds, labels, count, rng):
-        """The free members' labels of CPS groups, one row each, in batches:
-        k' nodes drawn i.i.d. by odds through the guide table, a draw kept
-        when its nodes are distinct. The nodes are numbered by value, then
-        label, as ``nodes`` counts them."""
-        free = int(self.free[i])
-        value, label = np.nonzero(nodes)
-        size = nodes[value, label].astype(np.int64)
-        node_label = np.repeat(labels[label], size)
-        cdf = np.cumsum(np.repeat(odds[value], size))
-        cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
-        guide = _guide_table(cdf)
-        batch = max(1, _BATCH_CELLS // free)
-        drawn = kept = 0
-        while count:
-            # after the first round, the rows still needed at the share kept so far
-            rows = min(batch, -(-count * drawn // kept) if kept else count)
-            sets = _guided_search(cdf, guide, rng.random(rows * free)).reshape(rows, free)
-            ordered = np.sort(sets, axis=1)
-            sets = sets[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)][:count]
-            drawn, kept = drawn + rows, kept + len(sets)
-            if len(sets):
-                count -= len(sets)
-                yield node_label[sets]
-
-    def _by_label(self, i, nodes, labels, count, rng):
-        """Label counts of CPS groups, one row each, in batches, drawn label by label from
-        their exact law, so no draw is rejected: given j free places left,
-        label a takes c of them with probability F_a[c] R_a[j - c] /
-        (F_a R_a)[j], R_a being the product of the F of the labels after it.
-        One uniform per label and group finds c in a table of every j's
-        cumulative probabilities, each row shifted by j."""
-        h, free = self.theta.size, int(self.free[i])
-        values = slice(self.bounds[i], self.bounds[i + 1])
-        log_f = _dot(nodes.T, self.polar[values])
+        log_f = _dot(self.counts[values][:, labels].T, self.polar[values])
         circle = _rect(log_f[:, :h], log_f[:, h:-1])
         after = np.ones((labels.size, h), dtype=np.complex128)
         after[:-1] = np.cumprod(circle.view(np.complex128)[:0:-1], axis=0)[::-1]
@@ -425,7 +281,9 @@ def _fit(h: Hypergraph) -> _Null:
         keys.append(d[nodes] + offset)
         labels.append(h.attributes[nodes])
     key, label = np.concatenate(keys), np.concatenate(labels)
-    if label.size and label.max() >= label.size:  # sparse ids: number them densely
+    # number the labels densely when some id below the largest is unused, so
+    # the label tables are as wide as the labels present
+    if label.size and (label.max() >= label.size or not np.bincount(label).all()):
         label = np.unique(label, return_inverse=True)[1]
     S, L = sizes.size, int(label.max(initial=0)) + 1
     multiplicity = np.bincount(key, minlength=int(span.sum()))

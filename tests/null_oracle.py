@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from hyperhomophily import Hypergraph, hill_number, k_degrees
-from hyperhomophily.nullmodel import _draw_batches
+from hyperhomophily.hsbm import _draw_batches
 
 FIT_TOLERANCE = 1e-14  # largest |pi - d / E_k| of the fitted enumeration
 FIT_ROUNDS = 200_000

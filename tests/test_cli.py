@@ -146,9 +146,9 @@ class TestAnalyze:
               "099143cc6469992d5b6f8bf67a0c4d340a15f031153b95fae3152643014f7bf3",
               "c62185d53d2b42bfd27a6c85a4e1261f10113c57c7ce8a289d1c51b9cd9a8bb5")),
             ([], "2", False,
-             ("48415b144ddddd22093a753a864afcb3bf44eb01c302f6444330de8c4177516d",
-              "26c3187cba2c6d1282cf5d963ee30f5828e812ba960de6567c9e8a77d37bf0fd",
-              "402042a5b153d9789617feff134c6dd27fcf1d1704dae539b4c7a511bc65def3")),
+             ("29aa932bd3d45a939c0da72096962f7fd2515733e936af493d8d528f3b21069e",
+              "34dbcff8df39aee2ff51387498c9caaa1453e66421bc4ec9f2595c6ecd902029",
+              "8ad1658e15013226862077ffd9aa175437aa59e52b302a5ecda43fcb1a78922f")),
             (COLLAPSE_3_TO_5, "0", False,
              ("232ed18134e95e99ac40ef3bf649a2a0e20aa6ecfbed3e8776ec915783d006bb",
               "73c187e19748b3a2e8f7ebd1e95567de7e3f48433d4168a3f1d781fbeb6c1561",
@@ -158,9 +158,9 @@ class TestAnalyze:
               "f2a05f5b6eb92dd057975bc0e8dc2437beade1f8731e5d51e79ae0ff7f54aec5",
               "89981a80eaca8e41046e19acd924ea683a2d88c2a2308b7ff4fc9be2968de699")),
             (COLLAPSE_3_TO_5, "2", False,
-             ("190e06b405e04b178a48fb324619f0ed99f643a3990aad1fb7c184c49ac5e4e6",
-              "14c05042b051a68a6b9ec578ad1e2a8df418fb65c3d002e9bad04093af6266f4",
-              "4c0bbfdc5c9665400eb7f047559ef520791acf622c57942de0967695857a28aa")),
+             ("688c5e650bc264bea206e3d5ca4e92fa719f044c5a30f22964d3ef76784904ce",
+              "876a44cc7e6367c136f3fc55c5b66763215b60f0213ca0147e05b86f8a57204e",
+              "f7f1d587e3778df94e20e007db1ff9be874b4936aa53972e557cc22c6553cc20")),
             # size 2's baseline is exactly 1: a curve row with no per_k row
             ([], "1", True,
              ("9f2ec0cc60016cc926be59bba4680be9c1ab0221965be87213fe2284b32fb9dd",

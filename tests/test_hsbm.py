@@ -17,7 +17,7 @@ from hyperhomophily import (
     sweep_phi_vs_k,
     write_hypergraph,
 )
-from hyperhomophily import hsbm, nullmodel
+from hyperhomophily import hsbm
 
 
 class TestConfig:
@@ -160,7 +160,7 @@ class TestGenerate:
         # peaking at 23.0 MB (p = 0) and 32.1 MB (p = 1) for 8.0 MB of edges.
         # The bound, set before the in-place fill was measured: the edges,
         # half again for the mode uniforms, and eight batches
-        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 1 << 16)
+        monkeypatch.setattr(hsbm, "_BATCH_CELLS", 1 << 16)
         cfg = HsbmConfig(num_nodes=1000, num_attributes=10, k=4, num_edges=250_000, p=p, seed=3)
         tracemalloc.start()
         try:

@@ -1,6 +1,7 @@
 """Sampler and baseline tests, including the exact-enumeration oracle checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,31 @@ class TestEstimate:
         cfg = SamplerConfig(samples=500, seed=5, diversity_order=order)
         for k in (2, 4):
             assert estimate_baseline(sparse, k, cfg) == estimate_baseline(dense, k, cfg)
+
+    def test_unused_ids_below_the_pair_count_cost_nothing(self):
+        # two labels, ids 0 and 1,000, on a graph of more node-size pairs than
+        # that: label tables as wide as the largest id held 1,001 columns a
+        # distinct degree, a 7.7 MB peak here against the dense ids' 1.5 MB, and
+        # rounded differently
+        rng = np.random.default_rng(4)
+        n = 2_000
+        weights = 1.0 / np.arange(1, n + 1)
+        weights /= weights.sum()
+        edges = [rng.choice(n, k, replace=False, p=weights) for k in range(2, 10) for _ in range(600)]
+        dense = Hypergraph(np.arange(n) % 2, edges)
+        sparse = Hypergraph(np.arange(n) % 2 * 1_000, edges)
+        pairs = sum(np.count_nonzero(k_degrees(dense, k).degrees) for k in range(2, 10))
+        assert pairs > 1_000
+        peaks = []
+        for h in (dense, sparse):
+            tracemalloc.start()
+            try:
+                means = [estimate_baseline(h, k, SamplerConfig()).mean for k in range(2, 10)]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert means == [estimate_baseline(dense, k, SamplerConfig()).mean for k in range(2, 10)]
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
