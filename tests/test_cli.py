@@ -379,15 +379,18 @@ class TestAnalyze:
     )
     def test_one_label_size_is_degenerate(self, tmp_path, monkeypatch, k, batch_cells):
         # size k's edges hold label-1 nodes only: its baseline is exactly 1,
-        # by the closed form at k = 2 and the merge of one batch or several
+        # exact at k = 2 and at order 1, and the merge of several batches at
+        # order 2, which draws
+        order = []
         if batch_cells is not None:  # 8 rows a batch: 50 samples take 7 batches
             monkeypatch.setattr(nullmodel, "_BATCH_CELLS", batch_cells)
+            order = ["--order", "2"]
         pure = "1,2,3\n2,3,4\n1,2,4\n" if k == 3 else "1,2\n2,3\n3,4\n"
         mixed = "1,5\n2,6\n5,6\n3,5\n" if k == 3 else "1,5,6\n2,5,7\n3,6,7\n"
         args = write_dataset(tmp_path, pure + mixed, "1\n1\n1\n1\n2\n2\n3\n")
         paths = {name: tmp_path / name for name in ("r.json", "edges.csv", "curve.csv")}
         code = main(
-            ["analyze", *args, "--samples", "50", "--seed", "3", "--out", str(paths["r.json"]),
+            ["analyze", *args, *order, "--samples", "50", "--seed", "3", "--out", str(paths["r.json"]),
              "--per-edge-out", str(paths["edges.csv"]),
              "--perplexity-curve", str(paths["curve.csv"])]
         )

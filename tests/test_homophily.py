@@ -251,16 +251,20 @@ def one_label_size(k):
 
 class TestOneLabelSizeIsExact:
     """A size whose null population holds one label has a baseline of exactly
-    1.0, by the size-2 closed form and by the Monte Carlo merge over one batch
-    or several, so a fixed threshold flags it degenerate and scores it 0."""
+    1.0, exact at size 2 and at order 1 and by the Monte Carlo merge over
+    several batches at order 2, so a fixed threshold flags it degenerate and
+    scores it 0."""
 
     @pytest.mark.parametrize(
         "k, batch_cells", [(2, None), (3, None), (3, 3 * 8)], ids=["k2", "k3", "k3-batches"]
     )
     def test_baseline_is_one_and_size_is_degenerate(self, monkeypatch, k, batch_cells):
+        order = 1.0
         if batch_cells is not None:  # 8 rows a batch: 50 samples take 7 batches
             monkeypatch.setattr(nullmodel, "_BATCH_CELLS", batch_cells)
-        report = analyze(one_label_size(k), SamplerConfig(samples=50, seed=3), emit_per_edge=True)
+            order = 2.0  # drawn, where order 1 is exact
+        cfg = SamplerConfig(samples=50, seed=3, diversity_order=order)
+        report = analyze(one_label_size(k), cfg, emit_per_edge=True)
         row = next(row for row in report.curve if row.k == k)
         assert (row.baseline_mean, row.phi_k) == (1.0, 0.0)
         assert [(e.reason, e.k, e.count) for e in report.exclusions] == [
