@@ -19,7 +19,8 @@ class NodeRangeError(ParseError):
 
 
 class InsufficientPopulationError(ValueError):
-    """Fewer positive-weight nodes than the requested sample size."""
+    """A baseline was asked for a size that no hyperedge has, so its null
+    has no nodes to draw a group from."""
 
 
 class EmptyAnalysisError(ValueError):

@@ -414,7 +414,7 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     null = h._null or _fit(h)
     i = int(np.searchsorted(null.sizes, k))
     if i == null.sizes.size or null.sizes[i] != k:
-        raise InsufficientPopulationError(f"need {k} positive-weight nodes, found 0")
+        raise InsufficientPopulationError(f"no hyperedges of size {k}")
     order = cfg.diversity_order
     if order != 0.0 and (k == 2 or abs(order - 1.0) < Q_ONE_TOLERANCE):
         order = 1.0  # a pair's diversity is 1 or 2 at every order

@@ -6,10 +6,9 @@ proportion to prod_{i in S} r_i, with the odds r fitted by iterative scaling
 so that node i is in the set with probability d_i / E_k, enumerated over every
 k-set. ``hyperhomophily.nullmodel`` is compared against it on small
 instances, and on ``heavy_tailed_null`` graphs, whose true phi is 0.
-``weighted_k_sets`` draws sets from the sequential sampler the block model
-uses, and ``sequential_set_probability`` and
-``sequential_expected_diversity`` give that sampler's exact law (Hajek 1981),
-enumerated over every ordering of the nodes.
+``weighted_k_sets`` draws the test graphs whose edges follow given node
+weights: sequential weighted draws, slot by slot, which at equal weights are
+the block model's uniform draws.
 """
 
 import itertools
@@ -18,31 +17,35 @@ from collections import Counter
 import numpy as np
 
 from hyperhomophily import Hypergraph, hill_number, k_degrees
-from hyperhomophily.hsbm import _draw_batches
 
 FIT_TOLERANCE = 1e-14  # largest |pi - d / E_k| of the fitted enumeration
 FIT_ROUNDS = 200_000
 
 
 def weighted_k_sets(weights, k, count, rng):
-    """``count`` sampled k-sets of the indices of ``weights``, one sorted row
-    each: the sequential sampler's batches, drawn with ``weights`` as floats."""
-    batches = _draw_batches(np.asarray(weights, dtype=np.float64), k, count, rng)
-    return np.sort(np.concatenate(list(batches)), axis=1)
+    """``count`` k-sets of the indices of ``weights``, one sorted row each.
 
-
-def sequential_set_probability(weights, target):
-    """Sum the sequential draw probabilities over every ordering of the
-    target set."""
-    total = 0.0
-    for order in itertools.permutations(target):
-        prob = 1.0
-        remaining = float(sum(weights))
-        for node in order:
-            prob *= weights[node] / remaining
-            remaining -= weights[node]
-        total += prob
-    return total
+    Slot by slot, each row takes the first node whose normalized cumulative
+    weight exceeds a fresh uniform, and a row whose node repeats an earlier
+    slot's redraws it until none does; one RNG call per slot and per round
+    of redraws. Fewer than k positive weights are refused, since no row could
+    then be completed.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    pos = np.flatnonzero(weights > 0)
+    if pos.size < k:
+        raise ValueError(f"need {k} positive-weight nodes, found {pos.size}")
+    cdf = np.cumsum(weights[pos])
+    cdf /= cdf[-1]  # exactly 1 at the end, so every u in [0, 1) lands
+    sets = np.empty((k, count), dtype=np.int64)  # slot-major: sets[j] is slot j
+    for j in range(k):
+        sets[j] = cdf.searchsorted(rng.random(count), "right")
+        redo = (sets[:j] == sets[j]).any(axis=0).nonzero()[0]
+        while redo.size:
+            col = cdf.searchsorted(rng.random(redo.size), "right")
+            sets[j, redo] = col
+            redo = redo[(sets[:j, redo] == col).any(axis=0)]
+    return np.sort(pos[sets.T], axis=1)
 
 
 def _expected_hill(attrs, law, order_q):
@@ -55,23 +58,6 @@ def _expected_hill(attrs, law, order_q):
         by_labels[labels] = by_labels.get(labels, 0.0) + prob
     # a Counter of sorted labels gives the counts in ascending attribute order
     return sum(p * hill_number(list(Counter(ls).values()), order_q) for ls, p in by_labels.items())
-
-
-def sequential_expected_diversity(attrs, weights, k, order_q=1.0):
-    """Expected Hill number of order ``order_q`` of a sequentially weighted
-    k-set, from the probability of every ordered k-tuple of positive-weight
-    nodes."""
-    weights = [float(w) for w in weights]
-    idx = [i for i, w in enumerate(weights) if w > 0]
-    total = sum(weights[i] for i in idx)
-    law = []
-    for perm in itertools.permutations(idx, k):
-        prob, remaining = 1.0, total
-        for node in perm:
-            prob *= weights[node] / remaining
-            remaining -= weights[node]
-        law.append((perm, prob))
-    return _expected_hill(attrs, law, order_q)
 
 
 def cps_law(degrees, k):

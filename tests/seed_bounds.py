@@ -1,13 +1,17 @@
-"""Failure bounds for tests that run one check over many seeds.
+"""Failure bounds for statistical tests, fixed before any seed is run.
 
 A check that a correct program fails with probability ``rate`` on each of
 ``trials`` independent seeds fails Binomial(trials, rate) times in all. A
-seed-sweep test bounds that count, before any seed is run, by the count a
-correct program exceeds with probability at most ``tail``.
+seed-sweep test bounds that count by the count a correct program exceeds
+with probability at most ``tail``. A chi-square test compares its statistic
+with ``chi2_critical``, which a correct program exceeds with probability
+about 1e-4.
 """
 
+import math
 from fractions import Fraction
-from math import comb
+
+CHI2_Z = 3.719  # upper 1e-4 point of the standard normal
 
 
 def max_beyond(rate: float, trials: int, tail: float = 1e-4) -> int:
@@ -18,7 +22,13 @@ def max_beyond(rate: float, trials: int, tail: float = 1e-4) -> int:
     p, limit = Fraction(rate), Fraction(tail)
     beyond = Fraction(1)  # P(X > c), starting from c = -1
     for c in range(trials):
-        beyond -= comb(trials, c) * p**c * (1 - p) ** (trials - c)
+        beyond -= math.comb(trials, c) * p**c * (1 - p) ** (trials - c)
         if beyond <= limit:
             return c
     return trials  # P(X > trials) is 0
+
+
+def chi2_critical(df: int) -> float:
+    """Upper 1e-4 point of chi-square(df), Wilson-Hilferty approximation."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + CHI2_Z * math.sqrt(c)) ** 3

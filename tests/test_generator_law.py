@@ -15,7 +15,7 @@ import pytest
 
 from hyperhomophily import HsbmConfig, Hypergraph, generate_hsbm
 from hyperhomophily.nullmodel import derive_seed
-from test_sampler_paths import chi2_critical
+from seed_bounds import chi2_critical
 
 
 def reference_generate_hsbm(cfg: HsbmConfig) -> Hypergraph:

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hyperhomophily import (
     HsbmConfig,
@@ -18,6 +20,7 @@ from hyperhomophily import (
     write_hypergraph,
 )
 from hyperhomophily import hsbm
+from null_oracle import weighted_k_sets
 
 
 class TestConfig:
@@ -228,6 +231,113 @@ class TestGenerate:
         write_hypergraph(generate_hsbm(cfg), *streams)
         text = "\0".join(s.getvalue() for s in streams)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestUniformSets:
+    @given(
+        n=st.integers(1, 50),
+        k=st.integers(1, 50),
+        rows=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=4, k=4, rows=300, seed=0)  # many rounds of redraws
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_slot_draws(self, n, k, rows, seed):
+        # the weighted reference at equal weights: the same sets from the
+        # same stream, and the generator left where it would be
+        assume(k <= n)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        sets = hsbm._k_subsets(n, k, rows, ours)
+        assert np.array_equal(sets, weighted_k_sets(np.ones(n), k, rows, ref))
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_batches_respect_cell_budget(self, monkeypatch, k):
+        # 8 MB of sets (1.6 MB at k = 2) drawn into a table of the caller's,
+        # one batch of 128 kB at a time; a draw of the whole table at once
+        # would hold at least the table twice over
+        monkeypatch.setattr(hsbm, "_BATCH_CELLS", 1 << 14)
+        out = np.full((100_000, k), -1, dtype=np.int64)
+        rng = np.random.default_rng(k)
+        tracemalloc.start()
+        try:
+            hsbm._k_subsets(2_000, k, len(out), rng, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * hsbm._BATCH_CELLS
+        # every row filled, with k distinct nodes in ascending order
+        assert out[:, 0].min() >= 0 and out[:, -1].max() < 2_000
+        assert np.all(out[:, 1:] > out[:, :-1])
+
+
+def digest(sets):
+    return hashlib.sha256(np.ascontiguousarray(sets, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+GOLDEN_WEIGHTS = {
+    "skewed": (np.random.default_rng(2024).pareto(1.1, 3000) + 1e-3, 12),
+    "uniform": (np.ones(400), 25),
+    "concentrated": (np.concatenate([[500.0, 400.0, 300.0], np.ones(60)]), 4),
+    "tiny": (np.array([1e-300, 1.0, 1.0, 1.0, 1e-300, 1.0, 1.0]), 3),
+}
+
+# sha256 prefixes of golden_draw(name, count, default_rng(count))
+GOLDEN_SETS = {
+    ("skewed", 1): "f105063962c7517d",
+    ("skewed", 7): "b260f904b74559ec",
+    ("skewed", 2500): "461ccbd98458691e",
+    ("uniform", 1): "7421fe58fd4baf26",
+    ("uniform", 7): "6025690e513b298a",
+    ("uniform", 2500): "42148838deb71daa",
+    ("concentrated", 1): "ff5814bbd3bf36eb",
+    ("concentrated", 7): "e6754283ae12dc2c",
+    ("concentrated", 2500): "d0bb69d30b83248a",
+    ("tiny", 1): "ae3ea7e89aa8a861",
+    ("tiny", 7): "903ef7e2e86c53b1",
+    ("tiny", 2500): "3244734ef3294c12",
+}
+
+
+def golden_draw(name, count, rng):
+    """The block model's own draw for the uniform weights; the weighted
+    reference, which draws the calibration graphs, for the others."""
+    weights, k = GOLDEN_WEIGHTS[name]
+    if name == "uniform":
+        return hsbm._k_subsets(weights.size, k, count, rng)
+    return weighted_k_sets(weights, k, count, rng)
+
+
+class TestGoldenStream:
+    """Drawn sets, pinned bit for bit: a change to how slots are drawn must
+    leave the RNG stream and every drawn set as they were."""
+
+    @pytest.mark.parametrize("name,count", sorted(GOLDEN_SETS))
+    def test_sets(self, name, count):
+        sets = golden_draw(name, count, np.random.default_rng(count))
+        assert digest(sets) == GOLDEN_SETS[name, count]
+
+    def test_sets_across_batches(self, monkeypatch):
+        monkeypatch.setattr(hsbm, "_BATCH_CELLS", 1 << 10)  # 40 rows a batch
+        sets = golden_draw("uniform", 2500, np.random.default_rng(2500))
+        assert digest(sets) == "1b6572b7494b389a"
+
+    @pytest.mark.parametrize(
+        "name,cells,after",
+        [
+            ("skewed", None, "0x1.e391725d0ce94p-3"),  # one batch
+            ("uniform", 1 << 10, "0x1.a3dc1776deeadp-1"),  # 63 batches
+            ("concentrated", None, "0x1.7422155f7edf9p-1"),  # three heavy nodes
+        ],
+    )
+    def test_rng_position_after_draw(self, monkeypatch, name, cells, after):
+        # generate_hsbm shares one generator across its draws, so each draw
+        # must leave it exactly where slot-by-slot drawing does
+        if cells is not None:
+            monkeypatch.setattr(hsbm, "_BATCH_CELLS", cells)
+        rng = np.random.default_rng(2500)
+        golden_draw(name, 2500, rng)
+        assert rng.random().hex() == after
 
 
 FAST_SAMPLER = SamplerConfig(samples=1500, seed=11)

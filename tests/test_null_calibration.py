@@ -19,8 +19,7 @@ from hyperhomophily import (
 )
 from hyperhomophily import nullmodel
 from null_oracle import cps_law, heavy_tailed_null
-from seed_bounds import max_beyond
-from test_sampler_paths import chi2_critical
+from seed_bounds import chi2_critical, max_beyond
 
 # Each null family runs NULL_SEEDS seeds; a calibrated phi falls beyond 2
 # reported SEs with probability at most 0.05 per seed, so at most

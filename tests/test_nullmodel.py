@@ -1,4 +1,5 @@
-"""Sampler and baseline tests, including the exact-enumeration oracle checks."""
+"""Baseline tests, including the exact-enumeration oracle checks, and the
+weighted reference that draws the calibration graphs (``TestSampler``)."""
 
 import math
 import tracemalloc
@@ -19,12 +20,7 @@ from hyperhomophily import (
     k_degrees,
 )
 from hyperhomophily import nullmodel
-from null_oracle import (
-    exact_baseline,
-    sequential_expected_diversity,
-    sequential_set_probability,
-    weighted_k_sets,
-)
+from null_oracle import exact_baseline, weighted_k_sets
 from seed_bounds import max_beyond
 
 
@@ -72,21 +68,10 @@ class TestSampler:
         draws = weighted_k_sets(np.array([2.0, 0.0, 1.0, 1.0]), 2, 500, rng)
         assert not np.any(draws == 1)
 
-    def test_pair_probability_matches_sequential_oracle(self):
-        # weights (2,1,1): P({0,1}) = 2/4*1/2 + 1/4*2/3 = 5/12
-        weights = np.array([2.0, 1.0, 1.0])
-        expected = sequential_set_probability(weights, (0, 1))
-        assert expected == pytest.approx(5 / 12, abs=1e-15)
-        n = 1_000_000
-        rng = np.random.default_rng(20240601)
-        draws = weighted_k_sets(weights, 2, n, rng)
-        hits = np.count_nonzero((draws[:, 0] == 0) & (draws[:, 1] == 1))
-        se = math.sqrt(expected * (1 - expected) / n)
-        assert abs(hits / n - expected) <= 3 * se
-
     def test_insufficient_population(self):
+        # the weighted reference refuses rather than redraw forever
         rng = np.random.default_rng(0)
-        with pytest.raises(InsufficientPopulationError, match="need 2 positive-weight nodes, found 1"):
+        with pytest.raises(ValueError, match="need 2 positive-weight nodes, found 1"):
             weighted_k_sets(np.array([1.0, 0.0, 0.0]), 2, 1, rng)
 
     @pytest.mark.parametrize("name", INTEGER_CALLS)
@@ -175,7 +160,7 @@ class TestEstimate:
     )
     def test_absent_size_has_no_population(self, edges):
         h = Hypergraph([0, 1, 1], edges)
-        with pytest.raises(InsufficientPopulationError, match="need 3 positive-weight nodes, found 0"):
+        with pytest.raises(InsufficientPopulationError, match="^no hyperedges of size 3$"):
             estimate_baseline(h, 3, SamplerConfig())
 
     @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
@@ -256,12 +241,29 @@ class TestExact:
         assert est.samples == 20_000
         assert abs(est.mean - exact_baseline(h, 3, 2.0)) <= 3 * est.std_error
 
-    def test_weight_scaling_invariance(self):
-        attrs = np.array([0, 1, 0, 2])
-        weights = np.array([1.0, 2.0, 3.0, 4.0])
-        a = sequential_expected_diversity(attrs, weights, 2)
-        b = sequential_expected_diversity(attrs, weights * 0.25, 2)
-        assert a == pytest.approx(b, abs=1e-12)
+
+class TestExactOnSpreadAndHubDegrees:
+    """Order 1 is exact whether the k-degrees are spread or a few hubs hold
+    most of their mass."""
+
+    @staticmethod
+    def check(h, k):
+        est = estimate_baseline(h, k, SamplerConfig())
+        assert est.std_error == 0.0
+        assert abs(est.mean - exact_baseline(h, k)) <= 1e-9
+
+    def test_spread_degrees(self):
+        # pairs on 8 nodes, no node near half the mass
+        ring = [[i, (i + 1) % 8] for i in range(8)]
+        h = Hypergraph([0, 0, 1, 1, 2, 2, 3, 0], ring + [[0, 4], [1, 5], [2, 6]])
+        self.check(h, 2)
+
+    def test_hub_concentrated_degrees(self):
+        # two hubs in every triple hold 2/3 of the mass
+        h = Hypergraph([0, 1, 2, 2, 0, 1, 3, 3, 2, 0], [[0, 1, x] for x in range(2, 10)])
+        w = k_degrees(h, 3).degrees.astype(np.float64)
+        assert np.sort(w)[-2:].sum() > 0.5 * w.sum()
+        self.check(h, 3)
 
 
 @st.composite
@@ -328,7 +330,7 @@ def hundred_instances():
 
 # The most instances of 100 that may fall beyond 3 SE at an order other than
 # 1: the upper 1e-4 point of Binomial(100, 0.0027), 0.0027 being the two-sided
-# 3-SE rate (it is 4). Fixed before any run, as CHI2_Z in test_sampler_paths.py is.
+# 3-SE rate (it is 4). Fixed before any run, as CHI2_Z in seed_bounds.py is.
 ORDER_FAILURES = max_beyond(0.0027, 100)
 
 
@@ -352,3 +354,75 @@ class TestOracleAgreement:
     def test_other_orders(self, order):
         # _hill's count, log1p and general branches, at k = 3 and 4 too
         assert self.failures(order) <= ORDER_FAILURES
+
+
+class TestBoundedMemory:
+    def test_baseline_memory_does_not_grow_with_samples(self, monkeypatch):
+        # the draws' diversities were all held at once: 16 bytes a sample.
+        # Order 2 is drawn (orders 0 and 1 are exact), from the kept null
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 3_000)  # 1,000 rows a batch at k = 3
+        h = golden_hypergraph()
+        estimate_baseline(h, 2, SamplerConfig())
+        peaks = []
+        for samples in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                estimate_baseline(h, 3, SamplerConfig(samples=samples, seed=1, diversity_order=2.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("order", [0.5, 2.0, 3.0])
+    def test_merged_batches_match_the_concatenated_draws(self, monkeypatch, order):
+        # orders 0 and 1 are exact; the others merge the drawn batches
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 3_000)  # 750 rows a batch of 4 labels
+        h, k = golden_hypergraph(), 5
+        cfg = SamplerConfig(samples=10_000, seed=9, diversity_order=order)
+        est = estimate_baseline(h, k, cfg)
+        # the same stream, all at once
+        null = h._null
+        i = int(np.searchsorted(null.sizes, k))
+        rng = np.random.default_rng(derive_seed(cfg.seed, k))
+        batches = list(null.draw(i, cfg.samples, order, rng))
+        assert len(batches) > 1
+        values = np.concatenate(batches)
+        assert values.size == est.samples == cfg.samples
+        assert est.mean == pytest.approx(np.mean(values), rel=1e-12, abs=0)
+        expected = np.std(values, ddof=1) / math.sqrt(cfg.samples)
+        assert est.std_error == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+# (k, order): (mean, std_error) of estimate_baseline on golden_hypergraph(),
+# recorded when the conditional Poisson null replaced the sequential one;
+# orders 0 and 1 are exact, and so is size 2, the same at every order
+GOLDEN_BASELINES = {
+    (2, 0.0): ("0x1.c0ea4f9c8abccp+0", "0x0.0p+0"),
+    (2, 1.0): ("0x1.c0ea4f9c8abccp+0", "0x0.0p+0"),
+    (2, 2.0): ("0x1.c0ea4f9c8abccp+0", "0x0.0p+0"),
+    (5, 0.0): ("0x1.872713043235ep+1", "0x0.0p+0"),
+    (5, 1.0): ("0x1.6b7462d317a62p+1", "0x0.0p+0"),
+    (5, 2.0): ("0x1.58dc4bbf38c42p+1", "0x1.7b79838e38da2p-7"),
+    (8, 0.0): ("0x1.cd13b09671670p+1", "0x0.0p+0"),
+    (8, 1.0): ("0x1.a0a50a845ba79p+1", "0x0.0p+0"),
+    (8, 2.0): ("0x1.82994e9085864p+1", "0x1.3cd2c6678bcc2p-7"),
+}
+
+
+def golden_hypergraph():
+    rng = np.random.default_rng(5)
+    attrs = rng.integers(0, 4, 300)
+    edges = [rng.choice(300, size=s, replace=False) for s in rng.integers(2, 9, 2000)]
+    return Hypergraph(attrs, edges)
+
+
+class TestGoldenStream:
+    """The baselines, pinned bit for bit: a change to how groups are drawn
+    must leave every estimate as it was."""
+
+    def test_baselines(self):
+        h = golden_hypergraph()
+        for (k, order), (mean, std_error) in GOLDEN_BASELINES.items():
+            cfg = SamplerConfig(samples=3000, seed=9, diversity_order=order)
+            est = estimate_baseline(h, k, cfg)
+            assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), (k, order)
