@@ -175,6 +175,24 @@ class TestGenerate:
         assert edges == cfg.num_edges * cfg.k * 8
         assert peak <= 1.5 * edges + 8 * 8 * (1 << 16)
 
+    def test_million_sets_stay_within_budget(self, monkeypatch):
+        # a million node slots split between the uniform and the pure mode:
+        # each mode's sets go to a table of their own that is copied into
+        # its rows. The edges, that copy, the mode uniforms and masks and
+        # the rows' indices (2.5 x the edges), plus a few batches;
+        # concatenating the batches before the copy peaks 3.5 x the edges
+        monkeypatch.setattr(hsbm, "_BATCH_CELLS", 1 << 16)
+        cfg = HsbmConfig(num_nodes=1000, num_attributes=10, k=4, num_edges=250_000, p=0.5, seed=3)
+        tracemalloc.start()
+        try:
+            h = generate_hsbm(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        edges = h.edge_nodes.nbytes
+        assert edges == cfg.num_edges * cfg.k * 8
+        assert peak <= 2.5 * edges + 8 * 8 * (1 << 16)
+
     def test_seed_determinism(self):
         cfg = HsbmConfig(num_nodes=100, num_attributes=10, k=5, num_edges=100, p=0.4, seed=9)
         assert generate_hsbm(cfg).edge_list() == generate_hsbm(cfg).edge_list()
