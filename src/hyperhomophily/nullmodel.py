@@ -22,12 +22,12 @@ the step (target - pi) / (pi (1 - pi)) on each log-odds, which is Newton's
 step under Hajek's approximation of the joint inclusion probabilities; at
 k' = 1, and at one node left out, the fit has a closed form.
 
-From the fit, per-label generating functions give the expected diversity
-exactly at orders 0 and 1 (``_Null.exact``), and at every order for k = 2,
-where a pair's diversity is the same at every order. Other orders are a Monte
-Carlo mean over CPS groups (``_Null.draw``), over an RNG stream derived from
-(seed, k): each group's label counts are drawn label by label from their
-exact law through the same tables.
+From the fit, a size's per-label generating functions (``_Null.tables``)
+give its expected diversity exactly at orders 0 and 1 (``_Null.exact``), and
+at every order for k = 2, where a pair's diversity is the same at every
+order. Other orders are a Monte Carlo mean over CPS groups (``_Null.draw``),
+over an RNG stream derived from (seed, k): each group's label counts are
+drawn label by label from their exact law through the same tables.
 """
 
 from __future__ import annotations
@@ -133,14 +133,14 @@ class _Null:
 
     Size i is ``sizes[i]``, ascending, with k' = ``free[i]``. The distinct
     degrees of its free nodes, the "values", are rows ``bounds[i]:bounds[i +
-    1]`` of ``counts`` and ``polar``. For
-    f = 1 - p + p z at a value's fitted p, ``polar`` holds log|f| and arg f at
-    the angles ``theta`` (2 pi m / M for m < h, M = 2h - 1) and then
-    log(1 - p). ``total`` holds log|Q| and arg Q for Q the product of f over
-    a size's free nodes, and ``scale`` its coefficient of z^k'. ``inverse``
-    maps values on the circle, real and imaginary parts side by side, to
-    coefficients 0..max k', and ``forward`` maps coefficients back;
-    ``phi[i, c]`` is (c/k)^(-c/k), a label's factor in the order-1 diversity.
+    1]`` of ``counts`` and ``polar``. For f = 1 - p + p z at a value's fitted
+    p, ``polar`` holds log|f| and arg f at the angles ``theta`` (2 pi m / M
+    for m < h, M = 2h - 1) and then log(1 - p). ``total`` holds log|Q| and
+    arg Q for Q the product of f over a size's free nodes, and ``scale`` its
+    coefficient of z^k'. ``inverse`` maps values on the circle, real and
+    imaginary parts side by side, to coefficients 0..max k', and ``forward``
+    maps coefficients back. ``exact`` and ``draw`` read one size's per-label
+    generating functions, which ``tables`` builds, and keep nothing.
     """
 
     sizes: np.ndarray
@@ -155,46 +155,38 @@ class _Null:
     theta: np.ndarray
     inverse: np.ndarray  # (2h, max k' + 1)
     forward: np.ndarray  # (max k' + 1, 2h)
-    phi: np.ndarray
-    means: dict
 
-    def exact(self, order: float) -> np.ndarray:
-        """Expected diversity of order 0 or 1 of every size, computed once."""
-        if order not in self.means:
-            self.means[order] = self._diversity(order)
-        return self.means[order]
+    def tables(self, i: int) -> np.ndarray:
+        """log|F| and arg F at ``theta``, then log F(0), of every label of size
+        index i, one row each, for F the product of f over the label's free
+        nodes (F = 1 where it has none)."""
+        values = slice(self.bounds[i], self.bounds[i + 1])
+        return _dot(self.counts[values].T, self.polar[values])
 
-    def _diversity(self, order: float) -> np.ndarray:
-        # A label's free nodes have the generating function F = prod f; its
-        # coefficient of z^c over [z^k'] Q weighs the groups holding c of
-        # them. Every label has a row, F = 1 where it has no free node
-        h = self.theta.size
+    def exact(self, i: int, order: float) -> float:
+        """Expected diversity of order 0 or 1 of size index i. A label's F has
+        the coefficient of z^c, over [z^k'] Q, that weighs the groups holding c
+        of its free nodes."""
+        fixed, free, h = self.fixed[i], int(self.free[i]), self.theta.size
+        if np.count_nonzero(fixed + self.free_counts[i]) == 1:
+            return 1.0  # every group of a one-label population is pure
+        x = np.arange(self.sizes[i] + 1) / self.sizes[i]
+        phi = np.exp(-x * np.log(np.where(x > 0, x, 1.0)))  # (c/k)^(-c/k)
+        if not free:  # its one group's diversity
+            return float(np.count_nonzero(fixed) if order == 0.0 else phi[fixed].prod())
+        log_f = self.tables(i)
         if order == 0.0:
-            means = np.count_nonzero(self.fixed, axis=1).astype(np.float64)
-        else:  # a size with k' = 0 keeps this, its one group's diversity
-            means = np.take_along_axis(self.phi, self.fixed, axis=1).prod(axis=1)
-        shift = np.arange(self.forward.shape[0])
-        for i in np.flatnonzero(self.free).tolist():
-            free, fixed = int(self.free[i]), self.fixed[i]
-            values = slice(self.bounds[i], self.bounds[i + 1])
-            log_f = _dot(self.counts[values].T, self.polar[values])
-            if order == 0.0:
-                # a label is missed with probability F(0) [z^k'](Q / F) / [z^k'] Q
-                angle = self.total[i, h:] - self.theta * free - log_f[:, h:-1]
-                rest = _dot(_rect(self.total[i, :h] - log_f[:, :h], angle), self.inverse[:, 0])
-                missed = np.exp(log_f[:, -1]) * rest / self.scale[i]
-                means[i] += np.sum(1.0 - missed[fixed == 0])
-            else:
-                # exp(entropy) is the product over labels of phi(count), so
-                # the mean is [z^k'] prod_a G_a / [z^k'] Q, G_a[c] = phi(c + fixed_a) F_a[c]
-                coef = _dot(_rect(log_f[:, :h], log_f[:, h:-1]), self.inverse[:, : free + 1])
-                phi = self.phi[i, : free + 1]
-                coef *= self.phi[i, fixed[:, None] + shift[: free + 1]] if fixed.any() else phi
-                product = _dot(coef, self.forward[: free + 1]).view(np.complex128).prod(axis=0)
-                means[i] = product.view(np.float64) @ self.inverse[:, free] / self.scale[i]
-        # every group of a one-label population is pure
-        means[np.count_nonzero(self.fixed + self.free_counts, axis=1) == 1] = 1.0
-        return means
+            # a label is missed with probability F(0) [z^k'](Q / F) / [z^k'] Q
+            angle = self.total[i, h:] - self.theta * free - log_f[:, h:-1]
+            rest = _dot(_rect(self.total[i, :h] - log_f[:, :h], angle), self.inverse[:, 0])
+            missed = np.exp(log_f[:, -1]) * rest / self.scale[i]
+            return np.count_nonzero(fixed) + float(np.sum(1.0 - missed[fixed == 0]))
+        # exp(entropy) is the product over labels of phi(count), so the mean is
+        # [z^k'] prod_a G_a / [z^k'] Q, G_a[c] = phi(c + fixed_a) F_a[c]
+        coef = _dot(_rect(log_f[:, :h], log_f[:, h:-1]), self.inverse[:, : free + 1])
+        coef *= phi[fixed[:, None] + np.arange(free + 1)]
+        product = _dot(coef, self.forward[: free + 1]).view(np.complex128).prod(axis=0)
+        return float(product.view(np.float64) @ self.inverse[:, free] / self.scale[i])
 
     def draw(
         self, i: int, count: int, order: float, rng: np.random.Generator
@@ -218,8 +210,7 @@ class _Null:
         in a table of every j's cumulative probabilities, each row shifted by j."""
         h, free = self.theta.size, int(self.free[i])
         labels = np.flatnonzero(self.free_counts[i])
-        values = slice(self.bounds[i], self.bounds[i + 1])
-        log_f = _dot(self.counts[values][:, labels].T, self.polar[values])
+        log_f = self.tables(i)[labels]
         circle = _rect(log_f[:, :h], log_f[:, h:-1])
         after = np.ones((labels.size, h), dtype=np.complex128)
         after[:-1] = np.cumprod(circle.view(np.complex128)[:0:-1], axis=0)[::-1]
@@ -315,8 +306,6 @@ def _fit(h: Hypergraph) -> _Null:
     arc = np.outer(np.arange(top + 1), theta)
     forward = np.stack((np.cos(arc), np.sin(arc)), axis=-1).reshape(top + 1, -1)
     inverse = (forward * np.repeat(weight, 2)).T
-    x = np.arange(sizes.max(initial=2) + 1) / sizes[:, None]
-    phi = np.exp(-x * np.log(np.where(x > 0, x, 1.0)))
 
     # log-odds: from Hajek's approximation inverted, p = pi - g (pi - pi*) / D
     # with g = pi (1 - pi), D the size's sum of g and pi* its g-weighted mean
@@ -391,8 +380,6 @@ def _fit(h: Hypergraph) -> _Null:
         theta=theta,
         inverse=inverse,
         forward=forward,
-        phi=phi,
-        means={},
     )
     h._null = null
     return null
@@ -419,7 +406,7 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     if order != 0.0 and (k == 2 or abs(order - 1.0) < Q_ONE_TOLERANCE):
         order = 1.0  # a pair's diversity is 1 or 2 at every order
     if order in (0.0, 1.0):
-        return BaselineEstimate(k, float(null.exact(order)[i]), 0.0, 0)
+        return BaselineEstimate(k, null.exact(i, order), 0.0, 0)
     if null.free[i] == 0:  # every group is the certainty nodes
         counts = null.fixed[i]
         return BaselineEstimate(k, hill_number(counts[counts > 0], order), 0.0, 0)

@@ -95,6 +95,21 @@ class TestSampler:
         assert np.array_equal(a, b)
 
 
+class TestDot:
+    """``_dot`` is ``a @ b`` in blocks; the blocked products may round
+    differently from one whole product, so the check is to 1e-13."""
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((300, 100), (100,)), ((10, 12), (12, 7)), ((80, 144), (144, 40))],
+        ids=["vector", "under-bound", "column-blocks"],
+    )
+    def test_matches_the_whole_product(self, a_shape, b_shape):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        np.testing.assert_allclose(nullmodel._dot(a, b), a @ b, rtol=1e-13, atol=0)
+
+
 def two_bucket_graph():
     """Four nodes A,A,B,B with uniform pair degrees."""
     return Hypergraph([0, 0, 1, 1], [[0, 1], [2, 3]])
@@ -198,6 +213,15 @@ class TestEstimate:
                 tracemalloc.stop()
             assert means == [estimate_baseline(dense, k, SamplerConfig()).mean for k in range(2, 10)]
         assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_fit_that_does_not_converge_raises_and_keeps_nothing(self, monkeypatch):
+        # one pass is too few for this size 3; the half-fitted null is not
+        # kept, so a later call fits again
+        monkeypatch.setattr(nullmodel, "_FIT_PASSES", 1)
+        h = Hypergraph([0, 1, 0, 1, 1], [[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 2, 4], [0, 1]])
+        with pytest.raises(ArithmeticError, match="^the null of size 3 did not converge$"):
+            estimate_baseline(h, 3, SamplerConfig())
+        assert h._null is None
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -426,3 +450,52 @@ class TestGoldenStream:
             cfg = SamplerConfig(samples=3000, seed=9, diversity_order=order)
             est = estimate_baseline(h, k, cfg)
             assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), (k, order)
+
+
+# (k, order): (mean, std_error) of estimate_baseline on wide_hypergraph() at
+# 300 samples, recorded before the label tables were built in one place per
+# size. At 60 labels, sizes from 29 up take _dot's column blocks at orders 1 and 2
+WIDE_BASELINES = {
+    (2, 0.0): ("0x1.fba9386822a6fp+0", "0x0.0p+0"),
+    (2, 1.0): ("0x1.fba9386822b57p+0", "0x0.0p+0"),
+    (2, 2.0): ("0x1.fba9386822b57p+0", "0x0.0p+0"),
+    (3, 0.0): ("0x1.79095edfadaebp+1", "0x0.0p+0"),
+    (3, 1.0): ("0x1.784748ffd0284p+1", "0x0.0p+0"),
+    (3, 2.0): ("0x1.79db22d0e5603p+1", "0x1.bd9dcea0500b1p-7"),
+    (17, 0.0): ("0x1.dbae7cef15a18p+3", "0x0.0p+0"),
+    (17, 1.0): ("0x1.c8e2e3438384bp+3", "0x0.0p+0"),
+    (17, 2.0): ("0x1.ac10bcd7bcc64p+3", "0x1.9a0118e12c47cp-4"),
+    (29, 0.0): ("0x1.727965b4fa3c4p+4", "0x0.0p+0"),
+    (29, 1.0): ("0x1.5afd48632e692p+4", "0x0.0p+0"),
+    (29, 2.0): ("0x1.43f3a215121fap+4", "0x1.14e4bab9bb0c2p-3"),
+    (40, 0.0): ("0x1.d5bfff2a50bbdp+4", "0x0.0p+0"),
+    (40, 1.0): ("0x1.af73bf570c6adp+4", "0x0.0p+0"),
+    (40, 2.0): ("0x1.87a1474870229p+4", "0x1.39c70fa15cfa1p-3"),
+}
+
+
+def wide_hypergraph():
+    """3,000 nodes of 60 labels, 30 edges of each size 2..40."""
+    n = 3_000
+    rng = np.random.default_rng(40)
+    edges = [rng.choice(n, k, replace=False) for k in range(2, 41) for _ in range(30)]
+    return Hypergraph(np.arange(n) % 60, edges)
+
+
+class TestWideStream:
+    """The baselines of many labels and large sizes, pinned bit for bit."""
+
+    def test_baselines(self, monkeypatch):
+        blocked = []
+        dot = nullmodel._dot
+
+        def counted_dot(a, b):
+            blocked.append(b.ndim == 2 and a.size * b.shape[1] > 1 << 18)
+            return dot(a, b)
+
+        monkeypatch.setattr(nullmodel, "_dot", counted_dot)
+        h = wide_hypergraph()
+        for (k, order), (mean, std_error) in WIDE_BASELINES.items():
+            est = estimate_baseline(h, k, SamplerConfig(samples=300, diversity_order=order))
+            assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), (k, order)
+        assert any(blocked)
