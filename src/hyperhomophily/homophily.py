@@ -18,8 +18,8 @@ from .exceptions import DegenerateMixingError, EmptyAnalysisError
 from .hypergraph import Hypergraph
 from .nullmodel import SamplerConfig, estimate_baseline
 
-# a one-label null population gives a baseline of exactly 1.0 (every group
-# of it is pure, exact or drawn): a guard, not a setting
+# a one-label null population gives a baseline of exactly 1.0 (the
+# hill_number of its one pure group): a guard, not a setting
 _EPSILON = 1e-9
 
 EXCLUDED_SIZE_ONE = "size_1"

@@ -22,12 +22,13 @@ the step (target - pi) / (pi (1 - pi)) on each log-odds, which is Newton's
 step under Hajek's approximation of the joint inclusion probabilities; at
 k' = 1, and at one node left out, the fit has a closed form.
 
-From the fit, a size's per-label generating functions (``_Null.tables``)
-give its expected diversity exactly at orders 0 and 1 (``_Null.exact``), and
-at every order for k = 2, where a pair's diversity is the same at every
-order. Other orders are a Monte Carlo mean over CPS groups (``_Null.draw``),
-over an RNG stream derived from (seed, k): each group's label counts are
-drawn label by label from their exact law through the same tables.
+A size whose free nodes hold fewer than two labels gives every group the
+same label counts, so its baseline is their ``hill_number``. Otherwise a
+size's per-label generating functions (``_Null.tables``) give its baseline
+exactly at orders 0 and 1 (``_Null.exact``), and at every order for k = 2.
+Other orders are a Monte Carlo mean over CPS groups (``_Null.draw``), over
+an RNG stream derived from (seed, k): each group's label counts are drawn
+label by label from their exact law through the same tables.
 """
 
 from __future__ import annotations
@@ -164,16 +165,10 @@ class _Null:
         return _dot(self.counts[values].T, self.polar[values])
 
     def exact(self, i: int, order: float) -> float:
-        """Expected diversity of order 0 or 1 of size index i. A label's F has
-        the coefficient of z^c, over [z^k'] Q, that weighs the groups holding c
-        of its free nodes."""
+        """Expected diversity of order 0 or 1 of size index i, whose free nodes
+        hold two or more labels. A label's F has the coefficient of z^c, over
+        [z^k'] Q, that weighs the groups holding c of its free nodes."""
         fixed, free, h = self.fixed[i], int(self.free[i]), self.theta.size
-        if np.count_nonzero(fixed + self.free_counts[i]) == 1:
-            return 1.0  # every group of a one-label population is pure
-        x = np.arange(self.sizes[i] + 1) / self.sizes[i]
-        phi = np.exp(-x * np.log(np.where(x > 0, x, 1.0)))  # (c/k)^(-c/k)
-        if not free:  # its one group's diversity
-            return float(np.count_nonzero(fixed) if order == 0.0 else phi[fixed].prod())
         log_f = self.tables(i)
         if order == 0.0:
             # a label is missed with probability F(0) [z^k'](Q / F) / [z^k'] Q
@@ -183,6 +178,8 @@ class _Null:
             return np.count_nonzero(fixed) + float(np.sum(1.0 - missed[fixed == 0]))
         # exp(entropy) is the product over labels of phi(count), so the mean is
         # [z^k'] prod_a G_a / [z^k'] Q, G_a[c] = phi(c + fixed_a) F_a[c]
+        x = np.arange(self.sizes[i] + 1) / self.sizes[i]
+        phi = np.exp(-x * np.log(np.where(x > 0, x, 1.0)))  # (c/k)^(-c/k)
         coef = _dot(_rect(log_f[:, :h], log_f[:, h:-1]), self.inverse[:, : free + 1])
         coef *= phi[fixed[:, None] + np.arange(free + 1)]
         product = _dot(coef, self.forward[: free + 1]).view(np.complex128).prod(axis=0)
@@ -272,6 +269,7 @@ def _fit(h: Hypergraph) -> _Null:
         keys.append(d[nodes] + offset)
         labels.append(h.attributes[nodes])
     key, label = np.concatenate(keys), np.concatenate(labels)
+    del keys, labels
     # number the labels densely when some id below the largest is unused, so
     # the label tables are as wide as the labels present
     if label.size and (label.max() >= label.size or not np.bincount(label).all()):
@@ -389,9 +387,9 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     """Expected diversity of a random size-k group under the CPS null.
 
     The first call on a hypergraph fits every size's null at once and keeps
-    it on the hypergraph. At orders 0 and 1, at k = 2 and when every node of
-    the groups is fixed, the value is exact, with standard error 0 and no
-    draws. Other orders are the Monte Carlo mean of ``cfg.samples`` CPS
+    it on the hypergraph. When the free nodes hold fewer than two labels, at
+    orders 0 and 1 and at k = 2, the value is exact, with standard error 0 and
+    no draws. Other orders are the Monte Carlo mean of ``cfg.samples`` CPS
     draws, with the standard error of that mean, over an RNG stream derived
     from (cfg.seed, k), so a fixed seed reproduces the estimate bitwise.
     """
@@ -402,14 +400,14 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     i = int(np.searchsorted(null.sizes, k))
     if i == null.sizes.size or null.sizes[i] != k:
         raise InsufficientPopulationError(f"no hyperedges of size {k}")
-    order = cfg.diversity_order
+    order, free_labels = cfg.diversity_order, null.free_counts[i] > 0
+    if np.count_nonzero(free_labels) < 2:  # every group holds the same label counts
+        counts = null.fixed[i] + null.free[i] * free_labels
+        return BaselineEstimate(k, hill_number(counts[counts > 0], order), 0.0, 0)
     if order != 0.0 and (k == 2 or abs(order - 1.0) < Q_ONE_TOLERANCE):
         order = 1.0  # a pair's diversity is 1 or 2 at every order
     if order in (0.0, 1.0):
         return BaselineEstimate(k, null.exact(i, order), 0.0, 0)
-    if null.free[i] == 0:  # every group is the certainty nodes
-        counts = null.fixed[i]
-        return BaselineEstimate(k, hill_number(counts[counts > 0], order), 0.0, 0)
     rng = np.random.default_rng(derive_seed(cfg.seed, k))
     # the count, mean and sum of squared deviations of the draws so far: each
     # batch's are merged in by the pairwise update of Chan, Golub & LeVeque

@@ -13,10 +13,12 @@ from hyperhomophily import (
     Hypergraph,
     InsufficientPopulationError,
     SamplerConfig,
+    analyze,
     bulk_diversity,
     composition,
     derive_seed,
     estimate_baseline,
+    hill_number,
     k_degrees,
 )
 from hyperhomophily import nullmodel
@@ -325,6 +327,49 @@ class TestExactPair:
         assert (est.samples, est.std_error) == (0, 0.0)
         with pytest.raises(AssertionError, match="drew random numbers"):
             estimate_baseline(h, 3, cfg)  # the larger size does reach the patched names
+
+
+class TestKnownGroups:
+    """A size with fewer than two labels among its free nodes has one label
+    count vector for every group: its baseline is that vector's
+    ``hill_number`` at every order, with no draws."""
+
+    def test_a_balanced_single_edge_scores_zero(self):
+        # the order-1 product of (c/k)^(-c/k) read 0x1.ffffffffffffep+0, and phi -4.4e-16
+        h = Hypergraph([0] * 26 + [1] * 26 + [0, 1, 0, 1], [list(range(52)), [52, 53], [54, 55]])
+        report = analyze(h, SamplerConfig(), emit_per_edge=True)
+        assert (estimate_baseline(h, 52, SamplerConfig()).mean, report.per_edge.phi[0]) == (2.0, 0.0)
+
+    @pytest.mark.parametrize("order", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize(
+        "labels, edges, counts",
+        [
+            # nodes 0 and 1 (labels 0 and 2) are in every triple, and its
+            # third node is one of 2, 3 and 4, all of label 1
+            ([0, 2, 1, 1, 1, 0, 1], [[0, 1, 2], [0, 1, 3], [0, 1, 4], [5, 6], [2, 5]], [1, 1, 1]),
+            ([1, 1, 1, 1, 0], [[0, 1, 2], [1, 2, 3], [0, 2, 3], [3, 4]], [3]),
+        ],
+        ids=["one-free-label-beside-certainty-nodes", "one-label-population"],
+    )
+    def test_every_order_is_the_groups_hill_number(self, labels, edges, counts, order):
+        est = estimate_baseline(Hypergraph(labels, edges), 3, SamplerConfig(diversity_order=order))
+        assert (est.mean, est.std_error, est.samples) == (hill_number(counts, order), 0.0, 0)
+
+    @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
+    def test_single_edge_sizes_match_their_edge(self, order):
+        # one edge of each size 3..59 over 2..11 labels: every node of a size
+        # is in its every group, so the baseline is the edge's own diversity
+        cfg = SamplerConfig(diversity_order=order)
+        missed = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            labels = rng.integers(0, rng.integers(2, 12), 60)
+            edges = [rng.choice(60, k, replace=False) for k in range(3, 60)]
+            h = Hypergraph(labels, edges)
+            for edge in edges:
+                want = bulk_diversity(labels[edge][None, :], order)[0][0]
+                missed += int(estimate_baseline(h, edge.size, cfg).mean != want)
+        assert missed == 0
 
 
 def random_realizable_instance(rng, max_degree=5):
