@@ -26,9 +26,10 @@ A size whose free nodes hold fewer than two labels gives every group the
 same label counts, so its baseline is their ``hill_number``. Otherwise a
 size's per-label generating functions (``_Null.tables``) give its baseline
 exactly at orders 0 and 1 (``_Null.exact``), and at every order for k = 2.
-Other orders are a Monte Carlo mean over CPS groups (``_Null.draw``), over
-an RNG stream derived from (seed, k): each group's label counts are drawn
-label by label from their exact law through the same tables.
+Other orders are a Monte Carlo mean over CPS groups (``estimate_baseline``),
+over an RNG stream derived from (seed, k): each group's label counts are
+drawn label by label from their exact law through the same tables
+(``_Null._label_counts``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .diversity import Q_ONE_TOLERANCE, _check_order, _hill, hill_number
 from .exceptions import InsufficientPopulationError
 from .hypergraph import Hypergraph, _check_int, k_degrees
 
-_BATCH_CELLS = 1 << 22  # cells per draw batch, rows x labels, and of label tables held at once
+_BATCH_CELLS = 1 << 22  # cells per draw batch, rows x labels
 _CIRCLE_PAD = 65  # roots of unity past 2 k': aliased coefficients stay below rounding
 _FIT_TOLERANCE = 1e-13  # a size has converged when every |d / E_k - pi| is this small,
 _FIT_FLOOR = 1e-10  # or is this small and fell by less than a tenth in a pass (rounding)
@@ -140,8 +141,8 @@ class _Null:
     arg Q for Q the product of f over a size's free nodes, and ``scale`` its
     coefficient of z^k'. ``inverse`` maps values on the circle, real and
     imaginary parts side by side, to coefficients 0..max k', and ``forward``
-    maps coefficients back. ``exact`` and ``draw`` read one size's per-label
-    generating functions, which ``tables`` builds, and keep nothing.
+    maps coefficients back. ``exact`` and ``_label_counts`` read one size's
+    per-label generating functions, which ``tables`` builds, and keep nothing.
     """
 
     sizes: np.ndarray
@@ -185,64 +186,48 @@ class _Null:
         product = _dot(coef, self.forward[: free + 1]).view(np.complex128).prod(axis=0)
         return float(product.view(np.float64) @ self.inverse[:, free] / self.scale[i])
 
-    def draw(
-        self, i: int, count: int, order: float, rng: np.random.Generator
-    ) -> Iterator[np.ndarray]:
-        """The diversities of ``count`` CPS groups of size index i, in batches."""
-        k = int(self.sizes[i])
-        for groups in self._label_counts(i, count, rng):
-            # each row's counts in ascending label order, as bulk_diversity's
-            counts = self.fixed[i] + groups
-            positive = counts > 0
-            yield _hill(counts[positive], np.nonzero(positive)[0], len(counts), k, order)[0]
-
     def _label_counts(
         self, i: int, count: int, rng: np.random.Generator
     ) -> Iterator[np.ndarray]:
-        """Label counts of CPS groups of size index i, one row each, in
-        batches, drawn label by label from their exact law, so no draw is
-        rejected: given j free places left, label a takes c of them with
-        probability F_a[c] R_a[j - c] / (F_a R_a)[j], R_a being the product of
-        the F of the labels after it. One uniform per label and group finds c
-        in a table of every j's cumulative probabilities, each row shifted by j."""
+        """Label counts of CPS groups of size index i, certainty nodes
+        included, one row each over the labels the size holds (ascending), in
+        batches. The free nodes' counts are drawn label by label from their
+        exact law, so no draw is rejected: given j free places left, label a
+        takes c of them with probability F_a[c] R_a[j - c] / (F_a R_a)[j], R_a
+        being the product of the F of the labels after it. One uniform per
+        label and group finds c in a table of every j's cumulative
+        probabilities, each row shifted by j."""
         h, free = self.theta.size, int(self.free[i])
-        labels = np.flatnonzero(self.free_counts[i])
-        log_f = self.tables(i)[labels]
+        held = np.flatnonzero(self.fixed[i] + self.free_counts[i])
+        drawn = np.flatnonzero(self.free_counts[i, held])  # columns with free nodes
+        log_f = self.tables(i)[held[drawn]]
         circle = _rect(log_f[:, :h], log_f[:, h:-1])
-        after = np.ones((labels.size, h), dtype=np.complex128)
+        after = np.ones((drawn.size, h), dtype=np.complex128)
         after[:-1] = np.cumprod(circle.view(np.complex128)[:0:-1], axis=0)[::-1]
         own = np.maximum(_dot(circle, self.inverse[:, : free + 1]), 0.0)
         rest = np.maximum(_dot(after.view(np.float64), self.inverse[:, : free + 1]), 0.0)
         places = np.arange(free + 1)
         gap = places[:, None] - places  # j - c in row j, column c
-
-        def tables(first: int, last: int) -> np.ndarray:
-            # labels first..last-1: row j holds the cumulative law of c given
-            # j, plus j, so that each label's rows, end to end, ascend
-            weight = own[first:last, None, :] * rest[first:last][:, np.maximum(gap, 0)]
-            cum = np.cumsum(weight * (gap >= 0), axis=2)
-            total = cum[:, :, -1:]
-            # a row that no draw reaches (total 0) is left at 1
-            cum = np.divide(cum, total, out=np.ones_like(cum), where=total > 0)
-            return (cum + places[:, None]).reshape(last - first, -1)
-
-        chunk = max(1, _BATCH_CELLS // (free + 1) ** 2)  # labels whose tables are held at once
         batch = max(1, _BATCH_CELLS // self.fixed.shape[1])
         for done in range(0, count, batch):
             rows = min(batch, count - done)
-            uniforms = rng.random((labels.size - 1, rows))
             left = np.full(rows, free)
-            groups = np.zeros((rows, self.fixed.shape[1]), dtype=np.int64)
-            for a, label in enumerate(labels[:-1].tolist()):
-                if a % chunk == 0:
-                    shifted = tables(a, min(a + chunk, labels.size - 1))
-                table, target, row_start = shifted[a % chunk], left + uniforms[a], left * (free + 1)
+            groups = np.tile(self.fixed[i, held], (rows, 1))
+            for a, column in enumerate(drawn[:-1].tolist()):
+                # row j holds the cumulative law of c given j, plus j, so that
+                # the rows, end to end, ascend; a row that no draw reaches
+                # (total 0) is left at 1
+                cum = np.cumsum(own[a] * rest[a][np.maximum(gap, 0)] * (gap >= 0), axis=1)
+                total = cum[:, -1:]
+                cum = np.divide(cum, total, out=np.ones_like(cum), where=total > 0)
+                table = (cum + places[:, None]).ravel()
+                target, row_start = left + rng.random(rows), left * (free + 1)
                 # most rows take none of a label: search only the others
                 moved = np.flatnonzero(target >= table[row_start])
                 taken = np.searchsorted(table, target[moved], side="right") - row_start[moved]
-                groups[moved, label] = taken
+                groups[moved, column] += taken
                 left[moved] -= taken
-            groups[:, labels[-1]] = left
+            groups[:, drawn[-1]] += left
             yield groups
 
 
@@ -282,6 +267,7 @@ def _fit(h: Hypergraph) -> _Null:
     value -= 1
     value_size = np.searchsorted(start, slot, side="right") - 1
     counts = np.bincount(value * L + label, minlength=slot.size * L).reshape(-1, L)
+    del key, label, value
     # a node of degree E_k is in every edge of its size, so in every group:
     # each size has at most one such value, and the fit leaves it out
     certain = slot - start[value_size] == edges[value_size]
@@ -389,9 +375,11 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     The first call on a hypergraph fits every size's null at once and keeps
     it on the hypergraph. When the free nodes hold fewer than two labels, at
     orders 0 and 1 and at k = 2, the value is exact, with standard error 0 and
-    no draws. Other orders are the Monte Carlo mean of ``cfg.samples`` CPS
-    draws, with the standard error of that mean, over an RNG stream derived
-    from (cfg.seed, k), so a fixed seed reproduces the estimate bitwise.
+    no draws; a pair reads the order-1 sum at every order. Other orders are
+    the Monte Carlo mean of the diversities of ``cfg.samples`` CPS groups'
+    label counts, drawn in batches, with the standard error of that mean,
+    over an RNG stream derived from (cfg.seed, k), so a fixed seed
+    reproduces the estimate bitwise.
     """
     k = _check_int(k, "k")
     if k < 2:
@@ -404,7 +392,7 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     if np.count_nonzero(free_labels) < 2:  # every group holds the same label counts
         counts = null.fixed[i] + null.free[i] * free_labels
         return BaselineEstimate(k, hill_number(counts[counts > 0], order), 0.0, 0)
-    if order != 0.0 and (k == 2 or abs(order - 1.0) < Q_ONE_TOLERANCE):
+    if k == 2 or abs(order - 1.0) < Q_ONE_TOLERANCE:
         order = 1.0  # a pair's diversity is 1 or 2 at every order
     if order in (0.0, 1.0):
         return BaselineEstimate(k, null.exact(i, order), 0.0, 0)
@@ -414,7 +402,10 @@ def estimate_baseline(h: Hypergraph, k: int, cfg: SamplerConfig) -> BaselineEsti
     # (1979), so memory stays within one batch. From zero, one batch's merge is
     # exact: its mean is np.mean and its standard deviation np.std(ddof=1).
     count, mean, m2 = 0, 0.0, 0.0
-    for values in null.draw(i, cfg.samples, order, rng):
+    for counts in null._label_counts(i, cfg.samples, rng):
+        positive = counts > 0
+        row = np.repeat(np.arange(len(counts)), np.count_nonzero(positive, axis=1))
+        values = _hill(counts[positive], row, len(counts), k, order)[0]
         size, batch_mean = values.size, np.mean(values)
         batch_m2 = np.sum(np.square(values - batch_mean))
         delta, count = batch_mean - mean, count + size

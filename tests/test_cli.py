@@ -137,10 +137,11 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flags, order, one_label_pairs, digests",
         [
+            # q0 re-recorded when size 2 took the order-1 sum at every order
             ([], "0", False,
-             ("1c59a5422f907331491d4904d6f1723aa50ef39062f1383e57655c364b66f261",
-              "d770e285fdbdf2faa9e50680d811e393d4ca2c8daa09d68a9cd961110d4df6bd",
-              "4770e3aa68f3a77820693b78c367255400a2b0e2cf53531511854992ccfeea8b")),
+             ("4b1d32b75cdb64679c04d0dabfa4a347d230457b35f8e9d65197992da7fff5d2",
+              "3e0a5158c5af746b16a9fdb1088f1897813578fbdc1470caca8085a1d1620879",
+              "04c6468747c7e4fb8fda3fe31f7a7b5d9a778189a2affd85ec2cab61d8515795")),
             ([], "1", False,
              ("1f0dd091b7ab7744a1732dee82c9202bdadaba3aed2053fba33e19e5c84d0a0c",
               "099143cc6469992d5b6f8bf67a0c4d340a15f031153b95fae3152643014f7bf3",

@@ -145,7 +145,8 @@ class TestDraws:
         null = nullmodel._fit(h)
         i = int(np.searchsorted(null.sizes, 4))
         count, rng = 40_000, np.random.default_rng(8)
-        groups = np.concatenate(list(null._label_counts(i, count, rng)))
+        # less the certainty node 0, of label 0
+        groups = np.concatenate(list(null._label_counts(i, count, rng))) - null.fixed[i]
         keys, counts = np.unique(groups, axis=0, return_counts=True)
         seen = {tuple(key.tolist()): n for key, n in zip(keys, counts.tolist())}
         assert len(groups) == count and set(seen) <= set(law)

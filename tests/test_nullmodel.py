@@ -1,6 +1,7 @@
 """Baseline tests, including the exact-enumeration oracle checks, and the
 weighted reference that draws the calibration graphs (``TestSampler``)."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -205,6 +206,7 @@ class TestEstimate:
         sparse = Hypergraph(np.arange(n) % 2 * 1_000, edges)
         pairs = sum(np.count_nonzero(k_degrees(dense, k).degrees) for k in range(2, 10))
         assert pairs > 1_000
+        sparse.edges_of_size(2)  # both graphs' size blocks are built before tracing
         peaks = []
         for h in (dense, sparse):
             tracemalloc.start()
@@ -328,6 +330,20 @@ class TestExactPair:
         with pytest.raises(AssertionError, match="drew random numbers"):
             estimate_baseline(h, 3, cfg)  # the larger size does reach the patched names
 
+    def test_one_sum_at_every_order(self):
+        # order 0 had its own sum: 0x1.fba9386822a6fp+0 on the wide graph,
+        # 4.8e-14 from the oracle's 0x1.fba9386822b47p+0
+        orders = (0.0, 0.5, 1.0, 2.0, 3.0)
+        h = wide_hypergraph()
+        means = {estimate_baseline(h, 2, SamplerConfig(diversity_order=q)).mean for q in orders}
+        assert len(means) == 1
+        assert means.pop() == pytest.approx(exact_baseline(h, 2, 0.0), abs=1e-14, rel=0)
+        for seed in range(40):
+            h = stream_hypergraph(seed)
+            if 2 in h.sizes:
+                means = {estimate_baseline(h, 2, SamplerConfig(diversity_order=q)).mean for q in orders}
+                assert len(means) == 1, seed
+
 
 class TestKnownGroups:
     """A size with fewer than two labels among its free nodes has one label
@@ -442,6 +458,21 @@ class TestBoundedMemory:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
 
+    def test_a_full_batch_holds_at_most_four_count_matrices(self):
+        # 80,000 samples at k = 30 is one full batch of 69,905 rows of 60
+        # labels; copying its count matrix peaked at 5.4 such matrices
+        h = wide_hypergraph()
+        estimate_baseline(h, 2, SamplerConfig())  # the fit, kept on h
+        rows = nullmodel._BATCH_CELLS // 60
+        tracemalloc.start()
+        try:
+            estimate_baseline(h, 30, SamplerConfig(samples=80_000, diversity_order=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 69_905
+        assert peak <= 4 * rows * 60 * 8
+
     @pytest.mark.parametrize("order", [0.5, 2.0, 3.0])
     def test_merged_batches_match_the_concatenated_draws(self, monkeypatch, order):
         # orders 0 and 1 are exact; the others merge the drawn batches
@@ -453,7 +484,10 @@ class TestBoundedMemory:
         null = h._null
         i = int(np.searchsorted(null.sizes, k))
         rng = np.random.default_rng(derive_seed(cfg.seed, k))
-        batches = list(null.draw(i, cfg.samples, order, rng))
+        batches = [
+            [hill_number(row[row > 0], order) for row in counts]
+            for counts in null._label_counts(i, cfg.samples, rng)
+        ]
         assert len(batches) > 1
         values = np.concatenate(batches)
         assert values.size == est.samples == cfg.samples
@@ -499,9 +533,10 @@ class TestGoldenStream:
 
 # (k, order): (mean, std_error) of estimate_baseline on wide_hypergraph() at
 # 300 samples, recorded before the label tables were built in one place per
-# size. At 60 labels, sizes from 29 up take _dot's column blocks at orders 1 and 2
+# size; size 2 at order 0 re-recorded when a pair took the order-1 sum at every
+# order. At 60 labels, sizes from 29 up take _dot's column blocks at orders 1 and 2
 WIDE_BASELINES = {
-    (2, 0.0): ("0x1.fba9386822a6fp+0", "0x0.0p+0"),
+    (2, 0.0): ("0x1.fba9386822b57p+0", "0x0.0p+0"),
     (2, 1.0): ("0x1.fba9386822b57p+0", "0x0.0p+0"),
     (2, 2.0): ("0x1.fba9386822b57p+0", "0x0.0p+0"),
     (3, 0.0): ("0x1.79095edfadaebp+1", "0x0.0p+0"),
@@ -544,3 +579,58 @@ class TestWideStream:
             est = estimate_baseline(h, k, SamplerConfig(samples=300, diversity_order=order))
             assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error), (k, order)
         assert any(blocked)
+
+
+def stream_hypergraph(seed):
+    """A small graph of five sizes from 2..9, one of each kind: a hub node in
+    every edge (a certainty node), one label alone, one edge (k' = 0), labels
+    that no other size holds, and plain random edges."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 25))
+    labels = rng.integers(0, int(rng.integers(2, 6)), n).tolist()
+    edges = []
+    for k, kind in zip(rng.permutation(np.arange(2, 10)).tolist(), rng.permutation(5).tolist()):
+        start = len(labels)
+        if kind == 0:
+            others = np.arange(1, n)
+            edges += [[0, *rng.choice(others, k - 1, replace=False)] for _ in range(rng.integers(2, 6))]
+        elif kind == 1:
+            labels += [1] * (k + 2)
+            edges += [rng.choice(np.arange(start, start + k + 2), k, replace=False) for _ in range(3)]
+        elif kind == 2:
+            edges.append(rng.choice(n, k, replace=False))
+        elif kind == 3:
+            labels += (rng.integers(7, 10, 3) * 11).tolist()
+            pool = np.r_[:n, start : start + 3]
+            edges += [rng.choice(pool, k, replace=False) for _ in range(rng.integers(2, 7))]
+        else:
+            edges += [rng.choice(n, k, replace=False) for _ in range(rng.integers(2, 7))]
+    return Hypergraph(labels, edges)
+
+
+# sha256 of every size's mean and standard error, in hex, over the 120
+# stream_hypergraph graphs at 200 samples, recorded before the draws were
+# scored in one pass over the labels each size holds
+STREAM_DIGESTS = {
+    0.5: "d63b56e2f087d45120a6491be57f7bea264007d282e1c04f6ca72dd9f3375f99",
+    1.0: "836ffd1b465edec801ccb479ec1011222afa33bc3cbd63a278956ecb3188ba1c",
+    2.0: "cd3f5536900cecef0612cd46ceefbe9193f8247d9225523d6b1c6cd34d014b57",
+    3.0: "6e10b923f36b08accf02e004d5003cb07f59c4308670da401f2083f7416010e1",
+}
+
+
+class TestSampledStreams:
+    """Certainty nodes, one-label and k' = 0 sizes and labels held by some
+    sizes only, at sampled orders, pinned bit for bit."""
+
+    def test_digests(self, monkeypatch):
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 300)  # a few dozen rows a batch
+        graphs = [stream_hypergraph(seed) for seed in range(120)]
+        for order, want in STREAM_DIGESTS.items():
+            cfg = SamplerConfig(samples=200, seed=7, diversity_order=order)
+            digest = hashlib.sha256()
+            for h in graphs:
+                for k in np.unique(h.sizes).tolist():
+                    est = estimate_baseline(h, k, cfg)
+                    digest.update(f"{k} {est.mean.hex()} {est.std_error.hex()}\n".encode())
+            assert digest.hexdigest() == want, order
